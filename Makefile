@@ -1,8 +1,7 @@
-# Convenience targets. `make bench` gates the microbenchmarks on the
-# tier-1 build + test suite so a perf number is never reported for a
-# broken tree; it writes BENCH_10.json next to this Makefile.
+# Convenience targets. The wall-time benchmark is
+# `python3 perfbench/run.py` (see perfbench/BENCHMARK.md).
 
-.PHONY: all build test check lint race-lint bench shard shard-smoke \
+.PHONY: all build test check lint race-lint shard shard-smoke \
   shard-migrate-smoke reloc-smoke ci-determinism clean
 
 all: build
@@ -33,9 +32,6 @@ lint: build
 # (R8) and dynamically (crash sweep).
 race-lint: build
 	sh scripts/race_lint.sh
-
-bench: test
-	dune exec bench/main.exe -- --micro --json
 
 # The sharded directory service at acceptance scale: 16 shards, a
 # million closed-loop requests, a mid-run power failure and per-shard

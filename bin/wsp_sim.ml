@@ -51,17 +51,17 @@ let strategy_conv =
   in
   Arg.conv (parse, fun ppf s -> Fmt.string ppf (System.strategy_name s))
 
-let platform_arg =
-  Arg.(
-    value
-    & opt platform_conv Platform.intel_c5528
-    & info [ "platform" ] ~docv:"PLATFORM" ~doc:"Platform (c5528, x5650, amd4180, d510).")
+let platform_info =
+  Arg.info [ "platform" ] ~docv:"PLATFORM"
+    ~doc:"Platform (c5528, x5650, amd4180, d510)."
 
-let psu_arg =
-  Arg.(
-    value
-    & opt psu_conv Psu.atx_1050
-    & info [ "psu" ] ~docv:"PSU" ~doc:"PSU rating (400, 525, 750, 1050).")
+let platform_arg =
+  Arg.(value & opt platform_conv Platform.intel_c5528 platform_info)
+
+let psu_info =
+  Arg.info [ "psu" ] ~docv:"PSU" ~doc:"PSU rating (400, 525, 750, 1050)."
+
+let psu_arg = Arg.(value & opt psu_conv Psu.atx_1050 psu_info)
 
 let busy_arg =
   Arg.(value & flag & info [ "busy" ] ~doc:"Run the stress (busy) load.")
@@ -478,7 +478,7 @@ let lint_cmd =
   in
   let broken_arg =
     Arg.(
-      value & opt fault_conv Checker.No_fault
+      value & opt (some fault_conv) None
       & info [ "broken" ] ~docv:"FAULT"
           ~doc:"Deliberate sabotage to inject (none, fences, wsp-save); the \
                 analyzer must convict it statically.")
@@ -514,22 +514,21 @@ let lint_cmd =
       & info [ "strict" ]
           ~doc:"Fail (exit 1) on unexpected advisories too, not just errors.")
   in
-  let live_arg =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:"Stream events from the running workloads straight into the \
-                rule engine instead of recording a trace first — constant \
-                memory in the trace length. Verdicts and JSON output are \
-                identical to the recorded mode.")
+  (* Absent unless given, so a flag the concurrent registry ignores can
+     be refused rather than silently dropped. *)
+  let lint_platform_arg =
+    Arg.(value & opt (some platform_conv) None platform_info)
   in
+  let lint_psu_arg = Arg.(value & opt (some psu_conv) None psu_info) in
   let concurrent_arg =
     Arg.(
       value & flag
       & info [ "concurrent" ]
           ~doc:"Run the concurrent registry instead: multi-domain durable \
                 structures analysed by the vector-clock race detector \
-                (rules R6-R9 on top of the per-domain R1-R5 streams).")
+                (rules R6-R9 on top of the per-domain R1-R5 streams). \
+                Refuses $(b,--broken), $(b,--psu), $(b,--platform) and \
+                $(b,--busy), which only the sequential registry models.")
   in
   let buses_arg =
     Arg.(
@@ -539,38 +538,60 @@ let lint_cmd =
                 above each workload's minimum (more queue producers, more \
                 counter peers).")
   in
-  let run workload config broken txns jobs live concurrent buses json expect
-      strict psu platform busy seed verbose metrics trace =
-    setup_logs verbose;
-    with_obs metrics trace @@ fun () ->
-    let module Canalyzer = Wsp_analysis.Canalyzer in
-    let jobs = if jobs > 0 then Some jobs else None in
-    let render reports =
-      Fmt.pr "%a" (Analyzer.pp_human ~expect) reports;
-      (match json with
-      | Some "-" -> print_string (Analyzer.to_json ~expect reports)
-      | Some path -> write_file path (Analyzer.to_json ~expect reports)
-      | None -> ());
-      let errs, advs = Analyzer.errors ~expect reports in
-      if errs > 0 || (strict && advs > 0) then 1 else 0
+  let run workload config broken txns jobs concurrent buses json expect strict
+      psu platform busy seed verbose metrics trace =
+    let conflicts =
+      if concurrent then
+        List.filter_map
+          (fun (given, flag) -> if given then Some flag else None)
+          [
+            (Option.is_some broken, "--broken");
+            (Option.is_some psu, "--psu");
+            (Option.is_some platform, "--platform");
+            (busy, "--busy");
+          ]
+      else if buses <> 0 then [ "--buses" ]
+      else []
     in
-    if concurrent then begin
-      let buses = if buses > 0 then Some buses else None in
-      match Canalyzer.cfind ?workload ?config () with
-      | [] ->
-          Printf.eprintf "no concurrent workload matches the given filters\n";
-          2
-      | workloads -> render (Canalyzer.clint ?jobs ?buses ~txns ~seed ~workloads ())
+    if conflicts <> [] then begin
+      Printf.eprintf "lint: %s %s\n"
+        (String.concat ", " conflicts)
+        (if concurrent then "cannot be combined with --concurrent"
+         else "requires --concurrent");
+      2
     end
-    else
-      match Analyzer.find ?workload ?config () with
-      | [] ->
-          Printf.eprintf "no workload matches the given filters\n";
-          2
-      | workloads ->
-          render
-            (Analyzer.lint ?jobs ~live ~fault:broken ~txns ~seed ~psu ~platform
-               ~busy ~workloads ())
+    else begin
+      setup_logs verbose;
+      with_obs metrics trace @@ fun () ->
+      let module Canalyzer = Wsp_analysis.Canalyzer in
+      let jobs = if jobs > 0 then Some jobs else None in
+      let render reports =
+        Fmt.pr "%a" (Analyzer.pp_human ~expect) reports;
+        (match json with
+        | Some "-" -> print_string (Analyzer.to_json ~expect reports)
+        | Some path -> write_file path (Analyzer.to_json ~expect reports)
+        | None -> ());
+        let errs, advs = Analyzer.errors ~expect reports in
+        if errs > 0 || (strict && advs > 0) then 1 else 0
+      in
+      if concurrent then begin
+        let buses = if buses > 0 then Some buses else None in
+        match Canalyzer.cfind ?workload ?config () with
+        | [] ->
+            Printf.eprintf "no concurrent workload matches the given filters\n";
+            2
+        | workloads -> render (Canalyzer.clint ?jobs ?buses ~txns ~seed ~workloads ())
+      end
+      else
+        match Analyzer.find ?workload ?config () with
+        | [] ->
+            Printf.eprintf "no workload matches the given filters\n";
+            2
+        | workloads ->
+            render
+              (Analyzer.lint ?jobs ?fault:broken ~txns ~seed ?psu ?platform
+                 ~busy ~workloads ())
+    end
   in
   Cmd.v
     (Cmd.info "lint"
@@ -581,8 +602,8 @@ let lint_cmd =
           executing recovery")
     Term.(
       const run $ workload_arg $ config_arg $ broken_arg $ txns_arg $ jobs_arg
-      $ live_arg $ concurrent_arg $ buses_arg $ json_arg $ expect_arg
-      $ strict_arg $ psu_arg $ platform_arg $ busy_arg $ seed_arg $ verbose_arg
+      $ concurrent_arg $ buses_arg $ json_arg $ expect_arg $ strict_arg
+      $ lint_psu_arg $ lint_platform_arg $ busy_arg $ seed_arg $ verbose_arg
       $ metrics_arg $ trace_arg)
 
 (* --- shard ------------------------------------------------------------ *)

@@ -2,6 +2,7 @@ open Wsp_sim
 open Wsp_nvheap
 module Checker = Wsp_check.Checker
 module Trace = Wsp_check.Trace
+module Json = Wsp_obs.Json
 
 type workload = {
   name : string;
@@ -15,10 +16,9 @@ type workload = {
     unit;
 }
 
-(* Batch recording, derived from the streaming shape: attach a trace in
-   [observe], snapshot it in [finish]. The detach lives in [Fun.protect]
-   so a raising workload cannot leave the recorder subscribed to a bus
-   that outlives it. *)
+(* One recording: attach a trace in [observe], snapshot it in
+   [finish]. The detach lives in [Fun.protect] so a raising workload
+   cannot leave the recorder subscribed to a bus that outlives it. *)
 let record_of_run w ~fault ~txns ~seed =
   let tr = Trace.create () in
   let out = ref None in
@@ -190,69 +190,8 @@ type report = {
   witness_text : (int * string) list;
 }
 
-(* Streaming analysis of one workload: no recording is materialised —
-   the rule engine rides the heap's event bus while the workload runs.
-   Witness indices match recorded-trace indices because the baseline is
-   replayed first, exactly as [Trace.instrument] does. A bounded ring
-   of the most recent events backs witness rendering: the stream's
-   diagnostic callback quotes each cited event the moment its rule
-   fires, while the index is still resident — so human witnesses carry
-   the same store/flush detail as recorded mode, degrading to bare
-   [#idx] only when a single diagnostic's witness span exceeds the
-   ring. *)
-let stream_one machine w ~fault ~txns ~seed =
-  let stream = ref None in
-  let ring = Array.make Crules.ring_size None in
-  let texts = Hashtbl.create 32 in
-  let snapshot d =
-    List.iter
-      (fun i ->
-        if not (Hashtbl.mem texts i) then
-          match ring.(i mod Array.length ring) with
-          | Some (j, ev) when j = i ->
-              Hashtbl.add texts i (Fmt.str "%a" Trace.pp_event ev)
-          | Some _ | None -> ())
-      d.Rules.witness
-  in
-  let feed s ev =
-    let i = Rules.stream_index s in
-    ring.(i mod Array.length ring) <- Some (i, ev);
-    Rules.stream_step s ev
-  in
-  let sub = ref None in
-  let unsubscribe () =
-    match !sub with
-    | Some s ->
-        Wsp_events.Bus.unsubscribe s;
-        sub := None
-    | None -> ()
-  in
-  (* [unsubscribe] runs in [Fun.protect] (idempotently, since [finish]
-     also calls it on the normal path): a raising workload must not
-     leave the rule engine subscribed to the heap's bus. *)
-  Fun.protect ~finally:unsubscribe (fun () ->
-      w.run ~fault ~txns ~seed
-        ~observe:(fun heap ->
-          let nv = Pheap.nvram heap in
-          let al = Pheap.allocator heap in
-          let s =
-            Rules.stream_create machine ~line_size:(Nvram.line_size nv)
-              ~alloc_base:(Alloc.base al) ~alloc_limit:(Alloc.limit al)
-          in
-          Rules.stream_on_diag s snapshot;
-          Trace.iter_baseline heap (feed s);
-          sub := Some (Wsp_events.Bus.subscribe (Pheap.bus heap) (feed s));
-          stream := Some s)
-        ~finish:(fun _heap -> unsubscribe ()));
-  let result = Rules.stream_finish (Option.get !stream) in
-  let witness_text =
-    Hashtbl.fold (fun i text acc -> (i, text) :: acc) texts []
-    |> List.sort compare
-  in
-  (result, witness_text)
-
-let lint ?jobs ?(live = false) ?(fault = Checker.No_fault) ?(txns = 32)
-    ?(seed = 1) ?psu ?platform ?(busy = false) ~workloads () =
+let lint ?jobs ?(fault = Checker.No_fault) ?(txns = 32) ?(seed = 1) ?psu
+    ?platform ?(busy = false) ~workloads () =
   let machine_of w =
     let base = Rules.default_machine ~config:w.config () in
     {
@@ -264,50 +203,37 @@ let lint ?jobs ?(live = false) ?(fault = Checker.No_fault) ?(txns = 32)
       busy;
     }
   in
-  let make_report w (result, witness_text) =
-    {
-      workload = w.name;
-      config_name = config_slug w.config;
-      fault;
-      result;
-      witness_text;
-    }
+  (* Two phases: each workload's heap simulation runs exactly once,
+     then rule evaluation and witness rendering fan out over the
+     shared recordings — no job ever re-simulates a heap it only
+     needed the trace of. Both maps preserve input order, so the
+     report list (and its JSON) is independent of the job count. *)
+  let recordings =
+    Parallel.map ?jobs (fun w -> record_of_run w ~fault ~txns ~seed) workloads
   in
-  if live then
-    (* Diagnostics and stats — everything the JSON carries — are
-       identical to the recorded path; human witnesses come from the
-       streaming ring and degrade to bare [#idx] only past its
-       horizon. *)
-    Parallel.map ?jobs
-      (fun w -> make_report w (stream_one (machine_of w) w ~fault ~txns ~seed))
-      workloads
-  else begin
-    (* Two phases: each workload's heap simulation runs exactly once,
-       then rule evaluation and witness rendering fan out over the
-       shared recordings — no job ever re-simulates a heap it only
-       needed the trace of. Both maps preserve input order, so the
-       report list (and its JSON) is independent of the job count. *)
-    let recordings =
-      Parallel.map ?jobs (fun w -> record_of_run w ~fault ~txns ~seed) workloads
-    in
-    Parallel.map ?jobs
-      (fun (w, recording) ->
-        let result = Rules.analyze (machine_of w) recording in
-        let cited =
-          List.concat_map (fun d -> d.Rules.witness) result.Rules.diagnostics
-          |> List.sort_uniq compare
-        in
-        let witness_text =
-          List.filter_map
-            (fun i ->
-              if i >= 0 && i < Array.length recording.Trace.events then
-                Some (i, Fmt.str "%a" Trace.pp_event recording.Trace.events.(i))
-              else None)
-            cited
-        in
-        make_report w (result, witness_text))
-      (List.combine workloads recordings)
-  end
+  Parallel.map ?jobs
+    (fun (w, recording) ->
+      let result = Rules.analyze (machine_of w) recording in
+      let cited =
+        List.concat_map (fun d -> d.Rules.witness) result.Rules.diagnostics
+        |> List.sort_uniq compare
+      in
+      let witness_text =
+        List.filter_map
+          (fun i ->
+            if i >= 0 && i < Array.length recording.Trace.events then
+              Some (i, Fmt.str "%a" Trace.pp_event recording.Trace.events.(i))
+            else None)
+          cited
+      in
+      {
+        workload = w.name;
+        config_name = config_slug w.config;
+        fault;
+        result;
+        witness_text;
+      })
+    (List.combine workloads recordings)
 
 let expected ~expect (d : Rules.diagnostic) = List.mem d.Rules.rule expect
 
@@ -326,17 +252,6 @@ let errors ~expect reports =
 
 (* --- JSON ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_diag ~expect b (d : Rules.diagnostic) =
   Buffer.add_string b
     (Fmt.str
@@ -352,7 +267,7 @@ let json_diag ~expect b (d : Rules.diagnostic) =
        (match d.Rules.wasted_ns with
        | None -> "null"
        | Some ns -> Fmt.str "%.1f" ns)
-       (expected ~expect d) (json_escape d.Rules.message))
+       (expected ~expect d) (Json.escape d.Rules.message))
 
 let to_json ~expect reports =
   let b = Buffer.create 4096 in
@@ -366,7 +281,7 @@ let to_json ~expect reports =
             \"%s\",\n      \"stats\": { \"events\": %d, \"mem_events\": %d, \
             \"txns\": %d, \"epochs\": %d, \"max_dirty_bytes\": %d },\n      \
             \"diagnostics\": ["
-           (json_escape r.workload) r.config_name
+           (Json.escape r.workload) r.config_name
            (Checker.fault_name r.fault) s.Rules.events s.Rules.mem_events
            s.Rules.txns s.Rules.epochs s.Rules.max_dirty_bytes);
       List.iteri

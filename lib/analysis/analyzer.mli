@@ -19,8 +19,7 @@ type workload = {
       (** One deterministic execution with caller-chosen observation:
           [observe] receives the heap after setup (mkfs is not under
           analysis) and before the first operation under analysis;
-          [finish] after the last. Batch recording and live streaming
-          are both built on this shape. *)
+          [finish] after the last. *)
 }
 
 val config_slug : Wsp_nvheap.Config.t -> string
@@ -49,7 +48,6 @@ type report = {
 
 val lint :
   ?jobs:int ->
-  ?live:bool ->
   ?fault:Wsp_check.Checker.fault ->
   ?txns:int ->
   ?seed:int ->
@@ -62,16 +60,7 @@ val lint :
 (** Records and analyses each workload, fanning out over
     {!Wsp_sim.Parallel.map}; results come back in workload order
     regardless of [jobs]. Defaults: no sabotage, 32 transactions, seed
-    1, the {!Rules.default_machine} platform/PSU, idle load.
-
-    [live] (default [false]) streams instead of recording: the rule
-    engine subscribes to each heap's {!Wsp_nvheap.Pheap.bus} and judges
-    events as the workload executes, never materialising a trace —
-    constant memory in the trace length. Diagnostics, stats and JSON are
-    identical to the recorded path; human witnesses are quoted from a
-    bounded ring of the {!Crules.ring_size} most recent events and
-    degrade to bare [#idx] references only when a citation has scrolled
-    past that horizon. *)
+    1, the {!Rules.default_machine} platform/PSU, idle load. *)
 
 val errors : expect:Rules.rule list -> report list -> int * int
 (** [(unexpected_errors, unexpected_advisories)]: diagnostics whose rule

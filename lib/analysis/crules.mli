@@ -99,9 +99,7 @@ val index : stream -> int
 
 val witness_text : stream -> Rules.result -> (int * string) list
 (** Human renderings for witness indices still in the recent-event
-    ring (the last {!ring_size} events) — older indices degrade to bare
-    [#idx], exactly like live single-trace mode. *)
-
-val ring_size : int
+    ring (the last 1024 events) — older indices degrade to bare
+    [#idx]. *)
 
 val pp_sync : Format.formatter -> sync -> unit

@@ -120,17 +120,13 @@ type st = {
   pending_headers : (int, unit) Hashtbl.t;
   mutable in_rollback : bool;
   mutable tx_heap_journal : Alloc.event list;  (* newest first *)
-  mutable on_diag : diagnostic -> unit;
 }
-
-let emit st d =
-  st.diags <- d :: st.diags;
-  st.on_diag d
 
 let diag ?line ?txid ?wasted_ns st rule severity witness fmt =
   Fmt.kstr
     (fun message ->
-      emit st { rule; severity; message; line; txid; witness; wasted_ns })
+      let d = { rule; severity; message; line; txid; witness; wasted_ns } in
+      st.diags <- d :: st.diags)
     fmt
 
 let flush_on_commit st = Config.flush_on_commit st.m.config
@@ -435,7 +431,6 @@ let compare_diagnostics a b = compare (diag_key a) (diag_key b)
 type stream = { st : st; mutable idx : int }
 
 let stream_pdag s = s.st.pdag
-let stream_index s = s.idx
 
 let stream_create m ~line_size ~alloc_base ~alloc_limit =
   let st =
@@ -458,12 +453,9 @@ let stream_create m ~line_size ~alloc_base ~alloc_limit =
       pending_headers = Hashtbl.create 64;
       in_rollback = false;
       tx_heap_journal = [];
-      on_diag = (fun _ -> ());
     }
   in
   { st; idx = 0 }
-
-let stream_on_diag s f = s.st.on_diag <- f
 
 let stream_step s ev =
   step s.st s.idx ev;

@@ -106,11 +106,11 @@ val analyze : machine -> Wsp_check.Trace.recording -> result
 
 (** {1 Streaming}
 
-    The same pass fed one event at a time — what the analyzer's live
-    mode subscribes to a heap's {!Wsp_nvheap.Pheap.bus}: no recording
-    is materialised, the {!Pdag} frontier is the only state. [analyze]
-    is exactly [stream_create] / [stream_step] per event /
-    [stream_finish]. *)
+    The same pass fed one event at a time — what the shard service's
+    [--lint] and {!Crules} subscribe to a heap's
+    {!Wsp_nvheap.Pheap.bus}: no recording is materialised, the {!Pdag}
+    frontier is the only state. [analyze] is exactly [stream_create] /
+    [stream_step] per event / [stream_finish]. *)
 
 type stream
 
@@ -124,13 +124,6 @@ val stream_step : stream -> Wsp_check.Trace.event -> unit
 (** Judges one event; events are implicitly numbered in arrival order,
     matching recorded-trace indices. *)
 
-val stream_on_diag : stream -> (diagnostic -> unit) -> unit
-(** Installs a callback fired the moment a diagnostic is raised (during
-    a [stream_step] or inside [stream_finish]). The live analyzer uses
-    it to quote witness events from its recent-event ring while the
-    cited indices are still resident, instead of discovering citations
-    only at [stream_finish] when early events have scrolled away. *)
-
 val stream_finish : stream -> result
 (** End-of-trace obligations (undrained commit records, the R5 energy
     budget), then the canonical sort. The stream must not be fed
@@ -141,6 +134,3 @@ val stream_pdag : stream -> Pdag.t
     decide whether an annotated object's backing line is
     persist-ordered at a sync point, instead of running a second
     frontier over the same events. *)
-
-val stream_index : stream -> int
-(** Events fed so far — the index the next [stream_step] will get. *)

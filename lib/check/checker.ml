@@ -1,5 +1,6 @@
 (* [Wsp_sim] exports its own [Trace]; alias ours before the open. *)
 module Ptrace = Trace
+module Json = Wsp_obs.Json
 open Wsp_sim
 open Wsp_nvheap
 open Wsp_store
@@ -756,34 +757,22 @@ let check ?jobs ?(points = 1000) ?(txns = 32) ?(ops_per_txn = 3)
 
 (* --- JSON ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_violation b (v : violation) =
   Buffer.add_string b
     (Fmt.str "{ \"point\": %d, \"where\": \"%s\", \"message\": \"%s\" }" v.point
-       (json_escape v.where) (json_escape v.message))
+       (Json.escape v.where) (Json.escape v.message))
 
 let json_shrunk b (s : shrunk) =
   Buffer.add_string b
     (Fmt.str
        "{ \"point\": %d, \"trace_length\": %d, \"message\": \"%s\", \
         \"script\": [%s] }"
-       s.point s.trace_length (json_escape s.message)
+       s.point s.trace_length (Json.escape s.message)
        (String.concat ", "
           (List.map
              (fun ops ->
                Fmt.str "\"%s\""
-                 (json_escape
+                 (Json.escape
                     (Fmt.str "%a" (Fmt.list ~sep:Fmt.semi pp_op) ops)))
              s.script)))
 
@@ -802,7 +791,7 @@ let reports_to_json reports =
             \"exhaustive\": %b,\n\
            \      \"violations\": ["
            (kind_name r.kind)
-           (json_escape r.config.Config.name)
+           (Json.escape r.config.Config.name)
            r.seed (fault_name r.fault) r.trace_length r.points_explored
            r.exhaustive);
       List.iteri

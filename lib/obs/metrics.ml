@@ -141,17 +141,6 @@ let merge_into ~into src =
 
 (* --- JSON export ---------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Gauges hold small non-negative magnitudes (queue depths, ratios);
    %.12g prints them exactly and deterministically. *)
 let float_repr v = Printf.sprintf "%.12g" v
@@ -173,7 +162,7 @@ let to_json t =
         | Some payload ->
             if not !first then Buffer.add_char buf ',';
             first := false;
-            Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
+            Buffer.add_string buf (Printf.sprintf "\"%s\":" (Json.escape name));
             render payload)
       bindings;
     Buffer.add_char buf '}'

@@ -93,17 +93,6 @@ let reset_all () =
 
 (* --- export ---------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Trace Event Format wants microseconds; 1 ps = 1e-6 us, so six
    decimals render picosecond timestamps exactly. *)
 let us_of_ps ps = Printf.sprintf "%.6f" (float_of_int ps /. 1e6)
@@ -119,13 +108,13 @@ let to_json evs =
         Buffer.add_string buf
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%s,\"pid\":0,\"tid\":%d}"
-             (json_escape ev.name) (json_escape ev.cat) (us_of_ps ev.ts_ps)
+             (Json.escape ev.name) (Json.escape ev.cat) (us_of_ps ev.ts_ps)
              ev.tid)
       else
         Buffer.add_string buf
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d}"
-             (json_escape ev.name) (json_escape ev.cat) (us_of_ps ev.ts_ps)
+             (Json.escape ev.name) (Json.escape ev.cat) (us_of_ps ev.ts_ps)
              (us_of_ps ev.dur_ps) ev.tid))
     evs;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ns\"}\n";

@@ -346,25 +346,6 @@ let shard_race_tests =
           (Service.sweep_violations sweep <> []));
   ]
 
-(* --- live witness parity --------------------------------------------- *)
-
-let live_witness_test =
-  Alcotest.test_case "live lint witnesses match recorded mode" `Quick
-    (fun () ->
-      let run live =
-        Analyzer.lint ~jobs:1 ~live ~fault:Checker.Broken_fences ~txns:6
-          ~workloads:(Analyzer.find ~workload:"bank/foc-ul" ())
-          ()
-      in
-      match (run false, run true) with
-      | [ recorded ], [ live ] ->
-          Alcotest.(check bool) "found diagnostics to compare" true
-            (recorded.Analyzer.result.Rules.diagnostics <> []);
-          Alcotest.(check (list (pair int string)))
-            "witness renderings identical" recorded.Analyzer.witness_text
-            live.Analyzer.witness_text
-      | _ -> Alcotest.fail "expected one bank/foc-ul report per mode")
-
 let suite =
   [
     ("crules.vclock", vclock_tests);
@@ -372,6 +353,6 @@ let suite =
     ( "crules.agreement",
       [ agreement_matrix_test; loss_implies_static_prop ] );
     ( "crules.driver",
-      [ jobs_determinism_test; buses_test; live_witness_test ] );
+      [ jobs_determinism_test; buses_test ] );
     ("crules.shard", shard_race_tests);
   ]
