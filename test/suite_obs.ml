@@ -195,8 +195,21 @@ let tracer_tests =
         | _ -> Alcotest.fail "both events must be exported");
   ]
 
+let json_tests =
+  [
+    Alcotest.test_case "escape: quote, backslash and newline only" `Quick
+      (fun () ->
+        let esc = Wsp_obs.Json.escape in
+        Alcotest.(check string) "specials" {|a\"b\\c\nd|} (esc "a\"b\\c\nd");
+        Alcotest.(check string)
+          "other bytes pass through" "tab\t/ctl\001 \xc3\xa9"
+          (esc "tab\t/ctl\001 \xc3\xa9");
+        Alcotest.(check string) "empty" "" (esc ""));
+  ]
+
 let suite =
   [
+    ("obs.json", json_tests);
     ("obs.metrics", registry_tests);
     ("obs.determinism", determinism_tests);
     ("obs.tracer", tracer_tests);
