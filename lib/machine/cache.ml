@@ -8,57 +8,54 @@ type config = {
   hit_latency : Time.t;
 }
 
-(* Ways double as nodes of an intrusive, circular, doubly-linked list of
-   dirty lines threaded through [dirty_prev]/[dirty_next] (self-linked
-   when clean). The list makes [dirty_lines]/[iter_dirty] O(dirty) and,
-   together with the [dirty_n]/[resident_n] counters, turns the dirty
-   polls that protocol loops issue per simulated step from O(total
-   slots) into O(dirty). *)
-type way = {
-  mutable line : int;
-  mutable valid : bool;
-  mutable dirty : bool;
-  mutable age : int;  (* Larger is more recent. *)
-  mutable dirty_prev : way;
-  mutable dirty_next : way;
-}
+(* Tag state lives in flat per-slot arrays, slot = set * associativity +
+   way, so a set scan reads [associativity] consecutive ints instead of
+   chasing one record per way. A slot's tag is its line number while
+   valid and [lnot line] (negative) once invalid: lines are non-negative,
+   so a scan needs no separate valid check, and an invalid slot keeps
+   its stale line and age exactly as a cleared way record did.
 
+   Slots double as nodes of an intrusive, circular, doubly-linked list
+   of dirty lines threaded through [prev]/[next] (self-linked when
+   clean), whose sentinel is the extra slot [n_slots]. The list makes
+   [dirty_lines]/[iter_dirty] O(dirty) and, together with the
+   [dirty_n]/[resident_n] counters, turns the dirty polls that protocol
+   loops issue per simulated step from O(total slots) into O(dirty). *)
 type t = {
   cfg : config;
-  sets : way array array;
   n_sets : int;
-  dirty_list : way;  (* Sentinel of the circular dirty list. *)
+  assoc : int;
+  tags : int array;
+  ages : int array;  (* Larger is more recent. *)
+  dirty : bool array;
+  prev : int array;  (* n_slots + 1 entries: the last is the sentinel. *)
+  next : int array;
   mutable dirty_n : int;
   mutable resident_n : int;
   mutable tick : int;
 }
 
-let make_way () =
-  let rec w =
-    { line = 0; valid = false; dirty = false; age = 0; dirty_prev = w; dirty_next = w }
-  in
-  w
-
 let create cfg =
   let total_lines = Units.Size.to_bytes cfg.size / cfg.line_size in
   assert (total_lines > 0 && cfg.associativity > 0);
   assert (total_lines mod cfg.associativity = 0);
-  let n_sets = total_lines / cfg.associativity in
-  let sets =
-    Array.init n_sets (fun _ -> Array.init cfg.associativity (fun _ -> make_way ()))
-  in
   {
     cfg;
-    sets;
-    n_sets;
-    dirty_list = make_way ();
+    n_sets = total_lines / cfg.associativity;
+    assoc = cfg.associativity;
+    tags = Array.make total_lines (lnot 0);
+    ages = Array.make total_lines 0;
+    dirty = Array.make total_lines false;
+    prev = Array.init (total_lines + 1) Fun.id;
+    next = Array.init (total_lines + 1) Fun.id;
     dirty_n = 0;
     resident_n = 0;
     tick = 0;
   }
 
 let config t = t.cfg
-let line_count t = t.n_sets * t.cfg.associativity
+let line_count t = Array.length t.tags
+let sentinel t = Array.length t.tags
 
 let line_of_addr t addr =
   (* Addresses are non-negative byte addresses; asserting here lets
@@ -70,127 +67,132 @@ let set_of_line t line = line mod t.n_sets
 
 (* Appending at the tail keeps [dirty_lines] in dirtying order, which is
    deterministic regardless of cache geometry. *)
-let link_dirty t w =
-  let s = t.dirty_list in
-  let last = s.dirty_prev in
-  w.dirty_prev <- last;
-  w.dirty_next <- s;
-  last.dirty_next <- w;
-  s.dirty_prev <- w;
+let link_dirty t s =
+  let head = sentinel t in
+  let last = t.prev.(head) in
+  t.prev.(s) <- last;
+  t.next.(s) <- head;
+  t.next.(last) <- s;
+  t.prev.(head) <- s;
   t.dirty_n <- t.dirty_n + 1
 
-let unlink_dirty t w =
-  w.dirty_prev.dirty_next <- w.dirty_next;
-  w.dirty_next.dirty_prev <- w.dirty_prev;
-  w.dirty_prev <- w;
-  w.dirty_next <- w;
+let unlink_dirty t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p;
+  t.prev.(s) <- s;
+  t.next.(s) <- s;
   t.dirty_n <- t.dirty_n - 1
 
-let mark_dirty t w =
-  if not w.dirty then begin
-    w.dirty <- true;
-    link_dirty t w
+let mark_dirty t s =
+  if not (Array.unsafe_get t.dirty s) then begin
+    Array.unsafe_set t.dirty s true;
+    link_dirty t s
   end
 
-let mark_clean t w =
-  if w.dirty then begin
-    w.dirty <- false;
-    unlink_dirty t w
+let mark_clean t s =
+  if Array.unsafe_get t.dirty s then begin
+    Array.unsafe_set t.dirty s false;
+    unlink_dirty t s
   end
 
 type victim = { line : int; dirty : bool }
 
-(* Top-level so probing allocates no closure. *)
-let rec scan_set set line i n =
-  if i >= n then -1
-  else
-    let w = Array.unsafe_get set i in
-    if w.valid && w.line = line then i else scan_set set line (i + 1) n
+(* Top-level so probing allocates no closure; annotated so the tag
+   comparison is an integer compare, not the polymorphic one. *)
+let rec scan_set (tags : int array) (line : int) i stop =
+  if i >= stop then -1
+  else if Array.unsafe_get tags i = line then i
+  else scan_set tags line (i + 1) stop
 
-let find_way t line =
-  let set = t.sets.(set_of_line t line) in
-  let i = scan_set set line 0 (Array.length set) in
-  if i < 0 then None else Some set.(i)
+(* The slot holding [line], or -1. *)
+let find t line =
+  assert (line >= 0);
+  let base = set_of_line t line * t.assoc in
+  scan_set t.tags line base (base + t.assoc)
 
-let touch t way =
+let touch t s =
   t.tick <- t.tick + 1;
-  way.age <- t.tick
+  Array.unsafe_set t.ages s t.tick
 
 let probe t ~line =
-  let set = t.sets.(set_of_line t line) in
-  let i = scan_set set line 0 (Array.length set) in
-  if i < 0 then false
+  let s = find t line in
+  if s < 0 then false
   else begin
-    touch t (Array.unsafe_get set i);
+    touch t s;
     true
   end
 
-let contains t ~line =
-  let set = t.sets.(set_of_line t line) in
-  scan_set set line 0 (Array.length set) >= 0
+let contains t ~line = find t line >= 0
 
-(* Victim selection: prefer an invalid way; otherwise the least recently
-   used. Top-level and index-based to keep the miss path closure-free. *)
-let rec pick_slot set i n best =
-  if i >= n then best
+(* Victim selection: prefer an invalid slot; otherwise the least
+   recently used. Ties go to the lower slot. *)
+let rec pick_slot t i stop best =
+  if i >= stop then best
   else
-    let w = Array.unsafe_get set i and b = Array.unsafe_get set best in
+    let valid = Array.unsafe_get t.tags i >= 0
+    and b_valid = Array.unsafe_get t.tags best >= 0
+    and older = Array.unsafe_get t.ages i < Array.unsafe_get t.ages best in
     let best =
-      if not w.valid then if b.valid || w.age < b.age then i else best
-      else if b.valid && w.age < b.age then i
+      if not valid then if b_valid || older then i else best
+      else if b_valid && older then i
       else best
     in
-    pick_slot set (i + 1) n best
+    pick_slot t (i + 1) stop best
+
+(* Allocates [line], which the caller knows is absent: the set is
+   scanned once, for the victim, and never for the line itself. *)
+let insert_absent t ~line ~dirty =
+  let base = set_of_line t line * t.assoc in
+  let s = pick_slot t (base + 1) (base + t.assoc) base in
+  let old = Array.unsafe_get t.tags s in
+  let victim =
+    if old >= 0 then Some { line = old; dirty = Array.unsafe_get t.dirty s }
+    else begin
+      t.resident_n <- t.resident_n + 1;
+      None
+    end
+  in
+  mark_clean t s;
+  Array.unsafe_set t.tags s line;
+  if dirty then mark_dirty t s;
+  touch t s;
+  victim
 
 let insert t ~line ~dirty =
-  match find_way t line with
-  | Some way ->
-      if dirty then mark_dirty t way;
-      touch t way;
-      None
-  | None ->
-      let set = t.sets.(set_of_line t line) in
-      let slot = set.(pick_slot set 1 (Array.length set) 0) in
-      let victim =
-        if slot.valid then Some { line = slot.line; dirty = slot.dirty }
-        else None
-      in
-      if not slot.valid then t.resident_n <- t.resident_n + 1;
-      mark_clean t slot;
-      slot.valid <- true;
-      slot.line <- line;
-      if dirty then mark_dirty t slot;
-      touch t slot;
-      victim
+  let s = find t line in
+  if s < 0 then insert_absent t ~line ~dirty
+  else begin
+    if dirty then mark_dirty t s;
+    touch t s;
+    None
+  end
 
 let set_dirty t ~line =
-  match find_way t line with Some way -> mark_dirty t way | None -> ()
+  let s = find t line in
+  if s >= 0 then mark_dirty t s
 
 let is_dirty t ~line =
-  match find_way t line with Some way -> way.dirty | None -> false
+  let s = find t line in
+  s >= 0 && t.dirty.(s)
 
 let invalidate t ~line =
-  match find_way t line with
-  | Some way ->
-      let was_dirty = way.dirty in
-      mark_clean t way;
-      way.valid <- false;
-      t.resident_n <- t.resident_n - 1;
-      was_dirty
-  | None -> false
-
-let fold f acc t =
-  Array.fold_left
-    (fun acc set ->
-      Array.fold_left (fun acc way -> if way.valid then f acc way else acc) acc set)
-    acc t.sets
+  let s = find t line in
+  if s < 0 then false
+  else begin
+    let was_dirty = t.dirty.(s) in
+    mark_clean t s;
+    t.tags.(s) <- lnot line;
+    t.resident_n <- t.resident_n - 1;
+    was_dirty
+  end
 
 let iter_dirty t f =
-  let s = t.dirty_list in
-  let w = ref s.dirty_next in
-  while !w != s do
-    f !w.line;
-    w := !w.dirty_next
+  let head = sentinel t in
+  let s = ref t.next.(head) in
+  while !s <> head do
+    f t.tags.(!s);
+    s := t.next.(!s)
   done
 
 let dirty_lines t =
@@ -202,87 +204,67 @@ let dirty_count t = t.dirty_n
 let resident_count t = t.resident_n
 
 (* Brute-force references for the incremental bookkeeping, kept for the
-   invariant tests and the before/after microbenchmarks. *)
-let dirty_lines_slow t =
-  fold (fun acc way -> if way.dirty then way.line :: acc else acc) [] t
+   invariant tests and the before/after microbenchmarks: folds over
+   every valid slot, in slot order. *)
+let fold_valid f acc t =
+  let acc = ref acc in
+  Array.iteri (fun s tag -> if tag >= 0 then acc := f !acc s) t.tags;
+  !acc
 
-let dirty_count_slow t = fold (fun acc way -> if way.dirty then acc + 1 else acc) 0 t
-let resident_count_slow t = fold (fun acc _ -> acc + 1) 0 t
+let dirty_lines_slow (t : t) =
+  fold_valid (fun acc s -> if t.dirty.(s) then t.tags.(s) :: acc else acc) [] t
 
-(* Snapshots capture every observable piece of tag state: per-way
-   contents, the LRU clock, and — because [iter_dirty]'s oldest-first
-   order is visible through write-back event order — the dirty list's
-   exact ordering, saved as a line array and relinked on restore. *)
+let dirty_count_slow (t : t) =
+  fold_valid (fun acc s -> if t.dirty.(s) then acc + 1 else acc) 0 t
+
+let resident_count_slow t = fold_valid (fun acc _ -> acc + 1) 0 t
+
+(* Snapshots copy every array of tag state whole — including the dirty
+   list's links, since [iter_dirty]'s oldest-first order is visible
+   through write-back event order. *)
 type snapshot = {
-  snap_slots : (int * bool * bool * int) array;
-      (* Per flat way slot: line, valid, dirty, age. *)
-  snap_dirty : int array;  (* Dirty lines, oldest-dirtied first. *)
-  snap_tick : int;
+  snap_tags : int array;
+  snap_ages : int array;
+  snap_dirty : bool array;
+  snap_prev : int array;
+  snap_next : int array;
+  snap_dirty_n : int;
   snap_resident : int;
+  snap_tick : int;
 }
 
 let snapshot t =
-  let assoc = t.cfg.associativity in
-  let slots = Array.make (t.n_sets * assoc) (0, false, false, 0) in
-  Array.iteri
-    (fun si set ->
-      Array.iteri
-        (fun wi (w : way) ->
-          slots.((si * assoc) + wi) <- (w.line, w.valid, w.dirty, w.age))
-        set)
-    t.sets;
-  let dirty = Array.make t.dirty_n 0 in
-  let i = ref 0 in
-  iter_dirty t (fun line ->
-      dirty.(!i) <- line;
-      incr i);
   {
-    snap_slots = slots;
-    snap_dirty = dirty;
-    snap_tick = t.tick;
+    snap_tags = Array.copy t.tags;
+    snap_ages = Array.copy t.ages;
+    snap_dirty = Array.copy t.dirty;
+    snap_prev = Array.copy t.prev;
+    snap_next = Array.copy t.next;
+    snap_dirty_n = t.dirty_n;
     snap_resident = t.resident_n;
+    snap_tick = t.tick;
   }
 
 let restore t s =
-  let assoc = t.cfg.associativity in
-  if Array.length s.snap_slots <> t.n_sets * assoc then
+  if Array.length s.snap_tags <> Array.length t.tags then
     invalid_arg "Cache.restore: snapshot from a different geometry";
-  Array.iteri
-    (fun si set ->
-      Array.iteri
-        (fun wi (w : way) ->
-          let line, valid, dirty, age = s.snap_slots.((si * assoc) + wi) in
-          w.line <- line;
-          w.valid <- valid;
-          w.dirty <- dirty;
-          w.age <- age;
-          w.dirty_prev <- w;
-          w.dirty_next <- w)
-        set)
-    t.sets;
-  let sentinel = t.dirty_list in
-  sentinel.dirty_prev <- sentinel;
-  sentinel.dirty_next <- sentinel;
-  t.dirty_n <- 0;
-  Array.iter
-    (fun line ->
-      match find_way t line with
-      | Some w -> link_dirty t w
-      | None -> assert false)
-    s.snap_dirty;
-  t.tick <- s.snap_tick;
-  t.resident_n <- s.snap_resident
+  let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
+  blit s.snap_tags t.tags;
+  blit s.snap_ages t.ages;
+  blit s.snap_dirty t.dirty;
+  blit s.snap_prev t.prev;
+  blit s.snap_next t.next;
+  t.dirty_n <- s.snap_dirty_n;
+  t.resident_n <- s.snap_resident;
+  t.tick <- s.snap_tick
 
 let clear t =
-  Array.iter
-    (Array.iter (fun way ->
-         way.valid <- false;
-         way.dirty <- false;
-         way.dirty_prev <- way;
-         way.dirty_next <- way))
-    t.sets;
-  let s = t.dirty_list in
-  s.dirty_prev <- s;
-  s.dirty_next <- s;
+  Array.iteri (fun s tag -> if tag >= 0 then t.tags.(s) <- lnot tag) t.tags;
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  (* Every slot, the sentinel included, self-linked. *)
+  for s = 0 to sentinel t do
+    t.prev.(s) <- s;
+    t.next.(s) <- s
+  done;
   t.dirty_n <- 0;
   t.resident_n <- 0

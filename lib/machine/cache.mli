@@ -6,10 +6,12 @@
     numbers are non-negative; the cache works internally in line numbers
     ([addr / line_size]).
 
-    Dirty and resident state is tracked incrementally: per-cache
-    counters plus an intrusive doubly-linked index of dirty ways make
-    {!dirty_count}, {!resident_count}, {!dirty_lines} and {!iter_dirty}
-    O(dirty lines) rather than a fold over every way of every set. The
+    Tags, ages and dirty bits are flat per-slot arrays, so a set scan
+    reads consecutive ints. Dirty and resident state is tracked
+    incrementally: per-cache counters plus an intrusive doubly-linked
+    index of dirty slots make {!dirty_count}, {!resident_count},
+    {!dirty_lines} and {!iter_dirty} O(dirty lines) rather than a fold
+    over every slot. The
     flush-on-fail protocol and residual-energy-window loops poll these
     on every simulated step, so this is the simulator's hottest
     bookkeeping. *)
@@ -46,6 +48,11 @@ val insert : t -> line:int -> dirty:bool -> victim option
 (** Allocates [line]; when the target set is full the LRU way is evicted
     and returned. Inserting a line already present merges the dirty flag
     instead. *)
+
+val insert_absent : t -> line:int -> dirty:bool -> victim option
+(** {!insert} for a caller that knows [line] is absent (a probe just
+    missed it): the set is scanned only to pick the slot. Inserting a
+    present line this way would duplicate it. *)
 
 val set_dirty : t -> line:int -> unit
 (** Marks a (present) line dirty. No-op if the line is absent. *)

@@ -126,13 +126,15 @@ let line_of t addr =
   assert (addr >= 0);
   addr / t.line_size
 
-(* Evicting [victim] from level [i]: inclusion requires dropping it from
-   all upper levels too, accumulating dirtiness. If level [i] is the LLC
-   the line leaves the hierarchy and a dirty victim is written back;
-   otherwise it is demoted into level [i+1] (where inclusion normally
-   means it is already present — if not, it is re-inserted, which may
-   cascade). *)
-let rec evict_from t i (victim : Cache.victim) =
+(* Evicting [victim] from level [i] drops it from all upper levels too
+   (back-invalidation), accumulating their dirtiness. Every eviction
+   does this and every fill goes lowest level first, so inclusion is
+   strict: a line resident in level [j] is resident in every level
+   below it. If level [i] is the LLC the line leaves the hierarchy and
+   a dirty victim is written back; otherwise level [i+1] already holds
+   it and only inherits the dirty bit. [invalidate_line] and
+   [resident_lines] rely on inclusion too. *)
+let evict_from t i (victim : Cache.victim) =
   C.incr t.m.m_evictions;
   let dirty = ref victim.dirty in
   for j = 0 to i - 1 do
@@ -145,24 +147,17 @@ let rec evict_from t i (victim : Cache.victim) =
       t.on_writeback ~line:victim.line ~explicit:false
     end
   end
-  else
-    let below = t.levels.(i + 1) in
-    if Cache.contains below ~line:victim.line then begin
-      if !dirty then Cache.set_dirty below ~line:victim.line
-    end
-    else
-      match Cache.insert below ~line:victim.line ~dirty:!dirty with
-      | None -> ()
-      | Some v -> evict_from t (i + 1) v
+  else if !dirty then Cache.set_dirty t.levels.(i + 1) ~line:victim.line
 
-(* Fills [line] into levels [0..upto], lowest level first so that
-   inclusion holds while upper-level evictions demote downwards. *)
+(* Fills [line] into levels [0..upto], lowest level first. The probe
+   has just missed it at each of them, and an eviction only ever
+   removes lines from upper levels, so each insert skips the presence
+   scan. *)
 let fill t ~line ~upto =
   for i = upto downto 0 do
-    if not (Cache.contains t.levels.(i) ~line) then
-      match Cache.insert t.levels.(i) ~line ~dirty:false with
-      | None -> ()
-      | Some v -> evict_from t i v
+    match Cache.insert_absent t.levels.(i) ~line ~dirty:false with
+    | None -> ()
+    | Some v -> evict_from t i v
   done
 
 (* Probes levels in order; the hit level's index, or -1 on a full miss.
@@ -199,12 +194,18 @@ let access t ~addr ~write =
 let load t ~addr = access t ~addr ~write:false
 let store t ~addr = access t ~addr ~write:true
 
+(* By inclusion a line the LLC lacks is in no level, so one LLC scan
+   settles the common case: a non-temporal store to an uncached log
+   line. *)
 let invalidate_line t line =
-  let dirty = ref false in
-  for i = 0 to Array.length t.levels - 1 do
-    if Cache.invalidate t.levels.(i) ~line then dirty := true
-  done;
-  !dirty
+  if not (Cache.contains (llc t) ~line) then false
+  else begin
+    let dirty = ref false in
+    for i = 0 to Array.length t.levels - 1 do
+      if Cache.invalidate t.levels.(i) ~line then dirty := true
+    done;
+    !dirty
+  end
 
 let store_nt t ~addr =
   let line = line_of t addr in
@@ -313,6 +314,8 @@ let dirty_bytes_slow t =
 let resident_lines t =
   (* Distinct lines present anywhere; by inclusion this is the LLC count. *)
   Cache.resident_count (llc t)
+
+let resident_at t ~level ~line = Cache.contains t.levels.(level) ~line
 
 let total_line_slots t =
   Array.fold_left (fun acc level -> acc + Cache.line_count level) 0 t.levels

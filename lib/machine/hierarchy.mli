@@ -115,6 +115,11 @@ val dirty_bytes_slow : t -> int
     dirty-poll microbenchmark; not for production callers. *)
 
 val resident_lines : t -> int
+
+val resident_at : t -> level:int -> line:int -> bool
+(** Whether level [level] (0 is L1) holds [line]; reads tag state
+    without touching LRU recency. For inclusion checks. *)
+
 val total_line_slots : t -> int
 
 type snapshot

@@ -37,10 +37,66 @@ type tap = {
       (* The write-combining queue was flushed to backing. *)
 }
 
+(* The dirty overlay's table, keyed by line number: the line is its own
+   hash, so a lookup calls neither the polymorphic hash nor the
+   polymorphic compare. Iteration order is never observable — the
+   overlay's lines are disjoint. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash line = line
+end)
+
+(* The write-combining FIFO of undrained non-temporal stores, oldest
+   first, kept as an address column and a packed value column so that
+   queuing a word allocates nothing. *)
+type wc = {
+  mutable wc_addrs : int array;
+  mutable wc_vals : Bytes.t;  (* 8 bytes per entry, little-endian *)
+  mutable wc_n : int;
+}
+
+let wc_create () = { wc_addrs = Array.make 16 0; wc_vals = Bytes.create 128; wc_n = 0 }
+let wc_addr wc i = Array.unsafe_get wc.wc_addrs i
+let wc_val wc i = Bytes.get_int64_le wc.wc_vals (8 * i)
+
+let wc_add wc addr v =
+  let n = wc.wc_n in
+  if n = Array.length wc.wc_addrs then begin
+    let addrs = Array.make (2 * n) 0 and vals = Bytes.create (16 * n) in
+    Array.blit wc.wc_addrs 0 addrs 0 n;
+    Bytes.blit wc.wc_vals 0 vals 0 (8 * n);
+    wc.wc_addrs <- addrs;
+    wc.wc_vals <- vals
+  end;
+  Array.unsafe_set wc.wc_addrs n addr;
+  Bytes.set_int64_le wc.wc_vals (8 * n) v;
+  wc.wc_n <- n + 1
+
+(* Writes every queued word into [dst] at its address, oldest first. *)
+let wc_apply wc dst =
+  for i = 0 to wc.wc_n - 1 do
+    Bytes.set_int64_le dst (wc_addr wc i) (wc_val wc i)
+  done
+
+(* Keeps only the entries whose address satisfies [keep], in order. *)
+let wc_filter wc keep =
+  let j = ref 0 in
+  for i = 0 to wc.wc_n - 1 do
+    let a = wc_addr wc i in
+    if keep a then begin
+      Array.unsafe_set wc.wc_addrs !j a;
+      Bytes.blit wc.wc_vals (8 * i) wc.wc_vals (8 * !j) 8;
+      incr j
+    end
+  done;
+  wc.wc_n <- !j
+
 type t = {
   backing : Bytes.t;  (* Persistent contents: survives crash. *)
-  dirty : (int, Bytes.t) Hashtbl.t;  (* line number -> volatile line copy *)
-  wc_pending : (int * int64) Queue.t;  (* undrained non-temporal stores *)
+  dirty : Bytes.t Lines.t;  (* line number -> volatile line copy *)
+  wc_pending : wc;
   hierarchy : Hierarchy.t;
   line_size : int;
   mutable clock : Time.t;
@@ -67,7 +123,7 @@ let create ?hierarchy ?backing ~size () =
           invalid_arg "Nvram.create: backing smaller than size";
         b
   in
-  let dirty = Hashtbl.create 1024 in
+  let dirty = Lines.create 1024 in
   let bus = Bus.create () in
   let tap = ref None in
   (* The hierarchy's write-back wiring both moves the dirty bytes to
@@ -76,19 +132,19 @@ let create ?hierarchy ?backing ~size () =
      [Wb] event, distinguished only by [explicit]. *)
   let on_writeback ~line ~explicit =
     Bus.publish bus (Event.Wb { line; explicit });
-    match Hashtbl.find_opt dirty line with
+    match Lines.find_opt dirty line with
     | None -> ()
     | Some data ->
         (match !tap with Some tp -> tp.on_wb ~line ~data | None -> ());
         Bytes.blit data 0 backing (line * line_size) line_size;
-        Hashtbl.remove dirty line
+        Lines.remove dirty line
   in
   let h = Hierarchy.create ~on_writeback cfg in
   if Event_obs.enabled () then ignore (Event_obs.attach bus);
   {
     backing;
     dirty;
-    wc_pending = Queue.create ();
+    wc_pending = wc_create ();
     hierarchy = h;
     line_size;
     clock = Time.zero;
@@ -141,19 +197,27 @@ let check_range t addr len =
 
 (* The volatile copy of [line], creating it from backing on first write. *)
 let dirty_line t line =
-  match Hashtbl.find_opt t.dirty line with
+  match Lines.find_opt t.dirty line with
   | Some data -> data
   | None ->
       let data = Bytes.create t.line_size in
       Bytes.blit t.backing (line * t.line_size) data 0 t.line_size;
-      Hashtbl.add t.dirty line data;
+      Lines.add t.dirty line data;
       data
 
-let read_byte_raw t addr =
-  let line = addr / t.line_size in
-  match Hashtbl.find_opt t.dirty line with
-  | Some data -> Bytes.get data (addr mod t.line_size)
-  | None -> Bytes.get t.backing addr
+(* Copies the volatile view of [addr, addr + len) into [dst] with one
+   overlay lookup per line, from the line's overlay copy or, for a line
+   with none, from backing. [len] must be positive. *)
+let blit_volatile t ~addr ~len dst =
+  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
+  for line = first to last do
+    let line_start = max addr (line * t.line_size) in
+    let line_end = min (addr + len) ((line + 1) * t.line_size) in
+    let n = line_end - line_start and dst_off = line_start - addr in
+    match Lines.find_opt t.dirty line with
+    | Some data -> Bytes.blit data (line_start mod t.line_size) dst dst_off n
+    | None -> Bytes.blit t.backing line_start dst dst_off n
+  done
 
 (* Charges one hierarchy access per line the range touches. *)
 let charge_access t ~addr ~len ~write =
@@ -179,40 +243,60 @@ let write_range t ~addr src ~src_off ~len =
     charge t (Hierarchy.store t.hierarchy ~addr:(line * t.line_size));
     let line_start = max addr (line * t.line_size) in
     let line_end = min (addr + len) ((line + 1) * t.line_size) in
-    let data = dirty_line t line in
-    for byte = line_start to line_end - 1 do
-      Bytes.set data (byte mod t.line_size)
-        (Bytes.get src (src_off + byte - addr))
-    done;
+    let n = line_end - line_start and src_pos = src_off + line_start - addr in
+    Bytes.blit src src_pos (dirty_line t line) (line_start mod t.line_size) n;
     (* Fired per line, after that line's bytes land: a later line's
        hierarchy charge can evict an earlier line of this same store,
        and the tap must see the slice before its write-back. *)
     match !(t.tap) with
-    | Some tp ->
-        tp.on_slice ~addr:line_start
-          ~data:(Bytes.sub src (src_off + line_start - addr) (line_end - line_start))
+    | Some tp -> tp.on_slice ~addr:line_start ~data:(Bytes.sub src src_pos n)
     | None -> ()
   done
 
+let word_bytes v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  b
+
+(* A word inside one line — every aligned word — costs one overlay
+   lookup and one 8-byte load; a word straddling two lines takes the
+   per-line path. *)
 let read_u64 t ~addr =
   check_range t addr 8;
   charge_access t ~addr ~len:8 ~write:false;
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (read_byte_raw t (addr + i))
-  done;
-  Bytes.get_int64_le b 0
+  let off = addr mod t.line_size in
+  if off + 8 <= t.line_size then
+    match Lines.find_opt t.dirty (addr / t.line_size) with
+    | Some data -> Bytes.get_int64_le data off
+    | None -> Bytes.get_int64_le t.backing addr
+  else begin
+    let b = Bytes.create 8 in
+    blit_volatile t ~addr ~len:8 b;
+    Bytes.get_int64_le b 0
+  end
 
+(* The one-line case of [write_range], storing the word in place. *)
 let write_u64 t ~addr v =
   check_range t addr 8;
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write_range t ~addr b ~src_off:0 ~len:8
+  let off = addr mod t.line_size in
+  if off + 8 > t.line_size then write_range t ~addr (word_bytes v) ~src_off:0 ~len:8
+  else begin
+    spend_step t;
+    emit t (Store { addr; len = 8 });
+    let line = addr / t.line_size in
+    charge t (Hierarchy.store t.hierarchy ~addr:(line * t.line_size));
+    Bytes.set_int64_le (dirty_line t line) off v;
+    match !(t.tap) with
+    | Some tp -> tp.on_slice ~addr ~data:(word_bytes v)
+    | None -> ()
+  end
 
 let read_u8 t ~addr =
   check_range t addr 1;
   charge_access t ~addr ~len:1 ~write:false;
-  Char.code (read_byte_raw t addr)
+  match Lines.find_opt t.dirty (addr / t.line_size) with
+  | Some data -> Char.code (Bytes.get data (addr mod t.line_size))
+  | None -> Char.code (Bytes.get t.backing addr)
 
 let write_u8 t ~addr v =
   check_range t addr 1;
@@ -220,8 +304,12 @@ let write_u8 t ~addr v =
 
 let read_bytes t ~addr ~len =
   check_range t addr len;
-  if len > 0 then charge_access t ~addr ~len ~write:false;
-  Bytes.init len (fun i -> read_byte_raw t (addr + i))
+  let b = Bytes.create len in
+  if len > 0 then begin
+    charge_access t ~addr ~len ~write:false;
+    blit_volatile t ~addr ~len b
+  end;
+  b
 
 let write_bytes t ~addr src =
   let len = Bytes.length src in
@@ -232,8 +320,14 @@ let write_u64_nt t ~addr v =
   check_range t addr 8;
   emit t (Store_nt { addr });
   charge t (Hierarchy.store_nt t.hierarchy ~addr);
-  Queue.add (addr, v) t.wc_pending;
+  wc_add t.wc_pending addr v;
   match !(t.tap) with Some tp -> tp.on_nt ~addr ~v | None -> ()
+
+(* Moves each pending non-temporal word straight into backing. *)
+let drain_wc t =
+  wc_apply t.wc_pending t.backing;
+  t.wc_pending.wc_n <- 0;
+  match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
 
 let fence t =
   emit t Fence;
@@ -241,18 +335,9 @@ let fence t =
   (* A broken fence charges its latency but never drains the
      write-combining buffers — the deliberate-sabotage mode the
      crash-consistency checker must detect. *)
-  if t.fault <> Broken_fence then begin
-    Queue.iter
-      (fun (addr, v) ->
-        let b = Bytes.create 8 in
-        Bytes.set_int64_le b 0 v;
-        Bytes.blit b 0 t.backing addr 8)
-      t.wc_pending;
-    Queue.clear t.wc_pending;
-    match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
-  end
+  if t.fault <> Broken_fence then drain_wc t
 
-let pending_nt_bytes t = 8 * Queue.length t.wc_pending
+let pending_nt_bytes t = 8 * t.wc_pending.wc_n
 
 let clflush t ~addr =
   check_range t addr 1;
@@ -268,20 +353,13 @@ let wbinvd t =
   emit t Wbinvd;
   charge t (Hierarchy.flush_all t.hierarchy);
   (* Flushing also drains write-combining buffers. *)
-  Queue.iter
-    (fun (addr, v) ->
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0 v;
-      Bytes.blit b 0 t.backing addr 8)
-    t.wc_pending;
-  Queue.clear t.wc_pending;
-  (match !(t.tap) with Some tp -> tp.on_drain () | None -> ());
-  assert (Hashtbl.length t.dirty = 0)
+  drain_wc t;
+  assert (Lines.length t.dirty = 0)
 
 let crash t =
   Hierarchy.drop_volatile t.hierarchy;
-  Hashtbl.reset t.dirty;
-  Queue.clear t.wc_pending;
+  Lines.reset t.dirty;
+  t.wc_pending.wc_n <- 0;
   t.clock <- Time.zero
 
 let dirty_bytes t = Hierarchy.dirty_bytes t.hierarchy
@@ -291,12 +369,12 @@ let persistent_image t = Bytes.copy t.backing
 
 let volatile_image t =
   let img = Bytes.copy t.backing in
-  Hashtbl.iter
+  Lines.iter
     (fun line data -> Bytes.blit data 0 img (line * t.line_size) t.line_size)
     t.dirty;
   (* Write-combining data is newer than any cached line of the same
      address (a non-temporal store flushes the line first). *)
-  Queue.iter (fun (addr, v) -> Bytes.set_int64_le img addr v) t.wc_pending;
+  wc_apply t.wc_pending img;
   img
 
 let peek_u64 t ~addr = Bytes.get_int64_le t.backing addr
@@ -306,9 +384,11 @@ let peek_u64 t ~addr = Bytes.get_int64_le t.backing addr
    replays over, without charging time or publishing events. *)
 
 let overlay_lines t =
-  Hashtbl.fold (fun line data acc -> (line, Bytes.copy data) :: acc) t.dirty []
+  Lines.fold (fun line data acc -> (line, Bytes.copy data) :: acc) t.dirty []
 
-let pending_nt t = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.wc_pending)
+let pending_nt t =
+  let wc = t.wc_pending in
+  List.init wc.wc_n (fun i -> (wc_addr wc i, wc_val wc i))
 
 let blit_backing t ~addr ~len dst ~dst_off =
   check_range t addr len;
@@ -317,20 +397,13 @@ let blit_backing t ~addr ~len dst ~dst_off =
 let load_backing t ~addr src =
   let len = Bytes.length src in
   check_range t addr len;
-  Bytes.blit src 0 t.backing addr len;
-  (* Any cached state overlapping the range is now stale and must not
-     be written back over the freshly loaded bytes. *)
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
-  for line = first to last do
-    Hashtbl.remove t.dirty line
-  done;
-  if not (Queue.is_empty t.wc_pending) then begin
-    let keep =
-      Queue.fold
-        (fun acc (a, v) ->
-          if a >= addr && a < addr + len then acc else (a, v) :: acc)
-        [] t.wc_pending
-    in
-    Queue.clear t.wc_pending;
-    List.iter (fun e -> Queue.add e t.wc_pending) (List.rev keep)
+  if len > 0 then begin
+    Bytes.blit src 0 t.backing addr len;
+    (* Any cached state overlapping the range is now stale and must not
+       be written back over the freshly loaded bytes. *)
+    let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
+    for line = first to last do
+      Lines.remove t.dirty line
+    done;
+    wc_filter t.wc_pending (fun a -> a < addr || a >= addr + len)
   end

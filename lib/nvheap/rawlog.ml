@@ -73,13 +73,13 @@ let append t ~mode ~kind values =
   if t.head + needed > t.words then raise Log_full;
   emit t (Append { kind; n_values = n });
   write_word t ~mode t.head (encode_word ~gen:t.gen (header_chunk ~kind ~n));
-  Array.iteri
-    (fun i v ->
-      let lo = Int64.to_int32 (Int64.logand v 0xffffffffL) in
-      let hi = Int64.to_int32 (Int64.shift_right_logical v 32) in
-      write_word t ~mode (t.head + 1 + (2 * i)) (encode_word ~gen:t.gen lo);
-      write_word t ~mode (t.head + 2 + (2 * i)) (encode_word ~gen:t.gen hi))
-    values;
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get values i in
+    let lo = Int64.to_int32 (Int64.logand v 0xffffffffL) in
+    let hi = Int64.to_int32 (Int64.shift_right_logical v 32) in
+    write_word t ~mode (t.head + 1 + (2 * i)) (encode_word ~gen:t.gen lo);
+    write_word t ~mode (t.head + 2 + (2 * i)) (encode_word ~gen:t.gen hi)
+  done;
   if mode = Durable then Nvram.fence t.nvram;
   t.head <- t.head + needed
 

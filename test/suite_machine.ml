@@ -247,6 +247,30 @@ let hierarchy_tests =
         Alcotest.(check int) "slots" (8 + 32) (Hierarchy.total_line_slots h));
   ]
 
+(* L1 and L2 both 8 lines, over a 16-line LLC. *)
+let three_level_hierarchy () =
+  let level name bytes associativity ns =
+    {
+      Cache.name;
+      size = Units.Size.bytes bytes;
+      line_size = 64;
+      associativity;
+      hit_latency = Time.ns ns;
+    }
+  in
+  Hierarchy.create
+    {
+      Hierarchy.levels =
+        [ level "L1" 512 2 1.0; level "L2" 512 4 3.0; level "L3" 1024 4 9.0 ];
+      memory_latency = Time.ns 60.0;
+      memory_bandwidth = Units.Bandwidth.gib_per_s 10.0;
+      memory_write_bandwidth = Units.Bandwidth.gib_per_s 10.0;
+      nt_store_latency = Time.ns 20.0;
+      fence_latency = Time.ns 50.0;
+      clflush_issue = Time.ns 6.0;
+      wbinvd_line_walk = Time.ns 7.0;
+    }
+
 let hierarchy_props =
   [
     QCheck_alcotest.to_alcotest
@@ -254,28 +278,42 @@ let hierarchy_props =
          ~name:"inclusion: every upper-level line is resident in the LLC"
          ~count:100
          QCheck2.Gen.(
-           list_size (int_range 0 150) (pair (int_range 0 80) (int_range 0 1)))
-         (fun ops ->
-           (* Inclusive hierarchies must never hold a line in L1 that the
-              LLC has dropped — back-invalidation keeps this exact, which
-              is what makes dirty_lines trustworthy. We verify through
-              the latency oracle: an L1 hit (1 ns) after an LLC
-              invalidation would betray a violation, so instead we check
-              the resident count equals the number of distinct lines the
-              LLC reports and flush_all leaves nothing anywhere. *)
-           let h = tiny_hierarchy () in
-           List.iter
-             (fun (line, write) ->
+           pair bool
+             (list_size (int_range 0 150)
+                (triple (int_range 0 4) (int_range 0 80) (int_range 1 3))))
+         (fun (deep, ops) ->
+           (* Every line resident in level i is resident in level i+1,
+              after every operation: the invariant that lets
+              [invalidate_line] stop at an LLC miss. Drawn on the
+              two-level tiny hierarchy and on a three-level one whose
+              L2 is as small as its L1, so back-invalidation cascades. *)
+           let h = if deep then three_level_hierarchy () else tiny_hierarchy () in
+           let levels = List.length (Hierarchy.config h).Hierarchy.levels in
+           let inclusive () =
+             List.for_all
+               (fun line ->
+                 List.for_all
+                   (fun i ->
+                     (not (Hierarchy.resident_at h ~level:i ~line))
+                     || Hierarchy.resident_at h ~level:(i + 1) ~line)
+                   (List.init (levels - 1) Fun.id))
+               (List.init 81 Fun.id)
+           in
+           List.for_all
+             (fun (op, line, span) ->
                let addr = line * 64 in
-               if write = 1 then ignore (Hierarchy.store h ~addr)
-               else ignore (Hierarchy.load h ~addr))
-             ops;
-           let resident = Hierarchy.resident_lines h in
-           let dirty = List.length (Hierarchy.dirty_lines h) in
-           ignore (Hierarchy.flush_all h);
-           dirty <= resident
-           && Hierarchy.resident_lines h = 0
-           && Hierarchy.dirty_lines h = []));
+               (match op with
+               | 0 -> ignore (Hierarchy.load h ~addr)
+               | 1 -> ignore (Hierarchy.store h ~addr)
+               | 2 -> ignore (Hierarchy.store_nt h ~addr)
+               | 3 -> ignore (Hierarchy.clflush h ~addr)
+               | _ -> ignore (Hierarchy.flush_lines h ~addr ~len:(span * 64)));
+               inclusive ()
+               && List.length (Hierarchy.dirty_lines h) <= Hierarchy.resident_lines h)
+             ops
+           &&
+           (ignore (Hierarchy.flush_all h);
+            Hierarchy.resident_lines h = 0 && Hierarchy.dirty_lines h = [])));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"dirty lines = stored lines minus written-back lines" ~count:100

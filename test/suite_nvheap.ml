@@ -87,6 +87,14 @@ let nvram_tests =
              Nvram.write_u64 nv ~addr:1020 1L;
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "empty load_backing keeps the overlay line at addr"
+      `Quick (fun () ->
+        (* With len = 0, [addr + len - 1] rounds down into [addr]'s own
+           line, which an empty load must not drop. *)
+        let nv = mk_nvram () in
+        Nvram.write_u64 nv ~addr:72 42L;
+        Nvram.load_backing nv ~addr:100 Bytes.empty;
+        Alcotest.(check int64) "overlay kept" 42L (Nvram.read_u64 nv ~addr:72));
     Alcotest.test_case "eviction persists data without an explicit flush" `Quick
       (fun () ->
         (* Write far more lines than the hierarchy can hold: early lines
@@ -822,6 +830,120 @@ let pheap_tests =
 
 (* --- The replay tap ------------------------------------------------------- *)
 
+(* A random stream of byte, word and non-temporal writes, word reads
+   and fences. Words land both line-aligned and straddling a line
+   boundary, so the one-lookup word path and the per-line path are both
+   drawn.
+
+   With [tapped], every op the tap reports is applied to a bytes-level
+   shadow (the same state model Replay cursors use: backing + overlay
+   lines + WC FIFO), whose materialised image must equal the NVRAM's own
+   at every fence — the fidelity contract the incremental checker rests
+   on — and every [read_u64] must match the shadow's cached view.
+
+   Without a tap, a plain byte model of the volatile view is the
+   reference. It cannot follow a non-temporal store overtaken by a later
+   cached store to its line (the image then changes at the fence), so
+   that run keeps non-temporal stores in the top KiB and cached accesses
+   below it. *)
+let tap_rebuild ~tapped () =
+  let nv = mk_nvram ~size:(Units.Size.kib 4) () in
+  let size = Nvram.size nv in
+  let ls = Nvram.line_size nv in
+  let cached_top = if tapped then size else size - 1024 in
+  let nt_base = if tapped then 0 else cached_top in
+  let backing = Bytes.create size in
+  Nvram.blit_backing nv ~addr:0 ~len:size backing ~dst_off:0;
+  let model = Bytes.copy backing in
+  let overlay : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+  let wc = Queue.create () in
+  let tap =
+    Nvram.
+      {
+        on_slice =
+          (fun ~addr ~data ->
+            let line = addr / ls in
+            let buf =
+              match Hashtbl.find_opt overlay line with
+              | Some b -> b
+              | None ->
+                  let b = Bytes.sub backing (line * ls) ls in
+                  Hashtbl.add overlay line b;
+                  b
+            in
+            Bytes.blit data 0 buf (addr mod ls) (Bytes.length data));
+        on_nt = (fun ~addr ~v -> Queue.add (addr, v) wc);
+        on_wb =
+          (fun ~line ~data ->
+            Bytes.blit data 0 backing (line * ls) ls;
+            Hashtbl.remove overlay line);
+        on_drain =
+          (fun () ->
+            Queue.iter (fun (addr, v) -> Bytes.set_int64_le backing addr v) wc;
+            Queue.clear wc);
+      }
+  in
+  if tapped then Nvram.set_tap nv (Some tap);
+  (* What cached reads see: backing under the overlay lines. *)
+  let shadow_cached () =
+    let img = Bytes.copy backing in
+    Hashtbl.iter (fun line data -> Bytes.blit data 0 img (line * ls) ls) overlay;
+    img
+  in
+  let shadow_volatile () =
+    let img = shadow_cached () in
+    Queue.iter (fun (addr, v) -> Bytes.set_int64_le img addr v) wc;
+    img
+  in
+  let rng = Rng.create ~seed:11 in
+  (* Aligned, or starting 1-7 bytes before a line boundary. *)
+  let word_addr () =
+    if Rng.int rng 2 = 0 then Rng.int rng (cached_top / 8) * 8
+    else ((1 + Rng.int rng ((cached_top / ls) - 1)) * ls) - 1 - Rng.int rng 7
+  in
+  for round = 1 to 20 do
+    for _ = 1 to 12 do
+      match Rng.int rng 5 with
+      | 0 ->
+          let len = 1 + Rng.int rng 80 in
+          let addr = Rng.int rng (cached_top - len) in
+          let data = Bytes.make len (Char.chr (Rng.int rng 256)) in
+          Nvram.write_bytes nv ~addr data;
+          Bytes.blit data 0 model addr len
+      | 1 ->
+          let addr = nt_base + (Rng.int rng (((size - nt_base) / 8) - 1) * 8) in
+          let v = Int64.of_int (Rng.int rng 1_000_000) in
+          Nvram.write_u64_nt nv ~addr v;
+          Bytes.set_int64_le model addr v
+      | 2 ->
+          let addr = word_addr () in
+          let v = Int64.of_int (Rng.int rng 1_000_000_000) in
+          Nvram.write_u64 nv ~addr v;
+          Bytes.set_int64_le model addr v
+      | 3 ->
+          let addr = word_addr () in
+          let want = if tapped then shadow_cached () else model in
+          Alcotest.(check int64)
+            (Printf.sprintf "round %d read_u64 at %d" round addr)
+            (Bytes.get_int64_le want addr) (Nvram.read_u64 nv ~addr)
+      | _ -> Nvram.fence nv
+    done;
+    Nvram.fence nv;
+    Alcotest.(check bytes)
+      (Printf.sprintf "round %d volatile image" round)
+      (Nvram.volatile_image nv)
+      (if tapped then shadow_volatile () else model);
+    if tapped then
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d accessors match shadow" round)
+        true
+        (List.length (Nvram.overlay_lines nv) = Hashtbl.length overlay
+        && Nvram.pending_nt nv = List.rev (Queue.fold (fun acc e -> e :: acc) [] wc))
+  done;
+  Nvram.wbinvd nv;
+  Alcotest.(check bytes) "post-wbinvd persistent image"
+    (Nvram.persistent_image nv) (if tapped then backing else model)
+
 let tap_tests =
   [
     Alcotest.test_case "double attach raises, detach-reattach is fine" `Quick
@@ -842,85 +964,10 @@ let tap_tests =
         | exception Invalid_argument _ -> ());
         Nvram.set_tap nv None;
         Nvram.set_tap nv (Some noop));
-    Alcotest.test_case "tap ops rebuild the volatile image" `Quick (fun () ->
-        (* Apply every op the tap reports to a bytes-level shadow (the
-           same state model Replay cursors use: backing + overlay lines
-           + WC FIFO) and require the shadow's materialised image to
-           equal the NVRAM's own at every fence — the fidelity contract
-           the incremental checker rests on. *)
-        let nv = mk_nvram ~size:(Units.Size.kib 4) () in
-        let size = Nvram.size nv in
-        let ls = Nvram.line_size nv in
-        let backing = Bytes.create size in
-        Nvram.blit_backing nv ~addr:0 ~len:size backing ~dst_off:0;
-        let overlay : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-        let wc = Queue.create () in
-        let tap =
-          Nvram.
-            {
-              on_slice =
-                (fun ~addr ~data ->
-                  let line = addr / ls in
-                  let buf =
-                    match Hashtbl.find_opt overlay line with
-                    | Some b -> b
-                    | None ->
-                        let b = Bytes.sub backing (line * ls) ls in
-                        Hashtbl.add overlay line b;
-                        b
-                  in
-                  Bytes.blit data 0 buf (addr mod ls) (Bytes.length data));
-              on_nt = (fun ~addr ~v -> Queue.add (addr, v) wc);
-              on_wb =
-                (fun ~line ~data ->
-                  Bytes.blit data 0 backing (line * ls) ls;
-                  Hashtbl.remove overlay line);
-              on_drain =
-                (fun () ->
-                  Queue.iter
-                    (fun (addr, v) -> Bytes.set_int64_le backing addr v)
-                    wc;
-                  Queue.clear wc);
-            }
-        in
-        Nvram.set_tap nv (Some tap);
-        let shadow_volatile () =
-          let img = Bytes.copy backing in
-          Hashtbl.iter
-            (fun line data -> Bytes.blit data 0 img (line * ls) ls)
-            overlay;
-          Queue.iter (fun (addr, v) -> Bytes.set_int64_le img addr v) wc;
-          img
-        in
-        let rng = Rng.create ~seed:11 in
-        for round = 1 to 20 do
-          for _ = 1 to 8 do
-            match Rng.int rng 3 with
-            | 0 ->
-                let len = 1 + Rng.int rng 80 in
-                let addr = Rng.int rng (size - len) in
-                Nvram.write_bytes nv ~addr
-                  (Bytes.make len (Char.chr (Rng.int rng 256)))
-            | 1 ->
-                Nvram.write_u64_nt nv
-                  ~addr:(Rng.int rng (size / 8 - 1) * 8)
-                  (Int64.of_int (Rng.int rng 1_000_000))
-            | _ -> Nvram.fence nv
-          done;
-          Nvram.fence nv;
-          Alcotest.(check bytes)
-            (Printf.sprintf "round %d volatile image" round)
-            (Nvram.volatile_image nv) (shadow_volatile ());
-          Alcotest.(check bool)
-            (Printf.sprintf "round %d accessors match shadow" round)
-            true
-            (List.length (Nvram.overlay_lines nv) = Hashtbl.length overlay
-            && Nvram.pending_nt nv
-               = List.rev (Queue.fold (fun acc e -> e :: acc) [] wc))
-        done;
-        Nvram.wbinvd nv;
-        Alcotest.(check bytes) "post-wbinvd persistent image"
-          (Nvram.persistent_image nv) backing);
+    Alcotest.test_case "tap ops rebuild the volatile image" `Quick
+      (tap_rebuild ~tapped:true);
+    Alcotest.test_case "word writes match the byte model without a tap" `Quick
+      (tap_rebuild ~tapped:false);
   ]
 
 let suite =
