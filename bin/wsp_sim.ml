@@ -104,6 +104,31 @@ let write_file path contents =
   output_string oc "\n";
   close_out oc
 
+let json_arg doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+(* Writes a [--json] report to its FILE, or to stdout for [-]. Reports
+   end in their own newline, so both destinations get the same bytes. *)
+let emit_json dest json =
+  match dest with
+  | None -> ()
+  | Some "-" -> print_string json
+  | Some path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc json)
+
+(* [-j N]: worker domains, [None] (from 0) deferring to the default. *)
+let jobs_arg what =
+  let some_if_positive j = if j > 0 then Some j else None in
+  Term.(
+    const some_if_positive
+    $ Arg.(
+        value & opt int 0
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              ("Worker domains " ^ what
+             ^ " (default: $(b,WSP_JOBS) or the core count; 1 forces \
+                sequential).")))
+
 (* Runs [f] with tracing enabled when requested, then exports both
    artifacts. Exports run even when [f] fails so a crashing run still
    leaves its observability behind. *)
@@ -130,18 +155,9 @@ let experiment_cmd =
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters (slow).")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for independent simulations (default: \
-             $(b,WSP_JOBS) or the core count; 1 forces sequential).")
-  in
   let run names full jobs metrics trace =
     with_obs metrics trace @@ fun () ->
-    if jobs > 0 then Wsp_sim.Parallel.set_jobs jobs;
+    Option.iter Wsp_sim.Parallel.set_jobs jobs;
     match names with
     | [] ->
         Wsp_experiments.Registry.run_all ~full ();
@@ -160,7 +176,10 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce the paper's tables and figures")
-    Term.(const run $ names_arg $ full_arg $ jobs_arg $ metrics_arg $ trace_arg)
+    Term.(
+      const run $ names_arg $ full_arg
+      $ jobs_arg "for independent simulations"
+      $ metrics_arg $ trace_arg)
 
 let list_cmd =
   let run () =
@@ -328,13 +347,6 @@ let check_cmd =
   let txns_arg =
     Arg.(value & opt int 32 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per workload.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains for crash-point fan-out (default: $(b,WSP_JOBS) \
-                or the core count).")
-  in
   let broken_arg =
     Arg.(
       value & opt fault_conv Checker.No_fault
@@ -370,19 +382,14 @@ let check_cmd =
                 replays from the base image.")
   in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable reports to $(docv) ($(b,-) \
-                for stdout). Byte-identical across $(b,--jobs) widths and \
-                engines.")
+    json_arg
+      "Also write the machine-readable reports to $(docv) ($(b,-) for \
+       stdout). Byte-identical across $(b,--jobs) widths and engines."
   in
   let run workloads configs points txns jobs broken protocol no_shrink
       full_replay stride json seed verbose metrics trace =
     setup_logs verbose;
     with_obs metrics trace @@ fun () ->
-    let jobs = if jobs > 0 then Some jobs else None in
     let workloads = if workloads = [] then Checker.all_kinds else workloads in
     let configs =
       if configs = [] then
@@ -407,10 +414,7 @@ let check_cmd =
             configs)
         workloads
     in
-    (match json with
-    | Some "-" -> print_string (Checker.reports_to_json reports)
-    | Some path -> write_file path (Checker.reports_to_json reports)
-    | None -> ());
+    emit_json json (Checker.reports_to_json reports);
     let workload_violations =
       List.exists (fun r -> r.Checker.violations <> []) reports
     in
@@ -433,7 +437,8 @@ let check_cmd =
           run on each crash image")
     Term.(
       const run $ workloads_arg $ configs_arg $ points_arg $ txns_arg
-      $ jobs_arg $ broken_arg $ protocol_arg $ no_shrink_arg $ full_replay_arg
+      $ jobs_arg "for crash-point fan-out"
+      $ broken_arg $ protocol_arg $ no_shrink_arg $ full_replay_arg
       $ stride_arg $ json_arg $ seed_arg $ verbose_arg $ metrics_arg
       $ trace_arg)
 
@@ -486,20 +491,10 @@ let lint_cmd =
   let txns_arg =
     Arg.(value & opt int 32 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per workload.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains for the workload fan-out (default: \
-                $(b,WSP_JOBS) or the core count).")
-  in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable report to $(docv) ($(b,-) \
-                for stdout). Byte-identical across $(b,--jobs) widths.")
+    json_arg
+      "Also write the machine-readable report to $(docv) ($(b,-) for \
+       stdout). Byte-identical across $(b,--jobs) widths."
   in
   let expect_arg =
     Arg.(
@@ -564,13 +559,9 @@ let lint_cmd =
       setup_logs verbose;
       with_obs metrics trace @@ fun () ->
       let module Canalyzer = Wsp_analysis.Canalyzer in
-      let jobs = if jobs > 0 then Some jobs else None in
       let render reports =
         Fmt.pr "%a" (Analyzer.pp_human ~expect) reports;
-        (match json with
-        | Some "-" -> print_string (Analyzer.to_json ~expect reports)
-        | Some path -> write_file path (Analyzer.to_json ~expect reports)
-        | None -> ());
+        emit_json json (Analyzer.to_json ~expect reports);
         let errs, advs = Analyzer.errors ~expect reports in
         if errs > 0 || (strict && advs > 0) then 1 else 0
       in
@@ -601,7 +592,8 @@ let lint_cmd =
           bugs, redundant flushes, and flush-on-fail budget gaps without \
           executing recovery")
     Term.(
-      const run $ workload_arg $ config_arg $ broken_arg $ txns_arg $ jobs_arg
+      const run $ workload_arg $ config_arg $ broken_arg $ txns_arg
+      $ jobs_arg "for the workload fan-out"
       $ concurrent_arg $ buses_arg $ json_arg $ expect_arg $ strict_arg
       $ lint_psu_arg $ lint_platform_arg $ busy_arg $ seed_arg $ verbose_arg
       $ metrics_arg $ trace_arg)
@@ -611,55 +603,58 @@ let lint_cmd =
 let shard_cmd =
   let module Service = Wsp_shard.Service in
   let module Client = Wsp_shard.Client in
+  let d = Service.default in
   let shards_arg =
-    Arg.(value & opt int 16 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
+    Arg.(
+      value & opt int d.shards & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
   in
   let clients_arg =
     Arg.(
-      value & opt int 256
+      value & opt int d.clients
       & info [ "clients" ] ~docv:"N"
           ~doc:"Closed-loop client population (requests per round).")
   in
   let requests_arg =
     Arg.(
-      value & opt int 100_000
+      value & opt int d.requests
       & info [ "requests" ] ~docv:"N" ~doc:"Total operations to issue.")
   in
   let keyspace_arg =
     Arg.(
-      value & opt int 20_000
+      value & opt int d.keyspace
       & info [ "keyspace" ] ~docv:"N" ~doc:"Distinct keys clients draw from.")
   in
   let theta_arg =
     Arg.(
-      value & opt float 0.99
+      value & opt float d.theta
       & info [ "theta" ] ~docv:"THETA"
           ~doc:"Zipfian key skew in [0,1); 0 for uniform keys.")
   in
   let mix_arg =
     Arg.(
       value
-      & opt (t3 ~sep:'/' int int int) (70, 25, 5)
+      & opt (t3 ~sep:'/' int int int) (d.mix.lookups, d.mix.inserts, d.mix.deletes)
       & info [ "mix" ] ~docv:"L/I/D"
           ~doc:"Lookup/insert/delete percentages, summing to 100.")
   in
   let queue_cap_arg =
     Arg.(
-      value & opt int 256
+      value & opt int d.queue_cap
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:"Per-shard, per-round admission bound; arrivals beyond it are \
                 shed and counted.")
   in
   let config_arg =
     Arg.(
-      value & opt config_conv Config.fof
+      value & opt config_conv d.config
       & info [ "config" ] ~docv:"CONFIG"
           ~doc:"Persistence configuration per shard heap (undo, redo, wsp, \
                 msync).")
   in
   let heap_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt int (int_of_float (Units.Size.to_mib d.shard_heap))
       & info [ "heap-mib" ] ~docv:"MIB" ~doc:"NVRAM region per shard (MiB).")
   in
   let crash_arg =
@@ -694,14 +689,14 @@ let shard_cmd =
   in
   let migrate_batch_arg =
     Arg.(
-      value & opt int 64
+      value & opt int d.migrate_batch
       & info [ "migrate-batch" ] ~docv:"N"
           ~doc:"Maximum key handoffs per draining shard per round.")
   in
   let migrate_mode_arg =
     Arg.(
       value
-      & opt (enum [ ("drain", `Drain); ("image", `Image) ]) `Drain
+      & opt (enum [ ("drain", `Drain); ("image", `Image) ]) d.migrate_mode
       & info [ "migrate-mode" ] ~docv:"MODE"
           ~doc:
             "How topology changes move data: $(b,drain) hands keys off out \
@@ -752,28 +747,16 @@ let shard_cmd =
                 convicts it via R8; $(b,--sweep) loses acked keys. Needs a \
                 topology change.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains serving shards (default: $(b,WSP_JOBS) or the \
-                core count).")
-  in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the report as JSON to $(docv) ($(b,-) for stdout). \
-                Simulated quantities only — byte-identical across \
-                $(b,--jobs) widths.")
+    json_arg
+      "Write the report as JSON to $(docv) ($(b,-) for stdout). Simulated \
+       quantities only — byte-identical across $(b,--jobs) widths."
   in
   let run shards clients requests keyspace theta (lookups, inserts, deletes)
       queue_cap config heap_mib crash_at crash_shard grow_at shrink_at
       migrate_batch migrate_mode sweep sweep_points lint race_lint
       broken_handoff jobs json seed verbose metrics trace =
     setup_logs verbose;
-    let jobs = if jobs > 0 then Some jobs else None in
     with_obs metrics trace @@ fun () ->
     let params =
       {
@@ -799,38 +782,40 @@ let shard_cmd =
         broken_handoff;
       }
     in
-    if sweep then begin
-      let wall0 = Unix.gettimeofday () in
-      let s = Service.crash_sweep ?jobs ~points:sweep_points params in
-      let wall = Unix.gettimeofday () -. wall0 in
-      Fmt.pr "%a@." Service.pp_sweep s;
-      Fmt.pr "wall-clock: %.2f s@." wall;
-      (match json with
-      | Some "-" -> print_string (Service.sweep_to_json s)
-      | Some path -> write_file path (Service.sweep_to_json s)
-      | None -> ());
-      if Service.sweep_violations s <> [] then 1 else 0
-    end
-    else begin
-      let wall0 = Unix.gettimeofday () in
-      let report = Service.run ?jobs params in
-      let wall = Unix.gettimeofday () -. wall0 in
-      Fmt.pr "%a@." Service.pp_report report;
-      Fmt.pr "wall-clock: %.2f s (%.0f kreq/s actual)@." wall
-        (if wall > 0.0 then float_of_int report.Service.served /. wall /. 1e3
-         else 0.0);
-      (match json with
-      | Some "-" -> print_string (Service.to_json report)
-      | Some path -> write_file path (Service.to_json report)
-      | None -> ());
-      let race_errs, _ = Service.race_errors report in
-      if
-        report.Service.lost_acked > 0
-        || report.Service.misplaced_keys > 0
-        || race_errs > 0
-      then 1
-      else 0
-    end
+    (* Malformed or conflicting flags, some only detectable mid-run
+       (a crash aimed at a retired shard), are a usage error. *)
+    let refuse msg =
+      Printf.eprintf "shard: %s\n" msg;
+      2
+    in
+    let wall0 = Unix.gettimeofday () in
+    if sweep then
+      match Service.crash_sweep ?jobs ~points:sweep_points params with
+      | exception Invalid_argument msg -> refuse msg
+      | s ->
+          let wall = Unix.gettimeofday () -. wall0 in
+          Fmt.pr "%a@." Service.pp_sweep s;
+          Fmt.pr "wall-clock: %.2f s@." wall;
+          emit_json json (Service.sweep_to_json s);
+          if Service.sweep_violations s <> [] then 1 else 0
+    else
+      match Service.run ?jobs params with
+      | exception Invalid_argument msg -> refuse msg
+      | report ->
+          let wall = Unix.gettimeofday () -. wall0 in
+          Fmt.pr "%a@." Service.pp_report report;
+          Fmt.pr "wall-clock: %.2f s (%.0f kreq/s actual)@." wall
+            (if wall > 0.0 then
+               float_of_int report.Service.served /. wall /. 1e3
+             else 0.0);
+          emit_json json (Service.to_json report);
+          let race_errs, _ = Service.race_errors report in
+          if
+            report.Service.lost_acked > 0
+            || report.Service.misplaced_keys > 0
+            || race_errs > 0
+          then 1
+          else 0
   in
   Cmd.v
     (Cmd.info "shard"
@@ -842,7 +827,9 @@ let shard_cmd =
       $ theta_arg $ mix_arg $ queue_cap_arg $ config_arg $ heap_arg
       $ crash_arg $ crash_shard_arg $ grow_arg $ shrink_arg
       $ migrate_batch_arg $ migrate_mode_arg $ sweep_arg $ sweep_points_arg
-      $ lint_arg $ race_lint_arg $ broken_handoff_arg $ jobs_arg $ json_arg
+      $ lint_arg $ race_lint_arg $ broken_handoff_arg
+      $ jobs_arg "serving shards"
+      $ json_arg
       $ seed_arg $ verbose_arg $ metrics_arg $ trace_arg)
 
 (* --- storm ------------------------------------------------------------ *)
@@ -900,12 +887,7 @@ let storm_cmd =
                 failover) instead of restoring from local NVDIMMs.")
   in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the fleet-storm report as JSON to $(docv) ($(b,-) for \
-                stdout).")
+    json_arg "Write the fleet-storm report as JSON to $(docv) ($(b,-) for stdout)."
   in
   let fleet_json (r : Wsp_cluster.Recovery_storm.fleet_result) =
     Printf.sprintf
@@ -923,7 +905,7 @@ let storm_cmd =
        \"mean\": %d },\n\
       \  \"availability\": %.6f,\n\
       \  \"last_online_ps\": %d\n\
-       }"
+       }\n"
       r.fleet.nodes (Time.to_ps r.fleet.stagger) r.fleet.restore_concurrency
       (Time.to_ps r.fleet.horizon) r.fleet.failures r.failed_in_window
       r.spare_failovers r.fleet.seed (Time.to_ps r.p50) (Time.to_ps r.p99)
@@ -957,10 +939,7 @@ let storm_cmd =
       in
       let r = storm fleet in
       Fmt.pr "%a@." pp_fleet_result r;
-      match json with
-      | Some "-" -> print_endline (fleet_json r)
-      | Some path -> write_file path (fleet_json r)
-      | None -> ()
+      emit_json json (fleet_json r)
     end
     else begin
       let r = run params in

@@ -25,7 +25,6 @@ type params = {
   shrink_at : int option;
   migrate_batch : int;
   migrate_mode : [ `Drain | `Image ];
-  crash_mig_event : int option;
   lint : bool;
   race_lint : bool;
   broken_handoff : bool;
@@ -52,7 +51,6 @@ let default =
     shrink_at = None;
     migrate_batch = 64;
     migrate_mode = `Drain;
-    crash_mig_event = None;
     lint = false;
     race_lint = false;
     broken_handoff = false;
@@ -240,6 +238,11 @@ type state = {
   pending : (int64, shard) Hashtbl.t;  (* key -> shard still holding it *)
   mutable migrations : migration list;
   mutable topology : topology_change list;
+  (* Unfired trigger rounds, clamped to the run's end; [None] once
+     fired (or never asked for). *)
+  mutable grow_due : int option;
+  mutable shrink_due : int option;
+  mutable crash_due : int option;
   mutable makespan : Time.t;
   mutable migration_time : Time.t;
   mutable shard_time_ps : int;  (* sum of round time x active fleet *)
@@ -406,6 +409,11 @@ let transactional config =
   || config.Config.stm
   || config.Config.backend = Config.Msync
 
+(* Runs one durable update of [heap]: inside a transaction where the
+   configuration needs one, bare otherwise. *)
+let durably config heap f =
+  if transactional config then Pheap.with_tx heap f else f ()
+
 (* ---- race-lint plumbing ------------------------------------------ *)
 
 (* Feeding order is the happens-before model: within one shard the rbuf
@@ -437,7 +445,6 @@ let race_barrier st =
    worker domain and touches only this shard's state. Returns the
    simulated time the batch took on this shard. *)
 let serve_shard p sh =
-  let tx = transactional p.config in
   let race = p.race_lint in
   let t0 = Pheap.clock sh.heap in
   for i = 0 to sh.batch_len - 1 do
@@ -456,27 +463,25 @@ let serve_shard p sh =
            tracking can watch it settle; the Ack is the round reply. *)
         if race then
           race_push sh (Crules.Sync (Crules.Write { obj = key; addr = -1 }));
-        if tx then Pheap.with_tx sh.heap (fun () -> Avl.insert sh.tree ~key ~value)
-        else Avl.insert sh.tree ~key ~value;
+        durably p.config sh.heap (fun () -> Avl.insert sh.tree ~key ~value);
         if race then race_push sh (Crules.Sync (Crules.Ack { obj = key }));
         Hashtbl.replace sh.model key value;
-        (match sh.wset with
-        | Some ws -> Hashtbl.replace ws key ()
-        | None -> ());
         sh.inserts <- sh.inserts + 1
     | Client.Delete key ->
         if race then
           race_push sh (Crules.Sync (Crules.Write { obj = key; addr = -1 }));
         let removed =
-          if tx then Pheap.with_tx sh.heap (fun () -> Avl.delete sh.tree key)
-          else Avl.delete sh.tree key
+          durably p.config sh.heap (fun () -> Avl.delete sh.tree key)
         in
         if race then race_push sh (Crules.Sync (Crules.Ack { obj = key }));
         if removed then Hashtbl.remove sh.model key;
-        (match sh.wset with
-        | Some ws -> Hashtbl.replace ws key ()
-        | None -> ());
         sh.deletes <- sh.deletes + 1);
+    (* While an image ship is staging from this shard, its writes
+       supersede the shipped copies. *)
+    (match (sh.wset, op) with
+    | Some ws, (Client.Insert (key, _) | Client.Delete key) ->
+        Hashtbl.replace ws key ()
+    | None, _ | Some _, Client.Lookup _ -> ());
     sh.served <- sh.served + 1;
     push_lat sh (Time.to_ps (Time.sub (Pheap.clock sh.heap) c0))
   done;
@@ -575,6 +580,9 @@ let admit st sh serial op =
     st.shed <- st.shed + 1
   end
 
+let live st =
+  List.filter (fun sh -> (not sh.retired) && not sh.is_down) st.roster
+
 let wake sh =
   sh.is_down <- false;
   Array.blit sh.backlog 0 sh.batch 0 sh.backlog_len;
@@ -616,16 +624,16 @@ let ship_image st m =
 let ensure_staged st m =
   if st.p.migrate_mode = `Image && m.staged = None then ship_image st m
 
-(* The value a handoff moves. Draining reads the live source. Image
-   mode reads the staged replica — the restored, swizzled copy is the
-   ground truth a real destination node would have — except for keys a
-   client wrote after the ship (the pending table keeps routing those
-   to the source, and [wset] records them): those take the live value,
-   and each such reconciliation is counted. *)
+(* The value a handoff moves. Draining (which never stages) reads the
+   live source. A staged image is read instead — the restored, swizzled
+   copy is the ground truth a real destination node would have — except
+   for keys a client wrote after the ship (the pending table keeps
+   routing those to the source, and [wset] records them): those take
+   the live value, and each such reconciliation is counted. *)
 let handoff_value st m key =
-  match (st.p.migrate_mode, m.staged) with
-  | `Drain, _ | `Image, None -> Avl.find m.src.tree key
-  | `Image, Some staged ->
+  match m.staged with
+  | None -> Avl.find m.src.tree key
+  | Some staged ->
       let dirty =
         match m.src.wset with
         | Some ws -> Hashtbl.mem ws key
@@ -637,6 +645,26 @@ let handoff_value st m key =
       end
       else Avl.find staged key
 
+(* The source half of a handoff: tombstone the key, ordered behind its
+   destination persist. *)
+let tombstone st src key =
+  if st.p.race_lint then
+    race_push src (Crules.Sync (Crules.Tombstone { obj = key }));
+  ignore (durably st.p.config src.heap (fun () -> Avl.delete src.tree key))
+
+(* A landed handoff's volatile bookkeeping: the acked-write model entry
+   follows the key to [dst], and the change counts one key moved. *)
+let book_handoff m dst key =
+  let src = m.src in
+  (match Hashtbl.find_opt src.model key with
+  | Some v ->
+      Hashtbl.remove src.model key;
+      Hashtbl.replace dst.model key v
+  | None -> ());
+  src.migrated_out <- src.migrated_out + 1;
+  dst.migrated_in <- dst.migrated_in + 1;
+  m.topo.moved_keys <- m.topo.moved_keys + 1
+
 (* One key's failure-atomic handoff: (1) persist at the destination,
    checkpoint; (2) tombstone at the source; (3) move the volatile model
    entry and drop the routing override, checkpoint. A power failure
@@ -644,7 +672,6 @@ let handoff_value st m key =
    in favour of the destination, which is why the destination must be
    persisted and fenced first. *)
 let move_key st m key =
-  let tx = transactional st.p.config in
   let race = st.p.race_lint in
   let src = m.src in
   match handoff_value st m key with
@@ -661,20 +688,15 @@ let move_key st m key =
           race_push dst (Crules.Sync (Crules.Read { obj = key }));
           race_push dst (Crules.Sync (Crules.Write { obj = key; addr = -1 }))
         end;
-        (if tx then
-           Pheap.with_tx dst.heap (fun () -> Avl.insert dst.tree ~key ~value)
-         else Avl.insert dst.tree ~key ~value);
+        durably st.p.config dst.heap (fun () ->
+            Avl.insert dst.tree ~key ~value);
         if race then begin
           race_push dst (Crules.Sync (Crules.Handoff_persist { obj = key }));
           race_drain st
         end
       in
       let retire_half () =
-        if race then race_push src (Crules.Sync (Crules.Tombstone { obj = key }));
-        let _removed =
-          if tx then Pheap.with_tx src.heap (fun () -> Avl.delete src.tree key)
-          else Avl.delete src.tree key
-        in
+        tombstone st src key;
         if race then race_drain st
       in
       if st.p.broken_handoff then begin
@@ -690,16 +712,13 @@ let move_key st m key =
         mig_checkpoint st.ctl;
         retire_half ()
       end;
-      (match Hashtbl.find_opt src.model key with
-      | Some v ->
-          Hashtbl.remove src.model key;
-          Hashtbl.replace dst.model key v
-      | None -> ());
+      book_handoff m dst key;
       Hashtbl.remove st.pending key;
-      src.migrated_out <- src.migrated_out + 1;
-      dst.migrated_in <- dst.migrated_in + 1;
-      m.topo.moved_keys <- m.topo.moved_keys + 1;
       mig_checkpoint st.ctl
+
+let retire sh =
+  sh.retired <- true;
+  finish_lint sh
 
 (* Drops completed migrations; a drained shrink victim (no longer on
    the ring) retires for good. *)
@@ -713,10 +732,7 @@ let settle_migrations st =
       m.staged <- None;
       m.src.wset <- None;
       if (not (Array.exists (fun s -> s == m.src) st.ring)) && not m.src.retired
-      then begin
-        m.src.retired <- true;
-        finish_lint m.src
-      end)
+      then retire m.src)
     finished
 
 (* After a whole-service power failure with migrations in flight:
@@ -727,8 +743,6 @@ let settle_migrations st =
    copy, the destination wins) or it does not (re-pend it and migrate
    again). Every key ends owned by exactly one shard. *)
 let recover_migrations st =
-  let tx = transactional st.p.config in
-  let race = st.p.race_lint in
   List.iter
     (fun m ->
       let src = m.src in
@@ -751,22 +765,9 @@ let recover_migrations st =
               (* The handoff's first half landed before the failure; the
                  WSP save made it durable, so this tombstone is ordered
                  behind a published destination persist — R8-clean. *)
-              if race then
-                race_push src (Crules.Sync (Crules.Tombstone { obj = k }));
-              let _removed =
-                if tx then
-                  Pheap.with_tx src.heap (fun () -> Avl.delete src.tree k)
-                else Avl.delete src.tree k
-              in
-              (match Hashtbl.find_opt src.model k with
-              | Some v ->
-                  Hashtbl.remove src.model k;
-                  Hashtbl.replace dst.model k v
-              | None -> ());
+              tombstone st src k;
+              book_handoff m dst k;
               st.dup_resolved <- st.dup_resolved + 1;
-              src.migrated_out <- src.migrated_out + 1;
-              dst.migrated_in <- dst.migrated_in + 1;
-              m.topo.moved_keys <- m.topo.moved_keys + 1;
               None
             end
             else begin
@@ -787,9 +788,7 @@ let recover_migrations st =
    of acknowledged writes. Synchronous, as in the original service: the
    fleet is down as one, so no availability dip is booked. *)
 let crash_service ?jobs st =
-  let live =
-    List.filter (fun sh -> (not sh.retired) && not sh.is_down) st.roster
-  in
+  let live = live st in
   let rs = Parallel.map ?jobs ~chunk:1 (save_crash_attach st.p) live in
   (* The fleet went down and came back as one — the restore point is a
      global sync edge, and the save's flush traffic has to reach the
@@ -887,10 +886,23 @@ let apply_migrations ?jobs st =
 
 (* ---- topology changes -------------------------------------------- *)
 
-(* Snapshot the keys each source must give up under the already-updated
-   ring, pend them so writes keep landing where the data is, and queue
-   one migration per non-empty source. *)
-let snapshot_migrations st topo srcs =
+(* Records a ring change made after [round], then snapshots the keys
+   each source must give up under the already-updated ring, pends them
+   so writes keep landing where the data is, and queues one migration
+   per non-empty source. *)
+let change_ring st change round ~from_shards ranges srcs =
+  let topo =
+    {
+      change;
+      at_round = round;
+      from_shards;
+      to_shards = Array.length st.ring;
+      moved_fraction = Router.moved_fraction ranges;
+      moved_keys = 0;
+      migration_rounds = 0;
+    }
+  in
+  st.topology <- st.topology @ [ topo ];
   let migs =
     List.filter_map
       (fun src ->
@@ -920,19 +932,8 @@ let start_grow st round =
   st.roster <- st.roster @ [ sh ];
   st.router <- router';
   st.ring <- Array.append st.ring [| sh |];
-  let topo =
-    {
-      change = `Grow;
-      at_round = round;
-      from_shards = Array.length old_ring;
-      to_shards = Array.length st.ring;
-      moved_fraction = Router.moved_fraction ranges;
-      moved_keys = 0;
-      migration_rounds = 0;
-    }
-  in
-  st.topology <- st.topology @ [ topo ];
-  snapshot_migrations st topo (Array.to_list old_ring)
+  change_ring st `Grow round ~from_shards:(Array.length old_ring) ranges
+    (Array.to_list old_ring)
 
 let can_shrink st =
   Array.length st.ring > 1
@@ -944,24 +945,10 @@ let start_shrink st round =
   let router', ranges = Router.remove_shard st.router (n - 1) in
   st.router <- router';
   st.ring <- Array.sub st.ring 0 (n - 1);
-  let topo =
-    {
-      change = `Shrink;
-      at_round = round;
-      from_shards = n;
-      to_shards = n - 1;
-      moved_fraction = Router.moved_fraction ranges;
-      moved_keys = 0;
-      migration_rounds = 0;
-    }
-  in
-  st.topology <- st.topology @ [ topo ];
-  snapshot_migrations st topo [ victim ];
+  change_ring st `Shrink round ~from_shards:n ranges [ victim ];
   (* an empty victim has nothing to drain: retire on the spot *)
-  if not (List.exists (fun m -> m.src == victim) st.migrations) then begin
-    victim.retired <- true;
-    finish_lint victim
-  end
+  if not (List.exists (fun m -> m.src == victim) st.migrations) then
+    retire victim
 
 (* ---- reporting helpers ------------------------------------------- *)
 
@@ -985,23 +972,14 @@ let percentile_ps sorted p =
             +. (frac *. float_of_int (sorted.(hi) - sorted.(lo))))))
   end
 
-let sorted_lat sh =
-  let a = Array.sub sh.lat 0 sh.lat_len in
-  Array.sort Stdlib.compare a;
-  a
-
-let merged_lat shards =
-  let total = List.fold_left (fun n sh -> n + sh.lat_len) 0 shards in
-  let all = Array.make (Stdlib.max total 1) 0 in
-  let off = ref 0 in
-  List.iter
-    (fun sh ->
-      Array.blit sh.lat 0 all !off sh.lat_len;
-      off := !off + sh.lat_len)
-    shards;
-  let all = if total = 0 then [||] else Array.sub all 0 total in
-  Array.sort Stdlib.compare all;
+let sorted_concat cmp parts =
+  let all = Array.concat parts in
+  Array.sort cmp all;
   all
+
+let sorted_lat shards =
+  sorted_concat Int.compare
+    (List.map (fun sh -> Array.sub sh.lat 0 sh.lat_len) shards)
 
 (* Order-sensitive digest of every shard's final contents in stable-id
    order: equal checksums across runs mean equal final key→value
@@ -1022,21 +1000,13 @@ let validate p =
   if p.queue_cap <= 0 then invalid_arg "Service.run: queue_cap must be positive";
   if p.migrate_batch <= 0 then
     invalid_arg "Service.run: migrate_batch must be positive";
-  (match p.crash_at with
-  | Some r when r < 0 -> invalid_arg "Service.run: negative crash round"
-  | _ -> ());
-  (match p.grow_at with
-  | Some r when r < 0 -> invalid_arg "Service.run: negative grow round"
-  | _ -> ());
-  (match p.shrink_at with
-  | Some r when r < 0 -> invalid_arg "Service.run: negative shrink round"
-  | _ -> ());
-  (match p.crash_mig_event with
-  | Some e ->
-      if e < 0 then invalid_arg "Service.run: negative migration crash event";
-      if p.grow_at = None && p.shrink_at = None then
-        invalid_arg "Service.run: crash_mig_event needs a topology change"
-  | None -> ());
+  List.iter
+    (fun (what, round) ->
+      match round with
+      | Some r when r < 0 ->
+          invalid_arg ("Service.run: negative " ^ what ^ " round")
+      | _ -> ())
+    [ ("crash", p.crash_at); ("grow", p.grow_at); ("shrink", p.shrink_at) ];
   if p.broken_handoff && p.grow_at = None && p.shrink_at = None then
     invalid_arg "Service.run: broken_handoff needs a topology change";
   (match p.crash_shard with
@@ -1059,13 +1029,46 @@ let validate p =
 
 (* ---- the closed loop --------------------------------------------- *)
 
-let run ?jobs p =
-  validate p;
+let due trigger round =
+  match trigger with Some r -> r <= round | None -> false
+
+(* Fires a due grow, else a due shrink, once no migration is in flight
+   and (for a shrink) the victim is powered. True if a change began. *)
+let fire_topology st round =
+  if st.migrations <> [] then false
+  else if due st.grow_due round then begin
+    st.grow_due <- None;
+    start_grow st round;
+    true
+  end
+  else if due st.shrink_due round && can_shrink st then begin
+    st.shrink_due <- None;
+    start_shrink st round;
+    true
+  end
+  else false
+
+(* Fires a due power failure: the whole service, or [crash_shard] once
+   it exists (a deferred grow may not have built it yet) and is up. *)
+let fire_crash ?jobs st round =
+  if due st.crash_due round then
+    match st.p.crash_shard with
+    | None ->
+        st.crash_due <- None;
+        crash_service ?jobs st
+    | Some k -> (
+        match List.find_opt (fun sh -> sh.id = k) st.roster with
+        | Some sh when not sh.is_down ->
+            st.crash_due <- None;
+            crash_one st sh
+        | Some _ | None -> ())
+
+let setup p ~arm ~rounds =
   let ctl =
     {
       counting = false;
       events = 0;
-      arm = p.crash_mig_event;
+      arm;
       freeze = transactional p.config;
       tripped = false;
     }
@@ -1078,125 +1081,77 @@ let run ?jobs p =
     else None
   in
   let shards0 = Array.init p.shards (fun i -> make_shard p ctl ~race i) in
-  let st =
-    {
-      p;
-      ctl;
-      race;
-      router = Router.create ~vnodes:p.vnodes ~shards:p.shards ();
-      ring = shards0;
-      roster = Array.to_list shards0;
-      next_id = p.shards;
-      pending = Hashtbl.create 1024;
-      migrations = [];
-      topology = [];
-      makespan = Time.zero;
-      migration_time = Time.zero;
-      shard_time_ps = 0;
-      downtime_ps = 0;
-      restores = [];
-      issued = 0;
-      shed = 0;
-      crash_shed = 0;
-      dup_resolved = 0;
-      images_shipped = 0;
-      image_bytes = 0;
-      image_deltas = 0;
-    }
-  in
-  let gen =
-    Client.create ~mix:p.mix ~theta:p.theta ~clients:p.clients
-      ~keyspace:p.keyspace ~seed:p.seed ()
-  in
-  let rounds =
-    if p.requests = 0 then 0 else (p.requests + p.clients - 1) / p.clients
-  in
-  let want_grow = ref false in
-  let want_shrink = ref false in
-  let want_crash = ref false in
-  let consume_topology round =
-    if !want_grow && st.migrations = [] then begin
-      start_grow st round;
-      want_grow := false
-    end
-    else if !want_shrink && st.migrations = [] && can_shrink st then begin
-      start_shrink st round;
-      want_shrink := false
-    end
-  in
-  let consume_crash () =
-    match p.crash_shard with
-    | None ->
-        crash_service ?jobs st;
-        want_crash := false
-    | Some k -> (
-        (* the target may not exist yet (a deferred grow) — retry *)
-        match List.find_opt (fun sh -> sh.id = k) st.roster with
-        | Some sh when not sh.is_down ->
-            crash_one st sh;
-            want_crash := false
-        | _ -> ())
-  in
-  for round = 0 to rounds - 1 do
-    List.iter
-      (fun sh ->
-        if sh.is_down && Time.to_ps st.makespan >= Time.to_ps sh.down_until
-        then wake sh)
-      st.roster;
-    let this_round = Stdlib.min p.clients (p.requests - st.issued) in
-    for c = 0 to this_round - 1 do
-      let serial = st.issued in
-      let op = Client.next gen ~client:c in
-      admit st (route st (Client.key op)) serial op;
-      st.issued <- st.issued + 1
-    done;
-    let live =
-      List.filter (fun sh -> (not sh.retired) && not sh.is_down) st.roster
-    in
-    let deltas = Parallel.map ?jobs ~chunk:1 (serve_shard p) live in
-    let delta = List.fold_left Time.max Time.zero deltas in
-    st.makespan <- Time.add st.makespan delta;
-    let active = List.filter (fun sh -> not sh.retired) st.roster in
-    st.shard_time_ps <-
-      st.shard_time_ps + (Time.to_ps delta * List.length active);
-    List.iter
-      (fun sh ->
-        if sh.is_down then begin
-          sh.downtime <- Time.add sh.downtime delta;
-          sh.down_rounds <- sh.down_rounds + 1;
-          st.downtime_ps <- st.downtime_ps + Time.to_ps delta
-        end)
-      active;
-    (* [Parallel.map]'s joins ordered every worker's round behind this
-       point — the one real happens-before edge each round has. *)
-    race_drain st;
-    race_barrier st;
-    apply_migrations ?jobs st;
-    (match p.grow_at with
-    | Some r when r = round -> want_grow := true
-    | _ -> ());
-    (match p.shrink_at with
-    | Some r when r = round -> want_shrink := true
-    | _ -> ());
-    consume_topology round;
-    (match p.crash_at with
-    | Some r when r = round -> want_crash := true
-    | _ -> ());
-    if !want_crash then consume_crash ()
+  (* A trigger at or past the last round fires once, after the run. *)
+  let clamp = Option.map (fun r -> Stdlib.min r rounds) in
+  {
+    p;
+    ctl;
+    race;
+    router = Router.create ~vnodes:p.vnodes ~shards:p.shards ();
+    ring = shards0;
+    roster = Array.to_list shards0;
+    next_id = p.shards;
+    pending = Hashtbl.create 1024;
+    migrations = [];
+    topology = [];
+    grow_due = clamp p.grow_at;
+    shrink_due = clamp p.shrink_at;
+    crash_due = clamp p.crash_at;
+    makespan = Time.zero;
+    migration_time = Time.zero;
+    shard_time_ps = 0;
+    downtime_ps = 0;
+    restores = [];
+    issued = 0;
+    shed = 0;
+    crash_shed = 0;
+    dup_resolved = 0;
+    images_shipped = 0;
+    image_bytes = 0;
+    image_deltas = 0;
+  }
+
+(* One round: wake restored shards, admit one request per client, serve
+   every live shard in parallel, book the round's time, advance the
+   migrations, then fire whatever triggers are due. *)
+let step ?jobs st gen round =
+  List.iter
+    (fun sh ->
+      if sh.is_down && Time.to_ps st.makespan >= Time.to_ps sh.down_until
+      then wake sh)
+    st.roster;
+  let this_round = Stdlib.min st.p.clients (st.p.requests - st.issued) in
+  for c = 0 to this_round - 1 do
+    let serial = st.issued in
+    let op = Client.next gen ~client:c in
+    admit st (route st (Client.key op)) serial op;
+    st.issued <- st.issued + 1
   done;
-  (* End-of-run clamps, mirroring the old crash_at behaviour: triggers
-     at or past the last round still fire once, after the run. *)
-  (match p.grow_at with
-  | Some r when r >= rounds -> want_grow := true
-  | _ -> ());
-  (match p.shrink_at with
-  | Some r when r >= rounds -> want_shrink := true
-  | _ -> ());
-  (match p.crash_at with
-  | Some r when r >= rounds -> want_crash := true
-  | _ -> ());
-  (* No rounds remain: a still-dark shard's backlog can never be
-     served; book it as crash shed and power everything up. *)
+  let deltas = Parallel.map ?jobs ~chunk:1 (serve_shard st.p) (live st) in
+  let delta = List.fold_left Time.max Time.zero deltas in
+  st.makespan <- Time.add st.makespan delta;
+  let active = List.filter (fun sh -> not sh.retired) st.roster in
+  st.shard_time_ps <-
+    st.shard_time_ps + (Time.to_ps delta * List.length active);
+  List.iter
+    (fun sh ->
+      if sh.is_down then begin
+        sh.downtime <- Time.add sh.downtime delta;
+        sh.down_rounds <- sh.down_rounds + 1;
+        st.downtime_ps <- st.downtime_ps + Time.to_ps delta
+      end)
+    active;
+  (* [Parallel.map]'s joins ordered every worker's round behind this
+     point — the one real happens-before edge each round has. *)
+  race_drain st;
+  race_barrier st;
+  apply_migrations ?jobs st;
+  ignore (fire_topology st round);
+  fire_crash ?jobs st round
+
+(* No rounds remain: a still-dark shard's backlog can never be served;
+   book it as crash shed and power everything up. *)
+let lights_on st =
   List.iter
     (fun sh ->
       if sh.is_down then begin
@@ -1205,35 +1160,30 @@ let run ?jobs p =
         sh.backlog_len <- 0;
         sh.is_down <- false
       end)
-    st.roster;
-  let drain () =
-    while st.migrations <> [] do
-      apply_migrations ?jobs st
-    done
-  in
-  drain ();
-  if !want_grow then begin
-    start_grow st rounds;
-    want_grow := false;
-    drain ()
-  end;
-  if !want_shrink && can_shrink st then begin
-    start_shrink st rounds;
-    want_shrink := false;
-    drain ()
-  end;
-  if !want_crash then begin
-    (match p.crash_shard with
-    | None -> crash_service ?jobs st
-    | Some k -> (
-        match List.find_opt (fun sh -> sh.id = k) st.roster with
-        | Some sh ->
-            crash_one st sh;
-            sh.is_down <- false (* nothing left to serve; lights on *)
-        | None -> invalid_arg "Service.run: crash_shard never existed"));
-    want_crash := false
-  end;
-  drain ();
+    st.roster
+
+let drain ?jobs st =
+  while st.migrations <> [] do
+    apply_migrations ?jobs st
+  done
+
+(* After the last round every unfired trigger is due: settle the fleet,
+   fire each topology change through the round step's own trigger path
+   and drain it, then fire the crash. *)
+let tail ?jobs st rounds =
+  lights_on st;
+  drain ?jobs st;
+  while fire_topology st rounds do
+    drain ?jobs st
+  done;
+  fire_crash ?jobs st rounds;
+  if st.crash_due <> None then
+    invalid_arg "Service.run: crash_shard never existed";
+  lights_on st;
+  drain ?jobs st
+
+let finish st ~rounds =
+  let p = st.p in
   List.iter finish_lint st.roster;
   let race_result =
     match st.race with
@@ -1253,11 +1203,11 @@ let run ?jobs p =
           acc (Avl.to_list sh.tree))
       0 st.roster
   in
-  let global = merged_lat st.roster in
+  let global = sorted_lat st.roster in
   let per_shard =
     List.map
       (fun sh ->
-        let lat = sorted_lat sh in
+        let lat = sorted_lat [ sh ] in
         {
           shard = sh.id;
           served = sh.served;
@@ -1279,9 +1229,7 @@ let run ?jobs p =
               Time.zero lat;
           p50 = percentile_ps lat 50.0;
           p99 = percentile_ps lat 99.0;
-          lat_max =
-            (if Array.length lat = 0 then Time.zero
-             else Time.ps lat.(Array.length lat - 1));
+          lat_max = percentile_ps lat 100.0;
           stores = sh.counts.stores;
           flushes = sh.counts.flushes;
           fences = sh.counts.fences;
@@ -1296,30 +1244,19 @@ let run ?jobs p =
       st.roster
   in
   let served = List.fold_left (fun n sh -> n + sh.served) 0 st.roster in
-  let lookup_results =
-    if p.record_lookups then begin
-      let all =
-        Array.concat
-          (List.map (fun sh -> Array.of_list sh.lookup_log) st.roster)
-      in
-      Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) all;
-      Some all
-    end
+  let recorded f cmp =
+    if p.record_lookups then
+      Some (sorted_concat cmp (List.map (fun sh -> Array.of_list (f sh)) st.roster))
     else None
+  in
+  let lookup_results =
+    recorded (fun sh -> sh.lookup_log) (fun (a, _) (b, _) -> Int.compare a b)
   in
   (* Routing is by key, so keys are disjoint across shards and the
      merged map sorts into one global key order. *)
   let final_contents =
-    if p.record_lookups then
-      Some
-        (let all =
-           Array.concat
-             (List.map (fun sh -> Array.of_list (Avl.to_list sh.tree))
-                st.roster)
-         in
-         Array.sort (fun (a, _) (b, _) -> Int64.compare a b) all;
-         all)
-    else None
+    recorded (fun sh -> Avl.to_list sh.tree) (fun (a, _) (b, _) ->
+        Int64.compare a b)
   in
   let makespan = st.makespan in
   {
@@ -1342,15 +1279,13 @@ let run ?jobs p =
     p50 = percentile_ps global 50.0;
     p99 = percentile_ps global 99.0;
     p999 = percentile_ps global 99.9;
-    lat_max =
-      (if Array.length global = 0 then Time.zero
-       else Time.ps global.(Array.length global - 1));
+    lat_max = percentile_ps global 100.0;
     lost_acked =
       List.fold_left (fun n (r : restore) -> n + r.lost_acked) 0 st.restores;
     keys_moved =
       List.fold_left (fun n t -> n + t.moved_keys) 0 st.topology;
     migration_time = st.migration_time;
-    mig_events = ctl.events;
+    mig_events = st.ctl.events;
     dup_resolved = st.dup_resolved;
     images_shipped = st.images_shipped;
     image_bytes = st.image_bytes;
@@ -1364,6 +1299,26 @@ let run ?jobs p =
     lookup_results;
     final_contents;
   }
+
+(* [arm] injects a whole-service power failure at that migration
+   persistency event — the sweep's hook, kept out of [params]. *)
+let simulate ?jobs ?arm p =
+  validate p;
+  let rounds =
+    if p.requests = 0 then 0 else (p.requests + p.clients - 1) / p.clients
+  in
+  let st = setup p ~arm ~rounds in
+  let gen =
+    Client.create ~mix:p.mix ~theta:p.theta ~clients:p.clients
+      ~keyspace:p.keyspace ~seed:p.seed ()
+  in
+  for round = 0 to rounds - 1 do
+    step ?jobs st gen round
+  done;
+  tail ?jobs st rounds;
+  finish st ~rounds
+
+let run ?jobs p = simulate ?jobs p
 
 (* ---- the mid-migration crash sweep ------------------------------- *)
 
@@ -1399,11 +1354,13 @@ let crash_sweep ?jobs ?(points = 64) p =
       record_lookups = true;
       crash_at = None;
       crash_shard = None;
-      crash_mig_event = None;
     }
   in
   let golden = run ?jobs p in
   let total = golden.mig_events in
+  (* A sweep with nothing to inject would certify nothing. *)
+  if total = 0 then
+    invalid_arg "Service.crash_sweep: the migration has no persistency event";
   let chosen =
     if total <= points then List.init total (fun i -> i)
     else List.init points (fun i -> i * total / points)
@@ -1411,7 +1368,7 @@ let crash_sweep ?jobs ?(points = 64) p =
   let pts =
     List.map
       (fun e ->
-        let r = run ?jobs { p with crash_mig_event = Some e } in
+        let r = simulate ?jobs ~arm:e p in
         {
           event = e;
           lost = r.lost_acked;
@@ -1431,22 +1388,36 @@ let crash_sweep ?jobs ?(points = 64) p =
 (* The race verdict counts only the cross-domain rules: the embedded
    per-domain R1–R5 streams also surface in [race], but those belong to
    [--lint] and must not flip a race-lint exit code. *)
+let cross_domain (d : Rules.diagnostic) =
+  match d.Rules.rule with
+  | Rules.R6 | Rules.R7 | Rules.R8 | Rules.R9 -> true
+  | Rules.R1 | Rules.R2 | Rules.R3 | Rules.R4 | Rules.R5 | Rules.R10 -> false
+
 let race_errors (r : report) =
   match r.race with
   | None -> (0, 0)
   | Some res ->
       List.fold_left
         (fun (e, a) (d : Rules.diagnostic) ->
-          match d.Rules.rule with
-          | Rules.R6 | Rules.R7 | Rules.R8 | Rules.R9 -> (
-              match d.Rules.severity with
-              | Rules.Error -> (e + 1, a)
-              | Rules.Advisory -> (e, a + 1))
-          | Rules.R1 | Rules.R2 | Rules.R3 | Rules.R4 | Rules.R5 | Rules.R10 ->
-              (e, a))
+          if not (cross_domain d) then (e, a)
+          else
+            match d.Rules.severity with
+            | Rules.Error -> (e + 1, a)
+            | Rules.Advisory -> (e, a + 1))
         (0, 0) res.Rules.diagnostics
 
 let json_opt_int = function None -> "null" | Some v -> string_of_int v
+(* Appends a JSON array's items, one object per line. *)
+let json_items b items item =
+  List.iteri
+    (fun i x ->
+      Buffer.add_string b (if i = 0 then "\n    " else ",\n    ");
+      item x)
+    items;
+  if items <> [] then Buffer.add_string b "\n  "
+
+let mode_name = function `Drain -> "drain" | `Image -> "image"
+let change_name = function `Grow -> "grow" | `Shrink -> "shrink"
 
 (* Canonical JSON: picosecond integers and fixed-precision floats only
    (never wall-clock), so equal reports are byte-identical across
@@ -1497,7 +1468,7 @@ let to_json r =
     p.config.Config.name p.seed (json_opt_int p.crash_at)
     (json_opt_int p.crash_shard) (json_opt_int p.grow_at)
     (json_opt_int p.shrink_at) p.migrate_batch
-    (match p.migrate_mode with `Drain -> "drain" | `Image -> "image")
+    (mode_name p.migrate_mode)
     r.issued r.served r.shed
     r.crash_shed r.rounds (Time.to_ps r.makespan) r.throughput_mops
     r.availability (Time.to_ps r.p50) (Time.to_ps r.p99) (Time.to_ps r.p999)
@@ -1520,39 +1491,27 @@ let to_json r =
         errs advs (count Rules.R6) (count Rules.R7) (count Rules.R8)
         (count Rules.R9) res.Rules.stats.Rules.events);
   Buffer.add_string b "  \"topology\": [";
-  List.iteri
-    (fun i (t : topology_change) ->
+  json_items b r.topology (fun (t : topology_change) ->
       Printf.bprintf b
-        "%s\n\
-        \    { \"change\": %S, \"at_round\": %d, \"from_shards\": %d, \
+        "{ \"change\": %S, \"at_round\": %d, \"from_shards\": %d, \
          \"to_shards\": %d, \"moved_fraction\": %.6f, \"moved_keys\": %d, \
          \"migration_rounds\": %d }"
-        (if i = 0 then "" else ",")
-        (match t.change with `Grow -> "grow" | `Shrink -> "shrink")
+        (change_name t.change)
         t.at_round t.from_shards t.to_shards t.moved_fraction t.moved_keys
-        t.migration_rounds)
-    r.topology;
-  if r.topology <> [] then Buffer.add_string b "\n  ";
+        t.migration_rounds);
   Buffer.add_string b "],\n  \"restores\": [";
-  List.iteri
-    (fun i (rr : restore) ->
+  json_items b r.restores (fun (rr : restore) ->
       Printf.bprintf b
-        "%s\n\
-        \    { \"shard\": %d, \"dirty_bytes\": %d, \"save_fits\": %b, \
+        "{ \"shard\": %d, \"dirty_bytes\": %d, \"save_fits\": %b, \
          \"save_total_ps\": %d, \"window_ps\": %d, \"flush_ps\": %d, \
          \"restore_ps\": %d, \"lost_acked\": %d }"
-        (if i = 0 then "" else ",")
         rr.shard rr.dirty_bytes rr.save_fits (Time.to_ps rr.save_total)
         (Time.to_ps rr.window) (Time.to_ps rr.flush_cost)
-        (Time.to_ps rr.restore_cost) rr.lost_acked)
-    r.restores;
-  if r.restores <> [] then Buffer.add_string b "\n  ";
+        (Time.to_ps rr.restore_cost) rr.lost_acked);
   Buffer.add_string b "],\n  \"per_shard\": [";
-  List.iteri
-    (fun i s ->
+  json_items b r.per_shard (fun s ->
       Printf.bprintf b
-        "%s\n\
-        \    { \"shard\": %d, \"served\": %d, \"shed\": %d, \"crash_shed\": \
+        "{ \"shard\": %d, \"served\": %d, \"shed\": %d, \"crash_shed\": \
          %d, \"lookups\": %d, \"hits\": %d, \"inserts\": %d, \"deletes\": %d, \
          \"final_keys\": %d, \"migrated_in\": %d, \"migrated_out\": %d, \
          \"retired\": %b, \"downtime_ps\": %d, \"down_rounds\": %d, \
@@ -1560,15 +1519,13 @@ let to_json r =
          \"stores\": %d, \"flushes\": %d, \"fences\": %d, \"writebacks\": %d, \
          \"tx_commits\": %d, \"log_appends\": %d, \"allocs\": %d, \"frees\": \
          %d, \"lint_errors\": %d, \"lint_advisories\": %d }"
-        (if i = 0 then "" else ",")
         s.shard s.served s.shed s.crash_shed s.lookups s.hits s.inserts
         s.deletes s.final_keys s.migrated_in s.migrated_out s.retired
         (Time.to_ps s.downtime) s.down_rounds (Time.to_ps s.busy)
         (Time.to_ps s.p50) (Time.to_ps s.p99) (Time.to_ps s.lat_max) s.stores
         s.flushes s.fences s.writebacks s.tx_commits s.log_appends s.allocs
-        s.frees s.lint_errors s.lint_advisories)
-    r.per_shard;
-  Buffer.add_string b "\n  ]\n}\n";
+        s.frees s.lint_errors s.lint_advisories);
+  Buffer.add_string b "]\n}\n";
   Buffer.contents b
 
 let sweep_to_json s =
@@ -1589,20 +1546,15 @@ let sweep_to_json s =
     \  \"points\": ["
     p.shards p.config.Config.name (json_opt_int p.grow_at)
     (json_opt_int p.shrink_at)
-    (match p.migrate_mode with `Drain -> "drain" | `Image -> "image")
+    (mode_name p.migrate_mode)
     s.total_events (List.length s.points)
     (List.length (sweep_violations s))
     s.golden.checksum;
-  List.iteri
-    (fun i pt ->
+  json_items b s.points (fun pt ->
       Printf.bprintf b
-        "%s\n\
-        \    { \"event\": %d, \"lost_acked\": %d, \"misplaced_keys\": %d, \
+        "{ \"event\": %d, \"lost_acked\": %d, \"misplaced_keys\": %d, \
          \"dup_resolved\": %d, \"state_ok\": %b }"
-        (if i = 0 then "" else ",")
-        pt.event pt.lost pt.misplaced pt.dups pt.state_ok)
-    s.points;
-  if s.points <> [] then Buffer.add_string b "\n  ";
+        pt.event pt.lost pt.misplaced pt.dups pt.state_ok);
   Buffer.add_string b "]\n}\n";
   Buffer.contents b
 
@@ -1622,7 +1574,7 @@ let pp_report ppf r =
       Fmt.pf ppf
         "@,%s %d -> %d shards after round %d: %.2f%% of keyspace moved, %d \
          keys over %d migration rounds"
-        (match t.change with `Grow -> "grow" | `Shrink -> "shrink")
+        (change_name t.change)
         t.from_shards t.to_shards t.at_round
         (100.0 *. t.moved_fraction)
         t.moved_keys t.migration_rounds)
@@ -1647,9 +1599,7 @@ let pp_report ppf r =
           "@,shard %d power failure after round %d (the rest kept serving):" k
           c
     | None, Some c -> Fmt.pf ppf "@,power failure after round %d:" c
-    | _, None ->
-        Fmt.pf ppf "@,power failure mid-migration (persistency event %d):"
-          (match p.crash_mig_event with Some e -> e | None -> 0));
+    | _, None -> Fmt.pf ppf "@,power failure mid-migration:");
     List.iter
       (fun (rr : restore) ->
         Fmt.pf ppf
@@ -1685,14 +1635,9 @@ let pp_report ppf r =
       let convicted =
         List.filter_map
           (fun (d : Rules.diagnostic) ->
-            match (d.Rules.rule, d.Rules.severity) with
-            | (Rules.R6 | Rules.R7 | Rules.R8 | Rules.R9), Rules.Error ->
-                Some (Rules.rule_name d.Rules.rule)
-            | (Rules.R6 | Rules.R7 | Rules.R8 | Rules.R9), Rules.Advisory
-            | ( ( Rules.R1 | Rules.R2 | Rules.R3 | Rules.R4 | Rules.R5
-                | Rules.R10 ),
-                (Rules.Error | Rules.Advisory) ) ->
-                None)
+            if cross_domain d && d.Rules.severity = Rules.Error then
+              Some (Rules.rule_name d.Rules.rule)
+            else None)
           res.Rules.diagnostics
         |> List.sort_uniq Stdlib.compare
       in

@@ -81,9 +81,6 @@ type params = {
           [image_deltas]). Both modes converge to identical final
           directories; the double-ownership handoff protocol and its
           crash-atomicity are shared. *)
-  crash_mig_event : int option;
-      (** Power-fail the whole service at this migration persistency
-          event (0-based) — the sweep's injection hook. *)
   lint : bool;
       (** Stream the static persistency analyzer off each shard's bus. *)
   race_lint : bool;
@@ -219,8 +216,12 @@ type report = {
 }
 
 val run : ?jobs:int -> params -> report
-(** Drives the full closed loop. [jobs] caps worker domains exactly as
-    {!Wsp_sim.Parallel.map} does; the report is identical at any width. *)
+(** Drives the full closed loop, then fires each trigger at or past the
+    last round once: topology changes first, each drained, then the
+    crash. [jobs] caps worker domains exactly as
+    {!Wsp_sim.Parallel.map} does; the report is identical at any width.
+    Raises [Invalid_argument] on malformed or conflicting params, and
+    mid-run when [crash_shard] names a shard a shrink already retired. *)
 
 (** {2 Checker-driven mid-migration crash sweep} *)
 
@@ -245,7 +246,9 @@ val crash_sweep : ?jobs:int -> ?points:int -> params -> sweep
     persistency events, then re-runs it with a whole-service power
     failure injected at up to [points] (default 64, evenly sampled)
     of those events. Requires [grow_at] or [shrink_at]; overrides any
-    crash settings in [params]. *)
+    crash settings in [params]. Raises [Invalid_argument] when the
+    golden run has no migration persistency event to inject (nothing
+    moved), since such a sweep would certify nothing. *)
 
 val sweep_violations : sweep -> sweep_point list
 (** The points that lost data, double/zero-owned a key, or diverged

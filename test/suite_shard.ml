@@ -437,6 +437,81 @@ let service_tests =
         Alcotest.check_raises "sweep needs a migration"
           (Invalid_argument "Service.crash_sweep: needs grow_at or shrink_at")
           (fun () -> ignore (Service.crash_sweep base)));
+    Alcotest.test_case "a sweep with nothing to inject is refused" `Quick
+      (fun () ->
+        (* No requests, so the grow moves no key and the golden run
+           counts no migration event: a sweep would certify nothing. *)
+        let p =
+          {
+            (small_params ~shards:2 ~seed:1) with
+            Service.requests = 0;
+            grow_at = Some 0;
+          }
+        in
+        Alcotest.check_raises "zero migration events"
+          (Invalid_argument
+             "Service.crash_sweep: the migration has no persistency event")
+          (fun () -> ignore (Service.crash_sweep ~jobs:1 p)));
+    Alcotest.test_case "triggers at or past the last round fire after it"
+      `Quick (fun () ->
+        let base = small_params ~shards:4 ~seed:37 in
+        let rounds = (base.requests + base.clients - 1) / base.clients in
+        (* name, grow_at, shrink_at, crash_at, crash_shard, changes *)
+        let cases =
+          [
+            ("grow alone", Some rounds, None, None, None, [ `Grow ]);
+            ("shrink alone", None, Some (rounds + 50), None, None, [ `Shrink ]);
+            ( "grow then shrink",
+              Some rounds,
+              Some (rounds + 1),
+              None,
+              None,
+              [ `Grow; `Shrink ] );
+            ( "whole-service crash",
+              Some (rounds + 3),
+              None,
+              Some rounds,
+              None,
+              [ `Grow ] );
+            ("one shard's crash", None, None, Some (rounds + 9), Some 1, []);
+          ]
+        in
+        List.iter
+          (fun (name, grow_at, shrink_at, crash_at, crash_shard, changes) ->
+            let p =
+              { base with Service.grow_at; shrink_at; crash_at; crash_shard }
+            in
+            let r = Service.run ~jobs:1 p in
+            let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+            check_int "rounds" rounds r.Service.rounds;
+            Alcotest.(check bool)
+              (name ^ ": topology changes in order")
+              true
+              (List.map (fun t -> t.Service.change) r.Service.topology
+              = changes);
+            List.iter
+              (fun (t : Service.topology_change) ->
+                check_int "change fired after the last round" rounds
+                  t.at_round)
+              r.Service.topology;
+            let live =
+              List.filter
+                (fun (s : Service.shard_stats) -> not s.retired)
+                r.Service.per_shard
+            in
+            check_int "restores"
+              (match (crash_at, crash_shard) with
+              | None, _ -> 0
+              | Some _, Some _ -> 1
+              | Some _, None -> List.length live)
+              (List.length r.Service.restores);
+            check_int "lost acked" 0 r.Service.lost_acked;
+            check_int "misplaced keys" 0 r.Service.misplaced_keys;
+            Alcotest.(check string)
+              (name ^ ": jobs 1 == jobs 2")
+              (Service.to_json r)
+              (Service.to_json (Service.run ~jobs:2 p)))
+          cases);
     Alcotest.test_case "crash sweep finds no violation at any event" `Slow
       (fun () ->
         let p =
