@@ -2,7 +2,7 @@
 # `python3 perfbench/run.py` (see perfbench/BENCHMARK.md).
 
 .PHONY: all build test check lint race-lint shard shard-smoke \
-  shard-migrate-smoke reloc-smoke ci-determinism clean
+  shard-migrate-smoke reloc-smoke ci-determinism refusals clean
 
 all: build
 
@@ -61,12 +61,17 @@ shard-migrate-smoke: build
 reloc-smoke: build
 	sh scripts/reloc_smoke.sh
 
-# Determinism gate: the checker's incremental engine must produce
-# byte-identical JSON to the full-replay reference, lint must produce
-# byte-identical JSON at any job width, and the record-once lint
-# fan-out must not be slower in parallel (j4 wall <= 1.5x j1).
+# Determinism gate: checker JSON must not depend on the snapshot
+# stride, lint must produce byte-identical JSON at any job width, and
+# the record-once lint fan-out must not be slower in parallel (j4 wall
+# <= 1.5x j1).
 ci-determinism: build
 	sh scripts/ci_determinism.sh
+
+# Usage-error gate: every malformed or conflicting option of every
+# verb exits 2 with one line on stderr.
+refusals: build
+	sh scripts/refusals.sh
 
 clean:
 	dune clean

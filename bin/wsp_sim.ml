@@ -98,12 +98,6 @@ let trace_arg =
           "Record simulated-time spans and write them to $(docv) in Chrome \
            trace_event JSON (load in chrome://tracing or Perfetto).")
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_string oc "\n";
-  close_out oc
-
 let json_arg doc =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
@@ -115,6 +109,15 @@ let emit_json dest json =
   | Some "-" -> print_string json
   | Some path ->
       Out_channel.with_open_bin path (fun oc -> output_string oc json)
+
+(* Malformed or conflicting options are a usage error: one line on
+   stderr and exit 2. The library refuses bad parameters by raising
+   [Invalid_argument]; [refusing verb f] reports those the same way. *)
+let refuse verb msg =
+  Printf.eprintf "%s: %s\n" verb msg;
+  2
+
+let refusing verb f = try f () with Invalid_argument msg -> refuse verb msg
 
 (* [-j N]: worker domains, [None] (from 0) deferring to the default. *)
 let jobs_arg what =
@@ -136,13 +139,11 @@ let with_obs metrics trace f =
   if trace <> None then Wsp_obs.Tracer.set_enabled true;
   if metrics <> None then Wsp_nvheap.Event_obs.set_enabled true;
   let export () =
-    (match metrics with
-    | Some path ->
-        write_file path (Wsp_obs.Metrics.to_json (Wsp_obs.Metrics.merged ()))
-    | None -> ());
-    match trace with
-    | Some path -> write_file path (Wsp_obs.Tracer.export_json ())
-    | None -> ()
+    (* The compact metrics JSON carries no final newline of its own. *)
+    if metrics <> None then
+      emit_json metrics
+        (Wsp_obs.Metrics.to_json (Wsp_obs.Metrics.merged ()) ^ "\n");
+    if trace <> None then emit_json trace (Wsp_obs.Tracer.export_json ())
   in
   Fun.protect ~finally:export f
 
@@ -256,6 +257,8 @@ let window_cmd =
     Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Measurement runs.")
   in
   let run platform psu busy seed runs =
+    refusing "window" @@ fun () ->
+    if runs <= 0 then invalid_arg "--runs must be positive";
     let rng = Rng.create ~seed in
     let load = if busy then platform.Platform.power_busy else platform.Platform.power_idle in
     for i = 1 to runs do
@@ -364,40 +367,30 @@ let check_cmd =
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Skip minimising failing traces.")
   in
-  let full_replay_arg =
-    Arg.(
-      value & flag
-      & info [ "full-replay" ]
-          ~doc:"Use the reference engine (re-execute the workload from \
-                scratch per crash point) instead of the default incremental \
-                snapshot-replay engine. Verdicts are identical; this exists \
-                for cross-checking and benchmarking.")
-  in
   let stride_arg =
     Arg.(
       value & opt int 256
       & info [ "stride" ] ~docv:"N"
-          ~doc:"Incremental engine's snapshot interval in crash points (also \
-                its parallel chunk size); 0 disables waypoints so every chunk \
-                replays from the base image.")
+          ~doc:"Snapshot interval in crash points (also the parallel chunk \
+                size); 0 disables waypoints so every chunk replays from the \
+                base image.")
   in
   let json_arg =
     json_arg
       "Also write the machine-readable reports to $(docv) ($(b,-) for \
-       stdout). Byte-identical across $(b,--jobs) widths and engines."
+       stdout). Byte-identical across $(b,--jobs) widths and $(b,--stride) \
+       values."
   in
   let run workloads configs points txns jobs broken protocol no_shrink
-      full_replay stride json seed verbose metrics trace =
+      stride json seed verbose metrics trace =
     setup_logs verbose;
     with_obs metrics trace @@ fun () ->
+    refusing "check" @@ fun () ->
     let workloads = if workloads = [] then Checker.all_kinds else workloads in
     let configs =
       if configs = [] then
         [ Config.foc_ul; Config.foc_stm; Config.fof; Config.msync ]
       else configs
-    in
-    let engine =
-      if full_replay then Checker.Full_replay else Checker.Incremental
     in
     let reports =
       List.concat_map
@@ -406,7 +399,7 @@ let check_cmd =
             (fun config ->
               let r =
                 Checker.check ?jobs ~points ~txns ~fault:broken
-                  ~shrink:(not no_shrink) ~engine ~snapshot_stride:stride
+                  ~shrink:(not no_shrink) ~snapshot_stride:stride
                   ~kind ~config ~seed ()
               in
               Fmt.pr "%a@." Checker.pp_report r;
@@ -438,9 +431,8 @@ let check_cmd =
     Term.(
       const run $ workloads_arg $ configs_arg $ points_arg $ txns_arg
       $ jobs_arg "for crash-point fan-out"
-      $ broken_arg $ protocol_arg $ no_shrink_arg $ full_replay_arg
-      $ stride_arg $ json_arg $ seed_arg $ verbose_arg $ metrics_arg
-      $ trace_arg)
+      $ broken_arg $ protocol_arg $ no_shrink_arg $ stride_arg $ json_arg
+      $ seed_arg $ verbose_arg $ metrics_arg $ trace_arg)
 
 (* --- lint ------------------------------------------------------------- *)
 
@@ -548,13 +540,12 @@ let lint_cmd =
       else if buses <> 0 then [ "--buses" ]
       else []
     in
-    if conflicts <> [] then begin
-      Printf.eprintf "lint: %s %s\n"
-        (String.concat ", " conflicts)
-        (if concurrent then "cannot be combined with --concurrent"
-         else "requires --concurrent");
-      2
-    end
+    if conflicts <> [] then
+      refuse "lint"
+        (Printf.sprintf "%s %s"
+           (String.concat ", " conflicts)
+           (if concurrent then "cannot be combined with --concurrent"
+            else "requires --concurrent"))
     else begin
       setup_logs verbose;
       with_obs metrics trace @@ fun () ->
@@ -784,38 +775,32 @@ let shard_cmd =
     in
     (* Malformed or conflicting flags, some only detectable mid-run
        (a crash aimed at a retired shard), are a usage error. *)
-    let refuse msg =
-      Printf.eprintf "shard: %s\n" msg;
-      2
-    in
+    refusing "shard" @@ fun () ->
     let wall0 = Unix.gettimeofday () in
-    if sweep then
-      match Service.crash_sweep ?jobs ~points:sweep_points params with
-      | exception Invalid_argument msg -> refuse msg
-      | s ->
-          let wall = Unix.gettimeofday () -. wall0 in
-          Fmt.pr "%a@." Service.pp_sweep s;
-          Fmt.pr "wall-clock: %.2f s@." wall;
-          emit_json json (Service.sweep_to_json s);
-          if Service.sweep_violations s <> [] then 1 else 0
-    else
-      match Service.run ?jobs params with
-      | exception Invalid_argument msg -> refuse msg
-      | report ->
-          let wall = Unix.gettimeofday () -. wall0 in
-          Fmt.pr "%a@." Service.pp_report report;
-          Fmt.pr "wall-clock: %.2f s (%.0f kreq/s actual)@." wall
-            (if wall > 0.0 then
-               float_of_int report.Service.served /. wall /. 1e3
-             else 0.0);
-          emit_json json (Service.to_json report);
-          let race_errs, _ = Service.race_errors report in
-          if
-            report.Service.lost_acked > 0
-            || report.Service.misplaced_keys > 0
-            || race_errs > 0
-          then 1
-          else 0
+    if sweep then begin
+      let s = Service.crash_sweep ?jobs ~points:sweep_points params in
+      let wall = Unix.gettimeofday () -. wall0 in
+      Fmt.pr "%a@." Service.pp_sweep s;
+      Fmt.pr "wall-clock: %.2f s@." wall;
+      emit_json json (Service.sweep_to_json s);
+      if Service.sweep_violations s <> [] then 1 else 0
+    end
+    else begin
+      let report = Service.run ?jobs params in
+      let wall = Unix.gettimeofday () -. wall0 in
+      Fmt.pr "%a@." Service.pp_report report;
+      Fmt.pr "wall-clock: %.2f s (%.0f kreq/s actual)@." wall
+        (if wall > 0.0 then float_of_int report.Service.served /. wall /. 1e3
+         else 0.0);
+      emit_json json (Service.to_json report);
+      let race_errs, _ = Service.race_errors report in
+      if
+        report.Service.lost_acked > 0
+        || report.Service.misplaced_keys > 0
+        || race_errs > 0
+      then 1
+      else 0
+    end
   in
   Cmd.v
     (Cmd.info "shard"
@@ -915,6 +900,7 @@ let storm_cmd =
   let run servers state_gib outage nodes stagger slots horizon failures spares
       json seed metrics trace =
     with_obs metrics trace @@ fun () ->
+    refusing "storm" @@ fun () ->
     let open Wsp_cluster.Recovery_storm in
     let params =
       {
@@ -924,7 +910,8 @@ let storm_cmd =
         outage = Time.s outage;
       }
     in
-    if nodes > 0 then begin
+    (* A negative node count goes to the fleet model, which refuses it. *)
+    if nodes <> 0 then begin
       let fleet =
         {
           node = params;

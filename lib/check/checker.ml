@@ -679,6 +679,10 @@ let chunk_points sz pts =
 let check ?jobs ?(points = 1000) ?(txns = 32) ?(ops_per_txn = 3)
     ?(keyspace = 40) ?(setup_entries = 16) ?(fault = No_fault) ?(shrink = true)
     ?(engine = Incremental) ?(snapshot_stride = 256) ~kind ~config ~seed () =
+  if points <= 0 then invalid_arg "Checker.check: points must be positive";
+  if txns < 0 then invalid_arg "Checker.check: negative txns";
+  if snapshot_stride < 0 then
+    invalid_arg "Checker.check: negative snapshot_stride";
   let rng = Rng.create ~seed in
   let script = gen_script ~rng ~txns ~ops_per_txn ~keyspace ~setup_entries in
   let tr, judge =

@@ -177,7 +177,8 @@ val check :
     trace. [snapshot_stride] (default 256) is the incremental engine's
     waypoint interval in crash points — also its parallel chunk size; [0]
     disables waypoints (every chunk replays from the base image, the
-    stride=∞ behaviour). *)
+    stride=∞ behaviour). Raises [Invalid_argument] on a non-positive
+    [points], a negative [txns] or a negative [snapshot_stride]. *)
 
 val reports_to_json : report list -> string
 (** Stable machine-readable rendering of a batch of reports. Two runs

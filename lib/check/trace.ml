@@ -82,9 +82,6 @@ let mem_pos stream k =
    with Exit -> ());
   !pos
 
-let mem_event stream k =
-  Option.map (fun i -> stream.(i)) (mem_pos stream k)
-
 let describe_mem stream k =
   match mem_pos stream k with
   | None -> Fmt.str "mem event %d (beyond trace)" k

@@ -68,9 +68,6 @@ type recording = {
 val snapshot : t -> Pheap.t -> recording
 (** The recording so far, with geometry read off the given heap. *)
 
-val mem_event : event array -> int -> event option
-(** The [k]-th memory event of a stream. *)
-
 val describe_mem : event array -> int -> string
 (** The [k]-th memory event with its nearest preceding log/transaction
     annotation — the human-readable name of crash point [k]. *)

@@ -41,7 +41,17 @@ let full_bytes p =
 let backend_transfer p bytes =
   Time.s (bytes /. Units.Bandwidth.to_bytes_per_s p.backend_bandwidth)
 
+(* Shared by [run] and [storm]: a negative state size or outage would
+   publish negative bytes and times. *)
+let check_node fn p =
+  if Units.Size.to_bytes p.state_per_server < 0 then
+    invalid_arg (fn ^ ": negative state_per_server");
+  if Time.to_s p.outage < 0.0 then invalid_arg (fn ^ ": negative outage")
+
 let run p =
+  if p.servers <= 0 then
+    invalid_arg "Recovery_storm.run: servers must be positive";
+  check_node "Recovery_storm.run" p;
   let reg = Wsp_obs.Metrics.ambient () in
   Wsp_obs.Metrics.Counter.incr (Wsp_obs.Metrics.counter reg "cluster.storm.runs");
   let backend_bytes_full = full_bytes p in
@@ -146,6 +156,7 @@ type fleet_result = {
 let storm f =
   let p = f.node in
   if f.nodes <= 0 then invalid_arg "Recovery_storm.storm: no nodes";
+  check_node "Recovery_storm.storm" p;
   if f.restore_concurrency <= 0 then
     invalid_arg "Recovery_storm.storm: restore_concurrency must be positive";
   if Time.to_s f.horizon <= 0.0 then

@@ -43,6 +43,8 @@ type result = {
 }
 
 val run : params -> result
+(** Raises [Invalid_argument] on a non-positive server count or a
+    negative state size or outage. *)
 
 val recovery_timeline :
   params -> fraction:float -> [ `Full | `Wsp ] -> Time.t
@@ -120,7 +122,8 @@ type fleet_result = {
 
 val storm : fleet_params -> fleet_result
 (** Deterministic for a given [seed]. Raises [Invalid_argument] on a
-    non-positive node count, concurrency or horizon, a [failures]
+    non-positive node count, concurrency or horizon, a negative
+    per-node state size or outage, a [failures]
     count outside [\[0, nodes\]], or a stagger window that is negative
     or wider than the horizon (failures landing after the horizon
     would silently skew availability toward 1.0). *)

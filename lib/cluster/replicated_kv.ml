@@ -32,7 +32,6 @@ module Node = struct
   let get t key = Hashtbl.find_opt t.store key
   let key_count t = Hashtbl.length t.store
   let state_bytes t = Hashtbl.length t.store * (8 + t.value_bytes)
-  let log_length t = Queue.length t.log
 
   let apply t (u : update) =
     assert (u.seq = t.last_seq + 1);

@@ -32,8 +32,6 @@ module Node : sig
   val state_bytes : t -> int
   (** Approximate serialised size of the full store. *)
 
-  val log_length : t -> int
-
   val updates_since : t -> int -> update list option
   (** Updates with sequence beyond the given one, oldest first; [None]
       when the log no longer retains that far back. *)

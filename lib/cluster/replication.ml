@@ -72,10 +72,3 @@ let optimal_delay p ~exposure_cost_per_s ~byte_cost =
     if c < snd !best then best := (d, c)
   done;
   !best
-
-let pp_assessment ppf a =
-  Fmt.pf ppf
-    "delay=%a: E[backend]=%.2f GiB, E[exposure]=%a, rebuild p=%.2f" Time.pp
-    a.delay
-    (a.expected_backend_bytes /. (1024.0 ** 3.0))
-    Time.pp a.expected_exposure a.rebuild_probability

@@ -35,5 +35,3 @@ val optimal_delay :
 (** Grid-searches the re-instantiation delay minimising
     [byte_cost * E(bytes) + exposure_cost_per_s * E(exposure)]; returns
     the delay and its cost. *)
-
-val pp_assessment : Format.formatter -> assessment -> unit

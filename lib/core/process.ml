@@ -4,13 +4,6 @@ open Wsp_nvheap
 
 type handle_kind = File | Socket | Timer | Shared_memory | Device_handle
 
-let handle_kind_name = function
-  | File -> "file"
-  | Socket -> "socket"
-  | Timer -> "timer"
-  | Shared_memory -> "shared-memory"
-  | Device_handle -> "device"
-
 let handle_kind_code = function
   | File -> 1L
   | Socket -> 2L
@@ -61,7 +54,6 @@ let create ?(encapsulation = Library_os) ~heap ~threads ~rng () =
   { heap; encapsulation; threads; handles = []; next_handle = 1; image = 0 }
 
 let encapsulation t = t.encapsulation
-let thread_count t = Array.length t.threads
 let handle_count t = List.length t.handles
 
 let open_handle t kind =

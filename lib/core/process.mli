@@ -20,8 +20,6 @@ open Wsp_nvheap
 
 type handle_kind = File | Socket | Timer | Shared_memory | Device_handle
 
-val handle_kind_name : handle_kind -> string
-
 type encapsulation =
   | Direct_kernel  (** Handles point into the dead kernel's structures. *)
   | Library_os  (** Drawbridge: OS personality inside the process image. *)
@@ -43,7 +41,6 @@ val create :
     persistent heap. Default encapsulation: [Library_os]. *)
 
 val encapsulation : t -> encapsulation
-val thread_count : t -> int
 val handle_count : t -> int
 
 val open_handle : t -> handle_kind -> int

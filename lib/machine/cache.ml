@@ -57,12 +57,6 @@ let config t = t.cfg
 let line_count t = Array.length t.tags
 let sentinel t = Array.length t.tags
 
-let line_of_addr t addr =
-  (* Addresses are non-negative byte addresses; asserting here lets
-     [set_of_line] skip the mod-normalisation dance on the hot path. *)
-  assert (addr >= 0);
-  addr / t.cfg.line_size
-
 let set_of_line t line = line mod t.n_sets
 
 (* Appending at the tail keeps [dirty_lines] in dirtying order, which is

@@ -34,8 +34,6 @@ val config : t -> config
 val line_count : t -> int
 (** Total capacity in lines. *)
 
-val line_of_addr : t -> int -> int
-
 type victim = { line : int; dirty : bool }
 
 val probe : t -> line:int -> bool

@@ -25,8 +25,6 @@ type t = {
   power_idle : Units.Power.t;
 }
 
-let hw_thread_count t = t.sockets * t.cores_per_socket * t.threads_per_core
-
 let llc_total t =
   match t.l3_per_socket with
   | Some l3 -> t.sockets * l3

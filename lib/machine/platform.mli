@@ -33,8 +33,6 @@ type t = {
   power_idle : Units.Power.t;
 }
 
-val hw_thread_count : t -> int
-
 val llc_total : t -> Units.Size.t
 (** Total last-level cache across sockets — the largest amount of distinct
     data the hierarchy can hold (caches are modelled inclusive). *)

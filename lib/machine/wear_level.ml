@@ -6,7 +6,6 @@ type t = {
   rmap : int array;  (* physical slot -> logical line; -1 = the gap *)
   wear : int array;  (* per-physical-slot write count *)
   mutable gap : int;  (* physical index of the empty slot *)
-  mutable writes : int;
   mutable since_move : int;
   mutable gap_moves : int;
 }
@@ -23,7 +22,6 @@ let create ?(gap_interval = 100) ~lines () =
     rmap = Array.init slots (fun i -> if i < lines then i else -1);
     wear = Array.make slots 0;
     gap = lines;
-    writes = 0;
     since_move = 0;
     gap_moves = 0;
   }
@@ -53,14 +51,12 @@ let move_gap t =
 let record_write t line =
   let slot = translate t line in
   t.wear.(slot) <- t.wear.(slot) + 1;
-  t.writes <- t.writes + 1;
   t.since_move <- t.since_move + 1;
   if t.since_move >= t.gap_interval then begin
     t.since_move <- 0;
     move_gap t
   end
 
-let total_writes t = t.writes
 let gap_moves t = t.gap_moves
 let wear t = Array.copy t.wear
 let max_wear t = Array.fold_left max 0 t.wear

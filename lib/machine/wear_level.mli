@@ -30,7 +30,6 @@ val record_write : t -> int -> unit
     schedule. Gap-movement copy writes are charged to the slots they
     touch. *)
 
-val total_writes : t -> int
 val gap_moves : t -> int
 
 val wear : t -> int array

@@ -165,9 +165,6 @@ let fold_blocks t f acc =
 let allocated_bytes t =
   fold_blocks t (fun acc ~addr:_ ~size ~used -> if used then acc + size else acc) 0
 
-let free_bytes t =
-  fold_blocks t (fun acc ~addr:_ ~size ~used -> if used then acc else acc + size) 0
-
 let check_invariants t =
   let rec go addr =
     if addr = t.limit then Ok ()

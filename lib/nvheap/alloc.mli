@@ -59,7 +59,6 @@ val recover : t -> unit
     post-crash path. *)
 
 val allocated_bytes : t -> int
-val free_bytes : t -> int
 
 val check_invariants : t -> (unit, string) result
 (** Walks the region verifying header chaining; used by tests. *)

@@ -25,11 +25,6 @@ let all_backends = all @ [ msync ]
    whole 4 KiB OS page in the simulator's cost model. *)
 let msync_page = 256
 
-let backend_name = function
-  | Store -> "store"
-  | Commit_seal -> "commit-seal"
-  | Msync -> "msync"
-
 let flush_on_commit t = t.backend = Commit_seal
 
 let normalize s =

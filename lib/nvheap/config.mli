@@ -57,8 +57,6 @@ val all_backends : t list
 val msync_page : int
 (** Aligned page size (bytes) of msync dirty tracking and journalling. *)
 
-val backend_name : backend -> string
-
 val flush_on_commit : t -> bool
 (** [backend = Commit_seal]. *)
 

@@ -56,10 +56,6 @@ let region_len t = t.region_len
 let log_bytes t = t.log_bytes
 let size_bytes t = header_bytes + Bytes.length t.payload
 
-let root_offset t =
-  if Int64.equal t.root_word 0L then None
-  else Some (Int64.to_int (Int64.shift_right_logical t.root_word 1))
-
 (* The root slot lives at this offset inside the region (Pheap layout). *)
 let root_slot_offset = 8
 

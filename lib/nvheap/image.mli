@@ -30,9 +30,6 @@ val src_base : t -> int
 val region_len : t -> int
 val log_bytes : t -> int
 
-val root_offset : t -> int option
-(** The published root as an offset from the region base. *)
-
 val size_bytes : t -> int
 (** Serialized size: header plus payload. *)
 

@@ -291,17 +291,6 @@ let write_u64 t ~addr v =
     | None -> ()
   end
 
-let read_u8 t ~addr =
-  check_range t addr 1;
-  charge_access t ~addr ~len:1 ~write:false;
-  match Lines.find_opt t.dirty (addr / t.line_size) with
-  | Some data -> Char.code (Bytes.get data (addr mod t.line_size))
-  | None -> Char.code (Bytes.get t.backing addr)
-
-let write_u8 t ~addr v =
-  check_range t addr 1;
-  write_range t ~addr (Bytes.make 1 (Char.chr (v land 0xff))) ~src_off:0 ~len:1
-
 let read_bytes t ~addr ~len =
   check_range t addr len;
   let b = Bytes.create len in

@@ -49,8 +49,6 @@ val charge : t -> Time.t -> unit
 
 val read_u64 : t -> addr:int -> int64
 val write_u64 : t -> addr:int -> int64 -> unit
-val read_u8 : t -> addr:int -> int
-val write_u8 : t -> addr:int -> int -> unit
 val read_bytes : t -> addr:int -> len:int -> Bytes.t
 val write_bytes : t -> addr:int -> Bytes.t -> unit
 

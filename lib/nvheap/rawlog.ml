@@ -49,7 +49,6 @@ let create nvram ~base ~len =
   t
 
 let base t = t.base
-let capacity_words t = t.words
 let used_words t = t.head - 1
 let generation t = t.gen
 

@@ -33,7 +33,6 @@ val attach : Nvram.t -> base:int -> len:int -> t
     to find the head. *)
 
 val base : t -> int
-val capacity_words : t -> int
 val used_words : t -> int
 val generation : t -> int
 

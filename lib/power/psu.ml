@@ -125,8 +125,6 @@ let restore_input t =
   t.fail_at <- None;
   t.window <- Time.zero
 
-let input_failed t = Option.is_some t.fail_at
-
 let pwr_ok t ~at =
   match t.fail_at with None -> true | Some t0 -> Time.(at < t0)
 

@@ -65,7 +65,6 @@ val restore_input : t -> unit
     regulate again, so another failure can be injected. Registered
     callbacks stay armed. *)
 
-val input_failed : t -> bool
 val pwr_ok : t -> at:Time.t -> bool
 
 val rail_voltage : t -> rail -> at:Time.t -> Units.Voltage.t

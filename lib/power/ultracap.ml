@@ -14,8 +14,6 @@ let create ?(v_min = 6.0) ~capacitance ~v_charge () =
   if v_charge <= v_min then invalid_arg "Ultracap.create: v_charge <= v_min";
   { capacitance; v_charge; v_min; voltage = v_charge; cycles = 0 }
 
-let capacitance_nominal t = t.capacitance
-
 (* Figure 1: after 100,000 cycles at elevated temperature and voltage the
    worst case loses ~10 % of capacitance and the best case ~2 %; the
    datasheet line sits between. A sub-linear exponent matches the

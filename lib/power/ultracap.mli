@@ -22,8 +22,6 @@ val create :
 (** [v_min] defaults to 6 V: the NVDIMM's internal regulator needs 3.3 V
     and its input stage stays usable down to 6 V (paper, footnote 1). *)
 
-val capacitance_nominal : t -> Units.Capacitance.t
-
 val capacitance_effective : t -> band:degradation_band -> Units.Capacitance.t
 (** Nominal capacitance derated by cycle wear in the given band. *)
 

@@ -80,10 +80,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 module Zipf = struct
   (* The standard YCSB zipfian generator (Gray et al., "Quickly
      generating billion-record synthetic databases"). *)

@@ -42,9 +42,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)
-
 module Zipf : sig
   (** A Zipfian rank generator (the YCSB formulation): rank [r] is drawn
       with probability proportional to [1/(r+1)^theta]. Used for

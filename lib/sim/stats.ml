@@ -65,10 +65,6 @@ let percentile xs p =
     let frac = rank -. float_of_int lo in
     arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" s.count s.mean s.stddev
-    s.min s.max
-
 module Histogram = struct
   type h = { lo : float; hi : float; counts : int array; mutable total : int }
 
@@ -87,11 +83,6 @@ module Histogram = struct
     h.total <- h.total + 1
 
   let counts h = Array.copy h.counts
-
-  let bucket_bounds h i =
-    let buckets = float_of_int (Array.length h.counts) in
-    let width = (h.hi -. h.lo) /. buckets in
-    (h.lo +. (float_of_int i *. width), h.lo +. (float_of_int (i + 1) *. width))
 
   let total h = h.total
 end

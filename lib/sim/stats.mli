@@ -34,8 +34,6 @@ val percentile : float list -> float -> float
     the list is empty, when [p] is NaN or outside [0, 100], or when a
     sample is NaN. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 module Histogram : sig
   type h
 
@@ -45,6 +43,5 @@ module Histogram : sig
   val counts : h -> int array
   (** Per-bucket counts; out-of-range samples land in the edge buckets. *)
 
-  val bucket_bounds : h -> int -> float * float
   val total : h -> int
 end

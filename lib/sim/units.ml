@@ -24,7 +24,6 @@ module Voltage = struct
   type t = float
 
   let volts v = v
-  let to_volts v = v
   let pp ppf v = Fmt.pf ppf "%.2fV" v
 end
 
@@ -32,7 +31,6 @@ module Capacitance = struct
   type t = float
 
   let farads f = f
-  let to_farads f = f
   let stored_energy c v = 0.5 *. c *. v *. v
 
   let voltage_after_discharge c ~v0 ~drawn =
@@ -64,7 +62,6 @@ end
 module Bandwidth = struct
   type t = float
 
-  let bytes_per_s b = b
   let mib_per_s m = m *. 1024.0 *. 1024.0
   let gib_per_s g = g *. 1024.0 *. 1024.0 *. 1024.0
   let to_bytes_per_s b = b

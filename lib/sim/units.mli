@@ -35,7 +35,6 @@ module Voltage : sig
   (** Volts. *)
 
   val volts : float -> t
-  val to_volts : t -> float
   val pp : Format.formatter -> t -> unit
 end
 
@@ -44,7 +43,6 @@ module Capacitance : sig
   (** Farads. *)
 
   val farads : float -> t
-  val to_farads : t -> float
 
   val stored_energy : t -> Voltage.t -> Energy.t
   (** [stored_energy c v] is ½·c·v². *)
@@ -74,7 +72,6 @@ module Bandwidth : sig
   type t = float
   (** Bytes per second. *)
 
-  val bytes_per_s : float -> t
   val mib_per_s : float -> t
   val gib_per_s : float -> t
   val to_bytes_per_s : t -> float

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Cross-domain persistency race gate, run by `make race-lint` and CI.
 #
-# Six contracts:
+# Five contracts:
 #   1. The clean Delay-Free structures (dqueue, dcounter, handoff) pass
 #      the concurrent lint with no R6-R9 diagnostics under FoC-UL and
 #      FoF alike.
@@ -20,9 +20,9 @@
 #   5. The tombstone-first migration sabotage is convicted twice over:
 #      statically by R8 (--broken-handoff --race-lint exits 1) and
 #      dynamically by the mid-migration crash sweep (--sweep exits 1).
-#   6. Lint flags that the chosen registry would ignore are refused with
-#      a message on stderr and exit 2: --broken, --psu, --platform and
-#      --busy under --concurrent, and --buses without it.
+#
+# Lint flags that the chosen registry would ignore are refused in
+# scripts/refusals.sh.
 set -eu
 
 SIM="${SIM:-_build/default/bin/wsp_sim.exe}"
@@ -52,19 +52,6 @@ EXPECT="--expect R3 --expect R6 --expect R7 --expect R8 --expect R9"
 cmp race-j1.json race-j4.json
 "$SIM" lint --concurrent --workload dqueue-racy --buses 5 \
   --expect R3 --expect R7 --expect R9 > /dev/null
-
-echo "== race lint: flags the registry would ignore are refused =="
-refuses() {
-  rc=0
-  err=$("$SIM" lint "$@" 2>&1 > /dev/null) || rc=$?
-  if [ "$rc" -ne 2 ] || [ -z "$err" ]; then
-    echo "lint $* exited $rc without a usage error"; exit 1; fi
-}
-refuses --concurrent --broken fences
-refuses --concurrent --psu 400
-refuses --concurrent --platform x5650
-refuses --concurrent --busy
-refuses --buses 3
 
 SHARD_ARGS="--shards 3 --clients 32 --queue-cap 32 --requests 2000 \
   --keyspace 800 --grow-at 20"

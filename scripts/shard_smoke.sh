@@ -1,7 +1,7 @@
 #!/bin/sh
 # Sharded-service + fleet-storm smoke, run by `make shard-smoke` and CI.
 #
-# Six contracts:
+# Five contracts:
 #   1. The shard report JSON is byte-identical between --jobs 1 and
 #      --jobs 4: the report carries simulated quantities only, and each
 #      worker domain owns its shard exclusively, so parallel serving
@@ -15,11 +15,9 @@
 #      nodes with contended restore slots.
 #   5. Grow, shrink and crash triggers at or past the last round fire
 #      once after it, losslessly, with job-width deterministic JSON.
-#   6. Malformed or conflicting shard flags are refused with a message
-#      on stderr and exit 2: a zero shard count, --crash-shard without
-#      --crash-at, a crash aimed at a shard a shrink already retired
-#      (detected only mid-run), and a sweep with no migration event to
-#      inject.
+#
+# Malformed or conflicting shard flags are refused in
+# scripts/refusals.sh.
 set -eu
 
 SIM="${SIM:-_build/default/bin/wsp_sim.exe}"
@@ -63,18 +61,6 @@ cmp shard-tail-j1.json shard-tail-j4.json
 grep -q '"lost_acked": 0,' shard-tail-j1.json
 grep -q '"misplaced_keys": 0,' shard-tail-j1.json
 grep -q '"change": "shrink", "at_round": 313,' shard-tail-j1.json
-
-echo "== shard: bad flags are refused =="
-refuses() {
-  rc=0
-  err=$("$SIM" shard "$@" 2>&1 > /dev/null) || rc=$?
-  if [ "$rc" -ne 2 ] || [ -z "$err" ]; then
-    echo "shard $* exited $rc without a usage error"; exit 1; fi
-}
-refuses --shards 0
-refuses --crash-shard 1
-refuses --shards 2 --shrink-at 0 --crash-at 1 --crash-shard 1
-refuses --shards 2 --clients 8 --requests 0 --grow-at 0 --sweep
 
 rm -f shard-j1.json shard-j4.json shard-crash-j1.json shard-crash-j4.json \
   shard-crash-ul.json storm-a.json storm-b.json shard-tail-j1.json \

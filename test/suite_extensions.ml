@@ -1,14 +1,12 @@
 (* Tests for the extension subsystems: block-based persistence, SCM
-   profiles, NVDIMM arrays, hibernation, process persistence, back-end
-   checkpoints, and the crash-safety sweep. *)
+   profiles, hibernation, process persistence, back-end checkpoints, and
+   the crash-safety sweep. *)
 
 open Wsp_sim
 open Wsp_machine
 open Wsp_nvheap
 open Wsp_store
 open Wsp_core
-module Nvdimm = Wsp_nvdimm.Nvdimm
-module Nvdimm_array = Wsp_nvdimm.Nvdimm_array
 
 let check_time = Alcotest.testable Time.pp Time.equal
 
@@ -159,71 +157,6 @@ let scm_tests =
     Alcotest.test_case "profile lookup" `Quick (fun () ->
         Alcotest.(check bool) "dram" true (Scm.by_name "DRAM" <> None);
         Alcotest.(check bool) "unknown" true (Scm.by_name "core memory" = None));
-  ]
-
-(* --- Nvdimm_array ---------------------------------------------------------- *)
-
-let nvdimm_array_tests =
-  [
-    Alcotest.test_case "bank save time equals one module's" `Quick (fun () ->
-        let engine = Engine.create () in
-        let bank =
-          Nvdimm_array.create ~engine ~modules:4 ~total:(Units.Size.mib 16) ()
-        in
-        let single = Nvdimm.create ~engine ~size:(Units.Size.mib 4) () in
-        Alcotest.check check_time "parallel" (Nvdimm.save_duration single)
-          (Nvdimm_array.save_duration bank));
-    Alcotest.test_case "save and restore fan out over all modules" `Quick
-      (fun () ->
-        let engine = Engine.create () in
-        let bank =
-          Nvdimm_array.create ~engine ~modules:3 ~total:(Units.Size.mib 12) ()
-        in
-        List.iteri
-          (fun i m -> Bytes.fill (Nvdimm.dram m) 0 64 (Char.chr (65 + i)))
-          (Nvdimm_array.modules bank);
-        Nvdimm_array.enter_self_refresh bank;
-        let saved = ref None in
-        Nvdimm_array.initiate_save bank ~on_complete:(fun _ r -> saved := Some r);
-        Engine.run engine;
-        Alcotest.(check bool) "saved" true (!saved = Some `Saved);
-        Alcotest.(check bool) "all images" true (Nvdimm_array.all_images_complete bank);
-        (* Corrupt DRAM, restore, verify each module's contents. *)
-        List.iter
-          (fun m -> Bytes.fill (Nvdimm.dram m) 0 64 'z')
-          (Nvdimm_array.modules bank);
-        let restored = ref None in
-        Nvdimm_array.initiate_restore bank ~on_complete:(fun _ r -> restored := Some r);
-        Engine.run engine;
-        Alcotest.(check bool) "restored" true (!restored = Some `Restored);
-        List.iteri
-          (fun i m ->
-            Alcotest.(check char) "contents" (Char.chr (65 + i))
-              (Bytes.get (Nvdimm.dram m) 10))
-          (Nvdimm_array.modules bank));
-    Alcotest.test_case "one torn module fails the whole bank save" `Quick
-      (fun () ->
-        let engine = Engine.create () in
-        let weak = Wsp_power.Ultracap.create ~capacitance:0.002 ~v_charge:8.5 () in
-        let ok = Nvdimm.create ~engine ~size:(Units.Size.mib 4) () in
-        let bad = Nvdimm.create ~engine ~ultracap:weak ~size:(Units.Size.mib 4) () in
-        (* Build a bank by hand around one weak module. *)
-        ignore ok;
-        ignore bad;
-        Nvdimm.enter_self_refresh ok;
-        Nvdimm.enter_self_refresh bad;
-        let results = ref [] in
-        Nvdimm.initiate_save ok ~on_complete:(fun _ r -> results := r :: !results);
-        Nvdimm.initiate_save bad ~on_complete:(fun _ r -> results := r :: !results);
-        Engine.run engine;
-        Alcotest.(check bool) "one failure observed" true
-          (List.mem `Save_failed !results));
-    Alcotest.test_case "save_duration_for matches a real module" `Quick
-      (fun () ->
-        let engine = Engine.create () in
-        let m = Nvdimm.create ~engine ~size:(Units.Size.gib 1) () in
-        Alcotest.check check_time "match" (Nvdimm.save_duration m)
-          (Nvdimm.save_duration_for ~size:(Units.Size.gib 1)));
   ]
 
 (* --- Hibernate --------------------------------------------------------------- *)
@@ -446,7 +379,6 @@ let suite =
     ("ext.blockstore", blockstore_tests);
     ("ext.block_kv", block_kv_tests);
     ("ext.scm", scm_tests);
-    ("ext.nvdimm_array", nvdimm_array_tests);
     ("ext.hibernate", hibernate_tests);
     ("ext.process", process_tests);
     ("ext.checkpoint", checkpoint_tests);

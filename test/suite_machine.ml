@@ -1,5 +1,5 @@
-(* Tests for wsp_machine: caches, the hierarchy, CPUs, interrupts,
-   platforms and the flush cost model. *)
+(* Tests for wsp_machine: caches, the hierarchy, CPUs, platforms and
+   the flush cost model. *)
 
 open Wsp_sim
 open Wsp_machine
@@ -407,37 +407,6 @@ let cpu_tests =
           (Cpu.cores cpu));
   ]
 
-(* --- Interrupts ------------------------------------------------------------ *)
-
-let interrupt_tests =
-  [
-    Alcotest.test_case "IPIs reach all other cores after the latency" `Quick
-      (fun () ->
-        let engine = Engine.create () in
-        let cpu = Cpu.create ~sockets:1 ~cores_per_socket:4 ~threads_per_core:1 in
-        let ic = Interrupt.create ~engine ~cpu ~ipi_latency:(Time.us 2.0) in
-        let hit = ref [] in
-        Interrupt.broadcast_others ic ~from:(Cpu.control cpu)
-          ~handler:(fun engine core ->
-            hit := (Cpu.Core.id core, Engine.now engine) :: !hit);
-        Engine.run engine;
-        let ids = List.sort compare (List.map fst !hit) in
-        Alcotest.(check (list int)) "cores 1-3" [ 1; 2; 3 ] ids;
-        List.iter
-          (fun (_, at) -> Alcotest.check check_time "latency" (Time.us 2.0) at)
-          !hit);
-    Alcotest.test_case "halted cores drop interrupts" `Quick (fun () ->
-        let engine = Engine.create () in
-        let cpu = Cpu.create ~sockets:1 ~cores_per_socket:2 ~threads_per_core:1 in
-        let ic = Interrupt.create ~engine ~cpu ~ipi_latency:(Time.us 1.0) in
-        Cpu.Core.halt (Cpu.cores cpu).(1);
-        let hit = ref 0 in
-        Interrupt.broadcast_others ic ~from:(Cpu.control cpu)
-          ~handler:(fun _ _ -> incr hit);
-        Engine.run engine;
-        Alcotest.(check int) "dropped" 0 !hit);
-  ]
-
 (* --- Platform & Flush -------------------------------------------------------- *)
 
 let platform_tests =
@@ -712,7 +681,6 @@ let suite =
     ( "machine.hierarchy",
       hierarchy_tests @ hierarchy_props @ hierarchy_snapshot_tests );
     ("machine.cpu", cpu_tests);
-    ("machine.interrupt", interrupt_tests);
     ("machine.platform", platform_tests);
     ("machine.flush", flush_tests);
   ]

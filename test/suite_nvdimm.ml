@@ -151,6 +151,13 @@ let nvdimm_tests =
             if Time.(at <= Nvdimm.save_duration nv) then
               Alcotest.(check bool) "above 6V during save" true (v >= 6.0))
           samples);
+    Alcotest.test_case "save_duration_for matches a real module" `Quick
+      (fun () ->
+        let engine = Engine.create () in
+        let m = Nvdimm.create ~engine ~size:(Units.Size.gib 1) () in
+        Alcotest.(check bool) "match" true
+          (Time.equal (Nvdimm.save_duration m)
+             (Nvdimm.save_duration_for ~size:(Units.Size.gib 1))));
   ]
 
 let suite = [ ("nvdimm.flash", flash_tests); ("nvdimm.module", nvdimm_tests) ]
