@@ -12,8 +12,8 @@ type config = {
   wbinvd_line_walk : Time.t;
 }
 
-(* Metric handles resolved once at [create] from the domain's ambient
-   registry, so the access path only mutates counter records. *)
+(* Metric handles resolved once at [create], so the access path only
+   mutates counter records. *)
 type metrics = {
   m_hits : Wsp_obs.Metrics.Counter.t;
   m_misses : Wsp_obs.Metrics.Counter.t;
@@ -30,16 +30,6 @@ type metrics = {
   m_fences : Wsp_obs.Metrics.Counter.t;
 }
 
-(* Machine-level persistency ops, beneath the memory-event stream the
-   NVRAM publishes: the one fact only the hierarchy knows is *when a
-   dirty line leaves it* — explicitly (flush instructions) or silently
-   (capacity eviction). The static persistency analyzer needs the
-   silent write-backs to track the true dirty footprint. *)
-type op =
-  | Op_store of { line : int }
-  | Op_writeback of { line : int; explicit : bool }
-  | Op_fence
-
 type t = {
   cfg : config;
   levels : Cache.t array;  (* levels.(0) is L1; last is the LLC. *)
@@ -55,21 +45,16 @@ type t = {
   on_writeback : line:int -> explicit:bool -> unit;
       (* Backing-store data path, fixed at creation: where dirty bytes
          go when a line leaves the hierarchy. *)
-  ops : op Wsp_events.Bus.t;
-      (* Persistency-op stream for machine-level observers; with no
-         subscriber the access path pays only the bus's empty-array
-         branch per op. *)
   m : metrics;
 }
-
-let emit t op = Wsp_events.Bus.publish t.ops op
 
 let config_line_size (cfg : config) =
   match cfg.levels with
   | [] -> invalid_arg "Hierarchy.create: no levels"
   | first :: _ -> first.Cache.line_size
 
-let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) (cfg : config) =
+let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) ?metrics
+    (cfg : config) =
   (match cfg.levels with
   | [] -> invalid_arg "Hierarchy.create: no levels"
   | first :: rest ->
@@ -88,7 +73,9 @@ let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) (cfg : config) =
       cum_hit_latency.(i) <- !acc)
     levels;
   let miss_latency = Time.add !acc cfg.memory_latency in
-  let reg = Wsp_obs.Metrics.ambient () in
+  let reg =
+    match metrics with Some reg -> reg | None -> Wsp_obs.Metrics.ambient ()
+  in
   let c = Wsp_obs.Metrics.counter reg in
   {
     cfg;
@@ -98,7 +85,6 @@ let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) (cfg : config) =
     line_size;
     seen = Hashtbl.create 256;
     on_writeback;
-    ops = Wsp_events.Bus.create ();
     m =
       {
         m_hits = c "machine.cache.hits";
@@ -119,7 +105,6 @@ let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) (cfg : config) =
 
 let config t = t.cfg
 let line_size t = t.line_size
-let ops t = t.ops
 let llc t = t.levels.(Array.length t.levels - 1)
 
 let line_of t addr =
@@ -143,7 +128,6 @@ let evict_from t i (victim : Cache.victim) =
   if i = Array.length t.levels - 1 then begin
     if !dirty then begin
       C.add t.m.m_writeback_bytes t.line_size;
-      emit t (Op_writeback { line = victim.line; explicit = false });
       t.on_writeback ~line:victim.line ~explicit:false
     end
   end
@@ -185,10 +169,7 @@ let access t ~addr ~write =
       Array.unsafe_get t.cum_hit_latency k
     end
   in
-  if write then begin
-    Cache.set_dirty t.levels.(0) ~line;
-    emit t (Op_store { line })
-  end;
+  if write then Cache.set_dirty t.levels.(0) ~line;
   latency
 
 let load t ~addr = access t ~addr ~write:false
@@ -214,14 +195,12 @@ let store_nt t ~addr =
      bytes are not lost when the caller writes directly to backing. *)
   if invalidate_line t line then begin
     C.add t.m.m_nt_flush_bytes t.line_size;
-    emit t (Op_writeback { line; explicit = true });
     t.on_writeback ~line ~explicit:true
   end;
   t.cfg.nt_store_latency
 
 let fence t =
   C.incr t.m.m_fences;
-  emit t Op_fence;
   t.cfg.fence_latency
 
 let clflush t ~addr =
@@ -230,7 +209,6 @@ let clflush t ~addr =
   let dirty = invalidate_line t line in
   if dirty then begin
     C.add t.m.m_clflush_bytes t.line_size;
-    emit t (Op_writeback { line; explicit = true });
     t.on_writeback ~line ~explicit:true
   end;
   let latency = t.cfg.clflush_issue in
@@ -251,7 +229,6 @@ let flush_lines t ~addr ~len =
     for line = first to last do
       if invalidate_line t line then begin
         incr dirty;
-        emit t (Op_writeback { line; explicit = true });
         t.on_writeback ~line ~explicit:true
       end
     done;
@@ -325,7 +302,6 @@ let flush_all t =
   let dirty = ref 0 in
   iter_dirty t (fun line ->
       incr dirty;
-      emit t (Op_writeback { line; explicit = true });
       t.on_writeback ~line ~explicit:true);
   C.add t.m.m_wbinvd_bytes (!dirty * t.line_size);
   Array.iter Cache.clear t.levels;

@@ -33,27 +33,19 @@ type config = {
           of dirty lines, cf. Figure 8). *)
 }
 
-type op =
-  | Op_store of { line : int }  (** A cached store dirtied [line]. *)
-  | Op_writeback of { line : int; explicit : bool }
-      (** A dirty [line] left the hierarchy. [explicit] for flush
-          instructions and NT-store displacement; [false] for silent
-          capacity evictions — the distinction the static persistency
-          analyzer needs, since only explicit write-backs are ordering
-          points a program may rely on. *)
-  | Op_fence  (** An [mfence] was executed (whether or not it drains). *)
-(** The machine-level persistency-op stream, beneath the {!Wsp_nvheap}
-    event bus: the hierarchy is the only component that knows when
-    dirty lines silently leave the caches. *)
-
 type t
 
-val create : ?on_writeback:(line:int -> explicit:bool -> unit) -> config -> t
+val create :
+  ?on_writeback:(line:int -> explicit:bool -> unit) ->
+  ?metrics:Wsp_obs.Metrics.t ->
+  config ->
+  t
 (** [on_writeback] is the backing store's data path — where dirty bytes
     go when a line leaves the hierarchy ([explicit] distinguishes flush
     instructions and NT displacement from silent capacity evictions).
-    Fixed at creation: it is wiring, not an observation hook —
-    observers subscribe to {!ops} instead. *)
+    Fixed at creation: it is wiring, not an observation hook. The
+    [machine.*] counters live in [metrics] (default: the creating
+    domain's ambient registry). *)
 
 val config : t -> config
 val line_size : t -> int
@@ -61,11 +53,6 @@ val line_size : t -> int
 val config_line_size : config -> int
 (** The shared line size of a (non-empty) level list, without building
     the hierarchy — lets a caller size line buffers before {!create}. *)
-
-val ops : t -> op Wsp_events.Bus.t
-(** The persistency-op bus. Both silent capacity evictions and explicit
-    flushes publish [Op_writeback] here — one path, any number of
-    subscribers; an unobserved hierarchy pays one branch per op. *)
 
 val load : t -> addr:int -> Time.t
 (** Reads one word; returns the charged latency. *)

@@ -4,8 +4,10 @@ let flag = Atomic.make false
 let set_enabled b = Atomic.set flag b
 let enabled () = Atomic.get flag
 
-let attach bus =
-  let reg = Wsp_obs.Metrics.ambient () in
+let attach ?metrics bus =
+  let reg =
+    match metrics with Some reg -> reg | None -> Wsp_obs.Metrics.ambient ()
+  in
   let c = Wsp_obs.Metrics.counter reg in
   let m_fences = c "nvheap.fences" in
   let m_appends = c "nvheap.log.appends" in

@@ -2,10 +2,10 @@
     instead of being hand-threaded through each emitter's call sites.
 
     When enabled, every {!Nvram.create} attaches one counting subscriber
-    to the new NVRAM's bus, resolving counter handles from the creating
-    domain's ambient registry — so per-domain counts merge commutatively
-    and [--jobs N] metrics exports stay byte-identical, exactly as the
-    inline counters did. When disabled (the default), nothing is
+    to the new NVRAM's bus, resolving counter handles from the NVRAM's
+    registry ({!Nvram.metrics}) — so per-registry counts merge
+    commutatively and [--jobs N] metrics exports stay byte-identical,
+    exactly as the inline counters did. When disabled (the default), nothing is
     attached and an unobserved NVRAM pays only the bus's zero-subscriber
     branch per event.
 
@@ -24,7 +24,10 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val attach : Event.t Wsp_events.Bus.t -> Wsp_events.Bus.subscription
+val attach :
+  ?metrics:Wsp_obs.Metrics.t ->
+  Event.t Wsp_events.Bus.t ->
+  Wsp_events.Bus.subscription
 (** Attaches the counting subscriber to one bus explicitly, regardless
-    of {!enabled}; counters resolve from the calling domain's ambient
-    registry. *)
+    of {!enabled}; counters resolve from [metrics] (default: the calling
+    domain's ambient registry). *)

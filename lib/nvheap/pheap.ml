@@ -67,6 +67,7 @@ let free t addr =
     addr
 
 let read_u64 t ~addr = Txn.read_u64 t.txn ~addr
+let read_int t ~addr = Txn.read_int t.txn ~addr
 let write_u64 t ~addr v = Txn.write_u64 t.txn ~addr v
 let begin_tx t = Txn.begin_tx t.txn
 let commit t = Txn.commit t.txn

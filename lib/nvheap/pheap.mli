@@ -88,6 +88,11 @@ val free : t -> int -> unit
 (** {1 Data access} — dispatched through the transaction manager. *)
 
 val read_u64 : t -> addr:int -> int64
+
+val read_int : t -> addr:int -> int
+(** [Int64.to_int (read_u64 t ~addr)]; unboxed where the configuration
+    reads NVRAM directly. *)
+
 val write_u64 : t -> addr:int -> int64 -> unit
 
 (** {1 Transactions} *)

@@ -40,6 +40,11 @@ val append : t -> mode:mode -> kind:int -> int64 array -> unit
 (** Appends one record. [kind] must fit in 8 bits. Raises {!Log_full}
     when the region cannot hold the record. *)
 
+val append_addr : t -> mode:mode -> kind:int -> int -> int64 -> unit
+(** [append_addr t ~mode ~kind addr v] is
+    [append t ~mode ~kind [| Int64.of_int addr; v |]] — the shape of
+    every undo and redo record — without building the array. *)
+
 val truncate : t -> mode:mode -> unit
 (** Empties the log by bumping the generation. *)
 

@@ -98,6 +98,11 @@ val with_tx : t -> (unit -> 'a) -> 'a
     re-raises on exception. *)
 
 val read_u64 : t -> addr:int -> int64
+
+val read_int : t -> addr:int -> int
+(** [Int64.to_int (read_u64 t ~addr)], unboxed outside a buffering
+    transaction. *)
+
 val write_u64 : t -> addr:int -> int64 -> unit
 
 val buffers_writes : t -> bool

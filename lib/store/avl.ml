@@ -51,8 +51,9 @@ let attach heap =
 
 let heap t = t.heap
 let read t addr off = Pheap.read_u64 t.heap ~addr:(addr + off)
+let read_int t addr off = Pheap.read_int t.heap ~addr:(addr + off)
 let write t addr off v = Pheap.write_u64 t.heap ~addr:(addr + off) v
-let get_root t = Int64.to_int (Pheap.read_u64 t.heap ~addr:t.root_cell)
+let get_root t = Pheap.read_int t.heap ~addr:t.root_cell
 let set_root t node = Pheap.write_u64 t.heap ~addr:t.root_cell (Int64.of_int node)
 
 (* Pointer swizzling after image relocation. The published root is
@@ -91,8 +92,8 @@ let attach_relocated heap ~delta =
         then
           Fmt.invalid_arg "%s: relocated node %d is not a live node block"
             who node;
-        let left = Int64.to_int (read t node f_left) in
-        let right = Int64.to_int (read t node f_right) in
+        let left = read_int t node f_left in
+        let right = read_int t node f_right in
         write t node f_left (Int64.of_int (go left));
         write t node f_right (Int64.of_int (go right));
         node
@@ -102,20 +103,20 @@ let attach_relocated heap ~delta =
     t
   end
 
-let height_of t node = if node = 0 then 0 else Int64.to_int (read t node f_height)
+let height_of t node = if node = 0 then 0 else read_int t node f_height
 
 let update_height t node =
-  let hl = height_of t (Int64.to_int (read t node f_left)) in
-  let hr = height_of t (Int64.to_int (read t node f_right)) in
+  let hl = height_of t (read_int t node f_left) in
+  let hr = height_of t (read_int t node f_right) in
   write t node f_height (Int64.of_int (1 + max hl hr))
 
 let balance_factor t node =
-  height_of t (Int64.to_int (read t node f_left))
-  - height_of t (Int64.to_int (read t node f_right))
+  height_of t (read_int t node f_left)
+  - height_of t (read_int t node f_right)
 
 (* Right rotation around [y]: returns the new subtree root. *)
 let rotate_right t y =
-  let x = Int64.to_int (read t y f_left) in
+  let x = read_int t y f_left in
   let x_right = read t x f_right in
   write t y f_left x_right;
   write t x f_right (Int64.of_int y);
@@ -124,7 +125,7 @@ let rotate_right t y =
   x
 
 let rotate_left t x =
-  let y = Int64.to_int (read t x f_right) in
+  let y = read_int t x f_right in
   let y_left = read t y f_left in
   write t x f_right y_left;
   write t y f_left (Int64.of_int x);
@@ -136,13 +137,13 @@ let rebalance t node =
   update_height t node;
   let bf = balance_factor t node in
   if bf > 1 then begin
-    let left = Int64.to_int (read t node f_left) in
+    let left = read_int t node f_left in
     if balance_factor t left < 0 then
       write t node f_left (Int64.of_int (rotate_left t left));
     rotate_right t node
   end
   else if bf < -1 then begin
-    let right = Int64.to_int (read t node f_right) in
+    let right = read_int t node f_right in
     if balance_factor t right > 0 then
       write t node f_right (Int64.of_int (rotate_right t right));
     rotate_left t node
@@ -169,12 +170,12 @@ let insert t ~key ~value =
         node
       end
       else if c < 0 then begin
-        let left' = go (Int64.to_int (read t node f_left)) in
+        let left' = go (read_int t node f_left) in
         write t node f_left (Int64.of_int left');
         rebalance t node
       end
       else begin
-        let right' = go (Int64.to_int (read t node f_right)) in
+        let right' = go (read_int t node f_right) in
         write t node f_right (Int64.of_int right');
         rebalance t node
       end
@@ -188,8 +189,8 @@ let find t key =
       let k = read t node f_key in
       let c = Int64.compare key k in
       if c = 0 then Some (read t node f_value)
-      else if c < 0 then go (Int64.to_int (read t node f_left))
-      else go (Int64.to_int (read t node f_right))
+      else if c < 0 then go (read_int t node f_left)
+      else go (read_int t node f_right)
   in
   go (get_root t)
 
@@ -198,8 +199,8 @@ let mem t key = Option.is_some (find t key)
 (* Removes the minimum node of [node]'s subtree, returning
    (new subtree root, removed node address). *)
 let rec take_min t node =
-  let left = Int64.to_int (read t node f_left) in
-  if left = 0 then (Int64.to_int (read t node f_right), node)
+  let left = read_int t node f_left in
+  if left = 0 then (read_int t node f_right, node)
   else begin
     let left', removed = take_min t left in
     write t node f_left (Int64.of_int left');
@@ -214,19 +215,19 @@ let delete t key =
       let k = read t node f_key in
       let c = Int64.compare key k in
       if c < 0 then begin
-        let left' = go (Int64.to_int (read t node f_left)) in
+        let left' = go (read_int t node f_left) in
         write t node f_left (Int64.of_int left');
         rebalance t node
       end
       else if c > 0 then begin
-        let right' = go (Int64.to_int (read t node f_right)) in
+        let right' = go (read_int t node f_right) in
         write t node f_right (Int64.of_int right');
         rebalance t node
       end
       else begin
         removed := true;
-        let left = Int64.to_int (read t node f_left) in
-        let right = Int64.to_int (read t node f_right) in
+        let left = read_int t node f_left in
+        let right = read_int t node f_right in
         let replacement =
           if left = 0 then right
           else if right = 0 then left
@@ -249,9 +250,9 @@ let fold t f acc =
   let rec go node acc =
     if node = 0 then acc
     else
-      let acc = go (Int64.to_int (read t node f_left)) acc in
+      let acc = go (read_int t node f_left) acc in
       let acc = f acc (read t node f_key) (read t node f_value) in
-      go (Int64.to_int (read t node f_right)) acc
+      go (read_int t node f_right) acc
   in
   go (get_root t) acc
 
@@ -262,14 +263,14 @@ let to_list t = List.rev (fold t (fun acc k v -> (k, v) :: acc) [])
 let min_key t =
   let rec go node best =
     if node = 0 then best
-    else go (Int64.to_int (read t node f_left)) (Some (read t node f_key))
+    else go (read_int t node f_left) (Some (read t node f_key))
   in
   go (get_root t) None
 
 let max_key t =
   let rec go node best =
     if node = 0 then best
-    else go (Int64.to_int (read t node f_right)) (Some (read t node f_key))
+    else go (read_int t node f_right) (Some (read t node f_key))
   in
   go (get_root t) None
 
@@ -280,8 +281,8 @@ let check t =
     if node = 0 then (0, None, None)
     else begin
       let k = read t node f_key in
-      let hl, minl, maxl = go (Int64.to_int (read t node f_left)) in
-      let hr, minr, maxr = go (Int64.to_int (read t node f_right)) in
+      let hl, minl, maxl = go (read_int t node f_left) in
+      let hr, minr, maxr = go (read_int t node f_right) in
       (match maxl with
       | Some m when Int64.compare m k >= 0 ->
           raise (Bad (Fmt.str "order violation left of key %Ld" k))

@@ -1,13 +1,16 @@
 #!/bin/sh
 # Determinism + parallel-perf gate, run by `make ci-determinism` and CI.
 #
-# Three contracts:
+# Four contracts:
 #   1. Checker JSON is byte-identical at the default snapshot stride and
 #      with waypoints disabled (--stride 0). The incremental engine is
 #      compared with the full-replay reference engine in the test suite
 #      (test/suite_check.ml).
 #   2. Lint JSON is byte-identical between --jobs 1 and --jobs 4.
-#   3. The record-once lint fan-out must not regress under parallelism:
+#   3. The shard service's --metrics export is byte-identical between
+#      --jobs 1 and --jobs 2 (each shard counts into its own registry,
+#      so two worker domains never share a counter).
+#   4. The record-once lint fan-out must not regress under parallelism:
 #      j4 wall time <= 1.5x j1 (the old per-rule-re-execution fan-out
 #      was 3-4x slower at j4 on a single-core box).
 set -eu
@@ -29,6 +32,13 @@ echo "== lint: --jobs 4 JSON byte-identical to --jobs 1 =="
 "$SIM" lint --expect R3 --jobs 4 --json lint-det-j4.json > /dev/null
 cmp lint-det-j1.json lint-det-j4.json
 
+echo "== shard: --metrics --jobs 2 byte-identical to --jobs 1 =="
+KV_ARGS="--shards 2 --keyspace 2000000 --theta 0 --mix 20/75/5 --config undo \
+  --heap-mib 16"
+"$SIM" shard $KV_ARGS --jobs 1 --metrics shard-metrics-j1.json > /dev/null
+"$SIM" shard $KV_ARGS --jobs 2 --metrics shard-metrics-j2.json > /dev/null
+cmp shard-metrics-j1.json shard-metrics-j2.json
+
 echo "== lint: parallel perf guard (j4 <= 1.5x j1) =="
 # Warm-up run so neither timed run pays first-touch costs.
 "$SIM" lint --expect R3 --jobs 1 --json /dev/null > /dev/null
@@ -45,5 +55,6 @@ if [ $((j4 * 2)) -gt $((j1 * 3)) ]; then
   exit 1
 fi
 
-rm -f check-inc.json check-s0.json lint-det-j1.json lint-det-j4.json
+rm -f check-inc.json check-s0.json lint-det-j1.json lint-det-j4.json \
+  shard-metrics-j1.json shard-metrics-j2.json
 echo "ci-determinism: all gates passed"

@@ -970,9 +970,64 @@ let tap_tests =
       (tap_rebuild ~tapped:false);
   ]
 
+(* --- int-keyed tables and unboxed NT words ------------------------------- *)
+
+let itbl_tests =
+  [
+    Alcotest.test_case "Itbl hashes and iterates like the polymorphic table"
+      `Quick (fun () ->
+        (* A commit's flush order is the iteration order of its written
+           lines, so the int table must visit keys exactly as
+           [Hashtbl] would for the same operations. *)
+        let edges =
+          [ 0; 1; -1; 64; 4096; 1 lsl 31; -(1 lsl 31); 1 lsl 32; max_int; min_int ]
+        in
+        let rng = Rng.create ~seed:17 in
+        let randoms = List.init 2000 (fun _ -> Int64.to_int (Rng.bits64 rng)) in
+        List.iter
+          (fun x ->
+            Alcotest.(check int) (Printf.sprintf "hash %d" x) (Hashtbl.hash x)
+              (Itbl.hash x))
+          (edges @ randoms);
+        let poly = Hashtbl.create 64 and mono = Itbl.create 64 in
+        for i = 0 to 5000 do
+          let line = Rng.int rng 20_000 * 64 in
+          match i mod 7 with
+          | 0 ->
+              Hashtbl.remove poly line;
+              Itbl.remove mono line
+          | 1 when i mod 500 = 1 ->
+              Hashtbl.clear poly;
+              Itbl.clear mono
+          | _ ->
+              Hashtbl.replace poly line i;
+              Itbl.replace mono line i
+        done;
+        let order fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] in
+        Alcotest.(check (list (pair int int)))
+          "same iteration order" (order Hashtbl.fold poly)
+          (order Itbl.fold mono));
+    Alcotest.test_case "an int NT word persists as its int64 twin" `Quick
+      (fun () ->
+        let a = Nvram.create ~size:(Units.Size.kib 4) () in
+        let b = Nvram.create ~size:(Units.Size.kib 4) () in
+        List.iteri
+          (fun i w ->
+            Nvram.write_int_nt a ~addr:(8 * i) w;
+            Nvram.write_u64_nt b ~addr:(8 * i) (Int64.of_int w))
+          [ 0; 1; -1; 0x7fff_ffff lsl 16; -(1 lsl 47); max_int; min_int ];
+        Alcotest.(check int) "pending alike" (Nvram.pending_nt_bytes b)
+          (Nvram.pending_nt_bytes a);
+        Nvram.fence a;
+        Nvram.fence b;
+        Alcotest.(check bool) "same persistent bytes" true
+          (Bytes.equal (Nvram.persistent_image a) (Nvram.persistent_image b)));
+  ]
+
 let suite =
   [
-    ("nvheap.nvram", nvram_tests @ nvram_props @ fence_crash_props @ tap_tests);
+    ( "nvheap.nvram",
+      nvram_tests @ nvram_props @ fence_crash_props @ tap_tests @ itbl_tests );
     ("nvheap.alloc", alloc_tests @ alloc_props);
     ("nvheap.rawlog", rawlog_tests @ rawlog_props @ rawlog_torn_tests);
     ( "nvheap.txn",

@@ -512,6 +512,89 @@ let service_tests =
               (Service.to_json r)
               (Service.to_json (Service.run ~jobs:2 p)))
           cases);
+    Alcotest.test_case "metrics export is identical across job widths"
+      `Quick (fun () ->
+        (* The kv-cold-undo shape: every shard counts into a private
+           registry, so two worker domains never share a counter cell
+           and the merged export cannot depend on the width. *)
+        let p =
+          {
+            Service.default with
+            Service.shards = 2;
+            requests = 10_000;
+            keyspace = 2_000_000;
+            theta = 0.0;
+            mix = { Client.lookups = 20; inserts = 75; deletes = 5 };
+            config = Wsp_nvheap.Config.foc_ul;
+            shard_heap = Units.Size.mib 16;
+          }
+        in
+        let export jobs =
+          Wsp_obs.Metrics.reset_all ();
+          ignore (Service.run ~jobs p);
+          let m = Wsp_obs.Metrics.merged () in
+          ( Wsp_obs.Metrics.to_json m,
+            Wsp_obs.Metrics.Counter.value
+              (Wsp_obs.Metrics.counter m "machine.cache.hits") )
+        in
+        Wsp_nvheap.Event_obs.set_enabled true;
+        let (j1, hits), (j2, _) =
+          Fun.protect
+            ~finally:(fun () ->
+              Wsp_nvheap.Event_obs.set_enabled false;
+              Wsp_obs.Metrics.reset_all ())
+            (fun () ->
+              let j1 = export 1 in
+              (j1, export 2))
+        in
+        Alcotest.(check bool) "counted cache hits" true (hits > 0);
+        Alcotest.(check string) "jobs 1 == jobs 2" j1 j2);
+    Alcotest.test_case "no subscriber outlives a run on any shard bus"
+      `Quick (fun () ->
+        (* A plain run never subscribes; a migrating one attaches its
+           crash injector only for each migration window. *)
+        let check name p =
+          List.iter
+            (fun (s : Service.shard_stats) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: shard %d subscribers" name s.shard)
+                0 s.bus_subscribers)
+            (Service.run ~jobs:1 p).Service.per_shard
+        in
+        let p = small_params ~shards:3 ~seed:5 in
+        check "plain" p;
+        check "grow" { p with Service.grow_at = Some 20 };
+        check "undo shrink"
+          { p with Service.config = Wsp_nvheap.Config.foc_ul; shrink_at = Some 20 });
+    Alcotest.test_case "an injection at a write-back still yields a verdict"
+      `Quick (fun () ->
+        (* Both shapes once armed the injector at a [Wb] event, which is
+           published mid-eviction: raising there orphaned the evicted
+           line and the next wbinvd failed its assertion. The verdicts
+           themselves are not pinned here. *)
+        let p =
+          {
+            Service.default with
+            Service.shards = 3;
+            clients = 32;
+            queue_cap = 32;
+            requests = 2_000;
+            keyspace = 500;
+          }
+        in
+        List.iter
+          (fun (name, p, points) ->
+            let sw = Service.crash_sweep ~jobs:1 ~points p in
+            Alcotest.(check int) (name ^ ": points run") points
+              (List.length sw.Service.points))
+          [
+            ( "grow/undo",
+              { p with Service.grow_at = Some 5; config = Wsp_nvheap.Config.foc_ul },
+              6 );
+            ( "shrink/msync",
+              { p with Service.shrink_at = Some 5; config = Wsp_nvheap.Config.msync },
+              12 );
+          ]);
     Alcotest.test_case "crash sweep finds no violation at any event" `Slow
       (fun () ->
         let p =
