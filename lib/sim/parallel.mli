@@ -40,6 +40,27 @@ val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     domain (the calling domain drains the whole queue). With [jobs = 1]
     (or a singleton list) the call is exactly [List.map f xs]. *)
 
+(** {1 A pool kept across calls}
+
+    {!map} spawns its domains for one call, which costs a few hundred
+    microseconds and starts each one on a cold core. A caller that maps
+    many times in a row, like the shard service's rounds, keeps one
+    pool instead. *)
+
+type pool
+
+val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
+(** [with_pool f] runs [f] with a pool capped at [jobs] concurrent
+    applications ([jobs] defaults to {!default_jobs}). Its helper
+    domains are spawned on first need, idle between {!pool_map} calls,
+    and are joined when [f] returns or raises. *)
+
+val pool_map : pool -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+(** {!map} with the pool's [jobs], run on the caller and the pool's
+    helpers: the same chunking, input-order results and
+    earliest-failure contract. Calls on one pool must not overlap; a
+    call made from inside a running item maps sequentially. *)
+
 (** {1 Capturable output}
 
     Report-style printing that respects an active {!capture}. Outside a

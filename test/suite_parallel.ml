@@ -46,6 +46,57 @@ let exn_tests =
             (Atomic.get ran)))
     [ 1; 5 ]
 
+let pool_tests =
+  [
+    Alcotest.test_case "one pool serves many maps in input order" `Quick
+      (fun () ->
+        Parallel.with_pool ~jobs:4 (fun pool ->
+            for n = 0 to 40 do
+              let xs = List.init n (fun i -> i - 3) in
+              Alcotest.(check (list int))
+                (Printf.sprintf "n=%d" n) (List.map square xs)
+                (Parallel.pool_map pool ~chunk:1 square xs)
+            done));
+    Alcotest.test_case "pool: earliest failing input wins, every job runs"
+      `Quick (fun () ->
+        let ran = Atomic.make 0 in
+        let f x =
+          Atomic.incr ran;
+          if x mod 6 = 0 && x > 0 then failwith (string_of_int x) else x
+        in
+        Parallel.with_pool ~jobs:5 (fun pool ->
+            (match Parallel.pool_map pool f (List.init 15 Fun.id) with
+            | _ -> Alcotest.fail "expected a failure"
+            | exception Failure msg ->
+                Alcotest.(check string) "earliest input's exception" "6" msg);
+            Alcotest.(check int) "jobs ran" 15 (Atomic.get ran);
+            (* The pool survives a failed map. *)
+            Alcotest.(check (list int))
+              "next map" [ 4; 7 ]
+              (Parallel.pool_map pool square [ 1; 2 ])));
+    Alcotest.test_case "pool: a nested map runs sequentially" `Quick
+      (fun () ->
+        Parallel.with_pool ~jobs:2 (fun pool ->
+            let inner x =
+              List.fold_left ( + ) 0 (Parallel.pool_map pool square [ x; x ])
+            in
+            Alcotest.(check (list int))
+              "results" (List.map inner [ 1; 2; 3 ])
+              (Parallel.pool_map pool ~chunk:1 inner [ 1; 2; 3 ])));
+    Alcotest.test_case "with_pool releases its helpers on exception" `Quick
+      (fun () ->
+        (match
+           Parallel.with_pool ~jobs:2 (fun pool ->
+               ignore (Parallel.pool_map pool square [ 1; 2; 3 ]);
+               raise Exit)
+         with
+        | () -> Alcotest.fail "expected Exit"
+        | exception Exit -> ());
+        (* Returning at all means every helper was joined. *)
+        Alcotest.(check int) "after" 4
+          (Parallel.with_pool ~jobs:2 (fun _ -> 4)));
+  ]
+
 let chunk_tests =
   List.map
     (fun chunk ->
@@ -217,6 +268,7 @@ let registry_tests =
 let suite =
   [
     ("parallel.map", map_tests @ chunk_tests @ exn_tests @ prop_tests);
+    ("parallel.pool", pool_tests);
     ("parallel.capture", capture_tests);
     ("parallel.registry", registry_tests);
   ]
