@@ -691,9 +691,9 @@ let shard_cmd =
       & info [ "migrate-mode" ] ~docv:"MODE"
           ~doc:
             "How topology changes move data: $(b,drain) hands keys off out \
-             of the live source tree; $(b,image) ships each source's whole \
-             heap as a relocatable image to a staging node (restored at a \
-             different base, pointers swizzled) and hands keys off out of \
+             of the live source tree; $(b,image) ships each source's heap \
+             as a relocatable image of its allocated extents to a staging \
+             node (restored at a different base, pointers swizzled) and hands keys off out of \
              the restored replica, reconciling post-ship writes. Both modes \
              converge to the same final directory.")
   in

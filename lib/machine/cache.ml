@@ -16,8 +16,10 @@ type config = {
    its stale line and age exactly as a cleared way record did.
 
    Slots double as nodes of an intrusive, circular, doubly-linked list
-   of dirty lines threaded through [prev]/[next] (self-linked when
-   clean), whose sentinel is the extra slot [n_slots]. The list makes
+   of dirty lines threaded through [prev]/[next], whose sentinel is the
+   extra slot [n_slots]. Only the sentinel's and dirty slots' links are
+   ever read: a clean slot's are stale, so a fresh or cleared cache
+   relinks the sentinel alone. The list makes
    [dirty_lines]/[iter_dirty] O(dirty) and, together with the
    [dirty_n]/[resident_n] counters, turns the dirty polls that protocol
    loops issue per simulated step from O(total slots) into O(dirty). *)
@@ -35,27 +37,38 @@ type t = {
   mutable tick : int;
 }
 
+let line_count t = Array.length t.tags
+let sentinel t = Array.length t.tags
+
+(* Empties the dirty list. *)
+let self_link_sentinel t =
+  let head = sentinel t in
+  t.prev.(head) <- head;
+  t.next.(head) <- head
+
 let create cfg =
   let total_lines = Units.Size.to_bytes cfg.size / cfg.line_size in
   assert (total_lines > 0 && cfg.associativity > 0);
   assert (total_lines mod cfg.associativity = 0);
-  {
-    cfg;
-    n_sets = total_lines / cfg.associativity;
-    assoc = cfg.associativity;
-    tags = Array.make total_lines (lnot 0);
-    ages = Array.make total_lines 0;
-    dirty = Array.make total_lines false;
-    prev = Array.init (total_lines + 1) Fun.id;
-    next = Array.init (total_lines + 1) Fun.id;
-    dirty_n = 0;
-    resident_n = 0;
-    tick = 0;
-  }
+  let t =
+    {
+      cfg;
+      n_sets = total_lines / cfg.associativity;
+      assoc = cfg.associativity;
+      tags = Array.make total_lines (lnot 0);
+      ages = Array.make total_lines 0;
+      dirty = Array.make total_lines false;
+      prev = Array.make (total_lines + 1) 0;
+      next = Array.make (total_lines + 1) 0;
+      dirty_n = 0;
+      resident_n = 0;
+      tick = 0;
+    }
+  in
+  self_link_sentinel t;
+  t
 
 let config t = t.cfg
-let line_count t = Array.length t.tags
-let sentinel t = Array.length t.tags
 
 let set_of_line t line = line mod t.n_sets
 
@@ -74,8 +87,6 @@ let unlink_dirty t s =
   let p = t.prev.(s) and n = t.next.(s) in
   t.next.(p) <- n;
   t.prev.(n) <- p;
-  t.prev.(s) <- s;
-  t.next.(s) <- s;
   t.dirty_n <- t.dirty_n - 1
 
 let mark_dirty t s =
@@ -255,10 +266,6 @@ let restore t s =
 let clear t =
   Array.iteri (fun s tag -> if tag >= 0 then t.tags.(s) <- lnot tag) t.tags;
   Array.fill t.dirty 0 (Array.length t.dirty) false;
-  (* Every slot, the sentinel included, self-linked. *)
-  for s = 0 to sentinel t do
-    t.prev.(s) <- s;
-    t.next.(s) <- s
-  done;
+  self_link_sentinel t;
   t.dirty_n <- 0;
   t.resident_n <- 0

@@ -30,11 +30,12 @@ let header_size = 8
 let align n = (n + 7) land lnot 7
 let min_payload = 8
 
-let read_header t addr =
-  let w = Nvram.read_u64 t.nvram ~addr in
+let[@inline] decode_header w =
   let used = Int64.to_int (Int64.logand w 1L) = 1 in
   let size = Int64.to_int (Int64.shift_right_logical w 1) in
   (size, used)
+
+let read_header t addr = decode_header (Nvram.read_u64 t.nvram ~addr)
 
 let write_header t ?on_header_write addr ~size ~used =
   (match on_header_write with Some f -> f ~addr | None -> ());
@@ -202,3 +203,29 @@ let check_invariants t =
 
 let iter_allocated t f =
   fold_blocks t (fun () ~addr ~size ~used -> if used then f ~addr:(addr + header_size) ~size) ()
+
+let live_extents t =
+  let word = Bytes.create 8 in
+  let acc = ref [] and start = ref t.base and stop = ref t.base in
+  let add lo hi =
+    if lo <> !stop then begin
+      acc := (!start, !stop - !start) :: !acc;
+      start := lo
+    end;
+    stop := hi
+  in
+  (* Stops where [recover] does. *)
+  let rec walk addr =
+    if addr < t.limit then begin
+      Nvram.peek_volatile t.nvram ~addr ~len:8 word ~dst_off:0;
+      let size, used = decode_header (Bytes.get_int64_le word 0) in
+      let payload = addr + header_size in
+      add addr payload;
+      if size > 0 && next_block t addr size <= t.limit then begin
+        if used then add payload (payload + size);
+        walk (payload + size)
+      end
+    end
+  in
+  walk t.base;
+  List.rev ((!start, !stop - !start) :: !acc)

@@ -64,3 +64,10 @@ val check_invariants : t -> (unit, string) result
 (** Walks the region verifying header chaining; used by tests. *)
 
 val iter_allocated : t -> (addr:int -> size:int -> unit) -> unit
+
+val live_extents : t -> (int * int) list
+(** The [(addr, len)] ranges a copy of the region needs — every block
+    header and every allocated payload, adjacent ones coalesced, in
+    address order. Headers are read from the volatile view with
+    {!Nvram.peek_volatile}, charging no time and publishing no event.
+    The walk stops where {!recover} does. *)

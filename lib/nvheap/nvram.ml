@@ -104,6 +104,16 @@ let wc_apply wc dst =
     Bytes.set_int64_le dst (wc_addr wc i) (wc_val wc i)
   done
 
+(* [wc_apply] for the window [addr, addr + len) of memory held in [dst]
+   from [dst_off]: the part of each queued word inside the window. *)
+let wc_patch wc ~addr ~len dst ~dst_off =
+  for i = 0 to wc.wc_n - 1 do
+    let a = wc_addr wc i in
+    let lo = max a addr and hi = min (a + 8) (addr + len) in
+    if lo < hi then
+      Bytes.blit wc.wc_vals ((8 * i) + lo - a) dst (dst_off + lo - addr) (hi - lo)
+  done
+
 (* Keeps only the entries whose address satisfies [keep], in order. *)
 let wc_filter wc keep =
   let j = ref 0 in
@@ -271,15 +281,16 @@ let dirty_line t line =
       Lines.add t.dirty line data;
       data
 
-(* Copies the volatile view of [addr, addr + len) into [dst] with one
-   overlay lookup per line, from the line's overlay copy or, for a line
-   with none, from backing. [len] must be positive. *)
-let blit_volatile t ~addr ~len dst =
+(* Copies the volatile view of [addr, addr + len) into [dst] at
+   [dst_off] with one overlay lookup per line, from the line's overlay
+   copy or, for a line with none, from backing. [len] must be positive.
+   Pending non-temporal words are not applied. *)
+let blit_volatile t ~addr ~len dst ~dst_off =
   let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
   for line = first to last do
     let line_start = max addr (line * t.line_size) in
     let line_end = min (addr + len) ((line + 1) * t.line_size) in
-    let n = line_end - line_start and dst_off = line_start - addr in
+    let n = line_end - line_start and dst_off = dst_off + line_start - addr in
     match Lines.find_opt t.dirty line with
     | Some data -> Bytes.blit data (line_start mod t.line_size) dst dst_off n
     | None -> Bytes.blit t.backing line_start dst dst_off n
@@ -339,7 +350,7 @@ let[@inline] read_word t ~addr =
     | None -> Bytes.get_int64_le t.backing addr
   else begin
     let b = Bytes.create 8 in
-    blit_volatile t ~addr ~len:8 b;
+    blit_volatile t ~addr ~len:8 b ~dst_off:0;
     Bytes.get_int64_le b 0
   end
 
@@ -368,7 +379,7 @@ let read_bytes t ~addr ~len =
   let b = Bytes.create len in
   if len > 0 then begin
     charge_access t ~addr ~len ~write:false;
-    blit_volatile t ~addr ~len b
+    blit_volatile t ~addr ~len b ~dst_off:0
   end;
   b
 
@@ -469,16 +480,42 @@ let blit_backing t ~addr ~len dst ~dst_off =
   check_range t addr len;
   Bytes.blit t.backing addr dst dst_off len
 
+let peek_volatile t ~addr ~len dst ~dst_off =
+  check_range t addr len;
+  if len > 0 then begin
+    blit_volatile t ~addr ~len dst ~dst_off;
+    wc_patch t.wc_pending ~addr ~len dst ~dst_off
+  end
+
+(* Drops, without writing back, the cached state a DMA-style load into
+   [addr, addr + len) makes stale: the overlay lines the range touches
+   and the pending non-temporal words inside it. The overlay is probed
+   line by line or walked whole, whichever is shorter, so a large range
+   over a sparse overlay costs the overlay's size, not the range's. *)
+let invalidate_range t ~addr ~len =
+  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
+  let cached = Lines.length t.dirty in
+  if last - first < cached then
+    for line = first to last do
+      Lines.remove t.dirty line
+    done
+  else if cached > 0 then
+    Lines.filter_map_inplace
+      (fun line data -> if line < first || line > last then Some data else None)
+      t.dirty;
+  wc_filter t.wc_pending (fun a -> a < addr || a >= addr + len)
+
 let load_backing t ~addr src =
   let len = Bytes.length src in
   check_range t addr len;
   if len > 0 then begin
     Bytes.blit src 0 t.backing addr len;
-    (* Any cached state overlapping the range is now stale and must not
-       be written back over the freshly loaded bytes. *)
-    let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
-    for line = first to last do
-      Lines.remove t.dirty line
-    done;
-    wc_filter t.wc_pending (fun a -> a < addr || a >= addr + len)
+    invalidate_range t ~addr ~len
+  end
+
+let clear_backing t ~addr ~len =
+  check_range t addr len;
+  if len > 0 then begin
+    Bytes.fill t.backing addr len '\x00';
+    invalidate_range t ~addr ~len
   end

@@ -250,9 +250,22 @@ val pending_nt : t -> (int * int64) list
 val blit_backing : t -> addr:int -> len:int -> Bytes.t -> dst_off:int -> unit
 (** Copies [len] backing bytes at [addr] into [dst]. *)
 
+val peek_volatile : t -> addr:int -> len:int -> Bytes.t -> dst_off:int -> unit
+(** Copies [len] bytes of the volatile view at [addr] — backing
+    overlaid with dirty cache lines and undrained write-combining data,
+    as {!volatile_image} sees it — into [dst] at [dst_off]. Reads only
+    the range: a saved heap image captures its live extents this way.
+    Unlike {!read_bytes} it charges no time, spends no step budget and
+    publishes no event. *)
+
 val load_backing : t -> addr:int -> Bytes.t -> unit
 (** Writes [src] directly into the persistent backing at [addr] — a
     DMA-style load, as when a shipped heap image is adopted by a node.
     Cached state overlapping the range (dirty-overlay lines, pending
     non-temporal stores) is invalidated, not written back. Charges no
     time and publishes no events. *)
+
+val clear_backing : t -> addr:int -> len:int -> unit
+(** Zeroes [len] backing bytes at [addr], invalidating overlapping
+    cached state like {!load_backing}. Charges no time and publishes no
+    events. *)

@@ -568,7 +568,7 @@ let wake sh =
    relocation path — base-relative root, swizzled node pointers. *)
 let staging_base = 4096
 
-(* Ships the source's whole heap as a relocatable image to a staging
+(* Ships the source's heap as a relocatable image to a staging
    node: quiesce + save, serialise to wire form, validate and adopt on
    a fresh NVRAM at a different base, swizzle the tree's absolute
    pointers. The staging node has no bus subscribers, so its traffic

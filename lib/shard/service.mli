@@ -74,7 +74,7 @@ type params = {
   migrate_mode : [ `Drain | `Image ];
       (** How a topology change moves data. [`Drain] hands each key off
           out of the live source tree. [`Image] first ships the source's
-          whole heap as a relocatable {!Image} to a staging node —
+          heap as a relocatable {!Image} to a staging node —
           quiesce, save, serialise, validate, restore at a {e different}
           base, swizzle ({!Wsp_store.Avl.attach_relocated}) — then hands
           keys off out of the restored replica, falling back to the live

@@ -5,7 +5,8 @@
 #   1. Image-shipping migration is observably the drain protocol: the
 #      same run under --migrate-mode drain and --migrate-mode image
 #      lands the identical final-directory checksum, loses nothing,
-#      misplaces nothing — and the image run really shipped images.
+#      misplaces nothing — and the image run really shipped images,
+#      each only its live extents (under 1 MiB for the whole run).
 #   2. The mid-migration crash sweep holds in image mode too: a whole-
 #      service power failure injected at sampled migration persistency
 #      events (shipping included) recovers lossless with unique
@@ -28,6 +29,10 @@ grep -q '"lost_acked": 0,' reloc-image.json
 grep -q '"misplaced_keys": 0,' reloc-image.json
 if grep -q '"images_shipped": 0,' reloc-image.json; then
   echo "image mode shipped no images"; exit 1; fi
+IMAGE_BYTES=$(sed -n 's/^ *"image_bytes": \([0-9]*\),$/\1/p' reloc-image.json)
+if [ -z "$IMAGE_BYTES" ] || [ "$IMAGE_BYTES" -ge 1048576 ]; then
+  echo "image mode shipped ${IMAGE_BYTES:-unknown} wire bytes, not under 1 MiB"
+  exit 1; fi
 grep '"checksum"' reloc-drain.json > reloc-drain.sum
 grep '"checksum"' reloc-image.json > reloc-image.sum
 cmp reloc-drain.sum reloc-image.sum

@@ -148,6 +148,104 @@ let roundtrip_tests =
           (Invalid_argument "Txn.quiesce: transaction open") (fun () ->
             ignore (Image.save heap));
         Pheap.abort heap);
+    Alcotest.test_case "sparse image round-trips under every backend" `Quick
+      (fun () ->
+        List.iter
+          (fun (config : Config.t) ->
+            let name = config.Config.name in
+            let heap = fresh_heap ~config () in
+            let nvram = Pheap.nvram heap in
+            let tree = build_tree heap 120 in
+            Pheap.with_tx heap (fun () -> Avl.insert tree ~key:5000L ~value:5L);
+            (* Empty the log first, so the save's own quiesce has nothing
+               to truncate and the non-temporal store below stays queued. *)
+            Pheap.quiesce heap;
+            let cell = Pheap.alloc heap 16 in
+            Nvram.write_u64_nt nvram ~addr:cell 0x1234L;
+            let expected = Avl.to_list tree in
+            let image = Image.save heap in
+            Alcotest.(check bool)
+              (name ^ ": saved over dirty lines and a queued NT store")
+              true
+              (Nvram.dirty_line_count nvram > 0
+              && Nvram.pending_nt_bytes nvram > 0);
+            let src_view = Nvram.volatile_image nvram in
+            let image = Image.of_bytes (Image.to_bytes image) in
+            let base = 4096 in
+            let target =
+              Nvram.create
+                ~size:(Units.Size.bytes (base + Image.region_len image))
+                ()
+            in
+            let heap' = Image.restore_at ~config image ~nvram:target ~base () in
+            (* Compared before the swizzle pass rewrites node pointers. *)
+            let dst_view = Nvram.volatile_image target in
+            Alloc.iter_allocated (Pheap.allocator heap) (fun ~addr ~size ->
+                if
+                  not
+                    (Bytes.equal
+                       (Bytes.sub src_view addr size)
+                       (Bytes.sub dst_view (base + addr) size))
+                then Alcotest.failf "%s: payload at %d differs" name addr);
+            Alcotest.(check bool)
+              (name ^ ": allocator invariants") true
+              (Alloc.check_invariants (Pheap.allocator heap') = Ok ());
+            check_tree_equal name expected
+              (Avl.attach_relocated heap' ~delta:base))
+          Config.all_backends);
+    Alcotest.test_case "restore ignores a stale heap's log at the target"
+      `Quick (fun () ->
+        let config = Config.fof_ul in
+        let heap = fresh_heap ~config () in
+        let tree = build_tree heap 64 in
+        let expected = Avl.to_list tree in
+        let image = Image.save heap in
+        let base = 4096 and len = Image.region_len image in
+        let nvram = Nvram.create ~size:(Units.Size.bytes (base + len)) () in
+        (* The target region last held another heap that lost power
+           inside a transaction: the flush-on-fail save left its log
+           holding an unsealed undo record for the root slot, at the
+           generation the image carries. Recovering that record would
+           unpublish the root. *)
+        let stale = Pheap.create_in ~config ~log_size ~nvram ~base ~len () in
+        Pheap.begin_tx stale;
+        Pheap.set_root stale (Pheap.alloc stale 64);
+        Pheap.wsp_flush stale;
+        Pheap.crash stale;
+        Alcotest.(check int) "same log generation"
+          (Rawlog.generation (Pheap.log heap))
+          (Rawlog.generation (Pheap.log stale));
+        Alcotest.(check bool) "stale records are durable" true
+          (Rawlog.scan_persistent (Pheap.log stale) <> []);
+        let heap' = Image.restore_at ~config image ~nvram ~base () in
+        check_tree_equal "stale target" expected
+          (Avl.attach_relocated heap' ~delta:base));
+    Alcotest.test_case "a sparse image costs what is allocated" `Quick
+      (fun () ->
+        let empty =
+          Pheap.create ~log_size ~size:(Units.Size.mib 4) ()
+        in
+        let wire = Image.to_bytes (Image.save empty) in
+        Alcotest.(check bool)
+          (Printf.sprintf "empty 4 MiB heap ships %d bytes" (Bytes.length wire))
+          true
+          (Bytes.length wire < 1024);
+        (* Insert-only, so every block but the free tail is allocated and
+           the live bytes form a single extent after the root area. *)
+        let heap = fresh_heap () in
+        let tree = Avl.create heap in
+        for i = 0 to 299 do
+          Avl.insert tree ~key:(Int64.of_int i) ~value:(Int64.of_int i)
+        done;
+        let alloc = Pheap.allocator heap in
+        let blocks = ref 1 in
+        Alloc.iter_allocated alloc (fun ~addr:_ ~size:_ -> incr blocks);
+        let image = Image.save heap in
+        let bound = Alloc.allocated_bytes alloc + (8 * !blocks) + 256 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d wire bytes <= %d" (Image.size_bytes image) bound)
+          true
+          (Image.size_bytes image <= bound));
   ]
 
 let corruption_tests =
@@ -186,6 +284,30 @@ let corruption_tests =
            match Image.of_bytes wire with
            | _ -> false
            | exception Image.Corrupt _ -> true));
+    Alcotest.test_case "a version 1 wire is refused by its version" `Quick
+      (fun () ->
+        (* The whole-region form: a 56-byte header, then the region. *)
+        let region_len = 1024 in
+        let b = Bytes.make (56 + region_len) '\x00' in
+        Bytes.blit_string "WSPIMG01" 0 b 0 8;
+        Bytes.set_int64_le b 8 1L;
+        Bytes.set_int64_le b 24 (Int64.of_int region_len);
+        Bytes.set_int64_le b 32 64L;
+        Alcotest.check_raises "v1"
+          (Image.Corrupt "unsupported image version 1") (fun () ->
+            ignore (Image.of_bytes b)));
+    Alcotest.test_case "every flipped byte of a sparse wire is rejected"
+      `Quick (fun () ->
+        let heap = fresh_heap () in
+        ignore (build_tree heap 6);
+        let wire = Image.to_bytes (Image.save heap) in
+        for pos = 0 to Bytes.length wire - 1 do
+          let b = Bytes.copy wire in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+          match Image.of_bytes b with
+          | _ -> Alcotest.failf "flip at byte %d accepted" pos
+          | exception Image.Corrupt _ -> ()
+        done);
   ]
 
 let msync_tests =
