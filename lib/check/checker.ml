@@ -244,7 +244,16 @@ type mark_info = {
 (* ONE complete execution, observed three ways at once: the annotated
    event trace (crash-point descriptions), the replayable mutation log
    with its copy-on-write waypoints, and the committed-op journal. *)
-let record_incremental ~kind ~config ~fault ~stride script =
+type golden = {
+  g_kind : kind;
+  g_config : Config.t;
+  g_fault : fault;
+  trace : Ptrace.t;
+  rp : mark_info Replay.t;
+  clog : op array;  (* every committed op, in commit order *)
+}
+
+let record_golden ~stride ~kind ~config ~fault script =
   let env = make_env ~kind ~config ~fault () in
   let st = fresh_state () in
   let tr = Ptrace.create () in
@@ -263,7 +272,16 @@ let record_incremental ~kind ~config ~fault ~stride script =
           (fun () -> run_script env st ~kind script))
   in
   assert (Ptrace.mem_length tr = Replay.marks rp);
-  (tr, rp, Array.of_list (List.rev st.clog_rev))
+  {
+    g_kind = kind;
+    g_config = config;
+    g_fault = fault;
+    trace = tr;
+    rp;
+    clog = Array.of_list (List.rev st.clog_rev);
+  }
+
+let golden_replay g = g.rp
 
 (* One complete execution of the deterministic seeded workload with
    caller-chosen observation — the backbone shared by trace recording
@@ -296,13 +314,13 @@ let record_workload ?txns ?ops_per_txn ?keyspace ?setup_entries ?fault ~kind
   Option.get !out
 
 (* Re-executes the script, cutting power before memory event [point].
-   Returns the volatile image at the crash instant, or None if the trace
+   Returns the crash state captured at that instant, or None if the trace
    ended before the point was reached. Re-raising on every subsequent
    event freezes the machine: even rollback writes from an exception
    handler cannot run past the failure. *)
 let run_to_crash env st ~kind ~point script =
   let count = ref 0 in
-  let img = ref None in
+  let state = ref None in
   (* [with_subscriber]: the subscription must not outlive this call even
      when [run_script] raises something other than [Crash_point] — a
      leaked subscriber would keep counting (and crashing) someone else's
@@ -311,13 +329,13 @@ let run_to_crash env st ~kind ~point script =
     (function
       | Event.Mem _ ->
           if !count >= point then begin
-            if !img = None then img := Some (Nvram.volatile_image env.nvram);
+            if !state = None then state := Some (Replay.capture env.nvram);
             raise Crash_point
           end;
           incr count
       | Event.Log _ | Event.Tx _ | Event.Wb _ | Event.Heap _ -> ())
     (fun () -> try run_script env st ~kind script with Crash_point -> ());
-  !img
+  !state
 
 (* --- recovery and oracles ------------------------------------------- *)
 
@@ -382,25 +400,15 @@ let structural_oracles handle heap =
       | Error e -> Some ("allocator: " ^ e)
       | Ok () -> None)
 
-(* The verdict for one crash state, shared verbatim by both engines so
-   their reports cannot diverge. [volatile]/[persistent] are thunks:
-   flush-on-commit never needs the volatile image, flush-on-fail with a
-   working save never needs more than the volatile one.
-
-   The state is presented as images, not a live NVRAM: recovery runs on
-   a {e fresh} NVRAM created over the persistent bytes — equivalent to
-   the crashed machine (same backing, empty caches, zero clock, no
-   subscribers), which is what lets the incremental engine judge a
-   point without ever re-executing the workload. *)
-(* Recovery runs on a fresh NVRAM over the crash image. Its verdict is
-   cache-geometry independent — every oracle reads the volatile view
-   (overlay ∪ backing), which is the same under any cache shape — but
-   [Nvram.create]'s cost is not: the platform hierarchy's LLC carries
-   hundreds of thousands of tag slots whose allocation dominated each
-   incremental judgment (~10ms of ~11ms, measured). The judge therefore
-   recovers on a single small cache level; the workload execution envs
-   keep the full platform model, whose eviction pattern is the thing
-   under test. *)
+(* Recovery runs on a fresh NVRAM over the crash state's backing. Its
+   verdict is cache-geometry independent — every oracle reads the
+   volatile view (overlay ∪ backing), which is the same under any cache
+   shape — but [Nvram.create]'s cost is not: the platform hierarchy's
+   LLC carries hundreds of thousands of tag slots, and allocating them
+   once took about 10 of the 11 ms an incremental judgment cost. The
+   judge therefore recovers on a single small cache level; the workload
+   execution envs keep the full platform model, whose eviction pattern
+   is the thing under test. *)
 let judge_hierarchy =
   let platform =
     Wsp_machine.Platform.core_hierarchy Wsp_machine.Platform.intel_c5528
@@ -432,14 +440,76 @@ let recovery_diverged_message =
      walked a cyclic corrupt structure)"
     recovery_step_budget
 
-let judge_state ~kind ~config ~fault ~st ~volatile ~persistent =
+(* The volatile contents of every line the overlay or the WC queue
+   touches — the only lines where the volatile view can differ from
+   backing — composed as [Nvram.volatile_image] composes them: overlay
+   over backing, then WC words oldest first, in one pass over each. *)
+let volatile_lines (state : Replay.state) =
+  let ls = state.line_size in
+  let view =
+    Hashtbl.create (Hashtbl.length state.overlay + Queue.length state.wc)
+  in
+  Hashtbl.iter
+    (fun line data -> Hashtbl.add view line (Bytes.copy data))
+    state.overlay;
+  let word = Bytes.create 8 in
+  Queue.iter
+    (fun (addr, v) ->
+      Bytes.set_int64_le word 0 v;
+      for line = addr / ls to (addr + 7) / ls do
+        let buf =
+          match Hashtbl.find_opt view line with
+          | Some b -> b
+          | None ->
+              let b = Bytes.sub state.backing (line * ls) ls in
+              Hashtbl.add view line b;
+              b
+        in
+        let lo = max addr (line * ls) and hi = min (addr + 8) ((line + 1) * ls) in
+        Bytes.blit word (lo - addr) buf (lo - (line * ls)) (hi - lo)
+      done)
+    state.wc;
+  view
+
+(* Bytes where what the WSP save leaves differs from the pre-failure
+   volatile contents. Outside the lines [volatile_lines] covers, both
+   equal backing, so only those lines are compared. *)
+let image_diff ~fault (state : Replay.state) =
+  let ls = state.line_size in
+  let at_crash = volatile_lines state in
+  let persisted =
+    match fault with
+    | Broken_wsp_save ->
+        (* save skipped: backing only *)
+        fun line -> (state.backing, line * ls)
+    | No_fault | Broken_fences ->
+        (* wbinvd writes back every dirty line and drains the WC queue
+           (even under broken fences): the save composes the same view
+           onto backing. *)
+        let saved = volatile_lines state in
+        fun line -> (Hashtbl.find saved line, 0)
+  in
+  Hashtbl.fold
+    (fun line img acc ->
+      let src, off = persisted line in
+      let diff = ref acc in
+      for i = 0 to ls - 1 do
+        if Bytes.get src (off + i) <> Bytes.get img i then incr diff
+      done;
+      !diff)
+    at_crash 0
+
+(* The verdict for one crash state, shared verbatim by both engines so
+   their reports cannot diverge. The state is judged in place, in
+   O(lines touched): flush-on-commit recovers on [state.backing] itself
+   through {!Replay.with_nvram}, which puts back every line recovery
+   changed; flush-on-fail compares only the lines the overlay or the WC
+   queue touch. *)
+let judge_state ~kind ~config ~fault ~st (state : Replay.state) =
   if Config.is_durable_without_wsp config then begin
     (* Flush-on-commit: power dies with no WSP save; the software
        log must carry recovery on the drained bytes alone. *)
-    let nvram =
-      Nvram.create ~hierarchy:judge_hierarchy ~backing:(persistent ())
-        ~size:(Units.Size.mib 1) ()
-    in
+    Replay.with_nvram ~hierarchy:judge_hierarchy state @@ fun nvram ->
     (match fault with
     | Broken_fences -> Nvram.set_fault nvram Nvram.Broken_fence
     | No_fault | Broken_wsp_save -> ());
@@ -468,32 +538,18 @@ let judge_state ~kind ~config ~fault ~st ~volatile ~persistent =
               (Fmt.str "oracle raised %s (recovered state unreadable)"
                  (Printexc.to_string e)))
   end
-  else begin
+  else
     (* Flush-on-fail: the WSP save flushes every cache on the residual
        window, then execution resumes exactly where it stopped. The
        whole obligation is image completeness. *)
-    let image_at_crash = volatile () in
-    let persisted =
-      match fault with
-      | Broken_wsp_save -> persistent () (* save skipped: backing only *)
-      | No_fault | Broken_fences ->
-          (* wbinvd drains every dirty line and the WC queue (even under
-             broken fences): the save persists the full volatile image. *)
-          volatile ()
-    in
-    if Bytes.equal persisted image_at_crash then None
-    else begin
-      let diff = ref 0 in
-      Bytes.iteri
-        (fun i c -> if Bytes.get image_at_crash i <> c then incr diff)
-        persisted;
-      Some
-        (Fmt.str
-           "image completeness: %d bytes of the saved image differ from \
-            the pre-failure contents"
-           !diff)
-    end
-  end
+    match image_diff ~fault state with
+    | 0 -> None
+    | diff ->
+        Some
+          (Fmt.str
+             "image completeness: %d bytes of the saved image differ from \
+              the pre-failure contents"
+             diff)
 
 (* Verdict for one crash point: None = survived, Some message = bug.
    The full-replay engine: re-executes the workload from scratch and
@@ -503,11 +559,7 @@ let judge_point ~kind ~config ~fault ~point script =
   let st = fresh_state () in
   match run_to_crash env st ~kind ~point script with
   | None -> None (* trace ended before the point: nothing to crash *)
-  | Some image_at_crash ->
-      Nvram.crash env.nvram;
-      judge_state ~kind ~config ~fault ~st
-        ~volatile:(fun () -> image_at_crash)
-        ~persistent:(fun () -> Nvram.persistent_image env.nvram)
+  | Some state -> judge_state ~kind ~config ~fault ~st state
 
 (* --- the incremental engine ------------------------------------------ *)
 
@@ -515,39 +567,44 @@ let judge_point ~kind ~config ~fault ~point script =
    single cursor rolls forward through the mutation log (restoring from
    the nearest waypoint only when a chunk starts mid-trace) and a
    rolling model replays the committed-op journal, so the cost of a
-   point is its delta from the previous one, not the whole trace. *)
-let judge_marks ~kind ~config ~fault ~rp ~clog pts =
-  let cur = Replay.cursor rp in
+   point is its delta from the previous one, not the whole trace. With
+   [until_violation] the run stops after the first failing point. *)
+let judge_marks ?cursor ?(until_violation = false) g pts =
+  let cur = match cursor with Some c -> c | None -> Replay.cursor g.rp in
   let rmodel : model = Hashtbl.create 64 in
   let rapplied = ref 0 in
-  List.map
-    (fun point ->
-      Replay.seek cur ~mark:point;
-      let mi = Replay.info rp ~mark:point in
-      if mi.mi_clog_n < !rapplied then begin
-        (* Defensive: callers pass ascending points, but a backward seek
-           must not silently judge against a too-new model. *)
-        Hashtbl.reset rmodel;
-        rapplied := 0
-      end;
-      while !rapplied < mi.mi_clog_n do
-        apply_model rmodel clog.(!rapplied);
-        incr rapplied
-      done;
-      let st =
-        {
-          committed = rmodel;
-          pending = mi.mi_pending;
-          in_commit = mi.mi_commit;
-          clog_rev = [];
-          clog_n = 0;
-        }
-      in
-      ( point,
-        judge_state ~kind ~config ~fault ~st
-          ~volatile:(fun () -> Replay.volatile_image cur)
-          ~persistent:(fun () -> Replay.persistent_image cur) ))
-    pts
+  let rec go acc = function
+    | [] -> List.rev acc
+    | point :: rest ->
+        Replay.seek cur ~mark:point;
+        let mi = Replay.info g.rp ~mark:point in
+        if mi.mi_clog_n < !rapplied then begin
+          (* Defensive: callers pass ascending points, but a backward
+             seek must not silently judge against a too-new model. *)
+          Hashtbl.reset rmodel;
+          rapplied := 0
+        end;
+        while !rapplied < mi.mi_clog_n do
+          apply_model rmodel g.clog.(!rapplied);
+          incr rapplied
+        done;
+        let st =
+          {
+            committed = rmodel;
+            pending = mi.mi_pending;
+            in_commit = mi.mi_commit;
+            clog_rev = [];
+            clog_n = 0;
+          }
+        in
+        let verdict =
+          judge_state ~kind:g.g_kind ~config:g.g_config ~fault:g.g_fault ~st
+            (Replay.state cur)
+        in
+        let acc = (point, verdict) :: acc in
+        if until_violation && verdict <> None then List.rev acc else go acc rest
+  in
+  go [] pts
 
 (* --- reports --------------------------------------------------------- *)
 
@@ -595,37 +652,12 @@ let first_failure ~engine ~kind ~config ~fault ~stride script =
       in
       go 0
   | Incremental ->
-      let _tr, rp, clog = record_incremental ~kind ~config ~fault ~stride script in
-      let n = Replay.marks rp in
-      let limit = min n shrink_scan_cap in
-      let rec go cur rmodel rapplied p =
-        if p >= limit then None
-        else begin
-          Replay.seek cur ~mark:p;
-          let mi = Replay.info rp ~mark:p in
-          while !rapplied < mi.mi_clog_n do
-            apply_model rmodel clog.(!rapplied);
-            incr rapplied
-          done;
-          let st =
-            {
-              committed = rmodel;
-              pending = mi.mi_pending;
-              in_commit = mi.mi_commit;
-              clog_rev = [];
-              clog_n = 0;
-            }
-          in
-          match
-            judge_state ~kind ~config ~fault ~st
-              ~volatile:(fun () -> Replay.volatile_image cur)
-              ~persistent:(fun () -> Replay.persistent_image cur)
-          with
-          | Some m -> Some (p, n, m)
-          | None -> go cur rmodel rapplied (p + 1)
-        end
-      in
-      go (Replay.cursor rp) (Hashtbl.create 64) (ref 0) 0
+      let g = record_golden ~stride ~kind ~config ~fault script in
+      let n = Replay.marks g.rp in
+      judge_marks ~until_violation:true g
+        (List.init (min n shrink_scan_cap) Fun.id)
+      |> List.find_map (fun (p, verdict) ->
+             Option.map (fun m -> (p, n, m)) verdict)
 
 let drop_nth l n = List.filteri (fun i _ -> i <> n) l
 
@@ -695,18 +727,17 @@ let check ?jobs ?(points = 1000) ?(txns = 32) ?(ops_per_txn = 3)
               (fun point -> (point, judge_point ~kind ~config ~fault ~point script))
               pts )
     | Incremental ->
-        let tr, rp, clog =
-          record_incremental ~kind ~config ~fault ~stride:snapshot_stride script
+        let g =
+          record_golden ~stride:snapshot_stride ~kind ~config ~fault script
         in
-        ( tr,
+        ( g.trace,
           fun pts ->
             let sz =
               if snapshot_stride > 0 then snapshot_stride
               else max 1 (List.length pts)
             in
             chunk_points sz pts
-            |> Parallel.map ?jobs ~chunk:1
-                 (judge_marks ~kind ~config ~fault ~rp ~clog)
+            |> Parallel.map ?jobs ~chunk:1 (fun pts -> judge_marks g pts)
             |> List.concat )
   in
   let stream = Ptrace.events tr in

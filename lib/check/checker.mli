@@ -2,13 +2,13 @@
 
     The checker turns the simulator into a sanitizer: it records the
     persistency trace of a deterministic, seed-generated transactional
-    workload, then for each chosen crash point re-executes the workload
-    from scratch and cuts power {e exactly before} that memory event —
-    materialising the bytes a real failure would preserve (drained
-    stores only; dirty cache lines and unfenced write-combining data
-    lost, unless the configuration's flush-on-fail save rescues them).
-    Each crash image is handed to the {e real} recovery path and judged
-    against oracles:
+    workload, then for each chosen crash point reconstructs the machine
+    state {e exactly before} that memory event (see {!engine}): the
+    bytes a real failure would preserve (drained stores only; dirty
+    cache lines and unfenced write-combining data lost, unless the
+    configuration's flush-on-fail save rescues them). Each crash state
+    is handed to the {e real} recovery path and judged against
+    oracles:
 
     - {b durability}: recovered contents equal the committed model — or,
       when the cut fell inside a commit, the model with the in-flight
@@ -179,6 +179,39 @@ val check :
     disables waypoints (every chunk replays from the base image, the
     stride=∞ behaviour). Raises [Invalid_argument] on a non-positive
     [points], a negative [txns] or a negative [snapshot_stride]. *)
+
+(** {1 The incremental engine's parts}
+
+    {!check} composes these; they are exported so tests can drive the
+    judging loop over a cursor they hold. *)
+
+type mark_info
+(** The software state sampled at one mark: the pending atom, whether
+    the commit protocol was running, and the committed-journal length. *)
+
+type golden
+(** One recorded execution: its trace, its replayable mutation log and
+    its committed-op journal. *)
+
+val record_golden :
+  stride:int -> kind:kind -> config:Config.t -> fault:fault -> script -> golden
+(** Executes [script] once under [fault], recording it for the
+    incremental engine. [stride] is {!Replay.record}'s waypoint
+    interval. *)
+
+val golden_replay : golden -> mark_info Replay.t
+
+val judge_marks :
+  ?cursor:mark_info Replay.cursor ->
+  ?until_violation:bool ->
+  golden ->
+  int list ->
+  (int * string option) list
+(** Verdicts for ascending crash points, judged on one cursor ([cursor],
+    or a fresh one over the recording): [None] = survived, [Some]
+    message = bug. Each state is judged in place; the cursor's state is
+    left exactly as {!Replay.seek} made it. With [until_violation]
+    (default [false]) the list ends at the first failing point. *)
 
 val reports_to_json : report list -> string
 (** Stable machine-readable rendering of a batch of reports. Two runs

@@ -156,20 +156,36 @@ let record ~nvram ?(stride = 256) ~info:info_of run =
 
 (* --- cursors --------------------------------------------------------- *)
 
-type 'a cursor = {
-  rc : 'a t;
+type state = {
   backing : Bytes.t;
   overlay : (int, Bytes.t) Hashtbl.t;
   wc : (int * int64) Queue.t;
+  line_size : int;
+}
+
+let capture nvram =
+  {
+    backing = Nvram.persistent_image nvram;
+    overlay = Hashtbl.of_seq (List.to_seq (Nvram.overlay_lines nvram));
+    wc = Queue.of_seq (List.to_seq (Nvram.pending_nt nvram));
+    line_size = Nvram.line_size nvram;
+  }
+
+type 'a cursor = {
+  rc : 'a t;
+  st : state;
   mutable pos : int;  (* ops applied so far *)
 }
 
+let state c = c.st
+
 let load_state c ~backing_init ~overlay ~wc ~pos =
-  backing_init c.backing;
-  Hashtbl.reset c.overlay;
-  List.iter (fun (line, data) -> Hashtbl.add c.overlay line (Bytes.copy data)) overlay;
-  Queue.clear c.wc;
-  List.iter (fun e -> Queue.add e c.wc) wc;
+  let st = c.st in
+  backing_init st.backing;
+  Hashtbl.reset st.overlay;
+  List.iter (fun (line, data) -> Hashtbl.add st.overlay line (Bytes.copy data)) overlay;
+  Queue.clear st.wc;
+  List.iter (fun e -> Queue.add e st.wc) wc;
   c.pos <- pos
 
 (* Greatest waypoint with wp_op <= target, or -1 for the base state. *)
@@ -206,38 +222,39 @@ let restore_to c ~target =
   end
 
 let apply c op =
-  let ls = c.rc.line_size in
+  let st = c.st in
+  let ls = st.line_size in
   match op with
   | Slice { addr; data } ->
       let line = addr / ls in
       let buf =
-        match Hashtbl.find_opt c.overlay line with
+        match Hashtbl.find_opt st.overlay line with
         | Some b -> b
         | None ->
             let b = Bytes.create ls in
-            Bytes.blit c.backing (line * ls) b 0 ls;
-            Hashtbl.add c.overlay line b;
+            Bytes.blit st.backing (line * ls) b 0 ls;
+            Hashtbl.add st.overlay line b;
             b
       in
       Bytes.blit data 0 buf (addr mod ls) (Bytes.length data)
-  | Nt { addr; v } -> Queue.add (addr, v) c.wc
+  | Nt { addr; v } -> Queue.add (addr, v) st.wc
   | Wb { line; data } ->
-      Bytes.blit data 0 c.backing (line * ls) ls;
-      Hashtbl.remove c.overlay line
+      Bytes.blit data 0 st.backing (line * ls) ls;
+      Hashtbl.remove st.overlay line
   | Drain ->
-      Queue.iter (fun (addr, v) -> Bytes.set_int64_le c.backing addr v) c.wc;
-      Queue.clear c.wc
+      Queue.iter (fun (addr, v) -> Bytes.set_int64_le st.backing addr v) st.wc;
+      Queue.clear st.wc
 
 let cursor t =
-  let c =
+  let st =
     {
-      rc = t;
       backing = Bytes.create t.size;
       overlay = Hashtbl.create 256;
       wc = Queue.create ();
-      pos = 0;
+      line_size = t.line_size;
     }
   in
+  let c = { rc = t; st; pos = 0 } in
   restore_to c ~target:0;
   c
 
@@ -249,13 +266,42 @@ let seek c ~mark =
     c.pos <- c.pos + 1
   done
 
-let persistent_image c = Bytes.copy c.backing
+(* --- judging in place ------------------------------------------------ *)
 
-let volatile_image c =
-  let img = Bytes.copy c.backing in
-  let ls = c.rc.line_size in
-  Hashtbl.iter
-    (fun line data -> Bytes.blit data 0 img (line * ls) ls)
-    c.overlay;
-  Queue.iter (fun (addr, v) -> Bytes.set_int64_le img addr v) c.wc;
-  img
+(* Copy-on-write over the state's own backing: a tap saves each line's
+   original bytes the first time the NVRAM is about to change it, and
+   every saved line is put back however [f] exits. [on_wb] fires before
+   the write-back's blit; [on_nt] fires when a word is queued, before
+   any drain can land it, and saves both lines the word may straddle.
+   [Nvram.load_backing] and [Nvram.clear_backing] are the only other
+   writers of backing, and only [Image] calls them, so code judged here
+   cannot write past the tap. Keep it that way. *)
+let with_nvram ?hierarchy st f =
+  let ls = st.line_size in
+  let nvram =
+    Nvram.create ?hierarchy ~backing:st.backing
+      ~size:(Wsp_sim.Units.Size.bytes (Bytes.length st.backing))
+      ()
+  in
+  let saved = Hashtbl.create 16 in
+  let save line =
+    if not (Hashtbl.mem saved line) then
+      Hashtbl.add saved line (Bytes.sub st.backing (line * ls) ls)
+  in
+  Nvram.set_tap nvram
+    (Some
+       {
+         Nvram.on_slice = (fun ~addr:_ ~data:_ -> ());
+         on_nt =
+           (fun ~addr ~v:_ ->
+             save (addr / ls);
+             save ((addr + 7) / ls));
+         on_wb = (fun ~line ~data:_ -> save line);
+         on_drain = ignore;
+       });
+  Fun.protect
+    ~finally:(fun () ->
+      Hashtbl.iter
+        (fun line data -> Bytes.blit data 0 st.backing (line * ls) ls)
+        saved)
+    (fun () -> f nvram)

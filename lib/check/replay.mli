@@ -44,6 +44,30 @@ val marks : 'a t -> int
 val info : 'a t -> mark:int -> 'a
 (** The annotation sampled at mark [mark]. *)
 
+(** {1 Crash states} *)
+
+type state = {
+  backing : Bytes.t;
+      (** The persistent bytes: what a power failure at this point
+          preserves. *)
+  overlay : (int, Bytes.t) Hashtbl.t;
+      (** Dirty cache lines, keyed by line number, each [line_size]
+          bytes. *)
+  wc : (int * int64) Queue.t;
+      (** Undrained non-temporal words [(addr, value)], oldest first. *)
+  line_size : int;
+}
+(** The machine's data state at a crash instant, as three components:
+    the volatile view (what running software sees, and what a
+    flush-on-fail save must persist) is [backing] overlaid with
+    [overlay], then with [wc] applied oldest first. Only the lines the
+    overlay or the WC queue touch differ between the two views, so a
+    judge can compare them in O(overlay + WC), not O(region). *)
+
+val capture : Wsp_nvheap.Nvram.t -> state
+(** Copies of a live NVRAM's three components, taken without charging
+    time or publishing events: the full-replay engine's crash state. *)
+
 type 'a cursor
 (** A mutable reconstruction of the machine state at some mark. Cheap to
     move forward; moving backward restores from the nearest preceding
@@ -57,13 +81,24 @@ val seek : 'a cursor -> mark:int -> unit
 (** Positions the cursor at crash point [mark]: the state with exactly
     the ops preceding mark [mark] applied. *)
 
-val persistent_image : 'a cursor -> Bytes.t
-(** What a power failure at the current mark preserves: the backing
-    bytes alone. Equal to [Nvram.persistent_image] at the same point of
-    a live execution. *)
+val state : 'a cursor -> state
+(** The cursor's own state components, shared, not copied: they change
+    on the next {!seek}. Equal, component for component, to {!capture}
+    at the same point of a live execution. A caller may mutate them
+    between seeks — the checker recovers on [backing] in place — but
+    must put back every byte it changed before the next {!seek}, which
+    applies its delta on top of what it finds. *)
 
-val volatile_image : 'a cursor -> Bytes.t
-(** Full logical contents at the current mark: backing overlaid with
-    dirty lines and undrained WC data. Equal to [Nvram.volatile_image]
-    at the same point of a live execution — what a flush-on-fail save
-    must persist. *)
+val with_nvram :
+  ?hierarchy:Wsp_machine.Hierarchy.config ->
+  state ->
+  (Wsp_nvheap.Nvram.t -> 'a) ->
+  'a
+(** [with_nvram st f] runs [f] on a fresh NVRAM ([hierarchy] as in
+    {!Wsp_nvheap.Nvram.create}) over [st.backing] itself — the crashed
+    machine: the same persistent bytes, empty caches, a zero clock and
+    no subscribers — without copying the region. Copy-on-write: every
+    backing line the NVRAM changes is put back when [f] returns or
+    raises, so [st] is left as it was. [f] must not attach a tap
+    (this function holds the NVRAM's one tap) or load or clear backing
+    directly. *)

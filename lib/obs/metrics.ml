@@ -197,19 +197,38 @@ let to_json t =
 (* --- ambient per-domain registries ---------------------------------- *)
 
 (* Every domain that records metrics gets its own registry on first use,
-   so the hot path never contends on a lock; the registries themselves
-   are kept in a global list (behind a mutex touched only at domain
-   birth) so [merged] can fold them all after the domains are gone. *)
+   so the hot path never contends on a lock. A registry outlives its
+   domain: every one ever made stays in [all_ambient] (behind a mutex
+   touched only at domain birth and death) so [merged] can fold them
+   after the domains are gone, and a dying domain hands its registry to
+   [idle] for the next new domain to keep counting into. Merging sums
+   counters and histograms and takes the maximum of gauges, so which
+   domain a registry served is not observable in [merged]; reuse only
+   keeps a program that spawns domain after domain from growing a
+   registry per domain. *)
 
 let all_ambient : t list ref = ref []
+let idle : t list ref = ref []
 let all_ambient_mu = Mutex.create ()
 
 let ambient_key : t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let reg = create () in
       Mutex.lock all_ambient_mu;
-      all_ambient := reg :: !all_ambient;
+      let reg =
+        match !idle with
+        | reg :: rest ->
+            idle := rest;
+            reg
+        | [] ->
+            let reg = create () in
+            all_ambient := reg :: !all_ambient;
+            reg
+      in
       Mutex.unlock all_ambient_mu;
+      Domain.at_exit (fun () ->
+          Mutex.lock all_ambient_mu;
+          idle := reg :: !idle;
+          Mutex.unlock all_ambient_mu);
       reg)
 
 let ambient () = Domain.DLS.get ambient_key

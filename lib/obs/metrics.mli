@@ -84,8 +84,11 @@ val to_json : t -> string
     touched are omitted. *)
 
 val ambient : unit -> t
-(** The calling domain's registry, created (and registered for
-    [merged]) on first use. *)
+(** The calling domain's registry, bound on first use: a registry an
+    exited domain left behind, or else a new one registered for
+    [merged]. A reused registry keeps its earlier domain's counts; since
+    [merged] sums and takes peaks, this changes nothing it reports, and
+    spawning domain after domain does not grow a registry per domain. *)
 
 val merged : unit -> t
 (** A fresh registry holding the merge of every ambient registry ever

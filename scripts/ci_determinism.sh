@@ -3,9 +3,10 @@
 #
 # Four contracts:
 #   1. Checker JSON is byte-identical at the default snapshot stride and
-#      with waypoints disabled (--stride 0). The incremental engine is
-#      compared with the full-replay reference engine in the test suite
-#      (test/suite_check.ml).
+#      with waypoints disabled (--stride 0), and between --jobs 1 and
+#      --jobs 2 on two sabotaged cells whose reports carry violations.
+#      The incremental engine is compared with the full-replay
+#      reference engine in the test suite (test/suite_check.ml).
 #   2. Lint JSON is byte-identical between --jobs 1 and --jobs 4.
 #   3. The shard service's --metrics export is byte-identical between
 #      --jobs 1 and --jobs 2 (each shard counts into its own registry,
@@ -26,6 +27,23 @@ echo "== checker: default stride vs --stride 0 =="
 "$SIM" check --workload hash_table --config undo --points 200 --txns 8 \
   --stride 0 --json check-s0.json > /dev/null
 cmp check-inc.json check-s0.json
+
+echo "== checker: --jobs 2 byte-identical to --jobs 1, with violations =="
+# Each cell must exit 1 (violations found) at both widths.
+check_jobs() {
+  for j in 1 2; do
+    rc=0
+    "$SIM" check "$@" --no-shrink --jobs "$j" --json "check-j$j.json" \
+      > /dev/null || rc=$?
+    if [ "$rc" -ne 1 ]; then
+      echo "FAIL: check $* --jobs $j exited $rc, expected 1 (violations)"
+      exit 1
+    fi
+  done
+  cmp check-j1.json check-j2.json
+}
+check_jobs --workload block_kv --config wsp --broken wsp-save
+check_jobs --workload hash_table --config undo --broken fences
 
 echo "== lint: --jobs 4 JSON byte-identical to --jobs 1 =="
 "$SIM" lint --expect R3 --jobs 1 --json lint-det-j1.json > /dev/null
@@ -55,6 +73,6 @@ if [ $((j4 * 2)) -gt $((j1 * 3)) ]; then
   exit 1
 fi
 
-rm -f check-inc.json check-s0.json lint-det-j1.json lint-det-j4.json \
+rm -f check-inc.json check-s0.json check-j1.json check-j2.json lint-det-j1.json lint-det-j4.json \
   shard-metrics-j1.json shard-metrics-j2.json
 echo "ci-determinism: all gates passed"

@@ -192,7 +192,7 @@ let engine_equivalence_test =
     (QCheck2.Test.make ~name:"incremental engine == full replay" ~count:12
        QCheck2.Gen.(
          let kind = oneofl Checker.all_kinds in
-         let config = oneofl Config.[ foc_ul; foc_stm; fof ] in
+         let config = oneofl Config.[ foc_ul; foc_stm; fof; msync ] in
          let fault =
            oneofl
              Checker.[ No_fault; Broken_fences; Broken_wsp_save ]
@@ -231,6 +231,96 @@ let engine_cell_tests =
     cell "block_kv/wsp broken wsp-save cell: incremental JSON == full replay"
       ~kind:Checker.Block_kv ~config:Config.fof ~fault:Checker.Broken_wsp_save
       ~points:120 ~txns:6 ~violating:true;
+  ]
+
+(* The judge recovers on the cursor's own backing and must put back
+   every line it touched, on every exit path: a clean verdict, a failed
+   oracle, a recovery that exhausts its step budget, and a
+   flush-on-fail image diff. After each verdict the judged cursor must
+   equal a reference cursor that was only ever seeked. *)
+let in_place_tests =
+  let same_state (a : Replay.state) (b : Replay.state) =
+    let bindings t =
+      Hashtbl.fold (fun line data acc -> (line, Bytes.to_string data) :: acc) t []
+      |> List.sort compare
+    in
+    Bytes.equal a.backing b.backing
+    && bindings a.overlay = bindings b.overlay
+    && List.of_seq (Queue.to_seq a.wc) = List.of_seq (Queue.to_seq b.wc)
+  in
+  let cell ~kind ~config ~fault ~txns ~expect =
+    Alcotest.test_case
+      (Printf.sprintf "%s/%s/%s: judging leaves the cursor intact"
+         (Checker.kind_name kind) config.Config.name (Checker.fault_name fault))
+      `Slow (fun () ->
+        let rng = Wsp_sim.Rng.create ~seed:42 in
+        let script =
+          Checker.gen_script ~rng ~txns ~ops_per_txn:3 ~keyspace:40
+            ~setup_entries:16
+        in
+        let g = Checker.record_golden ~stride:256 ~kind ~config ~fault script in
+        let rp = Checker.golden_replay g in
+        let judged = Replay.cursor rp and reference = Replay.cursor rp in
+        let seen = ref false in
+        for mark = 0 to Replay.marks rp - 1 do
+          (match (Checker.judge_marks ~cursor:judged g [ mark ], expect) with
+          | [ (_, Some m) ], Some prefix
+            when String.starts_with ~prefix m ->
+              seen := true
+          | _ -> ());
+          Replay.seek reference ~mark;
+          if not (same_state (Replay.state judged) (Replay.state reference))
+          then Alcotest.failf "mark %d: the judge left the cursor changed" mark
+        done;
+        match expect with
+        | Some prefix ->
+            Alcotest.(check bool) (prefix ^ " verdict seen") true !seen
+        | None -> ())
+  in
+  let scribbled_backing_restored () =
+    let src = Nvram.create ~size:(Wsp_sim.Units.Size.kib 64) () in
+    for i = 0 to 1023 do
+      Nvram.write_u64 src ~addr:(56 * i) (Int64.of_int i)
+    done;
+    Nvram.wbinvd src;
+    let st = Replay.capture src in
+    let original = Bytes.copy st.backing in
+    (* Every way the NVRAM writes backing: write-backs of cached
+       stores, and drained non-temporal words, one straddling a line
+       boundary. *)
+    let scribble nv =
+      for i = 0 to 2047 do
+        Nvram.write_u64 nv ~addr:(16 * i) (Int64.of_int (-i))
+      done;
+      Nvram.wbinvd nv;
+      Nvram.write_u64_nt nv ~addr:((64 * 600) + 60) 0x1122334455667788L;
+      Nvram.write_u64_nt nv ~addr:(64 * 700) 42L;
+      Nvram.fence nv;
+      Bytes.equal (Nvram.persistent_image nv) original
+    in
+    Alcotest.(check bool) "backing written inside" false
+      (Replay.with_nvram st scribble);
+    Alcotest.(check bool) "restored after a return" true
+      (Bytes.equal st.backing original);
+    (match Replay.with_nvram st (fun nv -> ignore (scribble nv); raise Exit) with
+    | exception Exit -> ()
+    | () -> Alcotest.fail "Exit swallowed");
+    Alcotest.(check bool) "restored after a raise" true
+      (Bytes.equal st.backing original)
+  in
+  [
+    Alcotest.test_case "with_nvram puts back every line it wrote" `Quick
+      scribbled_backing_restored;
+    cell ~kind:Checker.Hash_table ~config:Config.foc_ul
+      ~fault:Checker.Broken_fences ~txns:8 ~expect:(Some "structural invariant");
+    cell ~kind:Checker.Btree ~config:Config.foc_ul ~fault:Checker.Broken_fences
+      ~txns:4 ~expect:(Some "recovery diverged");
+    cell ~kind:Checker.Skiplist ~config:Config.foc_stm ~fault:Checker.No_fault
+      ~txns:4 ~expect:None;
+    cell ~kind:Checker.Block_kv ~config:Config.foc_ul ~fault:Checker.No_fault
+      ~txns:1 ~expect:None;
+    cell ~kind:Checker.Hash_table ~config:Config.fof
+      ~fault:Checker.Broken_wsp_save ~txns:4 ~expect:(Some "image completeness");
   ]
 
 (* --- Refusals --------------------------------------------------------------- *)
@@ -296,6 +386,7 @@ let suite =
     ("check.faults", fault_tests);
     ( "check.determinism",
       determinism_tests @ [ engine_equivalence_test ] @ engine_cell_tests );
+    ("check.in_place", in_place_tests);
     ("check.refusals", refusal_tests);
     ("check.protocol", protocol_tests);
     ("check.trace", trace_tests);

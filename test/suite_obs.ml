@@ -130,6 +130,35 @@ let determinism_tests =
         let json = Metrics.to_json (Metrics.merged ()) in
         Alcotest.(check string) "empty"
           "{\"counters\":{},\"gauges\":{},\"histograms\":{}}" json);
+    Alcotest.test_case "spawned domains do not grow a registry each" `Quick
+      (fun () ->
+        (* Each [Parallel.map] spawns its helper domains afresh; a
+           registry per helper, kept forever for [merged], grew live
+           words by 7k-11k over these calls. *)
+        let calls = 200 and items = 64 in
+        let touch () =
+          ignore
+            (Parallel.map ~jobs:2 ~chunk:1
+               (fun i ->
+                 Metrics.Counter.incr
+                   (Metrics.counter (Metrics.ambient ()) "leak.items");
+                 i)
+               (List.init items Fun.id))
+        in
+        Metrics.reset_all ();
+        touch ();
+        Gc.full_major ();
+        let before = (Gc.stat ()).live_words in
+        for _ = 1 to calls do
+          touch ()
+        done;
+        Gc.full_major ();
+        let grown = (Gc.stat ()).live_words - before in
+        if grown >= 3_000 then
+          Alcotest.failf "live words grew by %d over %d calls" grown calls;
+        Alcotest.(check int) "merged total" ((calls + 1) * items)
+          (Metrics.Counter.value
+             (Metrics.counter (Metrics.merged ()) "leak.items")));
   ]
 
 let tracer_tests =
