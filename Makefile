@@ -2,7 +2,7 @@
 # `python3 perfbench/run.py` (see perfbench/BENCHMARK.md).
 
 .PHONY: all build test check lint race-lint shard shard-smoke \
-  shard-migrate-smoke reloc-smoke ci-determinism refusals clean
+  shard-migrate-smoke reloc-smoke ci-determinism refusals golden clean
 
 all: build
 
@@ -72,6 +72,13 @@ ci-determinism: build
 # verb exits 2 with one line on stderr.
 refusals: build
 	sh scripts/refusals.sh
+
+# Golden-output gate: shard, check and experiment outputs must cmp
+# equal to the files under test/golden/, so a change that shifts
+# simulated output uniformly (which the run-vs-run gates cannot see)
+# fails here. `sh scripts/golden.sh --update` regenerates them.
+golden: build
+	sh scripts/golden.sh
 
 clean:
 	dune clean

@@ -403,12 +403,12 @@ let structural_oracles handle heap =
 (* Recovery runs on a fresh NVRAM over the crash state's backing. Its
    verdict is cache-geometry independent — every oracle reads the
    volatile view (overlay ∪ backing), which is the same under any cache
-   shape — but [Nvram.create]'s cost is not: the platform hierarchy's
-   LLC carries hundreds of thousands of tag slots, and allocating them
-   once took about 10 of the 11 ms an incremental judgment cost. The
-   judge therefore recovers on a single small cache level; the workload
-   execution envs keep the full platform model, whose eviction pattern
-   is the thing under test. *)
+   shape. The judge recovers on a single small cache level: each
+   recovery access scans one set instead of up to three, and the
+   judge's hits and misses are part of what [check --metrics] reports,
+   so this geometry is pinned by that output. The workload execution
+   envs keep the full platform model, whose eviction pattern is the
+   thing under test. *)
 let judge_hierarchy =
   let platform =
     Wsp_machine.Platform.core_hierarchy Wsp_machine.Platform.intel_c5528

@@ -8,196 +8,290 @@ type config = {
   hit_latency : Time.t;
 }
 
-(* Tag state lives in flat per-slot arrays, slot = set * associativity +
-   way, so a set scan reads [associativity] consecutive ints instead of
-   chasing one record per way. A slot's tag is its line number while
-   valid and [lnot line] (negative) once invalid: lines are non-negative,
-   so a scan needs no separate valid check, and an invalid slot keeps
-   its stale line and age exactly as a cleared way record did.
+(* Tag state is allocated lazily, a page of sets at a time, so a level
+   costs what it has touched rather than its configured capacity (an
+   8 MiB LLC is 131,072 slots, of which a small heap touches a few
+   thousand). A page is the smallest power-of-two run of consecutive
+   sets whose state exceeds [max_young_words], so it is allocated
+   directly in the major heap: a page is never copied, by a minor
+   collection or otherwise. Until its first insert a page is [fresh]:
+   one array shared by every untouched page and never written, which
+   reads as all ways invalid. Lookups, [set_dirty] and [invalidate]
+   treat it as a miss and allocate nothing.
 
-   Slots double as nodes of an intrusive, circular, doubly-linked list
-   of dirty lines threaded through [prev]/[next], whose sentinel is the
-   extra slot [n_slots]. Only the sentinel's and dirty slots' links are
-   ever read: a clean slot's are stale, so a fresh or cleared cache
-   relinks the sentinel alone. The list makes
+   Within a page, set [k] starts at [k * stride], [stride = 4a] for
+   associativity [a]. Way [w] of a set starting at [b] keeps its tag at
+   [s = b+w], its LRU age and dirty flag at [s+a] (the tick shifted left
+   by one, dirty in bit 0: ticks are distinct, so the bit never changes
+   which way is older), and its dirty-list links at [s+2a] (prev) and
+   [s+3a] (next), so a set scan reads [a] consecutive ints. A way's tag
+   is its line number while valid and [lnot line] (negative) once
+   invalid: lines are non-negative, so a scan needs no separate valid
+   check, and an invalid way keeps its stale line and age, which victim
+   selection still reads.
+
+   Ways double as nodes of an intrusive, circular, doubly-linked list
+   of dirty lines. A node's id is [page lsl node_shift lor s], decoded
+   with a shift and a mask. The sentinel is id [-1], whose two links
+   are the [first]/[last] fields. Only the sentinel's and dirty ways'
+   links are ever read: a clean way's are stale. The list makes
    [dirty_lines]/[iter_dirty] O(dirty) and, together with the
    [dirty_n]/[resident_n] counters, turns the dirty polls that protocol
    loops issue per simulated step from O(total slots) into O(dirty). *)
 type t = {
   cfg : config;
   n_sets : int;
+  set_mask : int;  (* [n_sets - 1] when a power of two, else -1. *)
   assoc : int;
-  tags : int array;
-  ages : int array;  (* Larger is more recent. *)
-  dirty : bool array;
-  prev : int array;  (* n_slots + 1 entries: the last is the sentinel. *)
-  next : int array;
+  n_slots : int;  (* Configured capacity. *)
+  stride : int;  (* Words per set: [4 * assoc]. *)
+  page_shift : int;  (* A page holds [1 lsl page_shift] sets. *)
+  node_shift : int;  (* Node id = [page lsl node_shift lor s]. *)
+  pages : int array array;  (* [fresh] until the page's first insert. *)
+  fresh : int array;
+  mutable first : int;  (* Sentinel's next: the oldest dirty node. *)
+  mutable last : int;  (* Sentinel's prev: the newest dirty node. *)
   mutable dirty_n : int;
   mutable resident_n : int;
   mutable tick : int;
 }
 
-let line_count t = Array.length t.tags
-let sentinel t = Array.length t.tags
+let line_count t = t.n_slots
+let sentinel = -1
 
-(* Empties the dirty list. *)
-let self_link_sentinel t =
-  let head = sentinel t in
-  t.prev.(head) <- head;
-  t.next.(head) <- head
+(* [Max_young_wosize]: a larger block bypasses the minor heap. *)
+let max_young_words = 256
+
+let log2_ceil n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+(* Never-touched state: every way invalid, age 0, clean. *)
+let fresh_page ~sets ~stride ~assoc =
+  let pg = Array.make (sets * stride) 0 in
+  for set = 0 to sets - 1 do
+    Array.fill pg (set * stride) assoc (lnot 0)
+  done;
+  pg
 
 let create cfg =
   let total_lines = Units.Size.to_bytes cfg.size / cfg.line_size in
   assert (total_lines > 0 && cfg.associativity > 0);
   assert (total_lines mod cfg.associativity = 0);
-  let t =
-    {
-      cfg;
-      n_sets = total_lines / cfg.associativity;
-      assoc = cfg.associativity;
-      tags = Array.make total_lines (lnot 0);
-      ages = Array.make total_lines 0;
-      dirty = Array.make total_lines false;
-      prev = Array.make (total_lines + 1) 0;
-      next = Array.make (total_lines + 1) 0;
-      dirty_n = 0;
-      resident_n = 0;
-      tick = 0;
-    }
+  let assoc = cfg.associativity in
+  let n_sets = total_lines / assoc and stride = 4 * assoc in
+  let page_shift =
+    min (log2_ceil n_sets) (log2_ceil ((max_young_words / stride) + 1))
   in
-  self_link_sentinel t;
-  t
+  let sets_per_page = 1 lsl page_shift in
+  let fresh = fresh_page ~sets:sets_per_page ~stride ~assoc in
+  {
+    cfg;
+    n_sets;
+    set_mask = (if n_sets land (n_sets - 1) = 0 then n_sets - 1 else -1);
+    assoc;
+    n_slots = total_lines;
+    stride;
+    page_shift;
+    node_shift = log2_ceil (sets_per_page * stride);
+    pages = Array.make ((n_sets + sets_per_page - 1) / sets_per_page) fresh;
+    fresh;
+    first = sentinel;
+    last = sentinel;
+    dirty_n = 0;
+    resident_n = 0;
+    tick = 0;
+  }
 
 let config t = t.cfg
 
-let set_of_line t line = line mod t.n_sets
+(* The helpers on the per-access path are marked for inlining: the
+   closure compiler does not inline them otherwise, and a call costs
+   more than their bodies. With a power-of-two set count (every C5528
+   level) the set is a mask, not a division. *)
+let[@inline] set_of_line t line =
+  assert (line >= 0);
+  if t.set_mask >= 0 then line land t.set_mask else line mod t.n_sets
+
+let[@inline] page_of_set t set = set lsr t.page_shift
+
+(* Index of [set]'s way 0 within its page. *)
+let[@inline] base t set = (set land ((1 lsl t.page_shift) - 1)) * t.stride
+
+(* Page [p] for writing: allocated on first use. *)
+let own_page t p =
+  let pg = Array.unsafe_get t.pages p in
+  if pg != t.fresh then pg
+  else begin
+    let pg =
+      fresh_page ~sets:(1 lsl t.page_shift) ~stride:t.stride ~assoc:t.assoc
+    in
+    Array.unsafe_set t.pages p pg;
+    pg
+  end
+
+let[@inline] node_page t node = Array.unsafe_get t.pages (node lsr t.node_shift)
+let[@inline] node_index t node = node land ((1 lsl t.node_shift) - 1)
+
+(* Link [v] into node [node]'s next (resp. prev) field. *)
+let[@inline] set_next t node v =
+  if node = sentinel then t.first <- v
+  else
+    Array.unsafe_set (node_page t node) (node_index t node + (3 * t.assoc)) v
+
+let[@inline] set_prev t node v =
+  if node = sentinel then t.last <- v
+  else
+    Array.unsafe_set (node_page t node) (node_index t node + (2 * t.assoc)) v
 
 (* Appending at the tail keeps [dirty_lines] in dirtying order, which is
    deterministic regardless of cache geometry. *)
-let link_dirty t s =
-  let head = sentinel t in
-  let last = t.prev.(head) in
-  t.prev.(s) <- last;
-  t.next.(s) <- head;
-  t.next.(last) <- s;
-  t.prev.(head) <- s;
+let link_dirty t pg p s =
+  let a = t.assoc in
+  let node = (p lsl t.node_shift) lor s and last = t.last in
+  Array.unsafe_set pg (s + (2 * a)) last;
+  Array.unsafe_set pg (s + (3 * a)) sentinel;
+  set_next t last node;
+  t.last <- node;
   t.dirty_n <- t.dirty_n + 1
 
-let unlink_dirty t s =
-  let p = t.prev.(s) and n = t.next.(s) in
-  t.next.(p) <- n;
-  t.prev.(n) <- p;
+let unlink_dirty t pg s =
+  let a = t.assoc in
+  let p = Array.unsafe_get pg (s + (2 * a))
+  and n = Array.unsafe_get pg (s + (3 * a)) in
+  set_next t p n;
+  set_prev t n p;
   t.dirty_n <- t.dirty_n - 1
 
-let mark_dirty t s =
-  if not (Array.unsafe_get t.dirty s) then begin
-    Array.unsafe_set t.dirty s true;
-    link_dirty t s
+let[@inline] dirty_at t pg s = Array.unsafe_get pg (s + t.assoc) land 1 <> 0
+
+let mark_dirty t pg p s =
+  if not (dirty_at t pg s) then begin
+    let i = s + t.assoc in
+    Array.unsafe_set pg i (Array.unsafe_get pg i lor 1);
+    link_dirty t pg p s
   end
 
-let mark_clean t s =
-  if Array.unsafe_get t.dirty s then begin
-    Array.unsafe_set t.dirty s false;
-    unlink_dirty t s
+let mark_clean t pg s =
+  if dirty_at t pg s then begin
+    let i = s + t.assoc in
+    Array.unsafe_set pg i (Array.unsafe_get pg i land lnot 1);
+    unlink_dirty t pg s
   end
 
 type victim = { line : int; dirty : bool }
 
 (* Top-level so probing allocates no closure; annotated so the tag
    comparison is an integer compare, not the polymorphic one. *)
-let rec scan_set (tags : int array) (line : int) i stop =
+let rec scan_set (pg : int array) (line : int) i stop =
   if i >= stop then -1
-  else if Array.unsafe_get tags i = line then i
-  else scan_set tags line (i + 1) stop
+  else if Array.unsafe_get pg i = line then i
+  else scan_set pg line (i + 1) stop
 
-(* The slot holding [line], or -1. *)
-let find t line =
-  assert (line >= 0);
-  let base = set_of_line t line * t.assoc in
-  scan_set t.tags line base (base + t.assoc)
+(* The index of [line]'s way in page [pg], or -1. *)
+let[@inline] find t pg set line =
+  let b = base t set in
+  scan_set pg line b (b + t.assoc)
 
-let touch t s =
+let[@inline] touch t pg s =
   t.tick <- t.tick + 1;
-  Array.unsafe_set t.ages s t.tick
+  let i = s + t.assoc in
+  Array.unsafe_set pg i ((t.tick lsl 1) lor (Array.unsafe_get pg i land 1))
 
 let probe t ~line =
-  let s = find t line in
+  let set = set_of_line t line in
+  let pg = Array.unsafe_get t.pages (page_of_set t set) in
+  let s = find t pg set line in
   if s < 0 then false
   else begin
-    touch t s;
+    touch t pg s;
     true
   end
 
-let contains t ~line = find t line >= 0
+let contains t ~line =
+  let set = set_of_line t line in
+  find t (Array.unsafe_get t.pages (page_of_set t set)) set line >= 0
 
-(* Victim selection: prefer an invalid slot; otherwise the least
-   recently used. Ties go to the lower slot. *)
-let rec pick_slot t i stop best =
+(* Victim selection: prefer an invalid way; otherwise the least
+   recently used. Ties go to the lower way. *)
+let rec pick_way (pg : int array) a i stop best =
   if i >= stop then best
   else
-    let valid = Array.unsafe_get t.tags i >= 0
-    and b_valid = Array.unsafe_get t.tags best >= 0
-    and older = Array.unsafe_get t.ages i < Array.unsafe_get t.ages best in
+    let valid = Array.unsafe_get pg i >= 0
+    and b_valid = Array.unsafe_get pg best >= 0
+    and older = Array.unsafe_get pg (a + i) < Array.unsafe_get pg (a + best) in
     let best =
       if not valid then if b_valid || older then i else best
       else if b_valid && older then i
       else best
     in
-    pick_slot t (i + 1) stop best
+    pick_way pg a (i + 1) stop best
 
 (* Allocates [line], which the caller knows is absent: the set is
    scanned once, for the victim, and never for the line itself. *)
 let insert_absent t ~line ~dirty =
-  let base = set_of_line t line * t.assoc in
-  let s = pick_slot t (base + 1) (base + t.assoc) base in
-  let old = Array.unsafe_get t.tags s in
+  let set = set_of_line t line in
+  let p = page_of_set t set in
+  let pg = own_page t p and b = base t set in
+  let s = pick_way pg t.assoc (b + 1) (b + t.assoc) b in
+  let old = Array.unsafe_get pg s in
   let victim =
-    if old >= 0 then Some { line = old; dirty = Array.unsafe_get t.dirty s }
+    if old >= 0 then Some { line = old; dirty = dirty_at t pg s }
     else begin
       t.resident_n <- t.resident_n + 1;
       None
     end
   in
-  mark_clean t s;
-  Array.unsafe_set t.tags s line;
-  if dirty then mark_dirty t s;
-  touch t s;
+  mark_clean t pg s;
+  Array.unsafe_set pg s line;
+  if dirty then mark_dirty t pg p s;
+  touch t pg s;
   victim
 
 let insert t ~line ~dirty =
-  let s = find t line in
+  let set = set_of_line t line in
+  let p = page_of_set t set in
+  let pg = Array.unsafe_get t.pages p in
+  let s = find t pg set line in
   if s < 0 then insert_absent t ~line ~dirty
   else begin
-    if dirty then mark_dirty t s;
-    touch t s;
+    if dirty then mark_dirty t pg p s;
+    touch t pg s;
     None
   end
 
 let set_dirty t ~line =
-  let s = find t line in
-  if s >= 0 then mark_dirty t s
+  let set = set_of_line t line in
+  let p = page_of_set t set in
+  let pg = Array.unsafe_get t.pages p in
+  let s = find t pg set line in
+  if s >= 0 then mark_dirty t pg p s
 
 let is_dirty t ~line =
-  let s = find t line in
-  s >= 0 && t.dirty.(s)
+  let set = set_of_line t line in
+  let pg = Array.unsafe_get t.pages (page_of_set t set) in
+  let s = find t pg set line in
+  s >= 0 && dirty_at t pg s
 
 let invalidate t ~line =
-  let s = find t line in
+  let set = set_of_line t line in
+  let pg = Array.unsafe_get t.pages (page_of_set t set) in
+  let s = find t pg set line in
   if s < 0 then false
   else begin
-    let was_dirty = t.dirty.(s) in
-    mark_clean t s;
-    t.tags.(s) <- lnot line;
+    let was_dirty = dirty_at t pg s in
+    mark_clean t pg s;
+    Array.unsafe_set pg s (lnot line);
     t.resident_n <- t.resident_n - 1;
     was_dirty
   end
 
 let iter_dirty t f =
-  let head = sentinel t in
-  let s = ref t.next.(head) in
-  while !s <> head do
-    f t.tags.(!s);
-    s := t.next.(!s)
+  let s = ref t.first in
+  while !s <> sentinel do
+    let pg = node_page t !s and i = node_index t !s in
+    f pg.(i);
+    s := pg.(i + (3 * t.assoc))
   done
 
 let dirty_lines t =
@@ -210,62 +304,41 @@ let resident_count t = t.resident_n
 
 (* Brute-force references for the incremental bookkeeping, kept for the
    invariant tests and the before/after microbenchmarks: folds over
-   every valid slot, in slot order. *)
+   every valid way, in slot order. *)
 let fold_valid f acc t =
   let acc = ref acc in
-  Array.iteri (fun s tag -> if tag >= 0 then acc := f !acc s) t.tags;
+  for set = 0 to t.n_sets - 1 do
+    let pg = t.pages.(page_of_set t set) and b = base t set in
+    for s = b to b + t.assoc - 1 do
+      if pg.(s) >= 0 then acc := f !acc pg s
+    done
+  done;
   !acc
 
-let dirty_lines_slow (t : t) =
-  fold_valid (fun acc s -> if t.dirty.(s) then t.tags.(s) :: acc else acc) [] t
+let dirty_lines_slow t =
+  fold_valid (fun acc pg s -> if dirty_at t pg s then pg.(s) :: acc else acc) [] t
 
-let dirty_count_slow (t : t) =
-  fold_valid (fun acc s -> if t.dirty.(s) then acc + 1 else acc) 0 t
+let dirty_count_slow t =
+  fold_valid (fun acc pg s -> if dirty_at t pg s then acc + 1 else acc) 0 t
 
-let resident_count_slow t = fold_valid (fun acc _ -> acc + 1) 0 t
+let resident_count_slow t = fold_valid (fun acc _ _ -> acc + 1) 0 t
 
-(* Snapshots copy every array of tag state whole — including the dirty
-   list's links, since [iter_dirty]'s oldest-first order is visible
-   through write-back event order. *)
-type snapshot = {
-  snap_tags : int array;
-  snap_ages : int array;
-  snap_dirty : bool array;
-  snap_prev : int array;
-  snap_next : int array;
-  snap_dirty_n : int;
-  snap_resident : int;
-  snap_tick : int;
-}
-
-let snapshot t =
-  {
-    snap_tags = Array.copy t.tags;
-    snap_ages = Array.copy t.ages;
-    snap_dirty = Array.copy t.dirty;
-    snap_prev = Array.copy t.prev;
-    snap_next = Array.copy t.next;
-    snap_dirty_n = t.dirty_n;
-    snap_resident = t.resident_n;
-    snap_tick = t.tick;
-  }
-
-let restore t s =
-  if Array.length s.snap_tags <> Array.length t.tags then
-    invalid_arg "Cache.restore: snapshot from a different geometry";
-  let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
-  blit s.snap_tags t.tags;
-  blit s.snap_ages t.ages;
-  blit s.snap_dirty t.dirty;
-  blit s.snap_prev t.prev;
-  blit s.snap_next t.next;
-  t.dirty_n <- s.snap_dirty_n;
-  t.resident_n <- s.snap_resident;
-  t.tick <- s.snap_tick
-
+(* Only allocated pages can hold a valid or dirty way. Invalidated ways
+   keep their stale line and age, as after [invalidate]. *)
 let clear t =
-  Array.iteri (fun s tag -> if tag >= 0 then t.tags.(s) <- lnot tag) t.tags;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  self_link_sentinel t;
+  let a = t.assoc in
+  Array.iter
+    (fun pg ->
+      if pg != t.fresh then
+        for k = 0 to (1 lsl t.page_shift) - 1 do
+          for s = k * t.stride to (k * t.stride) + a - 1 do
+            let tag = pg.(s) in
+            if tag >= 0 then pg.(s) <- lnot tag;
+            pg.(s + a) <- pg.(s + a) land lnot 1
+          done
+        done)
+    t.pages;
+  t.first <- sentinel;
+  t.last <- sentinel;
   t.dirty_n <- 0;
   t.resident_n <- 0

@@ -6,14 +6,17 @@
     numbers are non-negative; the cache works internally in line numbers
     ([addr / line_size]).
 
-    Tags, ages and dirty bits are flat per-slot arrays, so a set scan
-    reads consecutive ints. Dirty and resident state is tracked
-    incrementally: per-cache counters plus an intrusive doubly-linked
-    index of dirty slots make {!dirty_count}, {!resident_count},
-    {!dirty_lines} and {!iter_dirty} O(dirty lines) rather than a fold
-    over every slot. The
-    flush-on-fail protocol and residual-energy-window loops poll these
-    on every simulated step, so this is the simulator's hottest
+    Tag state is allocated a page of consecutive sets at a time, at
+    the page's first insert, so a level costs memory and build time in
+    proportion to the sets it has touched, not to its configured
+    capacity; an untouched set reads as all ways invalid. Within a set,
+    tags, ages (with the dirty flag) and dirty-list links are separate
+    runs of one int array, so a set scan reads consecutive ints. Dirty and resident state is tracked incrementally:
+    per-cache counters plus an intrusive doubly-linked index of dirty
+    ways make {!dirty_count}, {!resident_count}, {!dirty_lines} and
+    {!iter_dirty} O(dirty lines) rather than a fold over every slot.
+    The flush-on-fail protocol and residual-energy-window loops poll
+    these on every simulated step, so this is the simulator's hottest
     bookkeeping. *)
 
 open Wsp_sim
@@ -32,7 +35,7 @@ val create : config -> t
 val config : t -> config
 
 val line_count : t -> int
-(** Total capacity in lines. *)
+(** Total configured capacity in lines, touched or not. *)
 
 type victim = { line : int; dirty : bool }
 
@@ -80,20 +83,7 @@ val resident_count_slow : t -> int
     used by the invariant tests and the before/after microbenchmarks;
     not for production callers. *)
 
-type snapshot
-(** An immutable copy of the full tag state: per-way contents, LRU
-    clock, and the dirty list's exact ordering (observable through the
-    write-back order of {!iter_dirty}). *)
-
-val snapshot : t -> snapshot
-(** O(total slots) copy of the cache's state. *)
-
-val restore : t -> snapshot -> unit
-(** Rewinds [t] to a prior {!snapshot} in place. The snapshot must come
-    from a cache of the same geometry ([Invalid_argument] otherwise);
-    after restore the cache is indistinguishable from its state at
-    snapshot time, including dirty-line iteration order. *)
-
 val clear : t -> unit
 (** Invalidates everything without reporting write-backs; callers that
-    need write-back semantics must consume {!dirty_lines} first. *)
+    need write-back semantics must consume {!dirty_lines} first.
+    Skips pages no insert has touched. *)

@@ -313,15 +313,3 @@ let flush_all t =
   Time.add walk transfer
 
 let drop_volatile t = Array.iter Cache.clear t.levels
-
-(* Snapshots cover tag state only: metrics keep accumulating across a
-   restore (they describe work performed, not machine state) and the
-   [seen] scratch table is reset at the start of every walk anyway. *)
-type snapshot = Cache.snapshot array
-
-let snapshot t = Array.map Cache.snapshot t.levels
-
-let restore t s =
-  if Array.length s <> Array.length t.levels then
-    invalid_arg "Hierarchy.restore: snapshot from a different hierarchy";
-  Array.iteri (fun i cs -> Cache.restore t.levels.(i) cs) s

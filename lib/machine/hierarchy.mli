@@ -108,13 +108,5 @@ val resident_at : t -> level:int -> line:int -> bool
     without touching LRU recency. For inclusion checks. *)
 
 val total_line_slots : t -> int
-
-type snapshot
-(** Full tag state of every level (see {!Cache.snapshot}). Metric
-    counters are {e not} part of a snapshot: they describe work
-    performed, and keep accumulating across a {!restore}. *)
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-(** Rewinds every level to the snapshot in place; requires the same
-    level geometry the snapshot was taken from. *)
+(** Configured capacity of every level, in lines, whether or not a set
+    has been touched: what {!flush_all}'s tag walk is charged for. *)

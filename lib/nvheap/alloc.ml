@@ -164,6 +164,22 @@ let is_allocated t payload =
     in
     walk t.base
 
+(* One walk under [is_allocated]'s stopping rule, so a payload of
+   positive size is in the table exactly when [is_allocated] holds. *)
+let live_payload_sizes t =
+  let sizes = Hashtbl.create 64 in
+  let rec walk addr =
+    if addr < t.limit then begin
+      let size, used = read_header t addr in
+      if size > 0 then begin
+        if used then Hashtbl.replace sizes (addr + header_size) size;
+        walk (next_block t addr size)
+      end
+    end
+  in
+  walk t.base;
+  sizes
+
 let fold_blocks t f acc =
   let rec go addr acc =
     if addr >= t.limit then acc

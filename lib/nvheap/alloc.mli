@@ -53,6 +53,14 @@ val payload_size : t -> int -> int
 (** Size of the payload allocated at the given address. *)
 
 val is_allocated : t -> int -> bool
+(** Walks the block chain from the base: O(blocks) charged reads. *)
+
+val live_payload_sizes : t -> (int, int) Hashtbl.t
+(** Every allocated payload address mapped to its size, from one walk
+    of the block chain. For [n > 0], [is_allocated t p && payload_size t
+    p >= n] holds exactly when [p] maps to a size of at least [n], so a
+    caller validating many addresses pays one walk, not one per
+    address. *)
 
 val recover : t -> unit
 (** Rebuilds the volatile free-list index by scanning headers — the

@@ -61,9 +61,11 @@ let set_root t node = Pheap.write_u64 t.heap ~addr:t.root_cell (Int64.of_int nod
    content and every node's child pointers are absolute addresses from
    the source base and must be shifted by [delta]. Each address is
    validated against the new heap before it is dereferenced — a
-   corrupted image cannot send the walk out of the region — and the
-   visit count is bounded so a cycle terminates in [Invalid_argument]
-   rather than divergence. *)
+   corrupted image cannot send the walk out of the region — by a lookup
+   in a table of live payloads built with one walk of the block chain,
+   so relocation is linear in nodes plus blocks. The visit count is
+   bounded so a cycle terminates in [Invalid_argument] rather than
+   divergence. *)
 let attach_relocated heap ~delta =
   if delta = 0 then attach heap
   else begin
@@ -72,7 +74,7 @@ let attach_relocated heap ~delta =
     if root_cell = 0 then Fmt.invalid_arg "%s: heap has no root" who;
     validate_root_cell ~who heap root_cell;
     let t = { heap; root_cell } in
-    let allocator = Pheap.allocator heap in
+    let live = Alloc.live_payload_sizes (Pheap.allocator heap) in
     let base = Pheap.heap_base heap in
     let limit = base + Pheap.heap_size heap in
     let budget = ref ((Pheap.heap_size heap / node_size) + 1) in
@@ -87,8 +89,9 @@ let attach_relocated heap ~delta =
           Fmt.invalid_arg "%s: relocated node %d outside heap [%d,%d)" who
             node base limit;
         if
-          (not (Alloc.is_allocated allocator node))
-          || Alloc.payload_size allocator node < node_size
+          match Hashtbl.find_opt live node with
+          | Some size -> size < node_size
+          | None -> true
         then
           Fmt.invalid_arg "%s: relocated node %d is not a live node block"
             who node;

@@ -1,0 +1,61 @@
+#!/bin/sh
+# Golden-output gate, run by `make golden` and CI.
+#
+# One contract: simulated output does not move. Each command below is
+# deterministic from its arguments, and its output must `cmp` equal to
+# the file of the same name committed under test/golden/. The other
+# determinism gates compare two runs of one binary (two job widths,
+# two strides), so a rewrite that shifts simulated output the same way
+# in every run passes them; this gate pins the bytes themselves.
+#
+#   sh scripts/golden.sh            compare against test/golden/
+#   sh scripts/golden.sh --update   rewrite test/golden/ (review the diff)
+#
+# Cover: image-mode grow/shrink/crash `shard --json`, an undo-logged
+# crash run's `shard --json` and `--metrics`, the clean 500-point
+# certification's `check --json` and `--metrics`, and the Table 2 and
+# Figure 8 reproductions (both hinge on the cache model's tag walk).
+set -eu
+
+SIM="${SIM:-_build/default/bin/wsp_sim.exe}"
+cd "$(dirname "$0")/.."
+
+GOLDEN=test/golden
+if [ "${1:-}" = "--update" ]; then
+  OUT=$GOLDEN
+  mkdir -p "$OUT"
+else
+  OUT=$(mktemp -d)
+  trap 'rm -rf "$OUT"' EXIT
+fi
+
+SHARD="--shards 4 --clients 64 --queue-cap 64 --requests 20000 --keyspace 4000"
+
+echo "== golden: generate =="
+"$SIM" shard $SHARD --grow-at 40 --shrink-at 200 --crash-at 100 \
+  --crash-shard 1 --migrate-mode image --json "$OUT/shard-image.json" \
+  > /dev/null
+"$SIM" shard $SHARD --config undo --crash-at 150 \
+  --json "$OUT/shard-undo.json" --metrics "$OUT/shard-undo-metrics.json" \
+  > /dev/null
+"$SIM" check --points 500 --seed 42 --json "$OUT/check.json" \
+  --metrics "$OUT/check-metrics.json" > /dev/null
+"$SIM" experiment table2 > "$OUT/table2.txt"
+"$SIM" experiment figure8 > "$OUT/figure8.txt"
+
+if [ "$OUT" = "$GOLDEN" ]; then
+  echo "golden: rewrote $GOLDEN"
+  exit 0
+fi
+
+echo "== golden: compare against $GOLDEN =="
+failed=0
+for f in shard-image.json shard-undo.json shard-undo-metrics.json \
+  check.json check-metrics.json table2.txt figure8.txt; do
+  if ! cmp "$GOLDEN/$f" "$OUT/$f"; then
+    echo "FAIL: $f differs from $GOLDEN/$f"
+    failed=1
+  fi
+done
+[ "$failed" -eq 0 ] || exit 1
+echo "golden: all outputs match"

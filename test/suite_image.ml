@@ -310,6 +310,73 @@ let corruption_tests =
         done);
   ]
 
+(* Swizzling validates every node against the relocated heap. One walk
+   of the block chain serves the whole tree, so the charged accesses
+   grow linearly with the tree; a per-node chain walk made them
+   quadratic. *)
+let swizzle_accesses n =
+  let heap = fresh_heap () in
+  let tree = Avl.create heap in
+  for i = 0 to n - 1 do
+    Avl.insert tree ~key:(Int64.of_int i) ~value:(Int64.of_int i)
+  done;
+  let image = Image.save heap in
+  let base = 4096 in
+  let metrics = Wsp_obs.Metrics.create () in
+  let nvram =
+    Nvram.create ~metrics
+      ~size:(Units.Size.bytes (base + Image.region_len image))
+      ()
+  in
+  let heap' = Image.restore_at image ~nvram ~base () in
+  let accesses () =
+    let c name = Wsp_obs.Metrics.(Counter.value (counter metrics name)) in
+    c "machine.cache.hits" + c "machine.cache.misses"
+  in
+  let before = accesses () in
+  let tree' = Avl.attach_relocated heap' ~delta:base in
+  let n_accesses = accesses () - before in
+  Alcotest.(check int) (Printf.sprintf "%d nodes relocated" n) n
+    (List.length (Avl.to_list tree'));
+  n_accesses
+
+let swizzle_tests =
+  [
+    Alcotest.test_case "relocating a 2,000-node tree is linear" `Quick
+      (fun () ->
+        let n = 2000 in
+        let accesses = swizzle_accesses n in
+        (* Two chain walks (root cell, live table) and four accesses per
+           node; a chain walk per node would be about n^2/2. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%d accesses for %d nodes" accesses n)
+          true
+          (accesses <= 8 * n));
+    Alcotest.test_case "a child pointer into a block interior is refused"
+      `Quick (fun () ->
+        let heap = fresh_heap () in
+        let tree = build_tree heap 40 in
+        let root = Pheap.read_int heap ~addr:(Pheap.root heap) in
+        (* Off by one word: inside the root's block, not a payload. *)
+        Pheap.write_u64 heap ~addr:(root + 16) (Int64.of_int (root + 8));
+        ignore tree;
+        let image = Image.save heap in
+        let base = 4096 in
+        let nvram =
+          Nvram.create
+            ~size:(Units.Size.bytes (base + Image.region_len image))
+            ()
+        in
+        let heap' = Image.restore_at image ~nvram ~base () in
+        Alcotest.check_raises "interior pointer"
+          (Invalid_argument
+             (Printf.sprintf
+                "Avl.attach_relocated: relocated node %d is not a live node \
+                 block"
+                (root + 8 + base)))
+          (fun () -> ignore (Avl.attach_relocated heap' ~delta:base)));
+  ]
+
 let msync_tests =
   [
     Alcotest.test_case "msync commit is durable without a WSP save" `Quick
@@ -400,6 +467,7 @@ let suite =
     ("image.root", root_sentinel_tests);
     ("image.roundtrip", roundtrip_tests);
     ("image.corruption", corruption_tests);
+    ("image.swizzle", swizzle_tests);
     ("image.msync", msync_tests);
     ("image.system", system_tests);
   ]

@@ -552,32 +552,123 @@ let wear_tests =
         Alcotest.(check bool) "near 1" true (Wear_level.wear_ratio wl < 1.2));
   ]
 
-(* --- Snapshot / restore --------------------------------------------------- *)
+(* --- Differential cache model ---------------------------------------- *)
 
-(* The incremental checker rewinds the machine to recorded waypoints, so
-   a restored cache must be indistinguishable from the original at
-   snapshot time under *every* observation — including LRU victim
-   choice and dirty write-back order, which only diverge several
-   operations after a sloppy restore. The properties below replay the
-   same random suffix against the live cache and against a restored
-   snapshot and demand identical observation streams. *)
+(* [Cache] against a naive model written here: each set is a list of
+   (line, dirty) pairs, most recently used first, and the dirty lines
+   form one list in dirtying order. The model shares nothing with the
+   cache's per-set arrays, index arithmetic or intrusive links, so a
+   layout bug shows up as a different answer, victim, count or
+   write-back order. The brute-force [*_slow] folds above read the
+   cache's own representation and cannot see such a bug. *)
+
+type model = {
+  m_sets : (int * bool) list array;  (* MRU first. *)
+  m_ways : int;
+  mutable m_dirty : int list;  (* Oldest first. *)
+}
+
+let model_create ~sets ~ways =
+  { m_sets = Array.make sets []; m_ways = ways; m_dirty = [] }
+
+let model_set m line = line mod Array.length m.m_sets
+let model_find m line = List.assoc_opt line m.m_sets.(model_set m line)
+
+let model_drop_dirty m line =
+  m.m_dirty <- List.filter (fun l -> l <> line) m.m_dirty
+
+let model_mark_dirty m line =
+  if not (List.mem line m.m_dirty) then m.m_dirty <- m.m_dirty @ [ line ]
+
+let model_update m line f =
+  let s = model_set m line in
+  m.m_sets.(s) <- f m.m_sets.(s)
+
+let model_probe m line =
+  match model_find m line with
+  | None -> false
+  | Some d ->
+      model_update m line (fun ways ->
+          (line, d) :: List.remove_assoc line ways);
+      true
+
+let model_insert m line dirty =
+  match model_find m line with
+  | Some d ->
+      if dirty then model_mark_dirty m line;
+      model_update m line (fun ways ->
+          (line, d || dirty) :: List.remove_assoc line ways);
+      None
+  | None ->
+      let ways = m.m_sets.(model_set m line) in
+      let victim, kept =
+        if List.length ways < m.m_ways then (None, ways)
+        else
+          let lru = List.nth ways (m.m_ways - 1) in
+          (Some lru, List.filteri (fun i _ -> i < m.m_ways - 1) ways)
+      in
+      Option.iter (fun (l, _) -> model_drop_dirty m l) victim;
+      if dirty then model_mark_dirty m line;
+      model_update m line (fun _ -> (line, dirty) :: kept);
+      victim
+
+let model_set_dirty m line =
+  if model_find m line <> None then begin
+    model_mark_dirty m line;
+    model_update m line (List.map (fun (l, d) -> (l, d || l = line)))
+  end
+
+let model_invalidate m line =
+  match model_find m line with
+  | None -> false
+  | Some d ->
+      model_drop_dirty m line;
+      model_update m line (List.remove_assoc line);
+      d
+
+let model_clear m =
+  Array.fill m.m_sets 0 (Array.length m.m_sets) [];
+  m.m_dirty <- []
 
 type cache_op =
   | C_probe of int
+  | C_contains of int
   | C_insert of int * bool
+  | C_insert_absent of int * bool
   | C_set_dirty of int
+  | C_is_dirty of int
   | C_invalidate of int
+  | C_clear
 
-let apply_cache_op c = function
-  | C_probe l -> `Bool (Cache.probe c ~line:l)
-  | C_insert (l, d) -> (
-      match Cache.insert c ~line:l ~dirty:d with
-      | None -> `No_victim
-      | Some v -> `Victim (v.Cache.line, v.Cache.dirty))
+(* One step on both sides; [insert_absent] is only legal on an absent
+   line, so on a present one both sides take a plain [insert]. *)
+let step_both c m op =
+  let victim = Option.map (fun v -> (v.Cache.line, v.Cache.dirty)) in
+  match op with
+  | C_probe l -> (`Bool (Cache.probe c ~line:l), `Bool (model_probe m l))
+  | C_contains l ->
+      (`Bool (Cache.contains c ~line:l), `Bool (model_find m l <> None))
+  | C_insert (l, d) ->
+      (`Victim (victim (Cache.insert c ~line:l ~dirty:d)),
+       `Victim (model_insert m l d))
+  | C_insert_absent (l, d) ->
+      let ins =
+        if model_find m l = None then Cache.insert_absent else Cache.insert
+      in
+      (`Victim (victim (ins c ~line:l ~dirty:d)), `Victim (model_insert m l d))
   | C_set_dirty l ->
       Cache.set_dirty c ~line:l;
-      `Unit
-  | C_invalidate l -> `Bool (Cache.invalidate c ~line:l)
+      model_set_dirty m l;
+      (`Unit, `Unit)
+  | C_is_dirty l ->
+      ( `Bool (Cache.is_dirty c ~line:l),
+        `Bool (model_find m l = Some true) )
+  | C_invalidate l ->
+      (`Bool (Cache.invalidate c ~line:l), `Bool (model_invalidate m l))
+  | C_clear ->
+      Cache.clear c;
+      model_clear m;
+      (`Unit, `Unit)
 
 let cache_obs c =
   let order = ref [] in
@@ -587,99 +678,145 @@ let cache_obs c =
     Cache.dirty_lines c,
     List.rev !order )
 
-let gen_cache_ops =
-  QCheck2.Gen.(
-    list_size (int_range 0 60)
-      (oneof
-         [
-           map (fun l -> C_probe l) (int_range 0 31);
-           map2 (fun l d -> C_insert (l, d)) (int_range 0 31) bool;
-           map (fun l -> C_set_dirty l) (int_range 0 31);
-           map (fun l -> C_invalidate l) (int_range 0 31);
-         ]))
+let model_obs m =
+  let resident = Array.fold_left (fun n ways -> n + List.length ways) 0 m.m_sets in
+  (resident, List.length m.m_dirty, List.rev m.m_dirty, m.m_dirty)
 
-let snapshot_tests =
+let gen_cache_op line =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun l -> C_probe l) line);
+        (1, map (fun l -> C_contains l) line);
+        (4, map2 (fun l d -> C_insert (l, d)) line bool);
+        (3, map2 (fun l d -> C_insert_absent (l, d)) line bool);
+        (2, map (fun l -> C_set_dirty l) line);
+        (1, map (fun l -> C_is_dirty l) line);
+        (2, map (fun l -> C_invalidate l) line);
+        (1, return C_clear);
+      ])
+
+(* Lines [k * sets + set] for [k < 8] over a few chosen sets: twice as
+   many lines as ways, so sets fill and evict. A prefix touches only the
+   [low] sets, then a [clear], then a suffix touches [low] and [high]:
+   the [high] sets are first touched after a clear, some of them in a
+   page of sets that no insert has allocated yet. *)
+let gen_diff_stream ~sets ~low ~high =
+  QCheck2.Gen.(
+    let line of_sets = map2 (fun k s -> (k * sets) + s) (int_range 0 7) (oneofl of_sets) in
+    map2
+      (fun prefix suffix -> prefix @ (C_clear :: suffix))
+      (list_size (int_range 0 60) (gen_cache_op (line low)))
+      (list_size (int_range 0 150) (gen_cache_op (line (low @ high)))))
+
+let differential_test ~sets ~ways ~low ~high =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:
+         (Printf.sprintf
+            "cache agrees with a naive LRU model at every step (%d sets)" sets)
+       ~count:300
+       (gen_diff_stream ~sets ~low ~high)
+       (fun ops ->
+         let c =
+           small_cache ~size:(Units.Size.bytes (sets * ways * 64)) ~assoc:ways ()
+         in
+         let m = model_create ~sets ~ways in
+         List.for_all
+           (fun op ->
+             let got, want = step_both c m op in
+             got = want && cache_obs c = model_obs m)
+           ops))
+
+(* Four ways make a page of 32 sets. 64 sets: two pages, the set index
+   a mask. 96 sets: three pages, the set index a division. *)
+let differential_tests =
   [
-    Alcotest.test_case "restore rejects a different geometry" `Quick (fun () ->
-        let snap = Cache.snapshot (small_cache ()) in
-        let other = small_cache ~size:(Units.Size.bytes 512) () in
-        match Cache.restore other snap with
-        | () -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
-    Alcotest.test_case "restore preserves dirty write-back order" `Quick
-      (fun () ->
-        let c = small_cache () in
-        (* Dirty three lines in a known order, snapshot, then scramble
-           the cache: the restored iteration order must be the original
-           oldest-first sequence, not the scrambled one. *)
-        List.iter (fun l -> ignore (Cache.insert c ~line:l ~dirty:true)) [ 5; 1; 9 ];
-        let snap = Cache.snapshot c in
-        let before = cache_obs c in
-        ignore (Cache.invalidate c ~line:1);
-        ignore (Cache.insert c ~line:13 ~dirty:true);
-        ignore (Cache.insert c ~line:21 ~dirty:true);
-        Cache.restore c snap;
-        Alcotest.(check bool) "observations equal" true (cache_obs c = before));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"restored cache replays any suffix identically" ~count:200
-         QCheck2.Gen.(pair gen_cache_ops gen_cache_ops)
-         (fun (prefix, suffix) ->
-           let c = small_cache () in
-           List.iter (fun op -> ignore (apply_cache_op c op)) prefix;
-           let snap = Cache.snapshot c in
-           let live =
-             (List.map (apply_cache_op c) suffix, cache_obs c)
-           in
-           Cache.restore c snap;
-           let restored =
-             (List.map (apply_cache_op c) suffix, cache_obs c)
-           in
-           live = restored));
+    differential_test ~sets:64 ~ways:4 ~low:[ 0; 1; 31 ] ~high:[ 32; 33; 63 ];
+    differential_test ~sets:96 ~ways:4 ~low:[ 0; 1; 47 ] ~high:[ 48; 64; 95 ];
   ]
 
-let hierarchy_snapshot_tests =
+(* --- Allocation guards -------------------------------------------------- *)
+
+let total_sets (cfg : Hierarchy.config) =
+  List.fold_left
+    (fun n (l : Cache.config) ->
+      n + (Units.Size.to_bytes l.size / l.line_size / l.associativity))
+    0 cfg.levels
+
+let allocation_tests =
   [
+    Alcotest.test_case "building the C5528 hierarchy allocates O(sets)" `Quick
+      (fun () ->
+        let cfg = Platform.core_hierarchy Platform.intel_c5528 in
+        let metrics = Wsp_obs.Metrics.create () in
+        (* Empty the minor heap first: words allocated there earlier are
+           otherwise credited at the next minor collection, which a
+           large allocation inside [create] can trigger. *)
+        Gc.minor ();
+        let before = Gc.allocated_bytes () in
+        let h = Hierarchy.create ~metrics cfg in
+        let words =
+          int_of_float (Gc.allocated_bytes () -. before) / (Sys.word_size / 8)
+        in
+        let sets = total_sets cfg and slots = Hierarchy.total_line_slots h in
+        (* At most a pointer per set (one per page of sets, in fact),
+           plus a few KiB of fixed cost: the shared fresh pages, the
+           scratch table, metric handles. Eager tag arrays took five
+           words per slot. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words for %d sets (%d slots)" words sets slots)
+          true
+          (words <= (2 * sets) + 4096 && words < slots / 8));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
-         ~name:"restored hierarchy replays any suffix identically" ~count:100
+         ~name:"a hierarchy after flush_all behaves like a fresh one" ~count:100
          QCheck2.Gen.(
            pair
-             (list_size (int_range 0 40) (int_range 0 63))
-             (list_size (int_range 0 40) (int_range 0 63)))
-         (fun (prefix, suffix) ->
-           (* Stores over a 64-line window on a two-level hierarchy:
-              evictions (write-backs reaching the callback), dirty
-              footprint and flush behaviour after a restore must match
-              the live run byte for byte. *)
-           let wbs = ref [] in
-           let h =
-             tiny_hierarchy
-               ~on_writeback:(fun ~line ~explicit ->
-                 wbs := (line, explicit) :: !wbs)
-               ()
-           in
-           let store l = ignore (Hierarchy.store h ~addr:(l * 64)) in
-           List.iter store prefix;
-           let snap = Hierarchy.snapshot h in
-           let run () =
+             (list_size (int_range 0 80) (pair (int_range 0 3) (int_range 0 63)))
+             (list_size (int_range 0 120) (pair (int_range 0 3) (int_range 0 63))))
+         (fun (prefix, stream) ->
+           (* Every access returns its latency; write-backs reach the
+              callback in order. The flushed hierarchy's stale ways and
+              ages must not show through any of it. *)
+           let run h wbs ops =
              wbs := [];
-             List.iter store suffix;
-             ignore (Hierarchy.flush_all h);
-             (!wbs, Hierarchy.dirty_bytes h)
+             let lat =
+               List.map
+                 (fun (kind, l) ->
+                   let addr = l * 64 in
+                   match kind with
+                   | 0 -> Hierarchy.load h ~addr
+                   | 1 -> Hierarchy.store h ~addr
+                   | 2 -> Hierarchy.clflush h ~addr
+                   | _ -> Hierarchy.store_nt h ~addr)
+                 ops
+             in
+             (lat, List.rev !wbs, Hierarchy.dirty_lines h,
+              Hierarchy.resident_lines h)
            in
-           let live = run () in
-           Hierarchy.restore h snap;
-           let restored = run () in
-           live = restored));
+           let mk () =
+             let wbs = ref [] in
+             let h =
+               tiny_hierarchy
+                 ~on_writeback:(fun ~line ~explicit ->
+                   wbs := (line, explicit) :: !wbs)
+                 ()
+             in
+             (h, wbs)
+           in
+           let fresh, fresh_wbs = mk () and used, used_wbs = mk () in
+           ignore (run used used_wbs prefix);
+           ignore (Hierarchy.flush_all used);
+           run fresh fresh_wbs stream = run used used_wbs stream));
   ]
 
 let suite =
   [
-    ("machine.cache", cache_tests @ cache_props @ snapshot_tests);
+    ("machine.cache", cache_tests @ cache_props @ differential_tests);
     ("machine.wear_level", wear_tests);
     ( "machine.hierarchy",
-      hierarchy_tests @ hierarchy_props @ hierarchy_snapshot_tests );
+      hierarchy_tests @ hierarchy_props @ allocation_tests );
     ("machine.cpu", cpu_tests);
     ("machine.platform", platform_tests);
     ("machine.flush", flush_tests);
