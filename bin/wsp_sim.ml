@@ -119,18 +119,22 @@ let refuse verb msg =
 
 let refusing verb f = try f () with Invalid_argument msg -> refuse verb msg
 
-(* [-j N]: worker domains, [None] (from 0) deferring to the default. *)
+(* [-j N]: worker domains; 0 defers to the default. *)
 let jobs_arg what =
-  let some_if_positive j = if j > 0 then Some j else None in
-  Term.(
-    const some_if_positive
-    $ Arg.(
-        value & opt int 0
-        & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:
-              ("Worker domains " ^ what
-             ^ " (default: $(b,WSP_JOBS) or the core count; 1 forces \
-                sequential).")))
+  Arg.(
+    value & opt int 0
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          ("Worker domains " ^ what
+         ^ " (0, the default: $(b,WSP_JOBS) or the core count; 1 forces \
+            sequential)."))
+
+(* [with_jobs verb jobs f] refuses a negative [-j] and hands [f] the
+   width, [None] for the default. *)
+let with_jobs verb jobs f =
+  if jobs < 0 then
+    refuse verb (Printf.sprintf "--jobs must be >= 0, got %d" jobs)
+  else f (if jobs = 0 then None else Some jobs)
 
 (* Runs [f] with tracing enabled when requested, then exports both
    artifacts. Exports run even when [f] fails so a crashing run still
@@ -157,6 +161,7 @@ let experiment_cmd =
     Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters (slow).")
   in
   let run names full jobs metrics trace =
+    with_jobs "experiment" jobs @@ fun jobs ->
     with_obs metrics trace @@ fun () ->
     Option.iter Wsp_sim.Parallel.set_jobs jobs;
     match names with
@@ -383,6 +388,7 @@ let check_cmd =
   in
   let run workloads configs points txns jobs broken protocol no_shrink
       stride json seed verbose metrics trace =
+    with_jobs "check" jobs @@ fun jobs ->
     setup_logs verbose;
     with_obs metrics trace @@ fun () ->
     refusing "check" @@ fun () ->
@@ -527,6 +533,7 @@ let lint_cmd =
   in
   let run workload config broken txns jobs concurrent buses json expect strict
       psu platform busy seed verbose metrics trace =
+    with_jobs "lint" jobs @@ fun jobs ->
     let conflicts =
       if concurrent then
         List.filter_map
@@ -747,6 +754,7 @@ let shard_cmd =
       queue_cap config heap_mib crash_at crash_shard grow_at shrink_at
       migrate_batch migrate_mode sweep sweep_points lint race_lint
       broken_handoff jobs json seed verbose metrics trace =
+    with_jobs "shard" jobs @@ fun jobs ->
     setup_logs verbose;
     with_obs metrics trace @@ fun () ->
     let params =

@@ -20,8 +20,8 @@ let () =
     (fun config ->
       let per_op p =
         let r =
-          Workload.run_hash_benchmark ~entries ~ops ~config ~update_prob:p
-            ~seed:2 ()
+          Workload.run_structure_benchmark ~structure:Workload.Hash ~entries
+            ~ops ~config ~update_prob:p ~seed:2 ()
         in
         Time.to_us r.Workload.per_op
       in

@@ -1,8 +1,9 @@
-(** The concurrent lint driver: a registry of deterministic
-    multi-domain workloads over the {!Wsp_nvheap.Dstruct} durable
-    structures, analysed live by {!Crules} — the cross-certification
-    twin of the dynamic {!Wsp_check.Dcheck} crash sweeps, exactly as
-    {!Analyzer} is to {!Wsp_check.Checker}.
+(** The concurrent lint and its dynamic twin: a registry of
+    deterministic multi-domain workloads over the
+    {!Wsp_nvheap.Dstruct} durable structures, analysed live by
+    {!Crules} ({!clint}) and crash-swept on the very same drivers
+    ({!sweep}), so the static and dynamic race verdicts judge one
+    execution.
 
     Every workload is single-OS-thread deterministic: logical domains
     are interleaved by the driver, which re-attributes heap bus events
@@ -18,7 +19,9 @@
     structure is created so the baseline covers its blocks;
     [set_domain] switches the current domain; [sync] feeds a
     cross-domain edge or durability annotation at the current
-    domain. *)
+    domain. {!sweep} drives the same workload under a crash context
+    that counts memory events on the added heaps, collects the acks
+    and ignores domains. *)
 type ctx = {
   add_heap : domains:int list -> Wsp_nvheap.Pheap.t -> unit;
   set_domain : int -> unit;
@@ -30,6 +33,12 @@ type cworkload = {
   cconfig : Wsp_nvheap.Config.t;
   cdomains : int;  (** Minimum logical domains the driver needs. *)
   crun : ctx -> domains:int -> txns:int -> seed:int -> unit;
+  caudit : Wsp_nvheap.Pheap.t list -> acked:int64 list -> bool * bool;
+      (** After a crash: the re-attached heaps in [add_heap] order and
+          the objects acked by the crash instant, to (loss, torn). A
+          loss is an acked object the recovered state no longer shows
+          (R7's dynamic shadow, R8's when a handoff drops a key from
+          both heaps); torn state is visible but wrong (R9's). *)
 }
 
 val cregistry : cworkload list
@@ -55,3 +64,21 @@ val clint :
     [dcounter]; [handoff] keeps its pair). Defaults: 24 operations,
     seed 1. Reports come back in workload order regardless of
     [jobs]. *)
+
+type verdict = {
+  points : int;  (** Crash points swept (= uncrashed memory events). *)
+  losses : int;  (** Points whose audit found an acked object gone. *)
+  torn : int;  (** Points whose audit found visible-but-wrong state. *)
+  first_bad : int option;  (** Earliest convicting point, if any. *)
+}
+
+val clean : verdict -> bool
+(** No losses and nothing torn. *)
+
+val sweep : cworkload -> txns:int -> verdict
+(** Runs the workload's own [crun] once to count its memory events,
+    then once per event [k], failing power immediately before it: a
+    plain cut when the backend is durable without WSP, otherwise a WSP
+    save ([wsp_flush]) then the cut — the semantics of
+    {!Wsp_check.Checker}. Each crashed run is re-attached and judged by
+    [caudit]. Deterministic: same arguments, same verdict. *)

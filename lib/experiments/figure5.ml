@@ -18,7 +18,8 @@ let data ?(entries = 20_000) ?(ops = 100_000) ?(points = 6) ?(seed = 5) () =
     Parallel.map
       (fun (config, update_prob) ->
         let r =
-          Workload.run_hash_benchmark ~entries ~ops ~config ~update_prob ~seed ()
+          Workload.run_structure_benchmark ~structure:Workload.Hash ~entries
+            ~ops ~config ~update_prob ~seed ()
         in
         (config, (update_prob, r.Workload.per_op)))
       grid

@@ -13,7 +13,7 @@ type row = {
 let data ?(entries = 5000) ?(ops = 20_000) ?(seed = 31) () =
   let heap_row label config =
     let per_op p =
-      (Workload.run_hash_benchmark ~entries ~ops
+      (Workload.run_structure_benchmark ~structure:Workload.Hash ~entries ~ops
          ~heap_size:(Units.Size.mib 32) ~config ~update_prob:p ~seed ())
         .Workload.per_op
     in

@@ -21,7 +21,7 @@ let data ?(entries = 5000) ?(ops = 20_000) ?(seed = 37) () =
     (fun profile ->
       let hierarchy = Scm.apply profile base in
       let per_op config =
-        (Workload.run_hash_benchmark ~entries ~ops
+        (Workload.run_structure_benchmark ~structure:Workload.Hash ~entries ~ops
            ~heap_size:(Units.Size.mib 32) ~hierarchy ~config ~update_prob:0.8
            ~seed ())
           .Workload.per_op

@@ -21,7 +21,7 @@ let data ?(entries = 50_000) ?(ops = 50_000) ?(seed = 81) () =
   List.map
     (fun (label, distribution) ->
       let per_op config =
-        (Workload.run_hash_benchmark ~entries ~ops
+        (Workload.run_structure_benchmark ~structure:Workload.Hash ~entries ~ops
            ~heap_size:(Units.Size.mib 64) ~distribution ~config
            ~update_prob:0.2 ~seed ())
           .Workload.per_op

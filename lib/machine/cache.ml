@@ -302,27 +302,6 @@ let dirty_lines t =
 let dirty_count t = t.dirty_n
 let resident_count t = t.resident_n
 
-(* Brute-force references for the incremental bookkeeping, kept for the
-   invariant tests and the before/after microbenchmarks: folds over
-   every valid way, in slot order. *)
-let fold_valid f acc t =
-  let acc = ref acc in
-  for set = 0 to t.n_sets - 1 do
-    let pg = t.pages.(page_of_set t set) and b = base t set in
-    for s = b to b + t.assoc - 1 do
-      if pg.(s) >= 0 then acc := f !acc pg s
-    done
-  done;
-  !acc
-
-let dirty_lines_slow t =
-  fold_valid (fun acc pg s -> if dirty_at t pg s then pg.(s) :: acc else acc) [] t
-
-let dirty_count_slow t =
-  fold_valid (fun acc pg s -> if dirty_at t pg s then acc + 1 else acc) 0 t
-
-let resident_count_slow t = fold_valid (fun acc _ _ -> acc + 1) 0 t
-
 (* Only allocated pages can hold a valid or dirty way. Invalidated ways
    keep their stale line and age, as after [invalidate]. *)
 let clear t =

@@ -76,13 +76,6 @@ val dirty_count : t -> int
 val resident_count : t -> int
 (** O(1), maintained incrementally. *)
 
-val dirty_lines_slow : t -> int list
-val dirty_count_slow : t -> int
-val resident_count_slow : t -> int
-(** Brute-force fold references for the incremental bookkeeping above —
-    used by the invariant tests and the before/after microbenchmarks;
-    not for production callers. *)
-
 val clear : t -> unit
 (** Invalidates everything without reporting write-backs; callers that
     need write-back semantics must consume {!dirty_lines} first.

@@ -276,18 +276,6 @@ let dirty_line_count t =
 
 let dirty_bytes t = dirty_line_count t * t.line_size
 
-(* The old O(total slots) poll, kept as the before/after baseline for
-   the dirty-poll microbenchmark. *)
-let dirty_bytes_slow t =
-  let seen = Hashtbl.create 64 in
-  Array.iter
-    (fun level ->
-      List.iter
-        (fun line -> if not (Hashtbl.mem seen line) then Hashtbl.add seen line ())
-        (Cache.dirty_lines_slow level))
-    t.levels;
-  Hashtbl.length seen * t.line_size
-
 let resident_lines t =
   (* Distinct lines present anywhere; by inclusion this is the LLC count. *)
   Cache.resident_count (llc t)

@@ -97,10 +97,6 @@ val dirty_bytes : t -> int
     inside residual-energy-window and protocol loops, where the former
     fold over every way of every level slot dominated simulation time. *)
 
-val dirty_bytes_slow : t -> int
-(** The former O(total line slots) poll, kept as the baseline for the
-    dirty-poll microbenchmark; not for production callers. *)
-
 val resident_lines : t -> int
 
 val resident_at : t -> level:int -> line:int -> bool

@@ -9,8 +9,9 @@
     ([~racy:true]) variant that commits a deliberate persist-ordering
     bug from the Delay-Free taxonomy — acks or publishes that outrun
     the persist backing them. Clean and racy variants are what the
-    dynamic crash sweep ({!Wsp_check.Dcheck}) and the static race
-    detector ({!Wsp_analysis.Crules}) cross-certify.
+    static race detector ({!Wsp_analysis.Crules}) and the crash sweep
+    of the same drivers ({!Wsp_analysis.Canalyzer.sweep})
+    cross-certify.
 
     Every protocol step that matters to a race analysis is announced
     through a {!hook} callback, interleaved with the structure's bus

@@ -29,6 +29,11 @@ while read -r args; do
   # shellcheck disable=SC2086
   refuses $args
 done <<'EOF'
+# -j/--jobs: 0 means the default width, a negative one nothing
+experiment table2 --jobs=-1
+check --jobs=-1
+lint --jobs=-1
+shard --jobs=-1
 # check: counts the checker cannot judge
 check --points 0
 check --points=-3

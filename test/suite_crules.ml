@@ -1,7 +1,8 @@
 (* Cross-domain persistency race detector: vector-clock algebra,
    table-driven known-good / known-bad sync traces per rule R6-R9,
-   static/dynamic cross-certification against the Dcheck crash sweeps
-   on the durable-structure registry, the shard service's race lint
+   static/dynamic cross-certification on the durable-structure
+   registry (R6-R9 against crash sweeps of the same drivers, with the
+   sweep verdicts pinned), the shard service's race lint
    (clean, sabotaged, and sabotaged-under-sweep), and byte-identical
    concurrent reports across job widths. *)
 
@@ -9,7 +10,6 @@ open Wsp_nvheap
 open Wsp_analysis
 module Trace = Wsp_check.Trace
 module Checker = Wsp_check.Checker
-module Dcheck = Wsp_check.Dcheck
 module Service = Wsp_shard.Service
 
 (* --- vector clocks --------------------------------------------------- *)
@@ -200,63 +200,80 @@ let race_error_rules (report : Analyzer.report) =
           false)
     (error_rules report.Analyzer.result)
 
-let structure_of_cname cname =
-  let stem =
-    match String.index_opt cname '/' with
-    | Some i -> String.sub cname 0 i
-    | None -> cname
-  in
-  let racy = Filename.check_suffix stem "-racy" in
-  let base = if racy then Filename.chop_suffix stem "-racy" else stem in
-  match Dcheck.structure_of_name base with
-  | Some s -> (s, racy)
-  | None -> Alcotest.failf "unknown structure in %S" cname
-
 (* The full agreement matrix: for every concurrent registry workload,
-   the static R6-R9 verdict and the dynamic crash sweep must convict
-   exactly the same executions. *)
+   the static R6-R9 verdict and the crash sweep of the same driver must
+   convict exactly the same executions. *)
 let agreement_matrix_test =
   Alcotest.test_case "R6-R9 agree with the dynamic sweep on the registry"
     `Slow (fun () ->
       let reports = Canalyzer.clint ~jobs:2 ~txns:10 ~workloads:Canalyzer.cregistry () in
       List.iter2
         (fun (cw : Canalyzer.cworkload) (report : Analyzer.report) ->
-          let structure, racy = structure_of_cname report.Analyzer.workload in
-          let v =
-            Dcheck.sweep structure ~config:cw.Canalyzer.cconfig ~racy ~ops:10
-          in
           Alcotest.(check bool)
             (Printf.sprintf "%s: static conviction iff dynamic violation"
                report.Analyzer.workload)
-            (not (Dcheck.clean v))
+            (not (Canalyzer.clean (Canalyzer.sweep cw ~txns:10)))
             (race_error_rules report <> []))
         Canalyzer.cregistry reports)
+
+(* Sweep verdicts as points/losses/torn/first-bad-point at 4 and 8
+   operations, for every registry cell: a sweep that drifts by one
+   memory event, or an audit that changes its mind, shows here even
+   when the clean/unclean agreement above still holds. *)
+let pinned_verdicts =
+  [
+    ("dqueue/foc-ul", "30/0/0/-", "57/0/0/-");
+    ("dqueue/fof", "30/0/0/-", "57/0/0/-");
+    ("dqueue-racy/foc-ul", "28/6/8/3", "55/11/16/3");
+    ("dqueue-racy/fof", "28/0/12/2", "55/0/24/2");
+    ("dcounter/foc-ul", "12/0/0/-", "24/0/0/-");
+    ("dcounter/fof", "12/0/0/-", "24/0/0/-");
+    ("dcounter-racy/foc-ul", "4/3/0/2", "8/7/0/2");
+    ("dcounter-racy/fof", "4/0/0/-", "8/0/0/-");
+    ("handoff/foc-ul", "36/0/0/-", "72/0/0/-");
+    ("handoff/fof", "36/0/0/-", "72/0/0/-");
+    ("handoff-racy/foc-ul", "36/12/0/15", "72/24/0/27");
+    ("handoff-racy/fof", "36/12/0/14", "72/24/0/26");
+  ]
+
+let verdict_text (v : Canalyzer.verdict) =
+  Printf.sprintf "%d/%d/%d/%s" v.Canalyzer.points v.Canalyzer.losses
+    v.Canalyzer.torn
+    (match v.Canalyzer.first_bad with None -> "-" | Some k -> string_of_int k)
+
+let pinned_verdicts_test =
+  Alcotest.test_case "sweep verdicts pinned on every registry cell" `Slow
+    (fun () ->
+      Alcotest.(check (list string))
+        "pinned cells are the registry"
+        (List.map (fun (name, _, _) -> name) pinned_verdicts)
+        (List.map (fun (w : Canalyzer.cworkload) -> w.Canalyzer.cname)
+           Canalyzer.cregistry);
+      List.iter2
+        (fun (name, at4, at8) w ->
+          Alcotest.(check (pair string string))
+            (name ^ " at 4 and 8 ops") (at4, at8)
+            ( verdict_text (Canalyzer.sweep w ~txns:4),
+              verdict_text (Canalyzer.sweep w ~txns:8) ))
+        pinned_verdicts Canalyzer.cregistry)
 
 (* Any dynamic acked-write loss must surface statically as R7 — or R8
    for the handoff structure, where the lost ack is the migrated key
    the sabotaged protocol dropped between heaps. *)
 let loss_implies_static_prop =
+  let racy =
+    List.concat_map
+      (fun s -> Canalyzer.cfind ~workload:(s ^ "-racy") ())
+      [ "dqueue"; "dcounter"; "handoff" ]
+  in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:6 ~name:"dynamic acked loss implies static R7/R8"
-       QCheck2.Gen.(
-         triple (int_range 0 2) (bool) (int_range 4 8))
-       (fun (k, foc, ops) ->
-         let structure =
-           List.nth [ Dcheck.Queue; Dcheck.Counter; Dcheck.Handoff ] k
-         in
-         let config = if foc then Config.foc_ul else Config.fof in
-         let v = Dcheck.sweep structure ~config ~racy:true ~ops in
-         v.Dcheck.losses = 0
+       QCheck2.Gen.(pair (int_range 0 (List.length racy - 1)) (int_range 4 8))
+       (fun (i, txns) ->
+         let w = List.nth racy i in
+         (Canalyzer.sweep w ~txns).Canalyzer.losses = 0
          ||
-         let cname =
-           Dcheck.structure_name structure ^ "-racy/"
-           ^ Analyzer.config_slug config
-         in
-         match
-           Canalyzer.clint ~jobs:1 ~txns:(max 8 ops)
-             ~workloads:(Canalyzer.cfind ~workload:cname ())
-             ()
-         with
+         match Canalyzer.clint ~jobs:1 ~txns:(max 8 txns) ~workloads:[ w ] () with
          | [ report ] ->
              let rules = race_error_rules report in
              List.mem Rules.R7 rules || List.mem Rules.R8 rules
@@ -351,7 +368,7 @@ let suite =
     ("crules.vclock", vclock_tests);
     ("crules.rules", sync_table_tests @ witness_tests);
     ( "crules.agreement",
-      [ agreement_matrix_test; loss_implies_static_prop ] );
+      [ agreement_matrix_test; pinned_verdicts_test; loss_implies_static_prop ] );
     ( "crules.driver",
       [ jobs_determinism_test; buses_test ] );
     ("crules.shard", shard_race_tests);

@@ -75,34 +75,8 @@ let cache_tests =
         Alcotest.(check int) "dirty" 0 (Cache.dirty_count c));
   ]
 
-(* Random op streams driving the incremental dirty/resident bookkeeping
-   (counters + intrusive dirty list) against the brute-force fold
-   references, checking after every operation so any transient
-   divergence is caught at the op that introduced it. *)
-let bookkeeping_agrees ops =
-  let c = small_cache () in
-  List.for_all
-    (fun (kind, line) ->
-      (match kind mod 5 with
-      | 0 | 1 -> ignore (Cache.insert c ~line ~dirty:(kind land 1 = 1))
-      | 2 -> Cache.set_dirty c ~line
-      | 3 -> ignore (Cache.invalidate c ~line)
-      | _ -> if line mod 7 = 0 then Cache.clear c else ignore (Cache.probe c ~line));
-      Cache.dirty_count c = Cache.dirty_count_slow c
-      && Cache.resident_count c = Cache.resident_count_slow c
-      && List.sort compare (Cache.dirty_lines c)
-         = List.sort compare (Cache.dirty_lines_slow c))
-    ops
-
 let cache_props =
   [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"incremental dirty/resident bookkeeping matches brute force"
-         ~count:200
-         QCheck2.Gen.(
-           list_size (int_range 0 300) (pair (int_range 0 20) (int_range 0 100)))
-         bookkeeping_agrees);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"dirty lines are a subset of resident lines" ~count:100
@@ -336,7 +310,7 @@ let hierarchy_props =
            && List.for_all (fun l -> List.mem l stored) dirty));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
-         ~name:"dirty_bytes: O(dirty) accounting matches the O(slots) fold"
+         ~name:"dirty_bytes: O(dirty) accounting counts the distinct dirty lines"
          ~count:100
          QCheck2.Gen.(
            list_size (int_range 0 150) (pair (int_range 0 80) (int_range 0 3)))
@@ -351,14 +325,13 @@ let hierarchy_props =
                | _ -> ignore (Hierarchy.clflush h ~addr))
              ops;
            (* The incremental per-level counters deduplicated across
-              levels must agree with the old brute-force fold, and with
-              the distinct lines iter_dirty yields; dirty state is always
-              included in the resident set. *)
+              levels must agree with the distinct lines iter_dirty
+              yields; dirty state is always included in the resident
+              set. *)
            let seen = Hashtbl.create 16 in
            Hierarchy.iter_dirty h (fun line -> Hashtbl.replace seen line ());
            let n = Hierarchy.dirty_line_count h in
-           Hierarchy.dirty_bytes h = Hierarchy.dirty_bytes_slow h
-           && Hierarchy.dirty_bytes h = 64 * n
+           Hierarchy.dirty_bytes h = 64 * n
            && n = Hashtbl.length seen
            && n = List.length (Hierarchy.dirty_lines h)
            && n <= Hierarchy.resident_lines h));
@@ -559,8 +532,7 @@ let wear_tests =
    form one list in dirtying order. The model shares nothing with the
    cache's per-set arrays, index arithmetic or intrusive links, so a
    layout bug shows up as a different answer, victim, count or
-   write-back order. The brute-force [*_slow] folds above read the
-   cache's own representation and cannot see such a bug. *)
+   write-back order. *)
 
 type model = {
   m_sets : (int * bool) list array;  (* MRU first. *)

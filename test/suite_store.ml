@@ -261,7 +261,8 @@ let workload_tests =
     Alcotest.test_case "benchmark keeps the table near its initial size" `Quick
       (fun () ->
         let r =
-          Workload.run_hash_benchmark ~entries:2000 ~ops:4000
+          Workload.run_structure_benchmark ~structure:Workload.Hash
+            ~entries:2000 ~ops:4000
             ~heap_size:(Units.Size.mib 16) ~config:Config.fof ~update_prob:1.0
             ~seed:3 ()
         in
@@ -271,7 +272,8 @@ let workload_tests =
           (r.Workload.lookups + r.Workload.inserts + r.Workload.deletes));
     Alcotest.test_case "per-op times order FoC+STM > FoF" `Quick (fun () ->
         let run config =
-          (Workload.run_hash_benchmark ~entries:1000 ~ops:3000
+          (Workload.run_structure_benchmark ~structure:Workload.Hash
+             ~entries:1000 ~ops:3000
              ~heap_size:(Units.Size.mib 16) ~config ~update_prob:0.5 ~seed:4 ())
             .Workload.per_op
         in
@@ -279,7 +281,8 @@ let workload_tests =
           Time.(run Config.foc_stm > run Config.fof));
     Alcotest.test_case "same seed, same result" `Quick (fun () ->
         let run () =
-          Workload.run_hash_benchmark ~entries:500 ~ops:1000
+          Workload.run_structure_benchmark ~structure:Workload.Hash
+            ~entries:500 ~ops:1000
             ~heap_size:(Units.Size.mib 16) ~config:Config.foc_ul
             ~update_prob:0.5 ~seed:5 ()
         in
