@@ -306,6 +306,17 @@ let config_conv =
   in
   Arg.conv (parse, fun ppf (c : Config.t) -> Fmt.string ppf c.Config.name)
 
+(* The sabotage [check] and [lint] inject with [--broken]. *)
+let fault_conv =
+  let module Checker = Wsp_check.Checker in
+  let parse = function
+    | "none" -> Ok Checker.No_fault
+    | "fences" -> Ok Checker.Broken_fences
+    | "wsp-save" -> Ok Checker.Broken_wsp_save
+    | s -> Error (`Msg (Printf.sprintf "unknown fault %S (none|fences|wsp-save)" s))
+  in
+  Arg.conv (parse, fun ppf f -> Fmt.string ppf (Checker.fault_name f))
+
 let check_cmd =
   let module Checker = Wsp_check.Checker in
   let module Protocol_check = Wsp_check.Protocol_check in
@@ -321,15 +332,6 @@ let check_cmd =
                     (List.map Checker.kind_name Checker.all_kinds))))
     in
     Arg.conv (parse, fun ppf k -> Fmt.string ppf (Checker.kind_name k))
-  in
-  let fault_conv =
-    let parse = function
-      | "none" -> Ok Checker.No_fault
-      | "fences" -> Ok Checker.Broken_fences
-      | "wsp-save" -> Ok Checker.Broken_wsp_save
-      | s -> Error (`Msg (Printf.sprintf "unknown fault %S (none|fences|wsp-save)" s))
-    in
-    Arg.conv (parse, fun ppf f -> Fmt.string ppf (Checker.fault_name f))
   in
   let workloads_arg =
     Arg.(
@@ -446,15 +448,6 @@ let lint_cmd =
   let module Checker = Wsp_check.Checker in
   let module Rules = Wsp_analysis.Rules in
   let module Analyzer = Wsp_analysis.Analyzer in
-  let fault_conv =
-    let parse = function
-      | "none" -> Ok Checker.No_fault
-      | "fences" -> Ok Checker.Broken_fences
-      | "wsp-save" -> Ok Checker.Broken_wsp_save
-      | s -> Error (`Msg (Printf.sprintf "unknown fault %S (none|fences|wsp-save)" s))
-    in
-    Arg.conv (parse, fun ppf f -> Fmt.string ppf (Checker.fault_name f))
-  in
   let rule_conv =
     let parse s =
       match Rules.rule_of_name s with
@@ -955,16 +948,42 @@ let () =
     Cmd.info "wsp-sim" ~version:"1.0.0"
       ~doc:"Whole-system persistence (ASPLOS 2012) simulator and reproduction"
   in
+  let cmds =
+    [
+      experiment_cmd;
+      list_cmd;
+      cycle_cmd;
+      window_cmd;
+      check_cmd;
+      lint_cmd;
+      shard_cmd;
+      storm_cmd;
+    ]
+  in
+  let main = Cmd.group info cmds in
+  (* Cmdliner's own usage errors (an unparsable value, an unknown option
+     or verb) are refusals too: the first line of its report, unwrapped
+     and without the "try --help" lines, under the verb's name. *)
+  let err = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer err in
+  Format.pp_set_margin ppf 10_000;
+  let result = Cmd.eval_value ~err:ppf main in
+  Format.pp_print_flush ppf ();
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            experiment_cmd;
-            list_cmd;
-            cycle_cmd;
-            window_cmd;
-            check_cmd;
-            lint_cmd;
-            shard_cmd;
-            storm_cmd;
-          ]))
+    (match result with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> Cmd.Exit.ok
+    | Error `Exn ->
+        prerr_string (Buffer.contents err);
+        Cmd.Exit.internal_error
+    | Error (`Parse | `Term) ->
+        (* The report's first line is "wsp-sim: MESSAGE". *)
+        let line = List.hd (String.split_on_char '\n' (Buffer.contents err)) in
+        let skip = String.length (Cmd.name main) + 2 in
+        let msg = String.sub line skip (String.length line - skip) in
+        let verb =
+          match Array.to_list Sys.argv with
+          | _ :: v :: _ when List.exists (fun c -> Cmd.name c = v) cmds -> v
+          | _ -> Cmd.name main
+        in
+        refuse verb msg)

@@ -209,7 +209,7 @@ let handle_sync s domain d ~g = function
       o.addr <- addr;
       o.handoff <- None;
       if
-        s.m.Rules.config.Config.backend = Config.Store
+        (not (Config.is_durable_without_wsp s.m.Rules.config))
         && not s.m.Rules.wsp_save_broken
       then
         (* Flush-on-fail with a working save path: every store is

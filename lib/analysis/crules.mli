@@ -101,5 +101,3 @@ val witness_text : stream -> Rules.result -> (int * string) list
 (** Human renderings for witness indices still in the recent-event
     ring (the last 1024 events) — older indices degrade to bare
     [#idx]. *)
-
-val pp_sync : Format.formatter -> sync -> unit

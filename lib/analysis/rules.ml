@@ -130,9 +130,16 @@ let diag ?line ?txid ?wasted_ns st rule severity witness fmt =
     fmt
 
 let flush_on_commit st = Config.flush_on_commit st.m.config
-let msync st = st.m.config.Config.backend = Config.Msync
 let durable_without_wsp st = Config.is_durable_without_wsp st.m.config
-let logging st = st.m.config.Config.logging
+let protocol st = Config.protocol st.m.config
+
+(* Undo logging and msync roll the in-place writes of an aborted
+   transaction (allocator headers included) back from undo records;
+   redo STM just drops its write set. *)
+let undoes_in_place st =
+  match protocol st with
+  | Config.Undo_log | Config.Page_commit -> true
+  | Config.Plain | Config.Redo_stm -> false
 
 (* --- R1: written lines persist-ordered before the commit record ----- *)
 
@@ -222,11 +229,10 @@ let heap_event st ~idx ev =
       st.allocated <- IntMap.remove addr st.allocated;
       st.freed <- IntMap.add addr (size, idx) st.freed
   | Alloc.Header_write { addr } -> Hashtbl.replace st.pending_headers addr ());
-  (* Journal payload-lifetime changes for abort reversal: undo logging
-     and msync both roll allocator state back in place on abort. *)
+  (* Journal payload-lifetime changes for abort reversal. *)
   match ev with
   | (Alloc.Alloc _ | Alloc.Free _)
-    when (logging st = Config.Undo || msync st) && Option.is_some st.cur_tx ->
+    when undoes_in_place st && Option.is_some st.cur_tx ->
       st.tx_heap_journal <- ev :: st.tx_heap_journal
   | Alloc.Alloc _ | Alloc.Free _ | Alloc.Header_write _ -> ()
 
@@ -313,24 +319,21 @@ let step st i (ev : Trace.event) =
       | Txn.Commit { txid; written_lines } -> (
           st.txns <- st.txns + 1;
           st.tx_heap_journal <- [];
-          if msync st then
-            (* Settled at the page-journal truncation closing this
-               commit (R10) — the in-place apply happens after the
-               seal, so checking at the seal would be too early. *)
-            st.msync_payload <- Some (txid, written_lines)
-          else
-            match logging st with
-            | Config.Undo ->
-                if flush_on_commit st then
-                  st.undo_payload <- Some (txid, written_lines)
-            | Config.Redo ->
-                if flush_on_commit st then
-                  List.iter
-                    (fun line -> Hashtbl.replace st.redo_acc line txid)
-                    written_lines
-            | Config.No_log -> ())
+          match protocol st with
+          | Config.Page_commit ->
+              (* Settled at the page-journal truncation closing this
+                 commit (R10) — the in-place apply happens after the
+                 seal, so checking at the seal would be too early. *)
+              st.msync_payload <- Some (txid, written_lines)
+          | Config.Undo_log when flush_on_commit st ->
+              st.undo_payload <- Some (txid, written_lines)
+          | Config.Redo_stm when flush_on_commit st ->
+              List.iter
+                (fun line -> Hashtbl.replace st.redo_acc line txid)
+                written_lines
+          | Config.Undo_log | Config.Redo_stm | Config.Plain -> ())
       | Txn.Abort _ ->
-          if logging st = Config.Undo || msync st then begin
+          if undoes_in_place st then begin
             revert_heap_journal st;
             st.in_rollback <- true
           end;
@@ -341,12 +344,12 @@ let step st i (ev : Trace.event) =
           r2_trigger st ~idx:i ~because:"a later log append";
           leave_rollback st;
           if kind = Txn.k_commit && durable_without_wsp st then begin
-            (match (logging st, st.undo_payload) with
-            | Config.Undo, Some (txid, lines) ->
+            (match st.undo_payload with
+            | Some (txid, lines) ->
                 st.undo_payload <- None;
                 check_commit_lines st ~commit_idx:i ~txid:(Some txid)
                   ~what:"its commit record" lines
-            | (Config.Undo | Config.Redo | Config.No_log), _ -> ());
+            | None -> ());
             (* The record's own NT words start draining obligations. *)
             st.open_commit <- Some (i, st.cur_tx);
             st.r2_nt_last <- -1
@@ -354,24 +357,25 @@ let step st i (ev : Trace.event) =
       | Rawlog.Truncate ->
           r2_trigger st ~idx:i ~because:"log truncation";
           leave_rollback st;
-          if msync st then (
-            (* The truncation discards the page journal: every in-place
-               line it protected must have settled by now (R10). *)
-            match st.msync_payload with
-            | Some (txid, lines) ->
-                st.msync_payload <- None;
-                check_commit_lines st ~rule:R10 ~commit_idx:i
-                  ~txid:(Some txid) ~what:"its page-journal truncation" lines
-            | None -> ())
-          else if logging st = Config.Redo && flush_on_commit st then begin
-            let lines =
-              Hashtbl.fold (fun line _ acc -> line :: acc) st.redo_acc []
-              |> List.sort compare
-            in
-            Hashtbl.reset st.redo_acc;
-            check_commit_lines st ~commit_idx:i ~txid:st.cur_tx
-              ~what:"redo-log truncation" lines
-          end)
+          match protocol st with
+          | Config.Page_commit -> (
+              (* The truncation discards the page journal: every in-place
+                 line it protected must have settled by now (R10). *)
+              match st.msync_payload with
+              | Some (txid, lines) ->
+                  st.msync_payload <- None;
+                  check_commit_lines st ~rule:R10 ~commit_idx:i
+                    ~txid:(Some txid) ~what:"its page-journal truncation" lines
+              | None -> ())
+          | Config.Redo_stm when flush_on_commit st ->
+              let lines =
+                Hashtbl.fold (fun line _ acc -> line :: acc) st.redo_acc []
+                |> List.sort compare
+              in
+              Hashtbl.reset st.redo_acc;
+              check_commit_lines st ~commit_idx:i ~txid:st.cur_tx
+                ~what:"redo-log truncation" lines
+          | Config.Undo_log | Config.Redo_stm | Config.Plain -> ())
 
 (* --- R5: flush-on-fail reliance ------------------------------------- *)
 

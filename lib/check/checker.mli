@@ -59,8 +59,6 @@ val gen_script :
     then [txns] transactions of 1..[ops_per_txn] operations (3:1
     insert:delete) over keys [1..keyspace]. *)
 
-val pp_script : Format.formatter -> script -> unit
-
 (** {1 Fault injection} *)
 
 type fault =

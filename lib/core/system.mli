@@ -148,7 +148,6 @@ val set_busy : t -> bool -> unit
 (** Applies/removes the stress load: PSU draw and device queue depths. *)
 
 val app_base : t -> int
-val app_len : t -> int
 
 val heap : ?config:Config.t -> ?log_size:Units.Size.t -> t -> Pheap.t
 (** Formats an application heap in the machine's NVRAM. *)

@@ -36,6 +36,15 @@ let by_name s =
 
 let is_durable_without_wsp t = t.backend <> Store
 
+type protocol = Plain | Undo_log | Redo_stm | Page_commit
+
+let protocol t =
+  match (t.backend, t.logging) with
+  | Msync, _ -> Page_commit
+  | (Store | Commit_seal), No_log -> Plain
+  | (Store | Commit_seal), Undo -> Undo_log
+  | (Store | Commit_seal), Redo -> Redo_stm
+
 module Costs = struct
   type costs = {
     tx_begin : Time.t;

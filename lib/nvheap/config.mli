@@ -66,6 +66,21 @@ val is_durable_without_wsp : t -> bool
 (** Whether committed transactions survive a power failure {e without}
     the WSP cache flush (true for commit-seal and msync backends). *)
 
+(** The transaction protocol a configuration runs — the one value
+    {!Txn}, the static analyzer and every durable-update wrapper
+    dispatch on:
+    - [Plain]: no transaction machinery; updates run bare (FoF).
+    - [Undo_log]: old values are logged before in-place writes and
+      rolled back if the transaction never commits (FoC/FoF + UL).
+    - [Redo_stm]: instrumented reads, writes buffered in a write set,
+      redo-logged and applied at commit (FoC/FoF + STM).
+    - [Page_commit]: writes buffered in dirty pages, journalled whole
+      and sealed at commit; allocator headers are undo-logged and rolled
+      back like [Undo_log]'s (the msync backend). *)
+type protocol = Plain | Undo_log | Redo_stm | Page_commit
+
+val protocol : t -> protocol
+
 (** {1 Cost model}
 
     CPU-side costs of the transactional machinery, charged on top of the

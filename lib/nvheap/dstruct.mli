@@ -38,8 +38,6 @@ type note =
 
 type hook = note -> unit
 
-val no_hook : hook
-
 (** Multi-producer single-consumer ring queue on one heap. Producers
     store the slot, persist it, then publish the advanced tail;
     the consumer acquires the tail and drains. The racy variant

@@ -88,6 +88,12 @@ let with_tx t f =
       (* Txn.with_tx already aborted; re-sync the allocator index. *)
       Alloc.recover t.allocator;
       raise exn
+
+let durably t f =
+  match Config.protocol (config t) with
+  | Config.Plain -> f ()
+  | Config.Undo_log | Config.Redo_stm | Config.Page_commit -> with_tx t f
+
 (* The root slot stores a tagged base-relative word: [(offset << 1) | 1]
    for a published root, 0 for none. Base-relative makes the published
    root invariant under image relocation; the tag keeps "no root"

@@ -98,6 +98,13 @@ val write_u64 : t -> addr:int -> int64 -> unit
 (** {1 Transactions} *)
 
 val with_tx : t -> (unit -> 'a) -> 'a
+
+val durably : t -> (unit -> 'a) -> 'a
+(** Runs one durable update: inside {!with_tx} when the heap's own
+    configuration has a transaction protocol, bare under
+    {!Config.Plain} (flush-on-fail needs no brackets, and a bare update
+    counts no commit). *)
+
 val begin_tx : t -> unit
 val commit : t -> unit
 val abort : t -> unit

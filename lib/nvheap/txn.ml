@@ -5,6 +5,9 @@ let k_begin = 1
 let k_undo = 2
 let k_redo = 3
 let k_commit = 4
+
+(* A whole-page post-image journalled by the msync commit: the page's
+   base address, then its [Config.msync_page / 8] words. *)
 let k_page = 5
 
 (* FoC redo logs are truncated (with data flushes) every this many
@@ -55,6 +58,7 @@ type t = {
   nvram : Nvram.t;
   log : Rawlog.t;
   config : Config.t;
+  protocol : Config.protocol;
   costs : Config.Costs.costs;
   mutable next_txid : int64;
   mutable active : tx option;
@@ -74,11 +78,6 @@ let emit t ev = Bus.publish (Nvram.bus t.nvram) (Event.Tx ev)
 
 (* The tally counts a commit whether or not anyone is subscribed. *)
 let count_commit t = Nvram.count_tx_commit t.nvram
-
-(* The msync backend keeps no per-access log but still needs the full
-   transactional context: data writes are buffered in tracked dirty
-   pages until the page commit. *)
-let msync t = t.config.Config.backend = Config.Msync
 
 let log_mode t : Rawlog.mode =
   if Config.is_durable_without_wsp t.config then Rawlog.Durable
@@ -120,6 +119,7 @@ let create ?(costs = Config.Costs.default) ~nvram ~config ~log () =
     nvram;
     log;
     config;
+    protocol = Config.protocol config;
     costs;
     next_txid = 1L;
     active = None;
@@ -145,7 +145,7 @@ let page_base addr = addr / Config.msync_page * Config.msync_page
 
 let begin_tx t =
   if in_tx t then invalid_arg "Txn.begin_tx: transaction already open";
-  if t.config.Config.logging = Config.No_log && not (msync t) then ()
+  if t.protocol = Config.Plain then ()
   else begin
     Nvram.charge t.nvram t.costs.Config.Costs.tx_begin;
     let txid = t.next_txid in
@@ -167,30 +167,31 @@ let active t =
   | Some tx -> tx
   | None -> invalid_arg "Txn: no open transaction"
 
+(* Redo STM and msync buffer a transaction's data writes in its write
+   set until commit; the writer reads its own writes through it. Only
+   the STM instruments the read (charged, and counted for validation
+   when it reaches NVRAM). *)
 let read_u64 t ~addr =
-  match t.active with
-  | Some tx when t.config.Config.stm -> begin
-      Nvram.charge t.nvram t.costs.Config.Costs.stm_read;
+  match (t.active, t.protocol) with
+  | Some tx, (Config.Redo_stm | Config.Page_commit) -> (
+      let stm = t.protocol = Config.Redo_stm in
+      if stm then Nvram.charge t.nvram t.costs.Config.Costs.stm_read;
       match Itbl.find_opt tx.write_set addr with
       | Some v -> v
       | None ->
-          tx.read_set <- tx.read_set + 1;
-          Nvram.read_u64 t.nvram ~addr
-    end
-  | Some tx when msync t -> begin
-      (* Buffered page writes must be visible to the writer. *)
-      match Itbl.find_opt tx.write_set addr with
-      | Some v -> v
-      | None -> Nvram.read_u64 t.nvram ~addr
-    end
-  | _ -> Nvram.read_u64 t.nvram ~addr
+          if stm then tx.read_set <- tx.read_set + 1;
+          Nvram.read_u64 t.nvram ~addr)
+  | Some _, (Config.Plain | Config.Undo_log) | None, _ ->
+      Nvram.read_u64 t.nvram ~addr
 
 (* Buffered configurations take the boxed path; a plain read is the
    NVRAM's unboxed one. *)
 let read_int t ~addr =
-  match t.active with
-  | Some _ when t.config.Config.stm || msync t -> Int64.to_int (read_u64 t ~addr)
-  | _ -> Nvram.read_int t.nvram ~addr
+  match (t.active, t.protocol) with
+  | Some _, (Config.Redo_stm | Config.Page_commit) ->
+      Int64.to_int (read_u64 t ~addr)
+  | Some _, (Config.Plain | Config.Undo_log) | None, _ ->
+      Nvram.read_int t.nvram ~addr
 
 let undo_log_write t tx ~addr =
   if not (Itbl.mem tx.undo_logged addr) then begin
@@ -202,32 +203,24 @@ let undo_log_write t tx ~addr =
   end
 
 let write_u64 t ~addr v =
-  match t.active with
-  | None -> Nvram.write_u64 t.nvram ~addr v
-  | Some tx ->
-      if msync t then begin
-        (* Dirty-page tracking is kernel-side bookkeeping: the store
-           itself is a plain store into a tracked page, so no CPU cost
-           beyond the buffered write is charged here; the commit pays
-           for journalling whole pages. *)
-        if not (Itbl.mem tx.write_set addr) then
-          tx.write_order <- addr :: tx.write_order;
-        Itbl.replace tx.write_set addr v
-      end
-      else
-        match t.config.Config.logging with
-        | Config.No_log -> Nvram.write_u64 t.nvram ~addr v
-        | Config.Undo ->
-            undo_log_write t tx ~addr;
-            Itbl.replace tx.written_lines (line_base t addr) ();
-            Nvram.write_u64 t.nvram ~addr v
-        | Config.Redo ->
-            Nvram.charge t.nvram t.costs.Config.Costs.stm_write;
-            if not (Itbl.mem tx.write_set addr) then
-              tx.write_order <- addr :: tx.write_order;
-            Itbl.replace tx.write_set addr v
+  match (t.active, t.protocol) with
+  | Some tx, (Config.Redo_stm | Config.Page_commit) ->
+      (* Under msync, dirty-page tracking is kernel-side bookkeeping: the
+         store itself is a plain store into a tracked page, so only the
+         STM charges for the write-set insertion; the msync commit pays
+         for journalling whole pages. *)
+      if t.protocol = Config.Redo_stm then
+        Nvram.charge t.nvram t.costs.Config.Costs.stm_write;
+      if not (Itbl.mem tx.write_set addr) then
+        tx.write_order <- addr :: tx.write_order;
+      Itbl.replace tx.write_set addr v
+  | Some tx, Config.Undo_log ->
+      undo_log_write t tx ~addr;
+      Itbl.replace tx.written_lines (line_base t addr) ();
+      Nvram.write_u64 t.nvram ~addr v
+  | Some _, Config.Plain | None, _ -> Nvram.write_u64 t.nvram ~addr v
 
-let buffers_writes t = msync t && in_tx t
+let buffers_writes t = t.protocol = Config.Page_commit && in_tx t
 
 (* Buffered writes into a block freed later in the same transaction are
    dead: drop them, so the commit neither journals nor applies stores
@@ -235,7 +228,7 @@ let buffers_writes t = msync t && in_tx t
    re-buffers fresh writes afterwards. *)
 let note_free t ~addr ~size =
   match t.active with
-  | Some tx when msync t ->
+  | Some tx when t.protocol = Config.Page_commit ->
       let dead =
         Itbl.fold
           (fun a _ acc ->
@@ -246,15 +239,15 @@ let note_free t ~addr ~size =
   | _ -> ()
 
 let log_header_write t ~addr =
-  match t.active with
-  | Some tx when t.config.Config.logging = Config.Undo || msync t ->
+  match (t.active, t.protocol) with
+  | Some tx, (Config.Undo_log | Config.Page_commit) ->
       (* Allocator metadata is written in place by the allocator itself
          (it cannot be buffered), so even under msync it is protected by
          a durable undo record: an in-place header store evicted to
          NVRAM mid-epoch is rolled back if the epoch never seals. *)
       undo_log_write t tx ~addr;
       Itbl.replace tx.written_lines (line_base t addr) ()
-  | _ -> ()
+  | Some _, (Config.Plain | Config.Redo_stm) | None, _ -> ()
 
 let flush_written_lines t lines =
   Itbl.iter (fun line () -> Nvram.clflush t.nvram ~addr:line) lines;
@@ -326,112 +319,98 @@ let commit_msync t =
   t.committed <- t.committed + 1
 
 let commit t =
-  if msync t then commit_msync t
-  else
-    match t.config.Config.logging with
-    | Config.No_log ->
-        (* No transaction machinery, so no [Commit] event for the metrics
-           bridge to count — count inline to keep totals comparable with
-           the logging configurations. *)
-        t.committed <- t.committed + 1;
-        Wsp_obs.Metrics.Counter.incr t.m_commits
-    | Config.Undo ->
-        let tx = active t in
-        count_commit t;
-        if observed t then
-          emit t (Commit { txid = tx.txid; written_lines = undo_commit_lines tx });
-        Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
-        if tx.began_in_log then begin
-          (* Undo protocol: written data must be durable before the undo
-             records protecting it can be discarded. *)
-          if Config.flush_on_commit t.config then
-            flush_written_lines t tx.written_lines;
-          append t ~kind:k_commit [| tx.txid |];
-          Rawlog.truncate t.log ~mode:(log_mode t)
-        end;
-        t.active <- None;
-        t.committed <- t.committed + 1
-    | Config.Redo ->
-        let tx = active t in
-        count_commit t;
-        if observed t then
-          emit t
-            (Commit { txid = tx.txid; written_lines = redo_commit_lines t tx });
-        Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
-        Nvram.charge t.nvram
-          (Time.mul t.costs.Config.Costs.stm_validate tx.read_set);
-        (if tx.write_order <> [] then begin
-           let writes = List.rev tx.write_order in
-           ensure_began t tx;
-           List.iter
-             (fun addr ->
-               let v = Itbl.find tx.write_set addr in
-               append_addr t ~kind:k_redo addr v)
-             writes;
-           append t ~kind:k_commit [| tx.txid |];
-           (* In-place apply; the redo log already made the values durable
-              (FoC), so these stores can stay cached. *)
-           List.iter
-             (fun addr ->
-               let v = Itbl.find tx.write_set addr in
-               Nvram.write_u64 t.nvram ~addr v;
-               if Config.flush_on_commit t.config then
-                 Itbl.replace t.unflushed (line_base t addr) ())
-             writes;
-           t.commits_since_truncate <- t.commits_since_truncate + 1;
-           if t.commits_since_truncate >= redo_truncate_interval then begin
-             (* Log truncation: applied data must be flushed before the
-                redo records protecting it are discarded. *)
+  match t.protocol with
+  | Config.Plain ->
+      (* No transaction machinery, so no [Commit] event for the metrics
+         bridge to count — count inline to keep totals comparable with
+         the logging configurations. *)
+      t.committed <- t.committed + 1;
+      Wsp_obs.Metrics.Counter.incr t.m_commits
+  | Config.Undo_log ->
+      let tx = active t in
+      count_commit t;
+      if observed t then
+        emit t (Commit { txid = tx.txid; written_lines = undo_commit_lines tx });
+      Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
+      if tx.began_in_log then begin
+        (* Undo protocol: written data must be durable before the undo
+           records protecting it can be discarded. *)
+        if Config.flush_on_commit t.config then
+          flush_written_lines t tx.written_lines;
+        append t ~kind:k_commit [| tx.txid |];
+        Rawlog.truncate t.log ~mode:(log_mode t)
+      end;
+      t.active <- None;
+      t.committed <- t.committed + 1
+  | Config.Redo_stm ->
+      let tx = active t in
+      count_commit t;
+      if observed t then
+        emit t (Commit { txid = tx.txid; written_lines = redo_commit_lines t tx });
+      Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
+      Nvram.charge t.nvram
+        (Time.mul t.costs.Config.Costs.stm_validate tx.read_set);
+      (if tx.write_order <> [] then begin
+         let writes = List.rev tx.write_order in
+         ensure_began t tx;
+         List.iter
+           (fun addr ->
+             let v = Itbl.find tx.write_set addr in
+             append_addr t ~kind:k_redo addr v)
+           writes;
+         append t ~kind:k_commit [| tx.txid |];
+         (* In-place apply; the redo log already made the values durable
+            (FoC), so these stores can stay cached. *)
+         List.iter
+           (fun addr ->
+             let v = Itbl.find tx.write_set addr in
+             Nvram.write_u64 t.nvram ~addr v;
              if Config.flush_on_commit t.config then
-               flush_written_lines t t.unflushed;
-             Itbl.reset t.unflushed;
-             Rawlog.truncate t.log ~mode:(log_mode t);
-             t.commits_since_truncate <- 0
-           end
+               Itbl.replace t.unflushed (line_base t addr) ())
+           writes;
+         t.commits_since_truncate <- t.commits_since_truncate + 1;
+         if t.commits_since_truncate >= redo_truncate_interval then begin
+           (* Log truncation: applied data must be flushed before the
+              redo records protecting it are discarded. *)
+           if Config.flush_on_commit t.config then
+             flush_written_lines t t.unflushed;
+           Itbl.reset t.unflushed;
+           Rawlog.truncate t.log ~mode:(log_mode t);
+           t.commits_since_truncate <- 0
          end
-         else if Config.flush_on_commit t.config then
-           (* Mnemosyne's commit fences even when nothing was written:
-              tearing down a durable transaction context orders the log. *)
-           Nvram.fence t.nvram);
-        t.active <- None;
-        t.committed <- t.committed + 1
-
-(* Restores every undo-logged word, newest entry first. *)
-let roll_back t tx =
-  let u = tx.undo in
-  for i = u.u_n - 1 downto 0 do
-    Nvram.write_u64 t.nvram ~addr:u.u_addrs.(i) (Bytes.get_int64_le u.u_olds (8 * i))
-  done
+       end
+       else if Config.flush_on_commit t.config then
+         (* Mnemosyne's commit fences even when nothing was written:
+            tearing down a durable transaction context orders the log. *)
+         Nvram.fence t.nvram);
+      t.active <- None;
+      t.committed <- t.committed + 1
+  | Config.Page_commit -> commit_msync t
 
 let abort t =
-  if msync t then begin
-    let tx = active t in
-    if observed t then emit t (Abort tx.txid);
-    (* Buffered writes are simply discarded; in-place header writes are
-       rolled back, newest first. *)
-    roll_back t tx;
-    if tx.began_in_log then Rawlog.truncate t.log ~mode:(log_mode t);
-    t.active <- None;
-    t.aborted <- t.aborted + 1
-  end
-  else
-    match t.config.Config.logging with
-    | Config.No_log ->
-        t.aborted <- t.aborted + 1;
-        Wsp_obs.Metrics.Counter.incr t.m_aborts
-    | Config.Undo ->
-        let tx = active t in
-        if observed t then emit t (Abort tx.txid);
-        (* Roll back, newest write first. *)
-        roll_back t tx;
-        if tx.began_in_log then Rawlog.truncate t.log ~mode:(log_mode t);
-        t.active <- None;
-        t.aborted <- t.aborted + 1
-    | Config.Redo ->
-        let tx = active t in
-        if observed t then emit t (Abort tx.txid);
-        t.active <- None;
-        t.aborted <- t.aborted + 1
+  match t.protocol with
+  | Config.Plain ->
+      t.aborted <- t.aborted + 1;
+      Wsp_obs.Metrics.Counter.incr t.m_aborts
+  | Config.Undo_log | Config.Page_commit ->
+      let tx = active t in
+      if observed t then emit t (Abort tx.txid);
+      (* Every in-place write (all of them under undo logging, allocator
+         headers under msync, whose buffered data writes are simply
+         dropped) is restored from its undo entry, newest first. *)
+      let u = tx.undo in
+      for i = u.u_n - 1 downto 0 do
+        Nvram.write_u64 t.nvram ~addr:u.u_addrs.(i)
+          (Bytes.get_int64_le u.u_olds (8 * i))
+      done;
+      if tx.began_in_log then Rawlog.truncate t.log ~mode:(log_mode t);
+      t.active <- None;
+      t.aborted <- t.aborted + 1
+  | Config.Redo_stm ->
+      let tx = active t in
+      if observed t then emit t (Abort tx.txid);
+      t.active <- None;
+      t.aborted <- t.aborted + 1
 
 let with_tx t f =
   begin_tx t;
@@ -454,14 +433,25 @@ let on_crash t =
 let recover t =
   if in_tx t then invalid_arg "Txn.recover: transaction open";
   let records = Rawlog.scan t.log in
-  (if msync t then begin
-     (* The log holds at most one epoch (commit truncates). Sealed:
-        re-apply the page journal, which lands the primary copy exactly
-        on the committed state. Unsealed: the buffered data writes never
-        reached NVRAM, so only evicted header stores need rolling back
-        from their undo records, newest first. *)
-     let sealed = List.exists (fun (kind, _) -> kind = k_commit) records in
-     if sealed then
+  (* Undo logs and the msync journal hold at most one transaction
+     (commit truncates), so one commit record means it was durable. *)
+  let sealed = List.exists (fun (kind, _) -> kind = k_commit) records in
+  (match (t.protocol, sealed) with
+   | Config.Plain, _ | Config.Undo_log, true -> ()
+   | (Config.Undo_log | Config.Page_commit), false ->
+       (* Unsealed: roll the in-place writes back from their undo
+          records, newest first. (Msync's buffered data writes never
+          reached NVRAM; only evicted header stores need it.) *)
+       List.rev records
+       |> List.iter (fun (kind, values) ->
+              if kind = k_undo then
+                match values with
+                | [| addr; old |] ->
+                    Nvram.write_u64 t.nvram ~addr:(Int64.to_int addr) old
+                | _ -> ())
+   | Config.Page_commit, true ->
+       (* Sealed: re-apply the page journal, which lands the primary
+          copy exactly on the committed state. *)
        List.iter
          (fun (kind, values) ->
            if kind = k_page && Array.length values >= 1 then begin
@@ -471,57 +461,29 @@ let recover t =
              done
            end)
          records
-     else
-       List.rev records
-       |> List.iter (fun (kind, values) ->
-              if kind = k_undo then
-                match values with
-                | [| addr; old |] ->
-                    Nvram.write_u64 t.nvram ~addr:(Int64.to_int addr) old
-                | _ -> ())
-   end
-   else
-     match t.config.Config.logging with
-     | Config.No_log -> ()
-     | Config.Undo ->
-         (* The log holds at most one transaction (commit truncates). If a
-            commit record is present the transaction was durable; otherwise
-            roll its undo records back, newest first. *)
-         let committed =
-           List.exists (fun (kind, _) -> kind = k_commit) records
-         in
-         if not committed then
-           List.rev records
-           |> List.iter (fun (kind, values) ->
-                  if kind = k_undo then
-                    match values with
-                    | [| addr; old |] ->
-                        Nvram.write_u64 t.nvram ~addr:(Int64.to_int addr) old
-                    | _ -> ())
-     | Config.Redo ->
-         (* Replay redo records of committed transactions in log order. *)
-         let committed_txids = Hashtbl.create 16 in
-         List.iter
-           (fun (kind, values) ->
-             if kind = k_commit then
-               match values with
-               | [| txid |] -> Hashtbl.replace committed_txids txid ()
-               | _ -> ())
-           records;
-         let current = ref None in
-         List.iter
-           (fun (kind, values) ->
-             if kind = k_begin then
-               match values with
-               | [| txid |] -> current := Some txid
-               | _ -> ()
-             else if kind = k_redo then
-               match (!current, values) with
-               | Some txid, [| addr; v |] when Hashtbl.mem committed_txids txid
-                 ->
-                   Nvram.write_u64 t.nvram ~addr:(Int64.to_int addr) v
-               | _ -> ())
-           records);
+   | Config.Redo_stm, _ ->
+       (* Replay redo records of committed transactions in log order. *)
+       let committed_txids = Hashtbl.create 16 in
+       List.iter
+         (fun (kind, values) ->
+           if kind = k_commit then
+             match values with
+             | [| txid |] -> Hashtbl.replace committed_txids txid ()
+             | _ -> ())
+         records;
+       let current = ref None in
+       List.iter
+         (fun (kind, values) ->
+           if kind = k_begin then
+             match values with
+             | [| txid |] -> current := Some txid
+             | _ -> ()
+           else if kind = k_redo then
+             match (!current, values) with
+             | Some txid, [| addr; v |] when Hashtbl.mem committed_txids txid ->
+                 Nvram.write_u64 t.nvram ~addr:(Int64.to_int addr) v
+             | _ -> ())
+         records);
   Itbl.reset t.unflushed;
   t.commits_since_truncate <- 0;
   Rawlog.truncate t.log ~mode:Rawlog.Durable

@@ -1,7 +1,7 @@
 (** Transactional access to NVRAM under a persistence configuration.
 
     One manager owns an NVRAM region's log and dispatches every data
-    access according to its {!Config.t}:
+    access on its configuration's {!Config.protocol}:
 
     - {b Undo logging}: the old value is logged before the first in-place
       write to each address; commit (under flush-on-commit) flushes the
@@ -11,13 +11,13 @@
       buffered in a write set; commit logs redo records, then applies the
       writes in place. Recovery replays committed transactions and drops
       uncommitted ones.
-    - {b No logging}: plain loads and stores (the WSP configuration).
-    - {b Msync backend} (orthogonal to the logging axis): data writes
-      are buffered in tracked dirty pages; commit journals whole-page
-      post-images with fenced non-temporal appends, seals the epoch,
-      then applies and flushes in place — a double-buffered
-      failure-atomic msync. Allocator headers, written in place by the
-      allocator, are covered by durable undo records instead.
+    - {b Plain}: plain loads and stores (the WSP configuration).
+    - {b Msync page commit}: data writes are buffered in tracked dirty
+      pages; commit journals whole-page post-images with fenced
+      non-temporal appends, seals the epoch, then applies and flushes in
+      place — a double-buffered failure-atomic msync. Allocator headers,
+      written in place by the allocator, are covered by durable undo
+      records instead, rolled back by the same path as undo logging's.
 
     Transactions are single-threaded (the paper's benchmarks are too);
     the STM machinery still performs read-set validation so its costs are
@@ -73,19 +73,9 @@ type event = Event.tx =
     The record-kind tags this manager writes through {!Rawlog.append},
     exported so trace consumers can classify [Rawlog] append events. *)
 
-val k_begin : int
 val k_undo : int
 val k_redo : int
 val k_commit : int
-
-val k_page : int
-(** A whole-page post-image journalled by the msync backend's commit:
-    values are the page's base address followed by its
-    [Config.msync_page / 8] words. *)
-
-val redo_truncate_interval : int
-(** Redo (FoC) logs are truncated, with data flushes, every this many
-    writing commits. *)
 
 val begin_tx : t -> unit
 (** Raises [Invalid_argument] if a transaction is already open. *)

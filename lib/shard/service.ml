@@ -373,19 +373,6 @@ let push_lat sh v =
   sh.lat.(sh.lat_len) <- v;
   sh.lat_len <- sh.lat_len + 1
 
-(* Configurations whose durability needs transaction brackets: the
-   logging and STM ones, and the msync backend (whose failure atomicity
-   is the commit's page journal). Plain flush-on-fail serves bare. *)
-let transactional config =
-  config.Config.logging <> Config.No_log
-  || config.Config.stm
-  || config.Config.backend = Config.Msync
-
-(* Runs one durable update of [heap]: inside a transaction where the
-   configuration needs one, bare otherwise. *)
-let durably config heap f =
-  if transactional config then Pheap.with_tx heap f else f ()
-
 (* ---- race-lint plumbing ------------------------------------------ *)
 
 (* Feeding order is the happens-before model: within one shard the rbuf
@@ -435,7 +422,7 @@ let serve_shard p sh =
            tracking can watch it settle; the Ack is the round reply. *)
         if race then
           race_push sh (Crules.Sync (Crules.Write { obj = key; addr = -1 }));
-        durably p.config sh.heap (fun () -> Avl.insert sh.tree ~key ~value);
+        Pheap.durably sh.heap (fun () -> Avl.insert sh.tree ~key ~value);
         if race then race_push sh (Crules.Sync (Crules.Ack { obj = key }));
         Hashtbl.replace sh.model key value;
         sh.inserts <- sh.inserts + 1
@@ -443,7 +430,7 @@ let serve_shard p sh =
         if race then
           race_push sh (Crules.Sync (Crules.Write { obj = key; addr = -1 }));
         let removed =
-          durably p.config sh.heap (fun () -> Avl.delete sh.tree key)
+          Pheap.durably sh.heap (fun () -> Avl.delete sh.tree key)
         in
         if race then race_push sh (Crules.Sync (Crules.Ack { obj = key }));
         if removed then Hashtbl.remove sh.model key;
@@ -622,7 +609,7 @@ let handoff_value st m key =
 let tombstone st src key =
   if st.p.race_lint then
     race_push src (Crules.Sync (Crules.Tombstone { obj = key }));
-  ignore (durably st.p.config src.heap (fun () -> Avl.delete src.tree key))
+  ignore (Pheap.durably src.heap (fun () -> Avl.delete src.tree key))
 
 (* A landed handoff's volatile bookkeeping: the acked-write model entry
    follows the key to [dst], and the change counts one key moved. *)
@@ -660,7 +647,7 @@ let move_key st m key =
           race_push dst (Crules.Sync (Crules.Read { obj = key }));
           race_push dst (Crules.Sync (Crules.Write { obj = key; addr = -1 }))
         end;
-        durably st.p.config dst.heap (fun () ->
+        Pheap.durably dst.heap (fun () ->
             Avl.insert dst.tree ~key ~value);
         if race then begin
           race_push dst (Crules.Sync (Crules.Handoff_persist { obj = key }));
@@ -1043,7 +1030,7 @@ let setup p ~pool ~arm ~rounds =
     {
       events = 0;
       arm;
-      freeze = transactional p.config;
+      freeze = Config.protocol p.config <> Config.Plain;
       tripped = false;
     }
   in

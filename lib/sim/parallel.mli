@@ -18,15 +18,12 @@ val default_jobs : unit -> int
 val set_jobs : int -> unit
 (** Process-wide override of {!default_jobs} ([0] clears it). *)
 
-val hardware_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], floored at 1: the number of
-    domains worth actually spawning on this host. *)
-
 val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] applies [f] to every element, running up to [jobs]
     applications concurrently on separate domains. [jobs] is a
     concurrency {e cap}: the number of domains actually spawned is
-    additionally clamped to {!hardware_jobs}, because oversubscribing
+    additionally clamped to [Domain.recommended_domain_count ()] (at
+    least 1), because oversubscribing
     domains only adds GC-synchronisation overhead (a measured 3-4x
     slowdown for [--jobs 4] on a single-core host). Workers claim
     [chunk] consecutive inputs at a time from the shared queue

@@ -11,9 +11,6 @@ let create_backend ?(bandwidth = Units.Bandwidth.gib_per_s 0.5) () =
 
 let stored_names b = List.map fst b.snapshots
 
-let stored_bytes b =
-  List.fold_left (fun acc (_, data) -> acc + Bytes.length data) 0 b.snapshots
-
 let checkpoint b ~name heap =
   let nvram = Pheap.nvram heap in
   (* Reading through the cache sees the newest (possibly unflushed)

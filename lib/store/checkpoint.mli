@@ -19,7 +19,6 @@ val create_backend : ?bandwidth:Units.Bandwidth.t -> unit -> backend
 (** Default bandwidth: 0.5 GiB/s, the paper's high-end storage array. *)
 
 val stored_names : backend -> string list
-val stored_bytes : backend -> int
 
 val checkpoint : backend -> name:string -> Pheap.t -> Time.t
 (** Snapshots the heap's current logical contents (root slot, log and

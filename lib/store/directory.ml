@@ -11,7 +11,6 @@ type t = {
   attr_indexes : Avl.t array;
   entry_bytes : int;
   request_overhead : Time.t;
-  transactional : bool;
   mutable next_id : int64;
 }
 
@@ -59,14 +58,11 @@ let create ?(config = Config.fof) ?(entry_bytes = 4096) ?(indexes = 8)
     attr_indexes;
     entry_bytes;
     request_overhead;
-    transactional = config.Config.logging <> Config.No_log;
     next_id = 1L;
   }
 
 let heap t = t.heap
 let entry_count t = Hash_table.count t.id2entry
-
-let in_tx t f = if t.transactional then Pheap.with_tx t.heap f else f ()
 
 (* An attribute index stores (value, id) pairs; packing the id into the
    key's low bits keeps duplicate attribute values distinct. *)
@@ -84,7 +80,7 @@ let add_entry t rng =
     Array.map (fun _ -> Int64.shift_right_logical (Rng.bits64 rng) 24)
       (Array.make (Array.length t.attr_indexes) ())
   in
-  in_tx t (fun () ->
+  Pheap.durably t.heap (fun () ->
       (* Serialise the entry: a blob written word by word, as the BER
          encoder does. *)
       let blob = Pheap.alloc t.heap t.entry_bytes in
@@ -99,7 +95,7 @@ let add_entry t rng =
           Avl.insert t.attr_indexes.(i) ~key:(index_key ~value ~id) ~value:id)
         attr_values)
 
-let attach ?(config = Config.fof) ?(request_overhead = Time.us 180.0) heap () =
+let attach ?(request_overhead = Time.us 180.0) heap () =
   (* create_in formatted the heap; here the caller hands us a recovered
      one whose root is the descriptor block. *)
   let descriptor = Pheap.root heap in
@@ -120,7 +116,6 @@ let attach ?(config = Config.fof) ?(request_overhead = Time.us 180.0) heap () =
           Avl.attach_at heap ~addr:(Int64.to_int (r (6 + i))));
     entry_bytes;
     request_overhead;
-    transactional = config.Config.logging <> Config.No_log;
     next_id;
   }
 

@@ -26,10 +26,11 @@ val create :
     plus substring indexes over the benchmark schema), 180 µs of
     protocol processing per request. *)
 
-val attach : ?config:Config.t -> ?request_overhead:Time.t -> Pheap.t -> unit -> t
+val attach : ?request_overhead:Time.t -> Pheap.t -> unit -> t
 (** Re-adopts a directory from a recovered heap (the heap root is the
-    directory's descriptor block). Raises [Invalid_argument] if the root
-    is absent or not a directory. *)
+    directory's descriptor block); updates run under the heap's own
+    configuration. Raises [Invalid_argument] if the root is absent or
+    not a directory. *)
 
 val heap : t -> Pheap.t
 val entry_count : t -> int

@@ -144,8 +144,6 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
     invalid_arg "run_structure_benchmark: update_prob out of range";
   let rng = Rng.create ~seed in
   let heap = Pheap.create ?hierarchy ~config ~size:heap_size () in
-  let transactional = config.Config.logging <> Config.No_log in
-  let in_tx f = if transactional then Pheap.with_tx heap f else f () in
   (* Setup is unmeasured and untransactional, as in the paper's harness. *)
   let kv = kv_of_structure structure heap in
   let pool = Key_pool.create ~capacity:(2 * entries) () in
@@ -164,7 +162,7 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
   for _ = 1 to entries do
     let key = Key_pool.fresh pool in
     Key_pool.add pool key;
-    in_tx (fun () -> kv.kv_insert ~key ~value:(Int64.neg key))
+    Pheap.durably heap (fun () -> kv.kv_insert ~key ~value:(Int64.neg key))
   done;
   Pheap.reset_clock heap;
   let lookups = ref 0 and inserts = ref 0 and deletes = ref 0 in
@@ -175,17 +173,17 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
         incr lookups;
         match Key_pool.nth_present pool (slot ()) with
         | None -> ()
-        | Some key -> ignore (in_tx (fun () -> kv.kv_find key)))
+        | Some key -> ignore (Pheap.durably heap (fun () -> kv.kv_find key)))
     | Insert ->
         incr inserts;
         let key = Key_pool.fresh pool in
         Key_pool.add pool key;
-        in_tx (fun () -> kv.kv_insert ~key ~value:(Int64.neg key))
+        Pheap.durably heap (fun () -> kv.kv_insert ~key ~value:(Int64.neg key))
     | Delete -> (
         incr deletes;
         match Key_pool.remove_at pool (slot ()) with
         | None -> ()
-        | Some key -> ignore (in_tx (fun () -> kv.kv_delete key)))
+        | Some key -> ignore (Pheap.durably heap (fun () -> kv.kv_delete key)))
   done;
   let elapsed = Pheap.clock heap in
   {

@@ -13,8 +13,10 @@
 #
 # Cover: image-mode grow/shrink/crash `shard --json`, an undo-logged
 # crash run's `shard --json` and `--metrics`, the clean 500-point
-# certification's `check --json` and `--metrics`, and the Table 2 and
-# Figure 8 reproductions (both hinge on the cache model's tag walk).
+# certification's `check --json` and `--metrics`, the static lint's
+# `--json` over the registry (clean, under broken fences, and the
+# concurrent registry), and the Table 2 and Figure 8 reproductions
+# (both hinge on the cache model's tag walk).
 set -eu
 
 SIM="${SIM:-_build/default/bin/wsp_sim.exe}"
@@ -29,6 +31,18 @@ else
   trap 'rm -rf "$OUT"' EXIT
 fi
 
+# Runs a command whose exit code is part of its contract.
+exits() {
+  want=$1
+  shift
+  rc=0
+  "$SIM" "$@" > /dev/null || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    echo "FAIL: $* exited $rc, expected $want"
+    exit 1
+  fi
+}
+
 SHARD="--shards 4 --clients 64 --queue-cap 64 --requests 20000 --keyspace 4000"
 
 echo "== golden: generate =="
@@ -40,6 +54,9 @@ echo "== golden: generate =="
   > /dev/null
 "$SIM" check --points 500 --seed 42 --json "$OUT/check.json" \
   --metrics "$OUT/check-metrics.json" > /dev/null
+exits 0 lint --expect R3 --json "$OUT/lint-r3.json"
+exits 1 lint --broken fences --json "$OUT/lint-broken-fences.json"
+exits 1 lint --concurrent --json "$OUT/lint-concurrent.json"
 "$SIM" experiment table2 > "$OUT/table2.txt"
 "$SIM" experiment figure8 > "$OUT/figure8.txt"
 
@@ -51,7 +68,8 @@ fi
 echo "== golden: compare against $GOLDEN =="
 failed=0
 for f in shard-image.json shard-undo.json shard-undo-metrics.json \
-  check.json check-metrics.json table2.txt figure8.txt; do
+  check.json check-metrics.json lint-r3.json lint-broken-fences.json \
+  lint-concurrent.json table2.txt figure8.txt; do
   if ! cmp "$GOLDEN/$f" "$OUT/$f"; then
     echo "FAIL: $f differs from $GOLDEN/$f"
     failed=1

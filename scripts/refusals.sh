@@ -66,6 +66,12 @@ storm --nodes 10 --failures 20
 # window
 window --runs 0
 window --runs=-2
+# values the option parser itself rejects
+check --config bogus
+lint --broken bogus
+shard --migrate-mode nope
+cycle --strategy bogus
+cycle --seed x
 EOF
 
 [ "$failed" -eq 0 ] || exit 1

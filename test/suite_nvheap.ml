@@ -763,8 +763,42 @@ let txn_crash_prop config =
 
 (* --- Pheap ------------------------------------------------------------------ *)
 
+(* Which configurations run a durable update inside a transaction: all
+   but plain flush-on-fail (the shard service's answer since it first
+   served under every backend). *)
+let brackets_durable_updates =
+  [
+    ("FoC + STM", true);
+    ("FoC + UL", true);
+    ("FoF + STM", true);
+    ("FoF + UL", true);
+    ("FoF", false);
+    ("Msync", true);
+  ]
+
 let pheap_tests =
   [
+    Alcotest.test_case "durably brackets exactly the transactional configs"
+      `Quick (fun () ->
+        Alcotest.(check (list string))
+          "one row per backend config"
+          (List.map (fun c -> c.Config.name) Config.all_backends)
+          (List.map fst brackets_durable_updates);
+        List.iter
+          (fun config ->
+            let heap = Pheap.create ~config ~size:(Units.Size.mib 8) () in
+            let p = Pheap.alloc heap 64 in
+            let before = Txn.committed_count (Pheap.txn heap) in
+            Pheap.durably heap (fun () -> Pheap.write_u64 heap ~addr:p 7L);
+            Alcotest.(check bool)
+              (config.Config.name ^ " brackets")
+              (List.assoc config.Config.name brackets_durable_updates)
+              (Txn.committed_count (Pheap.txn heap) > before);
+            Alcotest.(check int64)
+              (config.Config.name ^ " update lands")
+              7L
+              (Pheap.read_u64 heap ~addr:p))
+          Config.all_backends);
     Alcotest.test_case "root pointer round-trips" `Quick (fun () ->
         let heap = Pheap.create ~size:(Units.Size.mib 8) () in
         let p = Pheap.alloc heap 64 in

@@ -342,6 +342,26 @@ let directory_tests =
         done;
         Alcotest.(check int) "new entries" 120 (Directory.entry_count d');
         Alcotest.(check bool) "still verifies" true (Directory.verify d' = Ok ()));
+    Alcotest.test_case "attach runs updates under the heap's own config"
+      `Quick (fun () ->
+        let d =
+          Directory.create ~config:Config.foc_ul ~entry_bytes:256 ~indexes:2
+            ~heap_size:(Units.Size.mib 32) ()
+        in
+        let rng = Rng.create ~seed:5 in
+        for _ = 1 to 10 do
+          Directory.add_entry d rng
+        done;
+        let heap = Directory.heap d in
+        Pheap.wsp_flush heap;
+        Pheap.crash heap;
+        Pheap.recover heap;
+        let d' = Directory.attach heap () in
+        let commits () = (Nvram.tally (Pheap.nvram heap)).Nvram.tx_commits in
+        let before = commits () in
+        Directory.add_entry d' rng;
+        Alcotest.(check int) "one commit per update" (before + 1) (commits ());
+        Alcotest.(check bool) "verifies" true (Directory.verify d' = Ok ()));
     Alcotest.test_case "attach rejects a non-directory heap" `Quick (fun () ->
         let heap = Pheap.create ~size:(Units.Size.mib 8) () in
         ignore (Hash_table.create ~buckets:16 heap);
