@@ -549,6 +549,7 @@ let lint_cmd =
     else begin
       setup_logs verbose;
       with_obs metrics trace @@ fun () ->
+      refusing "lint" @@ fun () ->
       let module Canalyzer = Wsp_analysis.Canalyzer in
       let render reports =
         Fmt.pr "%a" (Analyzer.pp_human ~expect) reports;
@@ -557,7 +558,7 @@ let lint_cmd =
         if errs > 0 || (strict && advs > 0) then 1 else 0
       in
       if concurrent then begin
-        let buses = if buses > 0 then Some buses else None in
+        let buses = if buses = 0 then None else Some buses in
         match Canalyzer.cfind ?workload ?config () with
         | [] ->
             Printf.eprintf "no concurrent workload matches the given filters\n";
@@ -705,14 +706,16 @@ let shard_cmd =
                 with a power failure injected at each sampled migration \
                 persistency event, verifying lossless single-owner recovery \
                 against the golden run. Needs $(b,--grow-at) or \
-                $(b,--shrink-at); exits non-zero on any violation.")
+                $(b,--shrink-at) and refuses $(b,--lint) and \
+                $(b,--race-lint); exits non-zero on any violation.")
   in
   let sweep_points_arg =
     Arg.(
-      value & opt int 64
+      value & opt (some int) None
       & info [ "sweep-points" ] ~docv:"N"
           ~doc:"Maximum injected crash points in $(b,--sweep) (evenly \
-                sampled over the migration's persistency events).")
+                sampled over the migration's persistency events; default \
+                64).")
   in
   let lint_arg =
     Arg.(
@@ -778,8 +781,10 @@ let shard_cmd =
        (a crash aimed at a retired shard), are a usage error. *)
     refusing "shard" @@ fun () ->
     let wall0 = Unix.gettimeofday () in
-    if sweep then begin
-      let s = Service.crash_sweep ?jobs ~points:sweep_points params in
+    if (not sweep) && sweep_points <> None then
+      refuse "shard" "--sweep-points requires --sweep"
+    else if sweep then begin
+      let s = Service.crash_sweep ?jobs ?points:sweep_points params in
       let wall = Unix.gettimeofday () -. wall0 in
       Fmt.pr "%a@." Service.pp_sweep s;
       Fmt.pr "wall-clock: %.2f s@." wall;

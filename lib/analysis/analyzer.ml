@@ -192,6 +192,7 @@ type report = {
 
 let lint ?jobs ?(fault = Checker.No_fault) ?(txns = 32) ?(seed = 1) ?psu
     ?platform ?(busy = false) ~workloads () =
+  if txns < 0 then invalid_arg "Analyzer.lint: negative txns";
   let machine_of w =
     let base = Rules.default_machine ~config:w.config () in
     {

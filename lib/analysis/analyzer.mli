@@ -60,7 +60,8 @@ val lint :
 (** Records and analyses each workload, fanning out over
     {!Wsp_sim.Parallel.map}; results come back in workload order
     regardless of [jobs]. Defaults: no sabotage, 32 transactions, seed
-    1, the {!Rules.default_machine} platform/PSU, idle load. *)
+    1, the {!Rules.default_machine} platform/PSU, idle load. Raises
+    [Invalid_argument] on a negative [txns]. *)
 
 val errors : expect:Rules.rule list -> report list -> int * int
 (** [(unexpected_errors, unexpected_advisories)]: diagnostics whose rule

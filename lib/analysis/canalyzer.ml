@@ -1,12 +1,10 @@
 open Wsp_sim
 open Wsp_nvheap
 module Checker = Wsp_check.Checker
-module Trace = Wsp_check.Trace
 
 type ctx = {
   add_heap : domains:int list -> Pheap.t -> unit;
   set_domain : int -> unit;
-  sync : Crules.sync -> unit;
 }
 
 type cworkload = {
@@ -17,15 +15,6 @@ type cworkload = {
   caudit : Pheap.t list -> acked:int64 list -> bool * bool;
 }
 
-let sync_of_note : Dstruct.note -> Crules.sync = function
-  | Dstruct.Wrote { obj; addr } -> Crules.Write { obj; addr }
-  | Dstruct.Observed { obj } -> Crules.Read { obj }
-  | Dstruct.Acked { obj } -> Crules.Ack { obj }
-  | Dstruct.Published { chan } -> Crules.Publish { chan }
-  | Dstruct.Acquired { chan } -> Crules.Acquire { chan }
-  | Dstruct.Handoff_persisted { obj } -> Crules.Handoff_persist { obj }
-  | Dstruct.Tombstoned { obj } -> Crules.Tombstone { obj }
-
 let heap_size = Units.Size.mib 1
 let log_size = Units.Size.kib 64
 
@@ -35,8 +24,7 @@ let make_heap ~config () = Pheap.create ~config ~size:heap_size ~log_size ()
    domain n-1, acquiring the published tail every third op. *)
 let crun_dqueue ~racy ~config ctx ~domains ~txns ~seed:_ =
   let heap = make_heap ~config () in
-  let hook n = ctx.sync (sync_of_note n) in
-  let q = Dstruct.Dqueue.create ~hook ~racy heap ~cap:(txns + 1) in
+  let q = Dstruct.Dqueue.create ~racy heap ~cap:(txns + 1) in
   (* Setup is mkfs, not under analysis: force it durable and clean. *)
   Nvram.wbinvd (Pheap.nvram heap);
   ctx.add_heap ~domains:(List.init domains Fun.id) heap;
@@ -56,8 +44,7 @@ let crun_dqueue ~racy ~config ctx ~domains ~txns ~seed:_ =
 (* Peer incrementers, one shared cell, rotating through the channel. *)
 let crun_dcounter ~racy ~config ctx ~domains ~txns ~seed:_ =
   let heap = make_heap ~config () in
-  let hook n = ctx.sync (sync_of_note n) in
-  let c = Dstruct.Dcounter.create ~hook ~racy heap in
+  let c = Dstruct.Dcounter.create ~racy heap in
   Nvram.wbinvd (Pheap.nvram heap);
   ctx.add_heap ~domains:(List.init domains Fun.id) heap;
   for i = 0 to txns - 1 do
@@ -67,27 +54,25 @@ let crun_dcounter ~racy ~config ctx ~domains ~txns ~seed:_ =
 
 (* Source domain 0 populates its heap, a barrier models the round join
    that starts the migration, then each key moves to destination
-   domain 1 — the shard handoff protocol in miniature. *)
+   domain 1 — the shard handoff protocol in miniature. Each heap is its
+   own domain, so every step is attributed to the heap it acts on. *)
 let crun_handoff ~racy ~config ctx ~domains:_ ~txns ~seed:_ =
   let src = make_heap ~config () in
   let dst = make_heap ~config () in
-  let hook n = ctx.sync (sync_of_note n) in
   let slots = max 1 (min txns 64) in
-  let h = Dstruct.Handoff.create ~hook ~racy ~src ~dst ~slots () in
+  let h = Dstruct.Handoff.create ~racy ~src ~dst ~slots () in
   Nvram.wbinvd (Pheap.nvram src);
   Nvram.wbinvd (Pheap.nvram dst);
   ctx.add_heap ~domains:[ 0 ] src;
   ctx.add_heap ~domains:[ 1 ] dst;
-  ctx.set_domain 0;
   for key = 0 to slots - 1 do
     Dstruct.Handoff.put h ~key
   done;
   (* The coordination point between the populate phase and the
      migration — without it every cross-heap read would be racy. *)
-  ctx.sync Crules.Barrier;
-  let switch = function `Src -> ctx.set_domain 0 | `Dst -> ctx.set_domain 1 in
+  Wsp_events.Bus.publish (Nvram.sync_bus (Pheap.nvram src)) Event.Barrier;
   for key = 0 to slots - 1 do
-    Dstruct.Handoff.move ~switch h ~key
+    Dstruct.Handoff.move h ~key
   done
 
 (* Post-crash audits, (loss, torn): see [caudit] in the interface. The
@@ -181,21 +166,21 @@ let run_one ?buses w ~txns ~seed =
     {
       add_heap =
         (fun ~domains:ds heap ->
-          let nv = Pheap.nvram heap in
-          let al = Pheap.allocator heap in
-          List.iter
-            (fun d ->
-              Crules.register cs ~domain:d ~line_size:(Nvram.line_size nv)
-                ~alloc_base:(Alloc.base al) ~alloc_limit:(Alloc.limit al);
-              Trace.iter_baseline heap (fun ev ->
-                  Crules.step cs ~domain:d (Crules.Bus ev)))
-            ds;
+          List.iter (fun d -> Crules.register cs ~domain:d heap) ds;
+          (* A heap added for one domain is that domain's; a shared
+             heap's traffic belongs to whichever domain is current. *)
+          let domain =
+            match ds with [ d ] -> Fun.const d | _ -> fun () -> !cur
+          in
+          let feed item = Crules.step cs ~domain:(domain ()) item in
           subs :=
             Wsp_events.Bus.subscribe (Pheap.bus heap) (fun ev ->
-                Crules.step cs ~domain:!cur (Crules.Bus ev))
+                feed (Crules.Bus ev))
+            :: Wsp_events.Bus.subscribe
+                 (Nvram.sync_bus (Pheap.nvram heap))
+                 (fun sy -> feed (Crules.Sync sy))
             :: !subs);
       set_domain = (fun d -> cur := d);
-      sync = (fun sy -> Crules.step cs ~domain:!cur (Crules.Sync sy));
     }
   in
   Fun.protect
@@ -214,6 +199,9 @@ let run_one ?buses w ~txns ~seed =
   }
 
 let clint ?jobs ?buses ?(txns = 24) ?(seed = 1) ~workloads () =
+  if txns < 0 then invalid_arg "Canalyzer.clint: negative txns";
+  if Option.value buses ~default:0 < 0 then
+    invalid_arg "Canalyzer.clint: negative buses";
   Parallel.map ?jobs (fun w -> run_one ?buses w ~txns ~seed) workloads
 
 (* --- the dynamic twin: crash sweeps over the same drivers ------------- *)
@@ -243,19 +231,22 @@ let crash_run w ~txns ~stop_at =
         if !seen = stop_at then raise Crash_now
     | Event.Log _ | Event.Tx _ | Event.Wb _ | Event.Heap _ -> ()
   in
+  let ack = function
+    | Event.Ack { obj } -> acked := obj :: !acked
+    | Event.Write _ | Event.Read _ | Event.Publish _ | Event.Acquire _
+    | Event.Handoff_persist _ | Event.Tombstone _ | Event.Barrier ->
+        ()
+  in
   let ctx =
     {
       add_heap =
         (fun ~domains:_ heap ->
           heaps := heap :: !heaps;
-          subs := Wsp_events.Bus.subscribe (Pheap.bus heap) count :: !subs);
+          subs :=
+            Wsp_events.Bus.subscribe (Pheap.bus heap) count
+            :: Wsp_events.Bus.subscribe (Nvram.sync_bus (Pheap.nvram heap)) ack
+            :: !subs);
       set_domain = ignore;
-      sync =
-        (function
-        | Crules.Ack { obj } -> acked := obj :: !acked
-        | Crules.Write _ | Crules.Read _ | Crules.Publish _ | Crules.Acquire _
-        | Crules.Handoff_persist _ | Crules.Tombstone _ | Crules.Barrier ->
-            ());
     }
   in
   let crashed =

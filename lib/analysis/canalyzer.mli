@@ -13,19 +13,19 @@
     byte-identical at any [--jobs] width. *)
 
 (** The execution context a concurrent workload drives:
-    [add_heap ~domains heap] registers the heap's geometry for each
-    listed domain, replays the allocation baseline to them and routes
-    subsequent bus events to the {e current} domain — call it after the
-    structure is created so the baseline covers its blocks;
-    [set_domain] switches the current domain; [sync] feeds a
-    cross-domain edge or durability annotation at the current
-    domain. {!sweep} drives the same workload under a crash context
-    that counts memory events on the added heaps, collects the acks
-    and ignores domains. *)
+    [add_heap ~domains heap] registers the heap for each listed domain
+    ({!Crules.register}, which replays its allocation baseline) and
+    feeds the heap's {!Wsp_nvheap.Nvram.bus} events and
+    {!Wsp_nvheap.Nvram.sync_bus} annotations to the detector — to the
+    one domain when a single one is listed, else to the {e current}
+    domain. Call it after the structure is created so the baseline
+    covers its blocks. [set_domain] switches the current domain.
+    {!sweep} drives the same workload under a crash context that
+    counts memory events on the added heaps, collects the acks from
+    their annotation buses and ignores domains. *)
 type ctx = {
   add_heap : domains:int list -> Wsp_nvheap.Pheap.t -> unit;
   set_domain : int -> unit;
-  sync : Crules.sync -> unit;
 }
 
 type cworkload = {
@@ -63,7 +63,8 @@ val clint :
     workload's minimum (extra producers for [dqueue], extra peers for
     [dcounter]; [handoff] keeps its pair). Defaults: 24 operations,
     seed 1. Reports come back in workload order regardless of
-    [jobs]. *)
+    [jobs]. Raises [Invalid_argument] on a negative [txns] or
+    [buses]. *)
 
 type verdict = {
   points : int;  (** Crash points swept (= uncrashed memory events). *)

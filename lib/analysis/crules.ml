@@ -1,31 +1,9 @@
 open Wsp_nvheap
 module Trace = Wsp_check.Trace
 
-type sync =
-  | Write of { obj : int64; addr : int }
-  | Read of { obj : int64 }
-  | Ack of { obj : int64 }
-  | Publish of { chan : int }
-  | Acquire of { chan : int }
-  | Handoff_persist of { obj : int64 }
-  | Tombstone of { obj : int64 }
-  | Barrier
-
-type item = Bus of Trace.event | Sync of sync
+type item = Bus of Trace.event | Sync of Event.sync
 
 let ring_size = 1024
-
-let pp_sync ppf = function
-  | Write { obj; addr } when addr >= 0 ->
-      Fmt.pf ppf "write obj=0x%Lx @%#x" obj addr
-  | Write { obj; _ } -> Fmt.pf ppf "write obj=0x%Lx (tx)" obj
-  | Read { obj } -> Fmt.pf ppf "read obj=0x%Lx" obj
-  | Ack { obj } -> Fmt.pf ppf "ack obj=0x%Lx" obj
-  | Publish { chan } -> Fmt.pf ppf "publish chan %d" chan
-  | Acquire { chan } -> Fmt.pf ppf "acquire chan %d" chan
-  | Handoff_persist { obj } -> Fmt.pf ppf "handoff-persist obj=0x%Lx" obj
-  | Tombstone { obj } -> Fmt.pf ppf "tombstone obj=0x%Lx" obj
-  | Barrier -> Fmt.pf ppf "barrier"
 
 (* Growable local->global witness-index map: one slot per event fed to a
    domain's embedded Rules stream, in feed order. *)
@@ -105,13 +83,6 @@ let create m ~domains =
 
 let index s = s.gidx
 
-let register s ~domain ~line_size ~alloc_base ~alloc_limit =
-  if domain < 0 || domain >= s.ndomains then
-    invalid_arg "Crules.register: domain out of range";
-  let d = s.doms.(domain) in
-  if d.rs <> None then invalid_arg "Crules.register: domain already registered";
-  d.rs <- Some (Rules.stream_create s.m ~line_size ~alloc_base ~alloc_limit)
-
 let convict s rule ~obj witness fmt =
   if Hashtbl.mem s.convicted (rule, obj) then Fmt.kstr ignore fmt
   else begin
@@ -176,7 +147,7 @@ let persist_pending o clock =
   not (o.durable && Vclock.leq o.dclock clock)
 
 let handle_sync s domain d ~g = function
-  | Write { obj; addr } ->
+  | Event.Write { obj; addr } ->
       (match Hashtbl.find_opt s.objs obj with
       | Some o when o.writer <> domain && persist_pending o d.clock ->
           convict s Rules.R6 ~obj [ o.widx; g ]
@@ -220,7 +191,7 @@ let handle_sync s domain d ~g = function
         if addr >= 0 then d.pend_addr <- obj :: d.pend_addr
         else d.pend_tx <- obj :: d.pend_tx
       end
-  | Read { obj } -> (
+  | Event.Read { obj } -> (
       match Hashtbl.find_opt s.objs obj with
       | Some o when o.writer <> domain && persist_pending o d.clock ->
           convict s Rules.R9 ~obj [ o.widx; g ]
@@ -228,7 +199,7 @@ let handle_sync s domain d ~g = function
              (written by d%d) is still pending at the reader's frontier"
             domain obj o.writer
       | _ -> ())
-  | Ack { obj } -> (
+  | Event.Ack { obj } -> (
       match Hashtbl.find_opt s.objs obj with
       | None ->
           convict s Rules.R7 ~obj [ g ]
@@ -240,15 +211,15 @@ let handle_sync s domain d ~g = function
              its persist is ordered"
             obj domain
       | Some _ -> ())
-  | Publish { chan } -> (
+  | Event.Publish { chan } -> (
       match Hashtbl.find_opt s.chans chan with
       | None -> Hashtbl.replace s.chans chan (Vclock.copy d.clock)
       | Some c -> Vclock.merge ~into:c d.clock)
-  | Acquire { chan } -> (
+  | Event.Acquire { chan } -> (
       match Hashtbl.find_opt s.chans chan with
       | None -> ()
       | Some c -> Vclock.merge ~into:d.clock c)
-  | Handoff_persist { obj } -> (
+  | Event.Handoff_persist { obj } -> (
       match Hashtbl.find_opt s.objs obj with
       | None ->
           convict s Rules.R8 ~obj [ g ]
@@ -262,7 +233,7 @@ let handle_sync s domain d ~g = function
                before its destination persist is ordered"
               obj domain;
           o.handoff <- Some (Vclock.copy d.clock, g))
-  | Tombstone { obj } -> (
+  | Event.Tombstone { obj } -> (
       match Hashtbl.find_opt s.objs obj with
       | None ->
           convict s Rules.R8 ~obj [ g ]
@@ -286,7 +257,7 @@ let handle_sync s domain d ~g = function
                    before its destination persist is ordered"
                   obj domain;
               o.handoff <- None))
-  | Barrier ->
+  | Event.Barrier ->
       let acc = Vclock.make ~domains:s.ndomains in
       Array.iter (fun ds -> Vclock.merge ~into:acc ds.clock) s.doms;
       Array.iter (fun ds -> Vclock.merge ~into:ds.clock acc) s.doms
@@ -333,6 +304,19 @@ let step s ~domain item =
               | Nvram.Flush_range _ )
           | Trace.Wb _ | Trace.Heap _ ->
               ()))
+
+let register s ~domain heap =
+  if domain < 0 || domain >= s.ndomains then
+    invalid_arg "Crules.register: domain out of range";
+  let d = s.doms.(domain) in
+  if d.rs <> None then invalid_arg "Crules.register: domain already registered";
+  let al = Pheap.allocator heap in
+  d.rs <-
+    Some
+      (Rules.stream_create s.m
+         ~line_size:(Nvram.line_size (Pheap.nvram heap))
+         ~alloc_base:(Alloc.base al) ~alloc_limit:(Alloc.limit al));
+  Trace.iter_baseline heap (fun ev -> step s ~domain (Bus ev))
 
 let finish s =
   let acc = ref (List.rev s.races) in
@@ -382,7 +366,7 @@ let witness_text s (r : Rules.result) =
           let text =
             match item with
             | Bus ev -> Fmt.str "d%d %a" dom Trace.pp_event ev
-            | Sync sy -> Fmt.str "d%d %a" dom pp_sync sy
+            | Sync sy -> Fmt.str "d%d %a" dom Event.pp_sync sy
           in
           (i, text) :: lines
       | _ -> lines)

@@ -41,34 +41,11 @@
     merged report with their witness indices rebased onto the global
     interleaved numbering. *)
 
-(** A cross-domain synchronisation / durability annotation. Objects are
-    caller-chosen 64-bit identities (a key, a slot address); [addr] is
-    the object's backing byte address when the caller persists it with
-    explicit flushes, or negative when a transaction commit is what
-    makes it durable. *)
-type sync =
-  | Write of { obj : int64; addr : int }
-      (** The domain stored the object's current value. *)
-  | Read of { obj : int64 }  (** The domain consumed the object. *)
-  | Ack of { obj : int64 }
-      (** The domain made the object's write client-visible. *)
-  | Publish of { chan : int }
-      (** Release half of a cross-domain edge (tail publish, lock
-          release). *)
-  | Acquire of { chan : int }
-      (** Acquire half: absorb everything published on [chan]. *)
-  | Handoff_persist of { obj : int64 }
-      (** Migration: destination declares the object persisted. *)
-  | Tombstone of { obj : int64 }
-      (** Migration: source retires its copy of the object. *)
-  | Barrier
-      (** Full clock join across every domain — a round join or a WSP
-          save/restore point. *)
-
 type item =
   | Bus of Wsp_check.Trace.event
       (** One event from the domain's heap bus, in arrival order. *)
-  | Sync of sync  (** A synchronisation annotation. *)
+  | Sync of Wsp_nvheap.Event.sync
+      (** An annotation from the domain's {!Wsp_nvheap.Nvram.sync_bus}. *)
 
 type stream
 
@@ -77,10 +54,10 @@ val create : Rules.machine -> domains:int -> stream
     domain begins at {!register}. Raises [Invalid_argument] if
     [domains <= 0]. *)
 
-val register :
-  stream -> domain:int -> line_size:int -> alloc_base:int -> alloc_limit:int -> unit
-(** Attach a per-domain {!Rules} stream with the given heap geometry —
-    required before the first [Bus] item for that domain. Sync-only
+val register : stream -> domain:int -> Wsp_nvheap.Pheap.t -> unit
+(** Attach a per-domain {!Rules} stream with the heap's geometry and
+    feed it the heap's allocation baseline ({!Wsp_check.Trace.iter_baseline})
+    — required before the first [Bus] item for that domain. Sync-only
     domains (a coordinator that never owns a heap) need no
     registration. Raises [Invalid_argument] on a second registration. *)
 

@@ -1,15 +1,7 @@
-type note =
-  | Wrote of { obj : int64; addr : int }
-  | Observed of { obj : int64 }
-  | Acked of { obj : int64 }
-  | Published of { chan : int }
-  | Acquired of { chan : int }
-  | Handoff_persisted of { obj : int64 }
-  | Tombstoned of { obj : int64 }
-
-type hook = note -> unit
-
-let no_hook = ignore
+(* A race annotation on the heap's {!Nvram.sync_bus}, in program order
+   with the heap's persistency events. *)
+let annotate ph (s : Event.sync) =
+  Wsp_events.Bus.publish (Nvram.sync_bus (Pheap.nvram ph)) s
 
 let persist ph ~addr =
   let nv = Pheap.nvram ph in
@@ -25,7 +17,6 @@ module Dqueue = struct
     base : int;
     qcap : int;
     racy : bool;
-    hook : hook;
     mutable deferred : int option;  (** racy: slot flush owed from the
                                         previous enqueue *)
   }
@@ -36,10 +27,10 @@ module Dqueue = struct
   let slot_addr t seq = t.base + 24 + (seq mod t.qcap * 8)
   let expected ~seq = Int64.of_int (((seq + 1) * 2654435761) lor 1)
 
-  let create ?(hook = no_hook) ?(racy = false) ph ~cap =
+  let create ?(racy = false) ph ~cap =
     if cap <= 0 then invalid_arg "Dqueue.create: cap must be positive";
     let base = Pheap.alloc ph ((3 + cap) * 8) in
-    let t = { ph; base; qcap = cap; racy; hook; deferred = None } in
+    let t = { ph; base; qcap = cap; racy; deferred = None } in
     Pheap.write_u64 ph ~addr:(cap_addr t) (Int64.of_int cap);
     Pheap.write_u64 ph ~addr:(tail_addr t) 0L;
     Pheap.write_u64 ph ~addr:(head_addr t) 0L;
@@ -52,12 +43,12 @@ module Dqueue = struct
     persist ph ~addr:(Pheap.base ph);
     t
 
-  let attach ?(hook = no_hook) ph =
+  let attach ph =
     let base = Pheap.root ph in
     if base = 0 then invalid_arg "Dqueue.attach: heap has no root";
     let cap = Int64.to_int (Pheap.read_u64 ph ~addr:base) in
     if cap <= 0 then invalid_arg "Dqueue.attach: corrupt capacity";
-    { ph; base; qcap = cap; racy = false; hook; deferred = None }
+    { ph; base; qcap = cap; racy = false; deferred = None }
 
   let tail t = Int64.to_int (Pheap.read_u64 t.ph ~addr:(tail_addr t))
   let head t = Int64.to_int (Pheap.read_u64 t.ph ~addr:(head_addr t))
@@ -80,31 +71,31 @@ module Dqueue = struct
       (* The bug: publish the advanced tail, then store the slot. *)
       Pheap.write_u64 t.ph ~addr:(tail_addr t) (Int64.of_int (seq + 1));
       persist t.ph ~addr:(tail_addr t);
-      t.hook (Published { chan = 0 });
+      annotate t.ph (Publish { chan = 0 });
       Pheap.write_u64 t.ph ~addr:slot v;
-      t.hook (Wrote { obj; addr = slot });
+      annotate t.ph (Write { obj; addr = slot });
       t.deferred <- Some slot;
-      t.hook (Acked { obj })
+      annotate t.ph (Ack { obj })
     end
     else begin
       Pheap.write_u64 t.ph ~addr:slot v;
-      t.hook (Wrote { obj; addr = slot });
+      annotate t.ph (Write { obj; addr = slot });
       persist t.ph ~addr:slot;
       Pheap.write_u64 t.ph ~addr:(tail_addr t) (Int64.of_int (seq + 1));
       persist t.ph ~addr:(tail_addr t);
-      t.hook (Published { chan = 0 });
-      t.hook (Acked { obj })
+      annotate t.ph (Publish { chan = 0 });
+      annotate t.ph (Ack { obj })
     end;
     seq
 
   let enqueue_expected t = enqueue t (expected ~seq:(tail t))
 
   let drain t =
-    t.hook (Acquired { chan = 0 });
+    annotate t.ph (Acquire { chan = 0 });
     let tl = tail t and hd = head t in
     let out = ref [] in
     for seq = tl - 1 downto hd do
-      t.hook (Observed { obj = Int64.of_int seq });
+      annotate t.ph (Read { obj = Int64.of_int seq });
       out := slot_value t ~seq :: !out
     done;
     if tl > hd then begin
@@ -115,44 +106,38 @@ module Dqueue = struct
 end
 
 module Dcounter = struct
-  type t = { ph : Pheap.t; base : int; racy : bool; hook : hook }
+  type t = { ph : Pheap.t; base : int; racy : bool }
 
   let obj = 1L
   let chan = 0
 
-  let create ?(hook = no_hook) ?(racy = false) ph =
+  let create ?(racy = false) ph =
     let base = Pheap.alloc ph 8 in
-    let t = { ph; base; racy; hook } in
+    let t = { ph; base; racy } in
     Pheap.write_u64 ph ~addr:base 0L;
     persist ph ~addr:base;
     Pheap.set_root ph base;
     persist ph ~addr:(Pheap.base ph);
     t
 
-  let attach ?(hook = no_hook) ph =
+  let attach ph =
     let base = Pheap.root ph in
     if base = 0 then invalid_arg "Dcounter.attach: heap has no root";
-    { ph; base; racy = false; hook }
+    { ph; base; racy = false }
 
   let value t = Pheap.read_u64 t.ph ~addr:t.base
 
   let incr t =
-    t.hook (Acquired { chan });
+    annotate t.ph (Acquire { chan });
     let v = value t in
-    t.hook (Observed { obj });
+    annotate t.ph (Read { obj });
     Pheap.write_u64 t.ph ~addr:t.base (Int64.add v 1L);
-    t.hook (Wrote { obj; addr = t.base });
-    if t.racy then begin
-      (* The bug: the increment is acked and the lock released with
-         the store still sitting dirty in cache — and never flushed. *)
-      t.hook (Acked { obj });
-      t.hook (Published { chan })
-    end
-    else begin
-      persist t.ph ~addr:t.base;
-      t.hook (Acked { obj });
-      t.hook (Published { chan })
-    end
+    annotate t.ph (Write { obj; addr = t.base });
+    (* The racy bug: the increment is acked and the lock released with
+       the store still sitting dirty in cache — and never flushed. *)
+    if not t.racy then persist t.ph ~addr:t.base;
+    annotate t.ph (Ack { obj });
+    annotate t.ph (Publish { chan })
 end
 
 module Handoff = struct
@@ -163,7 +148,6 @@ module Handoff = struct
     dst_base : int;
     nslots : int;
     racy : bool;
-    hook : hook;
   }
 
   let expected ~key = Int64.of_int (((key + 1) * 7919) lor 1)
@@ -176,7 +160,7 @@ module Handoff = struct
       persist ph ~addr:(base + (i * 8))
     done
 
-  let create ?(hook = no_hook) ?(racy = false) ~src ~dst ~slots () =
+  let create ?(racy = false) ~src ~dst ~slots () =
     if slots <= 0 then invalid_arg "Handoff.create: slots must be positive";
     let src_base = Pheap.alloc src ((slots + 1) * 8) in
     let dst_base = Pheap.alloc dst ((slots + 1) * 8) in
@@ -193,7 +177,6 @@ module Handoff = struct
         dst_base = dst_base + 8;
         nslots = slots;
         racy;
-        hook;
       }
     in
     zero_cells src t.src_base slots;
@@ -204,7 +187,7 @@ module Handoff = struct
     persist dst ~addr:(Pheap.base dst);
     t
 
-  let attach ?(hook = no_hook) ~src ~dst () =
+  let attach ~src ~dst () =
     let src_base = Pheap.root src and dst_base = Pheap.root dst in
     if src_base = 0 || dst_base = 0 then
       invalid_arg "Handoff.attach: heap has no root";
@@ -218,7 +201,6 @@ module Handoff = struct
       dst_base = dst_base + 8;
       nslots = n;
       racy = false;
-      hook;
     }
 
   let slots t = t.nslots
@@ -233,42 +215,41 @@ module Handoff = struct
     let obj = Int64.of_int key in
     let a = src_addr t key in
     Pheap.write_u64 t.src ~addr:a (expected ~key);
-    t.hook (Wrote { obj; addr = a });
+    annotate t.src (Write { obj; addr = a });
     persist t.src ~addr:a;
-    t.hook (Acked { obj })
+    annotate t.src (Ack { obj })
 
-  let persist_half t ~switch ~key v =
+  (* Each half annotates on the heap it acts on, so a driver that gives
+     each heap its own domain sees the protocol's acting side. *)
+  let persist_half t ~key v =
     let obj = Int64.of_int key in
-    switch `Dst;
     let a = dst_addr t key in
     Pheap.write_u64 t.dst ~addr:a v;
-    t.hook (Wrote { obj; addr = a });
+    annotate t.dst (Write { obj; addr = a });
     persist t.dst ~addr:a;
-    t.hook (Handoff_persisted { obj })
+    annotate t.dst (Handoff_persist { obj })
 
-  let retire_half t ~switch ~key =
+  let retire_half t ~key =
     let obj = Int64.of_int key in
-    switch `Src;
     let a = src_addr t key in
     Pheap.write_u64 t.src ~addr:a 0L;
     persist t.src ~addr:a;
-    t.hook (Tombstoned { obj })
+    annotate t.src (Tombstone { obj })
 
-  let move ?(switch = fun _ -> ()) t ~key =
+  let move t ~key =
     check_key t key;
-    let obj = Int64.of_int key in
-    switch `Dst;
     let v = src_value t ~key in
-    t.hook (Observed { obj });
+    (* The destination consumes the source's copy. *)
+    annotate t.dst (Read { obj = Int64.of_int key });
     if t.racy then begin
       (* The bug: the source retires its copy before the destination
          persist exists — the value survives only in this volatile
          binding, which no WSP save can reach. *)
-      retire_half t ~switch ~key;
-      persist_half t ~switch ~key v
+      retire_half t ~key;
+      persist_half t ~key v
     end
     else begin
-      persist_half t ~switch ~key v;
-      retire_half t ~switch ~key
+      persist_half t ~key v;
+      retire_half t ~key
     end
 end

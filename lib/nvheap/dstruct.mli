@@ -14,29 +14,10 @@
     cross-certify.
 
     Every protocol step that matters to a race analysis is announced
-    through a {!hook} callback, interleaved with the structure's bus
-    events exactly where the step happens in program order — the bridge
-    a trace consumer maps onto its own sync-edge vocabulary without
-    this library depending on the analysis layer. *)
-
-(** A protocol announcement. [obj] is a caller-meaningful 64-bit
-    identity (a queue sequence number, a handoff key); [addr] the
-    object's backing byte address; [chan] a release/acquire channel
-    id local to the structure. *)
-type note =
-  | Wrote of { obj : int64; addr : int }
-      (** The object's value was just stored (durability pending). *)
-  | Observed of { obj : int64 }  (** The object's value was consumed. *)
-  | Acked of { obj : int64 }
-      (** The operation on [obj] became client-visible. *)
-  | Published of { chan : int }  (** Release edge on [chan]. *)
-  | Acquired of { chan : int }  (** Acquire edge on [chan]. *)
-  | Handoff_persisted of { obj : int64 }
-      (** Cross-heap move: destination copy declared persisted. *)
-  | Tombstoned of { obj : int64 }
-      (** Cross-heap move: source copy retired. *)
-
-type hook = note -> unit
+    as an {!Event.sync} on the acting heap's {!Nvram.sync_bus},
+    interleaved with the heap's persistency events exactly where the
+    step happens in program order — the feed a race detector subscribes
+    to without this library depending on the analysis layer. *)
 
 (** Multi-producer single-consumer ring queue on one heap. Producers
     store the slot, persist it, then publish the advanced tail;
@@ -50,10 +31,10 @@ type hook = note -> unit
 module Dqueue : sig
   type t
 
-  val create : ?hook:hook -> ?racy:bool -> Pheap.t -> cap:int -> t
+  val create : ?racy:bool -> Pheap.t -> cap:int -> t
   (** Allocates the ring and publishes it as the heap root. *)
 
-  val attach : ?hook:hook -> Pheap.t -> t
+  val attach : Pheap.t -> t
   (** Re-adopts the ring from the heap root after a crash. *)
 
   val enqueue : t -> int64 -> int
@@ -87,8 +68,8 @@ end
 module Dcounter : sig
   type t
 
-  val create : ?hook:hook -> ?racy:bool -> Pheap.t -> t
-  val attach : ?hook:hook -> Pheap.t -> t
+  val create : ?racy:bool -> Pheap.t -> t
+  val attach : Pheap.t -> t
 
   val incr : t -> unit
   val value : t -> int64
@@ -105,17 +86,16 @@ module Handoff : sig
   type t
 
   val create :
-    ?hook:hook -> ?racy:bool -> src:Pheap.t -> dst:Pheap.t -> slots:int -> unit -> t
-  val attach : ?hook:hook -> src:Pheap.t -> dst:Pheap.t -> unit -> t
+    ?racy:bool -> src:Pheap.t -> dst:Pheap.t -> slots:int -> unit -> t
+  val attach : src:Pheap.t -> dst:Pheap.t -> unit -> t
 
   val put : t -> key:int -> unit
   (** Durable insert of [expected ~key] into the source cell. *)
 
-  val move : ?switch:([ `Src | `Dst ] -> unit) -> t -> key:int -> unit
-  (** Migrates one key. [switch] is called whenever the protocol's
-      acting side changes — a race-lint driver uses it to re-attribute
-      subsequent events to the other logical domain; defaults to a
-      no-op. *)
+  val move : t -> key:int -> unit
+  (** Migrates one key. Each step annotates on the heap that acts: the
+      destination's read and persist on [dst], the tombstone on
+      [src]. *)
 
   val slots : t -> int
   val src_value : t -> key:int -> int64

@@ -45,3 +45,25 @@ let pp ppf = function
   | Heap (Alloc { addr; size }) -> Fmt.pf ppf "alloc[%d,+%d]" addr size
   | Heap (Free { addr; size }) -> Fmt.pf ppf "free[%d,+%d]" addr size
   | Heap (Header_write { addr }) -> Fmt.pf ppf "heap-header[%d]" addr
+
+type sync =
+  | Write of { obj : int64; addr : int }
+  | Read of { obj : int64 }
+  | Ack of { obj : int64 }
+  | Publish of { chan : int }
+  | Acquire of { chan : int }
+  | Handoff_persist of { obj : int64 }
+  | Tombstone of { obj : int64 }
+  | Barrier
+
+let pp_sync ppf = function
+  | Write { obj; addr } when addr >= 0 ->
+      Fmt.pf ppf "write obj=0x%Lx @%#x" obj addr
+  | Write { obj; _ } -> Fmt.pf ppf "write obj=0x%Lx (tx)" obj
+  | Read { obj } -> Fmt.pf ppf "read obj=0x%Lx" obj
+  | Ack { obj } -> Fmt.pf ppf "ack obj=0x%Lx" obj
+  | Publish { chan } -> Fmt.pf ppf "publish chan %d" chan
+  | Acquire { chan } -> Fmt.pf ppf "acquire chan %d" chan
+  | Handoff_persist { obj } -> Fmt.pf ppf "handoff-persist obj=0x%Lx" obj
+  | Tombstone { obj } -> Fmt.pf ppf "tombstone obj=0x%Lx" obj
+  | Barrier -> Fmt.pf ppf "barrier"

@@ -65,3 +65,37 @@ type t =
   | Heap of heap
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Race annotations}
+
+    A cross-domain synchronisation or durability annotation, published
+    on {!Nvram.sync_bus} by protocol code ({!Dstruct}, the shard
+    service) and consumed by the race detector
+    ({!Wsp_analysis.Crules}). Annotations are not crash points: they
+    never travel on {!Nvram.bus}, so the checker, the migration
+    injector and every other persistency observer never see them.
+    Objects are caller-chosen 64-bit identities (a key, a queue
+    sequence number); [addr] is the object's backing byte address when
+    the caller persists it with explicit flushes, or negative when a
+    transaction commit is what makes it durable. *)
+
+type sync =
+  | Write of { obj : int64; addr : int }
+      (** The domain stored the object's current value. *)
+  | Read of { obj : int64 }  (** The domain consumed the object. *)
+  | Ack of { obj : int64 }
+      (** The domain made the object's write client-visible. *)
+  | Publish of { chan : int }
+      (** Release half of a cross-domain edge (tail publish, lock
+          release). *)
+  | Acquire of { chan : int }
+      (** Acquire half: absorb everything published on [chan]. *)
+  | Handoff_persist of { obj : int64 }
+      (** Migration: destination declares the object persisted. *)
+  | Tombstone of { obj : int64 }
+      (** Migration: source retires its copy of the object. *)
+  | Barrier
+      (** Full clock join across every domain — a round join or a WSP
+          save/restore point. *)
+
+val pp_sync : Format.formatter -> sync -> unit

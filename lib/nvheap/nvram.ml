@@ -135,6 +135,7 @@ type t = {
   line_size : int;
   mutable clock : Time.t;
   bus : Event.t Bus.t;
+  sync_bus : Event.sync Bus.t;
   counts : counts;
   metrics : Wsp_obs.Metrics.t;
   mutable fault : fault;
@@ -201,6 +202,7 @@ let create ?hierarchy ?backing ?metrics ~size () =
     line_size;
     clock = Time.zero;
     bus;
+    sync_bus = Bus.create ();
     counts;
     metrics;
     fault = No_fault;
@@ -209,6 +211,7 @@ let create ?hierarchy ?backing ?metrics ~size () =
   }
 
 let bus t = t.bus
+let sync_bus t = t.sync_bus
 let tally t : tally =
   let c = t.counts in
   {

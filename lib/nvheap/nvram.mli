@@ -117,6 +117,12 @@ val bus : t -> Event.t Wsp_events.Bus.t
     its event, so with no subscriber an emit is a single branch and
     allocates nothing. *)
 
+val sync_bus : t -> Event.sync Wsp_events.Bus.t
+(** The race-annotation bus next to {!bus} (see {!Event.sync}). Both
+    dispatch synchronously, so a subscriber to both sees one
+    program-ordered stream; an observer of {!bus} alone (the checker,
+    the migration injector) never sees an annotation. *)
+
 type tally = {
   stores : int;  (** [Store] and [Store_nt] *)
   flushes : int;  (** [Clflush], [Flush_range] and [Wbinvd] *)

@@ -309,18 +309,6 @@ let make_shard p ~race id =
   in
   let tree = Avl.create heap in
   let tally0 = Nvram.tally nvram in
-  (* Register this shard's domain with the race detector before the bus
-     tap goes live: the allocation baseline (the tree's root block)
-     replays directly — the stream is idle on the coordinating domain
-     whenever a shard is born — and only post-setup traffic buffers. *)
-  (match race with
-  | Some cs ->
-      let al = Pheap.allocator heap in
-      Crules.register cs ~domain:id ~line_size:(Nvram.line_size nvram)
-        ~alloc_base:(Alloc.base al) ~alloc_limit:(Alloc.limit al);
-      Wsp_check.Trace.iter_baseline heap (fun ev ->
-          Crules.step cs ~domain:id (Crules.Bus ev))
-  | None -> ());
   let lint = if p.lint then Some (attach_lint p.config heap) else None in
   let sh =
     {
@@ -358,10 +346,18 @@ let make_shard p ~race id =
       rbuf = [];
     }
   in
-  if race <> None then
-    ignore
-      (Bus.subscribe (Pheap.bus heap) (fun ev ->
-           sh.rbuf <- Crules.Bus ev :: sh.rbuf));
+  (* Register this shard's domain with the race detector before the bus
+     taps go live: the allocation baseline (the tree's root block)
+     replays directly — the stream is idle on the coordinating domain
+     whenever a shard is born — and only post-setup traffic buffers. *)
+  (match race with
+  | Some cs ->
+      Crules.register cs ~domain:id heap;
+      let tap item = sh.rbuf <- item :: sh.rbuf in
+      ignore (Bus.subscribe (Pheap.bus heap) (fun ev -> tap (Crules.Bus ev)));
+      ignore
+        (Bus.subscribe (Nvram.sync_bus nvram) (fun sy -> tap (Crules.Sync sy)))
+  | None -> ());
   sh
 
 let push_lat sh v =
@@ -376,12 +372,11 @@ let push_lat sh v =
 (* ---- race-lint plumbing ------------------------------------------ *)
 
 (* Feeding order is the happens-before model: within one shard the rbuf
-   preserves program order; across shards only the coordinator's drain
-   points order anything, and a [Barrier] is emitted exactly where the
-   real code has a global sync — the [Parallel.pool_map] round join and a
-   whole-service crash recovery. *)
-let race_push sh item = sh.rbuf <- item :: sh.rbuf
-
+   preserves program order (both bus taps dispatch synchronously);
+   across shards only the coordinator's drain points order anything,
+   and a [Barrier] is emitted exactly where the real code has a global
+   sync — the [Parallel.pool_map] round join and a whole-service crash
+   recovery. *)
 let race_drain st =
   match st.race with
   | None -> ()
@@ -398,13 +393,13 @@ let race_drain st =
 let race_barrier st =
   match st.race with
   | None -> ()
-  | Some cs -> Crules.step cs ~domain:0 (Crules.Sync Crules.Barrier)
+  | Some cs -> Crules.step cs ~domain:0 (Crules.Sync Event.Barrier)
 
 (* Serves a shard's admitted batch in issue order; runs on the shard's
    worker domain and touches only this shard's state. Returns the
    simulated time the batch took on this shard. *)
 let serve_shard p sh =
-  let race = p.race_lint in
+  let sync = Nvram.sync_bus sh.nvram in
   let t0 = Pheap.clock sh.heap in
   for i = 0 to sh.batch_len - 1 do
     let serial, op = sh.batch.(i) in
@@ -412,7 +407,7 @@ let serve_shard p sh =
     (match op with
     | Client.Lookup key ->
         let r = Avl.find sh.tree key in
-        if race then race_push sh (Crules.Sync (Crules.Read { obj = key }));
+        if Bus.active sync then Bus.publish sync (Event.Read { obj = key });
         if Option.is_some r then sh.hits <- sh.hits + 1;
         sh.lookups <- sh.lookups + 1;
         if p.record_lookups then sh.lookup_log <- (serial, r) :: sh.lookup_log
@@ -420,19 +415,19 @@ let serve_shard p sh =
         (* The annotation brackets the write with its ack: the Write
            lands before the transaction's commit record so the seal
            tracking can watch it settle; the Ack is the round reply. *)
-        if race then
-          race_push sh (Crules.Sync (Crules.Write { obj = key; addr = -1 }));
+        if Bus.active sync then
+          Bus.publish sync (Event.Write { obj = key; addr = -1 });
         Pheap.durably sh.heap (fun () -> Avl.insert sh.tree ~key ~value);
-        if race then race_push sh (Crules.Sync (Crules.Ack { obj = key }));
+        if Bus.active sync then Bus.publish sync (Event.Ack { obj = key });
         Hashtbl.replace sh.model key value;
         sh.inserts <- sh.inserts + 1
     | Client.Delete key ->
-        if race then
-          race_push sh (Crules.Sync (Crules.Write { obj = key; addr = -1 }));
+        if Bus.active sync then
+          Bus.publish sync (Event.Write { obj = key; addr = -1 });
         let removed =
           Pheap.durably sh.heap (fun () -> Avl.delete sh.tree key)
         in
-        if race then race_push sh (Crules.Sync (Crules.Ack { obj = key }));
+        if Bus.active sync then Bus.publish sync (Event.Ack { obj = key });
         if removed then Hashtbl.remove sh.model key;
         sh.deletes <- sh.deletes + 1);
     (* While an image ship is staging from this shard, its writes
@@ -606,9 +601,9 @@ let handoff_value st m key =
 
 (* The source half of a handoff: tombstone the key, ordered behind its
    destination persist. *)
-let tombstone st src key =
-  if st.p.race_lint then
-    race_push src (Crules.Sync (Crules.Tombstone { obj = key }));
+let tombstone src key =
+  let sync = Nvram.sync_bus src.nvram in
+  if Bus.active sync then Bus.publish sync (Event.Tombstone { obj = key });
   ignore (Pheap.durably src.heap (fun () -> Avl.delete src.tree key))
 
 (* A landed handoff's volatile bookkeeping: the acked-write model entry
@@ -631,7 +626,6 @@ let book_handoff m dst key =
    in favour of the destination, which is why the destination must be
    persisted and fenced first. *)
 let move_key st m key =
-  let race = st.p.race_lint in
   let src = m.src in
   match handoff_value st m key with
   | None ->
@@ -643,20 +637,21 @@ let move_key st m key =
          read the round barrier must dominate), re-writes it, and only
          its published persist licenses the source tombstone. *)
       let persist_half () =
-        if race then begin
-          race_push dst (Crules.Sync (Crules.Read { obj = key }));
-          race_push dst (Crules.Sync (Crules.Write { obj = key; addr = -1 }))
+        let sync = Nvram.sync_bus dst.nvram in
+        let annotating = Bus.active sync in
+        if annotating then begin
+          Bus.publish sync (Event.Read { obj = key });
+          Bus.publish sync (Event.Write { obj = key; addr = -1 })
         end;
         Pheap.durably dst.heap (fun () ->
             Avl.insert dst.tree ~key ~value);
-        if race then begin
-          race_push dst (Crules.Sync (Crules.Handoff_persist { obj = key }));
-          race_drain st
-        end
+        if annotating then
+          Bus.publish sync (Event.Handoff_persist { obj = key });
+        race_drain st
       in
       let retire_half () =
-        tombstone st src key;
-        if race then race_drain st
+        tombstone src key;
+        race_drain st
       in
       if st.p.broken_handoff then begin
         (* Sabotage: tombstone first. A power failure at the checkpoint
@@ -724,7 +719,7 @@ let recover_migrations st =
               (* The handoff's first half landed before the failure; the
                  WSP save made it durable, so this tombstone is ordered
                  behind a published destination persist — R8-clean. *)
-              tombstone st src k;
+              tombstone src k;
               book_handoff m dst k;
               st.dup_resolved <- st.dup_resolved + 1;
               None
@@ -1325,6 +1320,8 @@ let crash_sweep ?jobs ?(points = 64) p =
   if p.grow_at = None && p.shrink_at = None then
     invalid_arg "Service.crash_sweep: needs grow_at or shrink_at";
   if points <= 0 then invalid_arg "Service.crash_sweep: points must be positive";
+  if p.lint || p.race_lint then
+    invalid_arg "Service.crash_sweep: lint and race_lint verdicts are not swept";
   let p =
     {
       p with

@@ -85,8 +85,10 @@ type params = {
   lint : bool;
       (** Stream the static persistency analyzer off each shard's bus. *)
   race_lint : bool;
-      (** Stream every shard bus plus the migration protocol's sync
-          annotations into the {!Wsp_analysis.Crules} cross-domain race
+      (** Stream every shard's bus and annotation bus
+          ({!Wsp_nvheap.Nvram.sync_bus}: the serve loop's and the
+          migration protocol's sync annotations) into the
+          {!Wsp_analysis.Crules} cross-domain race
           detector: one vector-clock domain per stable shard id, a
           happens-before barrier at each round join, and
           handoff/tombstone edges at each migration step. Rules R6–R9
@@ -257,7 +259,8 @@ val crash_sweep : ?jobs:int -> ?points:int -> params -> sweep
     of those events. Requires [grow_at] or [shrink_at]; overrides any
     crash settings in [params]. Raises [Invalid_argument] when the
     golden run has no migration persistency event to inject (nothing
-    moved), since such a sweep would certify nothing. *)
+    moved), since such a sweep would certify nothing, and when [lint]
+    or [race_lint] is set, since the sweep reports neither verdict. *)
 
 val sweep_violations : sweep -> sweep_point list
 (** The points that lost data, double/zero-owned a key, or diverged

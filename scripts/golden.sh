@@ -15,8 +15,11 @@
 # crash run's `shard --json` and `--metrics`, the clean 500-point
 # certification's `check --json` and `--metrics`, the static lint's
 # `--json` over the registry (clean, under broken fences, and the
-# concurrent registry), and the Table 2 and Figure 8 reproductions
-# (both hinge on the cache model's tag walk).
+# concurrent registry), the concurrent lint's human report (witness
+# chains for every race-annotation kind), the shard service's race
+# lint (the sabotaged handoff convicted under R8, and a clean undo run
+# that also lints, shrinks and crashes), and the Table 2 and Figure 8
+# reproductions (both hinge on the cache model's tag walk).
 set -eu
 
 SIM="${SIM:-_build/default/bin/wsp_sim.exe}"
@@ -57,6 +60,17 @@ echo "== golden: generate =="
 exits 0 lint --expect R3 --json "$OUT/lint-r3.json"
 exits 1 lint --broken fences --json "$OUT/lint-broken-fences.json"
 exits 1 lint --concurrent --json "$OUT/lint-concurrent.json"
+rc=0
+"$SIM" lint --concurrent > "$OUT/lint-concurrent.txt" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "FAIL: lint --concurrent exited $rc, expected 1"
+  exit 1
+fi
+RACE="--shards 3 --clients 32 --queue-cap 32 --requests 2000 --keyspace 800"
+exits 1 shard $RACE --grow-at 20 --race-lint --broken-handoff \
+  --json "$OUT/shard-race.json"
+exits 0 shard $RACE --grow-at 20 --race-lint --config undo --lint \
+  --shrink-at 40 --crash-at 30 --json "$OUT/shard-race-undo.json"
 "$SIM" experiment table2 > "$OUT/table2.txt"
 "$SIM" experiment figure8 > "$OUT/figure8.txt"
 
@@ -69,7 +83,8 @@ echo "== golden: compare against $GOLDEN =="
 failed=0
 for f in shard-image.json shard-undo.json shard-undo-metrics.json \
   check.json check-metrics.json lint-r3.json lint-broken-fences.json \
-  lint-concurrent.json table2.txt figure8.txt; do
+  lint-concurrent.json lint-concurrent.txt shard-race.json \
+  shard-race-undo.json table2.txt figure8.txt; do
   if ! cmp "$GOLDEN/$f" "$OUT/$f"; then
     echo "FAIL: $f differs from $GOLDEN/$f"
     failed=1

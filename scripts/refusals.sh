@@ -45,13 +45,22 @@ lint --concurrent --psu 400
 lint --concurrent --platform x5650
 lint --concurrent --busy
 lint --buses 3
+# lint: negative counts
+lint --concurrent --workload dqueue --txns=-5
+lint --workload bank --config foc-ul --txns=-1
+lint --concurrent --workload dqueue --buses=-3
 # shard: a zero shard count, --crash-shard without --crash-at, a crash
 # aimed at a shard a shrink already retired (detected only mid-run),
-# and a sweep with no migration event to inject
+# a sweep with no migration event to inject
 shard --shards 0
 shard --crash-shard 1
 shard --shards 2 --shrink-at 0 --crash-at 1 --crash-shard 1
 shard --shards 2 --clients 8 --requests 0 --grow-at 0 --sweep
+# shard: a sweep reports neither analyzer's verdict, and --sweep-points
+# means nothing without a sweep
+shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --lint
+shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --race-lint
+shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep-points 4
 # storm: the rack model
 storm --nodes=-5
 storm --servers 0

@@ -68,13 +68,13 @@ let check_sync_rules ~name ~config ?domains ~errors items =
     (List.map Rules.rule_name errors)
     (List.map Rules.rule_name (error_rules result))
 
-let w ?(addr = -1) obj : Crules.sync = Write { obj; addr }
-let rd obj : Crules.sync = Read { obj }
-let ack obj : Crules.sync = Ack { obj }
-let pub chan : Crules.sync = Publish { chan }
-let acq chan : Crules.sync = Acquire { chan }
-let hp obj : Crules.sync = Handoff_persist { obj }
-let tomb obj : Crules.sync = Tombstone { obj }
+let w ?(addr = -1) obj : Event.sync = Write { obj; addr }
+let rd obj : Event.sync = Read { obj }
+let ack obj : Event.sync = Ack { obj }
+let pub chan : Event.sync = Publish { chan }
+let acq chan : Event.sync = Acquire { chan }
+let hp obj : Event.sync = Handoff_persist { obj }
+let tomb obj : Event.sync = Tombstone { obj }
 
 let sync_table_tests =
   let fof = Config.fof and foc = Config.foc_ul in
@@ -109,7 +109,7 @@ let sync_table_tests =
        [ (0, w 1L); (0, pub 0); (1, acq 0); (1, rd 1L) ],
        [ Rules.R9 ]);
       ("R9 good: barrier joins all clocks", fof,
-       [ (0, w 1L); (1, Crules.Barrier); (1, rd 1L) ], []);
+       [ (0, w 1L); (1, Event.Barrier); (1, rd 1L) ], []);
       (* R8: the migration invariant — destination persist must
          dominate the source tombstone. The handoff-persist edge is
          acquired by the tombstone even when judged too early. *)
@@ -163,7 +163,11 @@ let witness_tests =
            the ack that follows is clean — and the per-domain R1-R5
            stream raises nothing either. *)
         let cs = Crules.create (machine Config.foc_ul) ~domains:1 in
-        Crules.register cs ~domain:0 ~line_size:64 ~alloc_base:0 ~alloc_limit:0;
+        (* A fresh heap: no allocation baseline, and the synthetic
+           stores below fall outside its allocator region. *)
+        Crules.register cs ~domain:0
+          (Pheap.create ~config:Config.foc_ul ~size:(Wsp_sim.Units.Size.kib 64)
+             ~log_size:(Wsp_sim.Units.Size.kib 4) ());
         Crules.step cs ~domain:0 (Crules.Sync (w 1L));
         List.iter
           (fun ev -> Crules.step cs ~domain:0 (Crules.Bus ev))

@@ -294,6 +294,38 @@ let service_tests =
               0 s.lint_errors;
             Alcotest.(check bool) "bus saw stores" true (s.stores > 0))
           r.Service.per_shard);
+    Alcotest.test_case "observers do not move the simulation" `Quick
+      (fun () ->
+        (* The crash lands mid-shrink, so the migration injector counts
+           persistency events while both analyzers listen. Race
+           annotations travel on their own bus and must never reach
+           the injector's count. *)
+        let p =
+          {
+            (small_params ~shards:3 ~seed:19) with
+            Service.config = Wsp_nvheap.Config.foc_ul;
+            grow_at = Some 5;
+            shrink_at = Some 30;
+            crash_at = Some 35;
+            migrate_batch = 2;
+          }
+        in
+        let plain = Service.run ~jobs:1 p in
+        let observed =
+          Service.run ~jobs:1 { p with Service.lint = true; race_lint = true }
+        in
+        let json r =
+          String.split_on_char '\n' (Service.to_json r)
+          |> List.filter (fun l ->
+                 not (String.starts_with ~prefix:"  \"race_lint\"" l))
+        in
+        Alcotest.(check bool) "the migration was injected into" true
+          (plain.Service.mig_events > 0);
+        Alcotest.(check bool) "the race lint ran" true
+          (observed.Service.race <> None);
+        Alcotest.(check int) "migration events" plain.Service.mig_events
+          observed.Service.mig_events;
+        Alcotest.(check (list string)) "report" (json plain) (json observed));
     Alcotest.test_case "growing mid-run migrates and stays correct" `Quick
       (fun () ->
         (* The ring grows 3→4 while clients keep issuing; the drained
@@ -436,7 +468,16 @@ let service_tests =
                    Service.shrink_at = Some 5 }));
         Alcotest.check_raises "sweep needs a migration"
           (Invalid_argument "Service.crash_sweep: needs grow_at or shrink_at")
-          (fun () -> ignore (Service.crash_sweep base)));
+          (fun () -> ignore (Service.crash_sweep base));
+        (* A sweep reports neither analyzer's verdict, so it refuses
+           to run them at every crash point. *)
+        Alcotest.check_raises "sweep refuses the analyzers"
+          (Invalid_argument
+             "Service.crash_sweep: lint and race_lint verdicts are not swept")
+          (fun () ->
+            ignore
+              (Service.crash_sweep
+                 { base with Service.grow_at = Some 5; race_lint = true })));
     Alcotest.test_case "a sweep with nothing to inject is refused" `Quick
       (fun () ->
         (* No requests, so the grow moves no key and the golden run
