@@ -306,6 +306,18 @@ let config_conv =
   in
   Arg.conv (parse, fun ppf (c : Config.t) -> Fmt.string ppf c.Config.name)
 
+(* Every float flag is a duration in seconds or a skew: NaN and the
+   infinities are refused while parsing, before [Time.s] turns seconds
+   into integer picoseconds. *)
+let finite_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when not (Float.is_finite f) ->
+        Error (`Msg (Printf.sprintf "%S is not a finite number" s))
+    | (Ok _ | Error _) as r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 (* The sabotage [check] and [lint] inject with [--broken]. *)
 let fault_conv =
   let module Checker = Wsp_check.Checker in
@@ -618,7 +630,7 @@ let shard_cmd =
   in
   let theta_arg =
     Arg.(
-      value & opt float d.theta
+      value & opt finite_float d.theta
       & info [ "theta" ] ~docv:"THETA"
           ~doc:"Zipfian key skew in [0,1); 0 for uniform keys.")
   in
@@ -833,7 +845,9 @@ let storm_cmd =
     Arg.(value & opt int 256 & info [ "state-gib" ] ~docv:"GIB" ~doc:"State per server (GiB).")
   in
   let outage_arg =
-    Arg.(value & opt float 30.0 & info [ "outage" ] ~docv:"SECONDS" ~doc:"Outage duration.")
+    Arg.(
+      value & opt finite_float 30.0
+      & info [ "outage" ] ~docv:"SECONDS" ~doc:"Outage duration.")
   in
   let nodes_arg =
     Arg.(
@@ -844,7 +858,7 @@ let storm_cmd =
   in
   let stagger_arg =
     Arg.(
-      value & opt float 5.0
+      value & opt finite_float 5.0
       & info [ "stagger" ] ~docv:"SECONDS"
           ~doc:"PSU failures land uniformly in [0, $(docv)).")
   in
@@ -856,7 +870,7 @@ let storm_cmd =
   in
   let horizon_arg =
     Arg.(
-      value & opt float 600.0
+      value & opt finite_float 600.0
       & info [ "horizon" ] ~docv:"SECONDS"
           ~doc:"Availability observation window of the fleet storm.")
   in

@@ -283,14 +283,23 @@ let record_golden ~stride ~kind ~config ~fault script =
 
 let golden_replay g = g.rp
 
+(* The workload shape every entry point shares; only [check] lets a
+   caller choose another. *)
+let default_txns = 32
+let default_ops_per_txn = 3
+let default_keyspace = 40
+let default_setup_entries = 16
+
 (* One complete execution of the deterministic seeded workload with
    caller-chosen observation — the backbone shared by trace recording
    and the streaming analyzer. *)
-let run_workload ?(txns = 32) ?(ops_per_txn = 3) ?(keyspace = 40)
-    ?(setup_entries = 16) ?(fault = No_fault) ~kind ~config ~seed ~observe
-    ~finish () =
+let run_workload ?(txns = default_txns) ?(fault = No_fault) ~kind ~config ~seed
+    ~observe ~finish () =
   let rng = Rng.create ~seed in
-  let script = gen_script ~rng ~txns ~ops_per_txn ~keyspace ~setup_entries in
+  let script =
+    gen_script ~rng ~txns ~ops_per_txn:default_ops_per_txn
+      ~keyspace:default_keyspace ~setup_entries:default_setup_entries
+  in
   let env = make_env ~kind ~config ~fault () in
   observe env.heap;
   run_script env (fresh_state ()) ~kind script;
@@ -299,15 +308,13 @@ let run_workload ?(txns = 32) ?(ops_per_txn = 3) ?(keyspace = 40)
 (* The static analyzer's batch entry point: the same deterministic
    seeded workload [check] explores, recorded once with no crash
    enumeration, bundled with the heap geometry. *)
-let record_workload ?txns ?ops_per_txn ?keyspace ?setup_entries ?fault ~kind
-    ~config ~seed () =
+let record_workload ?txns ?fault ~kind ~config ~seed () =
   let tr = Ptrace.create () in
   let out = ref None in
   Fun.protect
     ~finally:(fun () -> Ptrace.detach tr)
     (fun () ->
-      run_workload ?txns ?ops_per_txn ?keyspace ?setup_entries ?fault ~kind
-        ~config ~seed
+      run_workload ?txns ?fault ~kind ~config ~seed
         ~observe:(fun heap -> Ptrace.instrument tr heap)
         ~finish:(fun heap -> out := Some (Ptrace.snapshot tr heap))
         ());
@@ -708,8 +715,9 @@ let chunk_points sz pts =
   in
   go [] [] 0 pts
 
-let check ?jobs ?(points = 1000) ?(txns = 32) ?(ops_per_txn = 3)
-    ?(keyspace = 40) ?(setup_entries = 16) ?(fault = No_fault) ?(shrink = true)
+let check ?jobs ?(points = 1000) ?(txns = default_txns)
+    ?(ops_per_txn = default_ops_per_txn) ?(keyspace = default_keyspace)
+    ?(setup_entries = default_setup_entries) ?(fault = No_fault) ?(shrink = true)
     ?(engine = Incremental) ?(snapshot_stride = 256) ~kind ~config ~seed () =
   if points <= 0 then invalid_arg "Checker.check: points must be positive";
   if txns < 0 then invalid_arg "Checker.check: negative txns";

@@ -79,9 +79,6 @@ val fault_name : fault -> string
 
 val run_workload :
   ?txns:int ->
-  ?ops_per_txn:int ->
-  ?keyspace:int ->
-  ?setup_entries:int ->
   ?fault:fault ->
   kind:kind ->
   config:Config.t ->
@@ -94,14 +91,13 @@ val run_workload :
     caller-chosen observation: [observe] receives the freshly built heap
     before the first operation (the place to subscribe to {!Pheap.bus})
     and [finish] receives it after the last. The streaming backbone of
-    {!record_workload} and of the analyzer's live mode. Defaults match
-    {!check}. *)
+    {!record_workload} and of the analyzer's live mode. The workload
+    shape is {!check}'s default one: up to 3 operations per
+    transaction over keys 1..40 after 16 setup inserts, and [txns]
+    (default 32) transactions. *)
 
 val record_workload :
   ?txns:int ->
-  ?ops_per_txn:int ->
-  ?keyspace:int ->
-  ?setup_entries:int ->
   ?fault:fault ->
   kind:kind ->
   config:Config.t ->
@@ -111,7 +107,7 @@ val record_workload :
 (** Records one complete execution of the same deterministic seeded
     workload {!check} explores — no crash points, no recovery — and
     returns the trace with its heap geometry: the static analyzer's
-    input. Defaults match {!check}. *)
+    input. The workload shape is {!run_workload}'s. *)
 
 (** {1 Checking} *)
 

@@ -53,16 +53,13 @@ let run_one ~strategy ~validate_marker ~seed step =
   in
   { step; strategy; outcome; data_intact; violation }
 
-let run
-    ?(strategies =
-      System.[ Acpi_save; Restore_reinit; Virtualized_replay ])
-    ?(validate_marker = true) ?(seed = 42) () =
+let run ?(validate_marker = true) ?(seed = 42) () =
   List.concat_map
     (fun strategy ->
       List.map
         (fun step -> run_one ~strategy ~validate_marker ~seed step)
         System.save_steps)
-    strategies
+    System.[ Acpi_save; Restore_reinit; Virtualized_replay ]
 
 let violations results = List.filter (fun r -> r.violation <> None) results
 

@@ -24,13 +24,9 @@ type result = {
   violation : string option;  (** Silent corruption or a wrong verdict. *)
 }
 
-val run :
-  ?strategies:System.restart_strategy list ->
-  ?validate_marker:bool ->
-  ?seed:int ->
-  unit ->
-  result list
-(** Defaults: all three strategies, marker validation on, seed 42. *)
+val run : ?validate_marker:bool -> ?seed:int -> unit -> result list
+(** Sweeps all three restart strategies. Defaults: marker validation
+    on, seed 42. *)
 
 val violations : result list -> result list
 

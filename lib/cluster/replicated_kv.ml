@@ -114,7 +114,9 @@ type recovery = {
   missed_updates : int;
 }
 
-let recover_node ?(network_bandwidth = Units.Bandwidth.gib_per_s 1.0) t id =
+let network_bandwidth = Units.Bandwidth.gib_per_s 1.0
+
+let recover_node t id =
   let failed = node t id in
   if Node.alive failed then invalid_arg "Replicated_kv.recover_node: node is live";
   let peer =
@@ -178,8 +180,7 @@ type failover = {
    only the updates the image missed from a live peer's retained log —
    falling back to a full peer transfer when the outage outlived the
    retention. The failed node leaves the roster for good. *)
-let failover_node ?(network_bandwidth = Units.Bandwidth.gib_per_s 1.0) t
-    ~failed ~spare =
+let failover_node t ~failed ~spare =
   let dead = node t failed in
   if Node.alive dead then
     invalid_arg "Replicated_kv.failover_node: node is live";

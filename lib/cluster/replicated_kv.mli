@@ -62,12 +62,11 @@ type recovery = {
   missed_updates : int;
 }
 
-val recover_node :
-  ?network_bandwidth:Units.Bandwidth.t -> t -> int -> recovery
+val recover_node : t -> int -> recovery
 (** Brings a failed node back: catch-up from a live peer's log when the
     retention window still covers the outage, otherwise a full state
-    transfer. Default network bandwidth 1 GiB/s. After return the node
-    is live and exactly consistent with the primary. *)
+    transfer, either over a 1 GiB/s network. After return the node is
+    live and exactly consistent with the primary. *)
 
 (** {2 Restore on a different node}
 
@@ -91,9 +90,7 @@ type failover = {
   missed_updates : int;  (** Sequence gap the image was behind. *)
 }
 
-val failover_node :
-  ?network_bandwidth:Units.Bandwidth.t -> t -> failed:int -> spare:int ->
-  failover
+val failover_node : t -> failed:int -> spare:int -> failover
 (** Ships the failed node's image to [spare], catches it up, brings it
     live, and retires the failed node from the roster permanently.
     Raises [Invalid_argument] if the failed node is live or the spare

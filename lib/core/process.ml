@@ -119,7 +119,9 @@ type restore_report = {
 
 let handle_reestablish_latency = Time.ms 5.0
 
-let restore_on_fresh_os ?(kernel_boot = Time.s 3.0) t =
+let kernel_boot = Time.s 3.0
+
+let restore_on_fresh_os t =
   if t.image = 0 then
     invalid_arg "Process.restore_on_fresh_os: no checkpoint image";
   let image = Pheap.root t.heap in

@@ -66,8 +66,8 @@ type restore_report = {
       (** Thread register state matched the checkpoint. *)
 }
 
-val restore_on_fresh_os : ?kernel_boot:Time.t -> t -> restore_report
-(** Revives the process from its heap image on a new kernel (default
-    boot cost 3 s). [Library_os] processes reconstruct their handles and
+val restore_on_fresh_os : t -> restore_report
+(** Revives the process from its heap image on a new kernel, which
+    takes 3 s to boot. [Library_os] processes reconstruct their handles and
     retry aborted system calls; [Direct_kernel] processes with open
     handles are unrestorable and must recover from the back end. *)

@@ -343,8 +343,8 @@ let heap ?config ?log_size t =
   Pheap.create_in ?config ?log_size ~nvram:t.nvram ~base:(app_base t)
     ~len:(app_len t) ()
 
-let attach_heap ?config ?log_size t =
-  Pheap.attach_in ?config ?log_size ~nvram:t.nvram ~base:(app_base t)
+let attach_heap ?config t =
+  Pheap.attach_in ?config ~nvram:t.nvram ~base:(app_base t)
     ~len:(app_len t) ()
 
 (* --- image shipping ------------------------------------------------ *)
@@ -354,10 +354,10 @@ let heap_image t heap =
     invalid_arg "System.heap_image: heap does not live on this node";
   Image.save heap
 
-let adopt_image ?config t image =
+let adopt_image t image =
   if Image.region_len image > app_len t then
     invalid_arg "System.adopt_image: image larger than this node's region";
-  Image.restore_at ?config image ~nvram:t.nvram ~base:(app_base t) ()
+  Image.restore_at image ~nvram:t.nvram ~base:(app_base t) ()
 
 (* --- observability -------------------------------------------------- *)
 
@@ -550,8 +550,7 @@ let save_budget ?(platform = Platform.intel_c5528) ?(psu = Psu.atx_1050)
   in
   let window = Time.scale nominal (1.0 -. psu.Psu.run_jitter) in
   let detection =
-    Time.add Power_monitor.default_detect_latency
-      Power_monitor.default_serial_latency
+    Time.add Power_monitor.detect_latency Power_monitor.serial_latency
   in
   let host_save =
     Time.add
@@ -559,7 +558,7 @@ let save_budget ?(platform = Platform.intel_c5528) ?(psu = Psu.atx_1050)
          platform.Platform.context_save_latency)
       (Time.add
          (Flush.wbinvd_time platform ~dirty_bytes)
-         (Time.add marker_step_latency Power_monitor.default_i2c_latency))
+         (Time.add marker_step_latency Power_monitor.i2c_latency))
   in
   let total = Time.add detection host_save in
   { window; detection; host_save; total; fits = Time.(total <= window) }

@@ -30,7 +30,8 @@ let verify sys addr expected =
          (Array.init words (fun i -> i))
   with _ -> false
 
-let marker_data ?(seed = 51) () =
+let marker_data () =
+  let seed = 51 in
   List.map
     (fun validate_marker ->
       (* The ACPI strawman under stress load always tears the save. *)
@@ -61,7 +62,8 @@ type strategy_row = {
   survived : bool;
 }
 
-let strategy_data ?(seed = 53) () =
+let strategy_data () =
+  let seed = 53 in
   List.map
     (fun strategy ->
       let sys = System.create ~strategy ~busy:true ~seed () in

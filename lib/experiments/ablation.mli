@@ -20,7 +20,7 @@ type marker_row = {
   data_correct : bool;  (** Application-level verification. *)
 }
 
-val marker_data : ?seed:int -> unit -> marker_row list
+val marker_data : unit -> marker_row list
 (** Runs a deliberately torn save (ACPI strawman under stress) with the
     marker check on and off. *)
 
@@ -31,6 +31,6 @@ type strategy_row = {
   survived : bool;
 }
 
-val strategy_data : ?seed:int -> unit -> strategy_row list
+val strategy_data : unit -> strategy_row list
 
 val run : full:bool -> unit

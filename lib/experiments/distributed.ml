@@ -8,7 +8,9 @@ type row = {
   savings : float;
 }
 
-let data ?(keys = 200_000) ?(log_retention = 100_000) ?(seed = 61) () =
+let seed = 61
+
+let data ?(keys = 200_000) ?(log_retention = 100_000) () =
   List.map
     (fun missed ->
       let cluster =

@@ -15,5 +15,5 @@ type row = {
   savings : float;  (** full / actual transferred bytes. *)
 }
 
-val data : ?keys:int -> ?log_retention:int -> ?seed:int -> unit -> row list
+val data : ?keys:int -> ?log_retention:int -> unit -> row list
 val run : full:bool -> unit

@@ -8,9 +8,9 @@ type point = {
   battery : float;
 }
 
-let data ?(points = 11) ?(max_cycles = 100_000) () =
-  List.init points (fun i ->
-      let cycles = max_cycles * i / (points - 1) in
+let data () =
+  List.init 11 (fun i ->
+      let cycles = 10_000 * i in
       {
         cycles;
         best = Ultracap.capacitance_fraction ~cycles ~band:Ultracap.Best;

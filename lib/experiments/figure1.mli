@@ -13,5 +13,7 @@ type point = {
   battery : float;
 }
 
-val data : ?points:int -> ?max_cycles:int -> unit -> point list
+val data : unit -> point list
+(** Eleven points, every 10,000 cycles from 0 to 100,000. *)
+
 val run : full:bool -> unit

@@ -10,9 +10,9 @@ type result = {
   power : Trace.t;
 }
 
-let data ?(size = Units.Size.gib 1) () =
+let data () =
   let engine = Engine.create () in
-  let nvdimm = Nvdimm.create ~engine ~size () in
+  let nvdimm = Nvdimm.create ~engine ~size:(Units.Size.gib 1) () in
   let save_time = Nvdimm.save_duration nvdimm in
   let supply_time =
     Ultracap.supply_duration (Nvdimm.ultracap nvdimm) ~band:Ultracap.Datasheet

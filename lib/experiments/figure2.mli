@@ -15,7 +15,7 @@ type result = {
   power : Trace.t;
 }
 
-val data : ?size:Units.Size.t -> unit -> result
-(** Defaults to the paper's 1 GB module. *)
+val data : unit -> result
+(** The paper's 1 GB module. *)
 
 val run : full:bool -> unit

@@ -4,7 +4,9 @@ open Wsp_store
 
 type series = { config : Config.t; points : (float * Time.t) list }
 
-let data ?(entries = 20_000) ?(ops = 100_000) ?(points = 6) ?(seed = 5) () =
+let seed = 5
+
+let data ?(entries = 20_000) ?(ops = 100_000) ?(points = 6) () =
   let probs =
     List.init points (fun i -> float_of_int i /. float_of_int (points - 1))
   in

@@ -11,8 +11,7 @@ open Wsp_nvheap
 
 type series = { config : Config.t; points : (float * Time.t) list }
 
-val data :
-  ?entries:int -> ?ops:int -> ?points:int -> ?seed:int -> unit -> series list
+val data : ?entries:int -> ?ops:int -> ?points:int -> unit -> series list
 (** Defaults (scaled down from the paper): 20,000 entries, 100,000 ops,
     6 update-probability points. *)
 

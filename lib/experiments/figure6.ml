@@ -8,7 +8,9 @@ type result = {
   nominal_window : Time.t;
 }
 
-let data ?(seed = 17) () =
+let seed = 17
+
+let data () =
   let engine = Engine.create () in
   let platform = Platform.intel_c5528 in
   let psu =

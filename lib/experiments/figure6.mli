@@ -13,5 +13,5 @@ type result = {
   nominal_window : Time.t;
 }
 
-val data : ?seed:int -> unit -> result
+val data : unit -> result
 val run : full:bool -> unit

@@ -35,7 +35,10 @@ let measure_once ~spec ~load ~rng =
   | Some w -> w
   | None -> Time.sub until fail_at
 
-let data ?(runs = 3) ?(seed = 23) () =
+let runs = 3
+let seed = 23
+
+let data () =
   (* Each configuration is an independent simulation drawing from its
      own deterministic RNG stream, so the sweep can fan out across
      domains with results identical to sequential execution. *)

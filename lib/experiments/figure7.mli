@@ -15,5 +15,7 @@ type row = {
   paper : Time.t;
 }
 
-val data : ?runs:int -> ?seed:int -> unit -> row list
+val data : unit -> row list
+(** Each window is the worst of three captures. *)
+
 val run : full:bool -> unit

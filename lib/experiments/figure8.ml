@@ -3,12 +3,11 @@ open Wsp_machine
 
 type series = { platform : Platform.t; points : (int * Time.t) list }
 
-let sweep ?(points = 10) () =
-  (* 128 B, 512 B, 2 KiB, ... up to 16 MiB: powers of four as in the
-     paper's x axis. *)
-  List.init points (fun i -> 128 * (1 lsl (2 * i)))
+(* 128 B, 512 B, 2 KiB, ... up to 16 MiB: powers of four as in the
+   paper's x axis. *)
+let sweep = List.init 10 (fun i -> 128 * (1 lsl (2 * i)))
 
-let data ?points () =
+let data () =
   List.map
     (fun platform ->
       let points =
@@ -18,7 +17,7 @@ let data ?points () =
                with smaller caches simply saturate (Flush caps the dirty
                bytes at the cache capacity). *)
             (dirty, Flush.state_save_time platform ~dirty_bytes:dirty))
-          (sweep ?points ())
+          sweep
       in
       { platform; points })
     Platform.all

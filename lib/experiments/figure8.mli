@@ -12,7 +12,7 @@ type series = {
   points : (int * Time.t) list;  (** (dirty bytes, state save time). *)
 }
 
-val data : ?points:int -> unit -> series list
+val data : unit -> series list
 (** Sweeps dirty bytes over powers of four from 128 B to 16 MiB (capped
     at each platform's cache capacity). *)
 

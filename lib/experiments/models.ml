@@ -10,7 +10,9 @@ type row = {
   footprint_factor : float;
 }
 
-let data ?(entries = 5000) ?(ops = 20_000) ?(seed = 31) () =
+let seed = 31
+
+let data ?(entries = 5000) ?(ops = 20_000) () =
   let heap_row label config =
     let per_op p =
       (Workload.run_structure_benchmark ~structure:Workload.Hash ~entries ~ops

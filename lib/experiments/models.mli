@@ -19,5 +19,5 @@ type row = {
           duplication). *)
 }
 
-val data : ?entries:int -> ?ops:int -> ?seed:int -> unit -> row list
+val data : ?entries:int -> ?ops:int -> unit -> row list
 val run : full:bool -> unit

@@ -23,7 +23,9 @@ let failure_cycle ~seed ~encapsulation =
   System.inject_power_failure sys;
   (sys, proc)
 
-let data ?(seed = 77) () =
+let seed = 77
+
+let data () =
   (* Whole-system persistence: the machine itself comes back. *)
   let wsp_row =
     let sys, _ = failure_cycle ~seed ~encapsulation:Process.Library_os in

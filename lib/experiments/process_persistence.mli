@@ -17,5 +17,5 @@ type row = {
   device_story : string;
 }
 
-val data : ?seed:int -> unit -> row list
+val data : unit -> row list
 val run : full:bool -> unit

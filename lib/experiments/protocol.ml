@@ -63,7 +63,9 @@ let run_case ~seed (label, platform, psu, busy, strategy) =
     data_intact;
   }
 
-let data ?(seed = 99) () = List.map (run_case ~seed) cases
+let seed = 99
+
+let data () = List.map (run_case ~seed) cases
 
 let run ~full:_ =
   Report.heading "WSP protocol: end-to-end power-failure cycles";

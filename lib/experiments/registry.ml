@@ -113,10 +113,8 @@ let captured_run ~full e =
   Wsp_sim.Parallel.capture (fun () ->
       match e.run ~full with () -> None | exception ex -> Some ex)
 
-let run_all ?jobs ~full () =
-  let jobs =
-    match jobs with Some j -> j | None -> Wsp_sim.Parallel.default_jobs ()
-  in
+let run_all ~full () =
+  let jobs = Wsp_sim.Parallel.default_jobs () in
   if jobs <= 1 then
     (* Sequential: stream each experiment's output as it runs. *)
     List.iter (fun e -> e.run ~full) all

@@ -16,10 +16,10 @@ val captured_run : full:bool -> t -> string * exn option
 (** Runs one experiment with its output captured instead of printed;
     the bytes it produced and the exception it raised, if any. *)
 
-val run_all : ?jobs:int -> full:bool -> unit -> unit
+val run_all : full:bool -> unit -> unit
 (** Runs every experiment in paper order. With more than one job
-    (default {!Wsp_sim.Parallel.default_jobs}, i.e. [WSP_JOBS] or the
-    core count) independent experiments run concurrently on a domain
-    pool, with per-experiment output buffered and printed in registry
-    order — stdout is byte-identical to a sequential run. [WSP_JOBS=1]
-    or [~jobs:1] forces the streaming sequential path. *)
+    ({!Wsp_sim.Parallel.default_jobs}, i.e. [WSP_JOBS] or the core
+    count) independent experiments run concurrently on a domain pool,
+    with per-experiment output buffered and printed in registry order —
+    stdout is byte-identical to a sequential run. [WSP_JOBS=1] forces
+    the streaming sequential path. *)

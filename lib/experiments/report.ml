@@ -31,7 +31,9 @@ let table ~header rows =
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '~' |]
 
-let chart ?(width = 64) ?(height = 16) ?(logx = false) ~xlabel ~ylabel series =
+let chart_width = 64
+
+let chart ?(height = 16) ?(logx = false) ~xlabel ~ylabel series =
   let points =
     List.concat_map (fun (_, pts) -> pts) series
     |> List.filter (fun (x, _) -> (not logx) || x > 0.0)
@@ -46,7 +48,7 @@ let chart ?(width = 64) ?(height = 16) ?(logx = false) ~xlabel ~ylabel series =
     let ymax = List.fold_left Float.max (List.hd ys) ys in
     let xspan = if xmax > xmin then xmax -. xmin else 1.0 in
     let yspan = if ymax > ymin then ymax -. ymin else 1.0 in
-    let grid = Array.make_matrix height width ' ' in
+    let grid = Array.make_matrix height chart_width ' ' in
     List.iteri
       (fun si (_, pts) ->
         let glyph = glyphs.(si mod Array.length glyphs) in
@@ -54,13 +56,14 @@ let chart ?(width = 64) ?(height = 16) ?(logx = false) ~xlabel ~ylabel series =
           (fun (x, y) ->
             if (not logx) || x > 0.0 then begin
               let col =
-                int_of_float ((tx x -. xmin) /. xspan *. float_of_int (width - 1))
+                int_of_float
+                  ((tx x -. xmin) /. xspan *. float_of_int (chart_width - 1))
               in
               let row =
                 height - 1
                 - int_of_float ((y -. ymin) /. yspan *. float_of_int (height - 1))
               in
-              let col = max 0 (min (width - 1) col) in
+              let col = max 0 (min (chart_width - 1) col) in
               let row = max 0 (min (height - 1) row) in
               grid.(row).(col) <- glyph
             end)
@@ -74,10 +77,10 @@ let chart ?(width = 64) ?(height = 16) ?(logx = false) ~xlabel ~ylabel series =
           else if row = height - 1 then Printf.sprintf "%8.2f" ymin
           else String.make 8 ' '
         in
-        printf "  %s |%s\n" label (String.init width (Array.get line)))
+        printf "  %s |%s\n" label (String.init chart_width (Array.get line)))
       grid;
-    printf "  %s +%s\n" (String.make 8 ' ') (String.make width '-');
-    printf "  %s  %-*s%s%s\n" (String.make 8 ' ') (width - 8)
+    printf "  %s +%s\n" (String.make 8 ' ') (String.make chart_width '-');
+    printf "  %s  %-*s%s%s\n" (String.make 8 ' ') (chart_width - 8)
       (Printf.sprintf "%.3g" (if logx then 10.0 ** xmin else xmin))
       (Printf.sprintf "%.4g" (if logx then 10.0 ** xmax else xmax))
       (Printf.sprintf "  (%s%s)" xlabel (if logx then ", log scale" else ""));

@@ -16,7 +16,6 @@ val series :
     as rows — every series must cover the same x points. *)
 
 val chart :
-  ?width:int ->
   ?height:int ->
   ?logx:bool ->
   xlabel:string ->
@@ -25,7 +24,8 @@ val chart :
   unit
 (** An ASCII scatter/line chart of the named series, each drawn with its
     own glyph, with a legend — the closest a terminal gets to the
-    paper's figures. Series need not share x points. *)
+    paper's figures. Series need not share x points. The plot is 64
+    columns wide. *)
 
 val float_cell : ?decimals:int -> float -> string
 val time_ms_cell : Wsp_sim.Time.t -> string

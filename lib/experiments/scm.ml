@@ -11,7 +11,9 @@ type row = {
   flush_energy : Units.Energy.t;
 }
 
-let data ?(entries = 5000) ?(ops = 20_000) ?(seed = 37) () =
+let seed = 37
+
+let data ?(entries = 5000) ?(ops = 20_000) () =
   let platform = Platform.intel_c5528 in
   let base = Platform.core_hierarchy platform in
   (* One independent hash-benchmark pair per memory profile: the sweep

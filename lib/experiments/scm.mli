@@ -19,6 +19,6 @@ type row = {
       (** Worst-case failure-time flush energy on this memory. *)
 }
 
-val data : ?entries:int -> ?ops:int -> ?seed:int -> unit -> row list
+val data : ?entries:int -> ?ops:int -> unit -> row list
 
 val run : full:bool -> unit

@@ -17,7 +17,9 @@ let cases =
     ("zipfian (theta=0.99)", `Zipfian 0.99);
   ]
 
-let data ?(entries = 50_000) ?(ops = 50_000) ?(seed = 81) () =
+let seed = 81
+
+let data ?(entries = 50_000) ?(ops = 50_000) () =
   List.map
     (fun (label, distribution) ->
       let per_op config =

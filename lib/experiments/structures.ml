@@ -9,7 +9,9 @@ type row = {
   slowdown : float;
 }
 
-let data ?(entries = 5000) ?(ops = 20_000) ?(seed = 41) () =
+let seed = 41
+
+let data ?(entries = 5000) ?(ops = 20_000) () =
   List.map
     (fun structure ->
       let per_op config =

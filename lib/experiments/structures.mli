@@ -17,5 +17,5 @@ type row = {
   slowdown : float;
 }
 
-val data : ?entries:int -> ?ops:int -> ?seed:int -> unit -> row list
+val data : ?entries:int -> ?ops:int -> unit -> row list
 val run : full:bool -> unit

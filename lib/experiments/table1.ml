@@ -11,7 +11,9 @@ type row = {
 let cases =
   [ ("Mnemosyne", Config.foc_stm, 2160.0); ("WSP", Config.fof, 5274.0) ]
 
-let data ?(entries = 20_000) ?(seed = 11) () =
+let seed = 11
+
+let data ?(entries = 20_000) () =
   (* The two configurations are independent benchmark runs; fan out. *)
   Wsp_sim.Parallel.map
     (fun (label, config, paper) ->

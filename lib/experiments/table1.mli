@@ -11,7 +11,7 @@ type row = {
   paper_updates_per_s : float;
 }
 
-val data : ?entries:int -> ?seed:int -> unit -> row list
+val data : ?entries:int -> unit -> row list
 (** Runs both configurations; [entries] defaults to 20,000 (a documented
     scale-down of the paper's 100,000 — pass it explicitly for the full
     run). *)

@@ -9,7 +9,10 @@ type row = {
   write_overhead : float;
 }
 
-let data ?(lines = 1024) ?(writes = 8_000_000) ?(theta = 0.99) ?(seed = 71) () =
+let theta = 0.99
+let seed = 71
+
+let data ?(lines = 1024) ?(writes = 8_000_000) () =
   let run label gap_interval =
     let wl =
       match gap_interval with

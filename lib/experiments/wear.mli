@@ -13,5 +13,7 @@ type row = {
   write_overhead : float;  (** extra writes from gap moves. *)
 }
 
-val data : ?lines:int -> ?writes:int -> ?theta:float -> ?seed:int -> unit -> row list
+val data : ?lines:int -> ?writes:int -> unit -> row list
+(** The write stream is Zipfian with theta 0.99. *)
+
 val run : full:bool -> unit

@@ -24,8 +24,9 @@ type t = {
 
 let gib size = Float.max 1.0 (Units.Size.to_gib size)
 
-let create ~engine ?ultracap ?(save_power_per_gib = Units.Power.watts 4.5)
-    ~size () =
+let save_power_per_gib = Units.Power.watts 4.5
+
+let create ~engine ?ultracap ~size () =
   let n_gib = gib size in
   let ultracap =
     match ultracap with

@@ -28,14 +28,13 @@ type t
 val create :
   engine:Engine.t ->
   ?ultracap:Wsp_power.Ultracap.t ->
-  ?save_power_per_gib:Units.Power.t ->
   size:Units.Size.t ->
   unit ->
   t
-(** Defaults follow the AgigaRAM datasheet shape: 5 F of ultracapacitance
-    and 4.5 W of save power per GiB of DRAM, and flash bandwidth scaled so
-    a full save takes ≈8.5 s regardless of module size (parallel flash
-    channels per GiB). *)
+(** Follows the AgigaRAM datasheet shape: 4.5 W of save power per GiB
+    of DRAM, flash bandwidth scaled so a full save takes ≈8.5 s
+    regardless of module size (parallel flash channels per GiB) and, by
+    default, 5 F of ultracapacitance per GiB. *)
 
 val size : t -> Units.Size.t
 val state : t -> state

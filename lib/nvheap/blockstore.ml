@@ -1,47 +1,35 @@
 open Wsp_sim
 
+let block_size = 4096
+let syscall_latency = Time.ns 300.0
+
 type t = {
   nvram : Nvram.t;
   base : int;
-  block_size : int;
   blocks : int;
-  syscall_latency : Time.t;
   mutable blocks_written : int;
 }
 
-let make ?(block_size = 4096) ?(syscall_latency = Time.ns 300.0) nvram ~base ~len () =
-  if block_size <= 0 || block_size mod 8 <> 0 then
-    invalid_arg "Blockstore: bad block size";
+let create nvram ~base ~len () =
   if base mod 8 <> 0 || len < block_size then invalid_arg "Blockstore: bad region";
-  {
-    nvram;
-    base;
-    block_size;
-    blocks = len / block_size;
-    syscall_latency;
-    blocks_written = 0;
-  }
-
-let create ?block_size ?syscall_latency nvram ~base ~len () =
-  make ?block_size ?syscall_latency nvram ~base ~len ()
+  { nvram; base; blocks = len / block_size; blocks_written = 0 }
 
 let attach = create
 
-let block_size t = t.block_size
 let block_count t = t.blocks
 
 let addr_of t idx =
   if idx < 0 || idx >= t.blocks then invalid_arg "Blockstore: block out of range";
-  t.base + (idx * t.block_size)
+  t.base + (idx * block_size)
 
 let write_block t ~idx buf =
-  if Bytes.length buf <> t.block_size then
+  if Bytes.length buf <> block_size then
     invalid_arg "Blockstore.write_block: buffer is not one block";
   let addr = addr_of t idx in
-  Nvram.charge t.nvram t.syscall_latency;
+  Nvram.charge t.nvram syscall_latency;
   (* The kernel copies the block into NVRAM pages with non-temporal
      stores and fences once — the cheapest durable block write. *)
-  for w = 0 to (t.block_size / 8) - 1 do
+  for w = 0 to (block_size / 8) - 1 do
     Nvram.write_u64_nt t.nvram ~addr:(addr + (8 * w)) (Bytes.get_int64_le buf (8 * w))
   done;
   Nvram.fence t.nvram;
@@ -49,8 +37,8 @@ let write_block t ~idx buf =
 
 let read_block t ~idx =
   let addr = addr_of t idx in
-  Nvram.charge t.nvram t.syscall_latency;
-  Nvram.read_bytes t.nvram ~addr ~len:t.block_size
+  Nvram.charge t.nvram syscall_latency;
+  Nvram.read_bytes t.nvram ~addr ~len:block_size
 
 let blocks_written t = t.blocks_written
-let bytes_written t = t.blocks_written * t.block_size
+let bytes_written t = t.blocks_written * block_size

@@ -13,26 +13,18 @@
     support — like the flush-on-commit heaps, the cost is paid at
     runtime. *)
 
-open Wsp_sim
-
 type t
 
-val create :
-  ?block_size:int ->
-  ?syscall_latency:Time.t ->
-  Nvram.t ->
-  base:int ->
-  len:int ->
-  unit ->
-  t
-(** Formats a block device over the NVRAM region. Defaults: 4 KiB
-    blocks, 300 ns per system call. *)
+val block_size : int
+(** 4 KiB. *)
 
-val attach :
-  ?block_size:int -> ?syscall_latency:Time.t -> Nvram.t -> base:int -> len:int -> unit -> t
+val create : Nvram.t -> base:int -> len:int -> unit -> t
+(** Formats a block device over the NVRAM region. Every block read and
+    write pays a 300 ns system call. *)
+
+val attach : Nvram.t -> base:int -> len:int -> unit -> t
 (** Adopts an existing device (post-crash). *)
 
-val block_size : t -> int
 val block_count : t -> int
 
 val write_block : t -> idx:int -> Bytes.t -> unit

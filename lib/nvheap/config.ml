@@ -46,22 +46,10 @@ let protocol t =
   | (Store | Commit_seal), Redo -> Redo_stm
 
 module Costs = struct
-  type costs = {
-    tx_begin : Time.t;
-    tx_commit_base : Time.t;
-    stm_read : Time.t;
-    stm_write : Time.t;
-    stm_validate : Time.t;
-    log_word_cpu : Time.t;
-  }
-
-  let default =
-    {
-      tx_begin = Time.ns 40.0;
-      tx_commit_base = Time.ns 25.0;
-      stm_read = Time.ns 55.0;
-      stm_write = Time.ns 48.0;
-      stm_validate = Time.ns 8.0;
-      log_word_cpu = Time.ns 4.0;
-    }
+  let tx_begin = Time.ns 40.0
+  let tx_commit_base = Time.ns 25.0
+  let stm_read = Time.ns 55.0
+  let stm_write = Time.ns 48.0
+  let stm_validate = Time.ns 8.0
+  let log_word_cpu = Time.ns 4.0
 end

@@ -158,7 +158,7 @@ let of_bytes b =
   then fail "root word disagrees with payload";
   Bytes.copy b
 
-let restore_at ?config ?costs t ~nvram ~base () =
+let restore_at ?config t ~nvram ~base () =
   let len = region_len t in
   if base < 0 || base + len > Nvram.size nvram then
     invalid_arg "Image.restore_at: region does not fit target NVRAM";
@@ -167,6 +167,6 @@ let restore_at ?config ?costs t ~nvram ~base () =
   Nvram.clear_backing nvram ~addr:base ~len;
   iter_extents t (fun ~off ~len ~pos ->
       Nvram.load_backing nvram ~addr:(base + off) (Bytes.sub t pos len));
-  Pheap.attach_in ?config ?costs
+  Pheap.attach_in ?config
     ~log_size:(Units.Size.bytes (log_bytes t))
     ~nvram ~base ~len ()

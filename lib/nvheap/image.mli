@@ -52,7 +52,6 @@ val of_bytes : Bytes.t -> t
 
 val restore_at :
   ?config:Config.t ->
-  ?costs:Config.Costs.costs ->
   t ->
   nvram:Nvram.t ->
   base:int ->

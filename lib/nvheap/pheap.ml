@@ -20,27 +20,27 @@ let layout ~base ~len ~log_bytes =
   if base + len - heap_base < 1024 then invalid_arg "Pheap: region too small";
   heap_base
 
-let create_in ?(config = Config.fof) ?costs ?(log_size = Units.Size.mib 4)
+let create_in ?(config = Config.fof) ?(log_size = Units.Size.mib 4)
     ~nvram ~base ~len () =
   let log_bytes = Units.Size.to_bytes log_size in
   let heap_base = layout ~base ~len ~log_bytes in
   let log = Rawlog.create nvram ~base:(base + root_area) ~len:log_bytes in
-  let txn = Txn.create ?costs ~nvram ~config ~log () in
+  let txn = Txn.create ~nvram ~config ~log () in
   let allocator = Alloc.create nvram ~base:heap_base ~len:(base + len - heap_base) in
   { nvram; log; txn; allocator; base; heap_base; heap_size = base + len - heap_base }
 
-let attach_in ?(config = Config.fof) ?costs ?(log_size = Units.Size.mib 4)
+let attach_in ?(config = Config.fof) ?(log_size = Units.Size.mib 4)
     ~nvram ~base ~len () =
   let log_bytes = Units.Size.to_bytes log_size in
   let heap_base = layout ~base ~len ~log_bytes in
   let log = Rawlog.attach nvram ~base:(base + root_area) ~len:log_bytes in
-  let txn = Txn.attach ?costs ~nvram ~config ~log () in
+  let txn = Txn.attach ~nvram ~config ~log () in
   let allocator = Alloc.attach nvram ~base:heap_base ~len:(base + len - heap_base) in
   { nvram; log; txn; allocator; base; heap_base; heap_size = base + len - heap_base }
 
-let create ?hierarchy ?config ?costs ?log_size ~size () =
+let create ?hierarchy ?config ?log_size ~size () =
   let nvram = Nvram.create ?hierarchy ~size () in
-  create_in ?config ?costs ?log_size ~nvram ~base:0
+  create_in ?config ?log_size ~nvram ~base:0
     ~len:(Units.Size.to_bytes size) ()
 
 let nvram t = t.nvram

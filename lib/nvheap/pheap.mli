@@ -16,7 +16,6 @@ type t
 val create :
   ?hierarchy:Wsp_machine.Hierarchy.config ->
   ?config:Config.t ->
-  ?costs:Config.Costs.costs ->
   ?log_size:Units.Size.t ->
   size:Units.Size.t ->
   unit ->
@@ -26,7 +25,6 @@ val create :
 
 val create_in :
   ?config:Config.t ->
-  ?costs:Config.Costs.costs ->
   ?log_size:Units.Size.t ->
   nvram:Nvram.t ->
   base:int ->
@@ -39,7 +37,6 @@ val create_in :
 
 val attach_in :
   ?config:Config.t ->
-  ?costs:Config.Costs.costs ->
   ?log_size:Units.Size.t ->
   nvram:Nvram.t ->
   base:int ->

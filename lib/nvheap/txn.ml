@@ -59,7 +59,6 @@ type t = {
   log : Rawlog.t;
   config : Config.t;
   protocol : Config.protocol;
-  costs : Config.Costs.costs;
   mutable next_txid : int64;
   mutable active : tx option;
   scratch : tx;  (* reused across transactions to avoid allocation churn *)
@@ -84,7 +83,7 @@ let log_mode t : Rawlog.mode =
   else Rawlog.Cached
 
 let charge_log_words t n =
-  Nvram.charge t.nvram (Time.mul t.costs.Config.Costs.log_word_cpu n)
+  Nvram.charge t.nvram (Time.mul Config.Costs.log_word_cpu n)
 
 let append t ~kind values =
   charge_log_words t (1 + (2 * Array.length values));
@@ -114,13 +113,12 @@ let fresh_scratch () =
     began_in_log = false;
   }
 
-let create ?(costs = Config.Costs.default) ~nvram ~config ~log () =
+let create ~nvram ~config ~log () =
   {
     nvram;
     log;
     config;
     protocol = Config.protocol config;
-    costs;
     next_txid = 1L;
     active = None;
     scratch = fresh_scratch ();
@@ -147,7 +145,7 @@ let begin_tx t =
   if in_tx t then invalid_arg "Txn.begin_tx: transaction already open";
   if t.protocol = Config.Plain then ()
   else begin
-    Nvram.charge t.nvram t.costs.Config.Costs.tx_begin;
+    Nvram.charge t.nvram Config.Costs.tx_begin;
     let txid = t.next_txid in
     if observed t then emit t (Begin txid);
     t.next_txid <- Int64.add txid 1L;
@@ -175,7 +173,7 @@ let read_u64 t ~addr =
   match (t.active, t.protocol) with
   | Some tx, (Config.Redo_stm | Config.Page_commit) -> (
       let stm = t.protocol = Config.Redo_stm in
-      if stm then Nvram.charge t.nvram t.costs.Config.Costs.stm_read;
+      if stm then Nvram.charge t.nvram Config.Costs.stm_read;
       match Itbl.find_opt tx.write_set addr with
       | Some v -> v
       | None ->
@@ -210,7 +208,7 @@ let write_u64 t ~addr v =
          STM charges for the write-set insertion; the msync commit pays
          for journalling whole pages. *)
       if t.protocol = Config.Redo_stm then
-        Nvram.charge t.nvram t.costs.Config.Costs.stm_write;
+        Nvram.charge t.nvram Config.Costs.stm_write;
       if not (Itbl.mem tx.write_set addr) then
         tx.write_order <- addr :: tx.write_order;
       Itbl.replace tx.write_set addr v
@@ -283,7 +281,7 @@ let commit_msync t =
   let lines = undo_commit_lines tx in
   count_commit t;
   if observed t then emit t (Commit { txid = tx.txid; written_lines = lines });
-  Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
+  Nvram.charge t.nvram Config.Costs.tx_commit_base;
   if lines <> [] then begin
     ensure_began t tx;
     let pages =
@@ -331,7 +329,7 @@ let commit t =
       count_commit t;
       if observed t then
         emit t (Commit { txid = tx.txid; written_lines = undo_commit_lines tx });
-      Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
+      Nvram.charge t.nvram Config.Costs.tx_commit_base;
       if tx.began_in_log then begin
         (* Undo protocol: written data must be durable before the undo
            records protecting it can be discarded. *)
@@ -347,9 +345,9 @@ let commit t =
       count_commit t;
       if observed t then
         emit t (Commit { txid = tx.txid; written_lines = redo_commit_lines t tx });
-      Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
+      Nvram.charge t.nvram Config.Costs.tx_commit_base;
       Nvram.charge t.nvram
-        (Time.mul t.costs.Config.Costs.stm_validate tx.read_set);
+        (Time.mul Config.Costs.stm_validate tx.read_set);
       (if tx.write_order <> [] then begin
          let writes = List.rev tx.write_order in
          ensure_began t tx;
@@ -501,8 +499,8 @@ let quiesce t =
     Rawlog.truncate t.log ~mode:(log_mode t)
   end
 
-let attach ?costs ~nvram ~config ~log () =
-  let t = create ?costs ~nvram ~config ~log () in
+let attach ~nvram ~config ~log () =
+  let t = create ~nvram ~config ~log () in
   recover t;
   t
 

@@ -27,7 +27,6 @@
 type t
 
 val create :
-  ?costs:Config.Costs.costs ->
   nvram:Nvram.t ->
   config:Config.t ->
   log:Rawlog.t ->
@@ -35,7 +34,6 @@ val create :
   t
 
 val attach :
-  ?costs:Config.Costs.costs ->
   nvram:Nvram.t ->
   config:Config.t ->
   log:Rawlog.t ->

@@ -1,23 +1,16 @@
 open Wsp_sim
 
-type t = {
-  psu : Psu.t;
-  sample_rate_hz : float;
-  noise_sigma : float;
-  rng : Rng.t;
-}
+type t = { psu : Psu.t; rng : Rng.t }
 
-let create ?(sample_rate_hz = 100_000.0) ?(noise_sigma = 0.003) ~rng psu =
-  assert (sample_rate_hz > 0.0);
-  { psu; sample_rate_hz; noise_sigma; rng }
-
-let sample_period t = Time.s (1.0 /. t.sample_rate_hz)
+(* 100 kHz sampling; gaussian noise of 0.3 % of the nominal voltage. *)
+let sample_period = Time.s (1.0 /. 100_000.0)
+let noise_sigma = 0.003
+let create ~rng psu = { psu; rng }
 
 let noisy t v nominal =
-  v +. Rng.gaussian t.rng ~mu:0.0 ~sigma:(t.noise_sigma *. nominal)
+  v +. Rng.gaussian t.rng ~mu:0.0 ~sigma:(noise_sigma *. nominal)
 
 let capture t ~from ~until ~rails =
-  let period = sample_period t in
   let traces =
     List.map (fun rail -> (Some rail, Trace.create ~name:(Psu.rail_name rail))) rails
     @ [ (None, Trace.create ~name:"PWR_OK") ]
@@ -35,7 +28,7 @@ let capture t ~from ~until ~rails =
             let v = if Psu.pwr_ok t.psu ~at:!at then 5.0 else 0.0 in
             Trace.record trace !at (noisy t v 5.0))
       traces;
-    at := Time.add !at period
+    at := Time.add !at sample_period
   done;
   List.map snd traces
 

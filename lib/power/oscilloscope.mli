@@ -10,8 +10,9 @@ open Wsp_sim
 
 type t
 
-val create : ?sample_rate_hz:float -> ?noise_sigma:float -> rng:Rng.t -> Psu.t -> t
-(** Defaults: 100 kHz sampling, 0.3 % of nominal gaussian noise. *)
+val create : rng:Rng.t -> Psu.t -> t
+(** Samples at 100 kHz with gaussian noise of 0.3 % of each rail's
+    nominal voltage. *)
 
 val capture :
   t -> from:Time.t -> until:Time.t -> rails:Psu.rail list -> Trace.t list

@@ -2,19 +2,16 @@ open Wsp_sim
 
 type t = {
   engine : Engine.t;
-  i2c_latency : Time.t;
   mutable handlers : (Engine.t -> unit) list;
   mutable triggered : bool;
 }
 
-let default_detect_latency = Time.us 10.0
-let default_serial_latency = Time.us 90.0
-let default_i2c_latency = Time.us 120.0
+let detect_latency = Time.us 10.0
+let serial_latency = Time.us 90.0
+let i2c_latency = Time.us 120.0
 
-let create ~engine ~psu ?(detect_latency = default_detect_latency)
-    ?(serial_latency = default_serial_latency)
-    ?(i2c_latency = default_i2c_latency) () =
-  let t = { engine; i2c_latency; handlers = []; triggered = false } in
+let create ~engine ~psu () =
+  let t = { engine; handlers = []; triggered = false } in
   Psu.on_pwr_ok_drop psu (fun engine ->
       t.triggered <- true;
       List.iter
@@ -27,6 +24,5 @@ let create ~engine ~psu ?(detect_latency = default_detect_latency)
   t
 
 let on_power_fail t handler = t.handlers <- t.handlers @ [ handler ]
-let i2c_latency t = t.i2c_latency
-let send_i2c t f = ignore (Engine.schedule t.engine ~after:t.i2c_latency f)
+let send_i2c t f = ignore (Engine.schedule t.engine ~after:i2c_latency f)
 let triggered t = t.triggered

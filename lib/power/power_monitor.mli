@@ -10,28 +10,23 @@ open Wsp_sim
 
 type t
 
-val create :
-  engine:Engine.t ->
-  psu:Psu.t ->
-  ?detect_latency:Time.t ->
-  ?serial_latency:Time.t ->
-  ?i2c_latency:Time.t ->
-  unit ->
-  t
-(** Defaults: 10 µs detection, 90 µs serial, 120 µs per I2C command. *)
+val create : engine:Engine.t -> psu:Psu.t -> unit -> t
 
-val default_detect_latency : Time.t
-val default_serial_latency : Time.t
-val default_i2c_latency : Time.t
-(** The [create] defaults, exported so static budget analysis (the
-    lint's FoF reliance check) can reproduce the save path's detection
-    and signalling costs without building a machine. *)
+val detect_latency : Time.t
+(** From the [PWR_OK] drop to the monitor noticing it: 10 µs. *)
+
+val serial_latency : Time.t
+(** From detection to the host's serial-line interrupt: 90 µs. *)
+
+val i2c_latency : Time.t
+(** Per command forwarded to the NVDIMM bus: 120 µs. These three are
+    exported so static budget analysis (the lint's FoF reliance check)
+    can reproduce the save path's detection and signalling costs
+    without building a machine. *)
 
 val on_power_fail : t -> (Engine.t -> unit) -> unit
 (** Registers the host's serial-line interrupt handler; it fires
     [detect_latency + serial_latency] after [PWR_OK] drops. *)
-
-val i2c_latency : t -> Time.t
 
 val send_i2c : t -> (Engine.t -> unit) -> unit
 (** Forwards one command to the NVDIMM bus, completing after the I2C

@@ -5,14 +5,15 @@ type degradation_band = Best | Worst | Datasheet
 type t = {
   capacitance : Units.Capacitance.t;
   v_charge : Units.Voltage.t;
-  v_min : Units.Voltage.t;
   mutable voltage : Units.Voltage.t;
   mutable cycles : int;
 }
 
-let create ?(v_min = 6.0) ~capacitance ~v_charge () =
+let v_min = Units.Voltage.volts 6.0
+
+let create ~capacitance ~v_charge () =
   if v_charge <= v_min then invalid_arg "Ultracap.create: v_charge <= v_min";
-  { capacitance; v_charge; v_min; voltage = v_charge; cycles = 0 }
+  { capacitance; v_charge; voltage = v_charge; cycles = 0 }
 
 (* Figure 1: after 100,000 cycles at elevated temperature and voltage the
    worst case loses ~10 % of capacitance and the best case ~2 %; the
@@ -39,7 +40,7 @@ let cycles t = t.cycles
 let usable_energy t ~band =
   let c = capacitance_effective t ~band in
   let e v = Units.Capacitance.stored_energy c v in
-  Float.max 0.0 (e t.voltage -. e t.v_min)
+  Float.max 0.0 (e t.voltage -. e v_min)
 
 let supply_duration t ~band ~power =
   Units.Energy.duration_at (usable_energy t ~band) power
@@ -55,7 +56,7 @@ let voltage_after t ~power ~during =
 
 let discharge t ~power ~during =
   t.voltage <- voltage_after t ~power ~during;
-  if t.voltage < t.v_min then `Exhausted else `Ok
+  if t.voltage < v_min then `Exhausted else `Ok
 
 let recharge t =
   t.voltage <- t.v_charge;

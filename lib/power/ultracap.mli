@@ -14,13 +14,10 @@ type degradation_band = Best | Worst | Datasheet
 type t
 
 val create :
-  ?v_min:Units.Voltage.t ->
-  capacitance:Units.Capacitance.t ->
-  v_charge:Units.Voltage.t ->
-  unit ->
-  t
-(** [v_min] defaults to 6 V: the NVDIMM's internal regulator needs 3.3 V
-    and its input stage stays usable down to 6 V (paper, footnote 1). *)
+  capacitance:Units.Capacitance.t -> v_charge:Units.Voltage.t -> unit -> t
+(** The bank is exhausted below 6 V: the NVDIMM's internal regulator
+    needs 3.3 V and its input stage stays usable down to 6 V (paper,
+    footnote 1). Raises [Invalid_argument] unless [v_charge > 6 V]. *)
 
 val capacitance_effective : t -> band:degradation_band -> Units.Capacitance.t
 (** Nominal capacitance derated by cycle wear in the given band. *)

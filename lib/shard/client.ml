@@ -22,8 +22,9 @@ let create ?(mix = default_mix) ?(theta = 0.99) ~clients ~keyspace ~seed () =
   if mix.lookups < 0 || mix.inserts < 0 || mix.deletes < 0
      || mix.lookups + mix.inserts + mix.deletes <> 100
   then invalid_arg "Client.create: mix percentages must sum to 100";
-  if theta >= 1.0 then
-    invalid_arg "Client.create: theta must be below 1 (YCSB zipfian range)";
+  (* Written so that NaN fails it too. *)
+  if not (theta >= 0.0 && theta < 1.0) then
+    invalid_arg "Client.create: theta must be in [0, 1) (YCSB zipfian range)";
   let master = Rng.create ~seed in
   let rngs = Array.init clients (fun _ -> Rng.split master) in
   let zipf =

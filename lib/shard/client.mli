@@ -36,7 +36,7 @@ val create :
 (** [theta] is the Zipfian skew in [\[0, 1)); 0 means uniform keys and
     the default 0.99 is YCSB's. Raises [Invalid_argument] on a
     non-positive population or keyspace, a mix that does not sum to
-    100, or [theta >= 1]. *)
+    100, or a [theta] outside [\[0, 1)] (NaN included). *)
 
 val clients : t -> int
 

@@ -955,6 +955,8 @@ let validate p =
   if p.clients <= 0 then invalid_arg "Service.run: clients must be positive";
   if p.requests < 0 then invalid_arg "Service.run: negative request count";
   if p.queue_cap <= 0 then invalid_arg "Service.run: queue_cap must be positive";
+  if p.shard_heap <= 0 then
+    invalid_arg "Service.run: shard_heap must be positive";
   if p.migrate_batch <= 0 then
     invalid_arg "Service.run: migrate_batch must be positive";
   List.iter
@@ -1265,15 +1267,17 @@ let finish st ~rounds =
    persistency event — the sweep's hook, kept out of [params]. *)
 let simulate ?jobs ?arm p =
   validate p;
+  (* Before [setup], so a bad mix or skew is refused before any shard
+     heap is formatted. *)
+  let gen =
+    Client.create ~mix:p.mix ~theta:p.theta ~clients:p.clients
+      ~keyspace:p.keyspace ~seed:p.seed ()
+  in
   let rounds =
     if p.requests = 0 then 0 else (p.requests + p.clients - 1) / p.clients
   in
   Parallel.with_pool ?jobs @@ fun pool ->
   let st = setup p ~pool ~arm ~rounds in
-  let gen =
-    Client.create ~mix:p.mix ~theta:p.theta ~clients:p.clients
-      ~keyspace:p.keyspace ~seed:p.seed ()
-  in
   (* The shard registries reach the caller's ambient one only after
      [finish], whose final audit also counts; on a failed run too, so a
      refused run's metrics export keeps what it did. *)

@@ -9,31 +9,26 @@ let record_bytes = 24
 type t = {
   table : Hash_table.t;
   device : Blockstore.t;
-  journal_blocks : int;
   block : Bytes.t;  (* the in-flight journal block image *)
   mutable block_idx : int;
   mutable offset : int;  (* next free byte within [block] *)
   mutable records : int;
 }
 
-let records_per_block t = Blockstore.block_size t.device / record_bytes
+let records_per_block = Blockstore.block_size / record_bytes
 
-let create ?(buckets = 4096) ?(journal_blocks = 0) ~heap ~device () =
-  let journal_blocks =
-    if journal_blocks = 0 then Blockstore.block_count device else journal_blocks
-  in
+let create ?(buckets = 4096) ~heap ~device () =
   {
     table = Hash_table.create ~buckets heap;
     device;
-    journal_blocks;
-    block = Bytes.make (Blockstore.block_size device) '\x00';
+    block = Bytes.make Blockstore.block_size '\x00';
     block_idx = 0;
     offset = 0;
     records = 0;
   }
 
 let append t ~op ~key ~value =
-  if t.block_idx >= t.journal_blocks then raise Journal_full;
+  if t.block_idx >= Blockstore.block_count t.device then raise Journal_full;
   Bytes.set_int64_le t.block t.offset (Int64.of_int op);
   Bytes.set_int64_le t.block (t.offset + 8) key;
   Bytes.set_int64_le t.block (t.offset + 16) value;
@@ -42,7 +37,7 @@ let append t ~op ~key ~value =
   (* Durability is per update: the whole containing block is rewritten
      through the device on every record — the block-transfer tax. *)
   Blockstore.write_block t.device ~idx:t.block_idx t.block;
-  if t.offset + record_bytes > records_per_block t * record_bytes then begin
+  if t.offset + record_bytes > records_per_block * record_bytes then begin
     t.block_idx <- t.block_idx + 1;
     t.offset <- 0;
     Bytes.fill t.block 0 (Bytes.length t.block) '\x00'
@@ -65,18 +60,17 @@ let journal_records t = t.records
 
 let memory_bytes t =
   (* Bucket array plus one 24-byte node per entry. *)
-  (8 * 4096) + (24 * Hash_table.count t.table)
+  (8 * Hash_table.bucket_count t.table) + (24 * Hash_table.count t.table)
 
-let block_bytes t = ((t.block_idx * records_per_block t) + (t.offset / record_bytes)) * record_bytes
+let block_bytes t = ((t.block_idx * records_per_block) + (t.offset / record_bytes)) * record_bytes
 
-let recover ?buckets ?journal_blocks ~heap ~device () =
-  let t = create ?buckets ?journal_blocks ~heap ~device () in
-  let per_block = records_per_block t in
+let recover ?buckets ~heap ~device () =
+  let t = create ?buckets ~heap ~device () in
   (* Replay: scan journal blocks until the first unused record. *)
   (try
-     for idx = 0 to t.journal_blocks - 1 do
+     for idx = 0 to Blockstore.block_count device - 1 do
        let block = Blockstore.read_block device ~idx in
-       for r = 0 to per_block - 1 do
+       for r = 0 to records_per_block - 1 do
          let off = r * record_bytes in
          let op = Int64.to_int (Bytes.get_int64_le block off) in
          let key = Bytes.get_int64_le block (off + 8) in
@@ -93,8 +87,8 @@ let recover ?buckets ?journal_blocks ~heap ~device () =
      done
    with Exit -> ());
   (* Continue appending after the last replayed record. *)
-  t.block_idx <- t.records / per_block;
-  t.offset <- t.records mod per_block * record_bytes;
+  t.block_idx <- t.records / records_per_block;
+  t.offset <- t.records mod records_per_block * record_bytes;
   if t.offset > 0 then begin
     let block = Blockstore.read_block device ~idx:t.block_idx in
     Bytes.blit block 0 t.block 0 (Bytes.length block)

@@ -14,15 +14,9 @@ open Wsp_nvheap
 
 type t
 
-val create :
-  ?buckets:int ->
-  ?journal_blocks:int ->
-  heap:Pheap.t ->
-  device:Blockstore.t ->
-  unit ->
-  t
+val create : ?buckets:int -> heap:Pheap.t -> device:Blockstore.t -> unit -> t
 (** [heap] holds the in-memory representation (volatile without WSP);
-    [device] holds the journal blocks. *)
+    every block of [device] holds journal records. *)
 
 val insert : t -> key:int64 -> value:int64 -> unit
 val delete : t -> int64 -> bool
@@ -42,8 +36,7 @@ val memory_bytes : t -> int
 val block_bytes : t -> int
 (** Block-device footprint consumed by the journal. *)
 
-val recover :
-  ?buckets:int -> ?journal_blocks:int -> heap:Pheap.t -> device:Blockstore.t -> unit -> t
+val recover : ?buckets:int -> heap:Pheap.t -> device:Blockstore.t -> unit -> t
 (** Post-crash: rebuilds the in-memory table by replaying the journal
     from the block device (the in-memory copy is assumed lost). *)
 

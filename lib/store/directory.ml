@@ -2,6 +2,8 @@ open Wsp_sim
 open Wsp_nvheap
 
 let descriptor_magic = 0x4449524543544F52L (* "DIRECTOR" *)
+let request_overhead = Time.us 180.0
+let default_entry_bytes = 4096
 
 type t = {
   heap : Pheap.t;
@@ -10,12 +12,11 @@ type t = {
   dn2id : Avl.t;
   attr_indexes : Avl.t array;
   entry_bytes : int;
-  request_overhead : Time.t;
   mutable next_id : int64;
 }
 
-let create ?(config = Config.fof) ?(entry_bytes = 4096) ?(indexes = 8)
-    ?(request_overhead = Time.us 180.0) ?(heap_size = Units.Size.gib 1) () =
+let create ?(config = Config.fof) ?(entry_bytes = default_entry_bytes)
+    ?(indexes = 8) ?(heap_size = Units.Size.gib 1) () =
   if entry_bytes <= 0 || entry_bytes mod 8 <> 0 then
     invalid_arg "Directory.create: entry_bytes must be a positive multiple of 8";
   let heap =
@@ -57,7 +58,6 @@ let create ?(config = Config.fof) ?(entry_bytes = 4096) ?(indexes = 8)
     dn2id;
     attr_indexes;
     entry_bytes;
-    request_overhead;
     next_id = 1L;
   }
 
@@ -70,7 +70,7 @@ let index_key ~value ~id =
   Int64.logor (Int64.shift_left value 20) (Int64.logand id 0xFFFFFL)
 
 let add_entry t rng =
-  Nvram.charge (Pheap.nvram t.heap) t.request_overhead;
+  Nvram.charge (Pheap.nvram t.heap) request_overhead;
   let id = t.next_id in
   t.next_id <- Int64.add id 1L;
   (* The id counter is part of the durable state. *)
@@ -95,7 +95,7 @@ let add_entry t rng =
           Avl.insert t.attr_indexes.(i) ~key:(index_key ~value ~id) ~value:id)
         attr_values)
 
-let attach ?(request_overhead = Time.us 180.0) heap () =
+let attach heap () =
   (* create_in formatted the heap; here the caller hands us a recovered
      one whose root is the descriptor block. *)
   let descriptor = Pheap.root heap in
@@ -115,7 +115,6 @@ let attach ?(request_overhead = Time.us 180.0) heap () =
       Array.init indexes (fun i ->
           Avl.attach_at heap ~addr:(Int64.to_int (r (6 + i))));
     entry_bytes;
-    request_overhead;
     next_id;
   }
 
@@ -145,14 +144,14 @@ type result = {
 }
 
 let run_benchmark ?(entries = 100_000) ?(config = Config.fof) ?entry_bytes
-    ?indexes ?request_overhead ~seed () =
+    ?indexes ~seed () =
   let rng = Rng.create ~seed in
   (* Size the heap to the workload: blob + index nodes + slack. *)
-  let per_entry = (match entry_bytes with Some b -> b | None -> 4096) + 1024 in
+  let per_entry = Option.value entry_bytes ~default:default_entry_bytes + 1024 in
   let heap_size =
     Units.Size.mib (Stdlib.max 64 (per_entry * entries / 1024 / 1024 * 2))
   in
-  let t = create ~config ?entry_bytes ?indexes ?request_overhead ~heap_size () in
+  let t = create ~config ?entry_bytes ?indexes ~heap_size () in
   Pheap.reset_clock t.heap;
   for _ = 1 to entries do
     add_entry t rng

@@ -18,15 +18,14 @@ val create :
   ?config:Config.t ->
   ?entry_bytes:int ->
   ?indexes:int ->
-  ?request_overhead:Time.t ->
   ?heap_size:Units.Size.t ->
   unit ->
   t
-(** Defaults: 4 KiB serialised entries, 8 attribute indexes (equality
-    plus substring indexes over the benchmark schema), 180 µs of
-    protocol processing per request. *)
+(** Every request pays 180 µs of protocol processing. Defaults: 4 KiB
+    serialised entries, 8 attribute indexes (equality plus substring
+    indexes over the benchmark schema). *)
 
-val attach : ?request_overhead:Time.t -> Pheap.t -> unit -> t
+val attach : Pheap.t -> unit -> t
 (** Re-adopts a directory from a recovered heap (the heap root is the
     directory's descriptor block); updates run under the heap's own
     configuration. Raises [Invalid_argument] if the root is absent or
@@ -58,7 +57,6 @@ val run_benchmark :
   ?config:Config.t ->
   ?entry_bytes:int ->
   ?indexes:int ->
-  ?request_overhead:Time.t ->
   seed:int ->
   unit ->
   result

@@ -137,8 +137,10 @@ let kv_of_structure structure heap =
         kv_count = (fun () -> Btree.size t);
       }
 
+let op_overhead = Time.ns 60.0
+
 let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
-    ?(op_overhead = Time.ns 60.0) ?(heap_size = Units.Size.mib 64) ?hierarchy
+    ?(heap_size = Units.Size.mib 64) ?hierarchy
     ?(distribution = `Uniform) ~structure ~config ~update_prob ~seed () =
   if update_prob < 0.0 || update_prob > 1.0 then
     invalid_arg "run_structure_benchmark: update_prob out of range";
@@ -207,8 +209,7 @@ type block_result = {
 }
 
 let run_block_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
-    ?(op_overhead = Time.ns 60.0) ?(heap_size = Units.Size.mib 64) ~update_prob
-    ~seed () =
+    ?(heap_size = Units.Size.mib 64) ~update_prob ~seed () =
   let rng = Rng.create ~seed in
   (* One NVRAM: the low half holds the in-memory representation, the
      high half is the block device holding the journal. *)

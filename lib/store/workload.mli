@@ -63,7 +63,6 @@ val structures : structure list
 val run_structure_benchmark :
   ?entries:int ->
   ?ops:int ->
-  ?op_overhead:Time.t ->
   ?heap_size:Units.Size.t ->
   ?hierarchy:Wsp_machine.Hierarchy.config ->
   ?distribution:[ `Uniform | `Zipfian of float ] ->
@@ -77,9 +76,9 @@ val run_structure_benchmark :
     ([structure:Hash] is the paper's hash table; the others carry the
     §7 transparency claim: under WSP any in-memory structure persists
     without modification, so the FoF-vs-FoC gap must hold for all of
-    them). Defaults: 100,000 entries and 1,000,000 operations as in the
-    paper (callers scale down for quick runs), 60 ns of application
-    compute per operation, the Intel C5528 DRAM hierarchy ([hierarchy]
+    them). Every operation charges 60 ns of application compute. Defaults: 100,000
+    entries and 1,000,000 operations as in the paper (callers scale
+    down for quick runs), the Intel C5528 DRAM hierarchy ([hierarchy]
     lets the SCM experiments substitute slower memory), and uniform key
     popularity ([`Zipfian theta] gives YCSB-style skew). Raises
     [Invalid_argument] unless [0 <= update_prob <= 1]. *)
@@ -95,7 +94,6 @@ type block_result = {
 val run_block_benchmark :
   ?entries:int ->
   ?ops:int ->
-  ?op_overhead:Time.t ->
   ?heap_size:Units.Size.t ->
   update_prob:float ->
   seed:int ->

@@ -18,8 +18,13 @@
 # concurrent registry), the concurrent lint's human report (witness
 # chains for every race-annotation kind), the shard service's race
 # lint (the sabotaged handoff convicted under R8, and a clean undo run
-# that also lints, shrinks and crashes), and the Table 2 and Figure 8
-# reproductions (both hinge on the cache model's tag walk).
+# that also lints, shrinks and crashes), the Table 2 and Figure 8
+# reproductions (both hinge on the cache model's tag walk), every
+# experiment fast enough to pin (each under 4 s at --jobs 1), and the
+# save-protocol sweep of `check --protocol`.
+#
+# Every JSON file the commands write must also parse: a NaN or a stray
+# comma in any --json or --metrics emitter fails the gate.
 set -eu
 
 SIM="${SIM:-_build/default/bin/wsp_sim.exe}"
@@ -45,6 +50,11 @@ exits() {
     exit 1
   fi
 }
+
+# The experiments pinned here besides table2 and figure8; the rest take
+# too long for a gate.
+EXPERIMENTS="figure1 figure2 figure6 figure7 wear ablation models process \
+  distributed protocol"
 
 SHARD="--shards 4 --clients 64 --queue-cap 64 --requests 20000 --keyspace 4000"
 
@@ -73,6 +83,19 @@ exits 0 shard $RACE --grow-at 20 --race-lint --config undo --lint \
   --shrink-at 40 --crash-at 30 --json "$OUT/shard-race-undo.json"
 "$SIM" experiment table2 > "$OUT/table2.txt"
 "$SIM" experiment figure8 > "$OUT/figure8.txt"
+for e in $EXPERIMENTS; do
+  "$SIM" experiment --jobs 1 "$e" > "$OUT/experiment-$e.txt"
+done
+"$SIM" check --workload btree --config wsp --points 20 --protocol \
+  > "$OUT/check-protocol.txt"
+
+echo "== golden: every JSON output parses =="
+for f in "$OUT"/*.json; do
+  if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$f"; then
+    echo "FAIL: $f is not valid JSON"
+    exit 1
+  fi
+done
 
 if [ "$OUT" = "$GOLDEN" ]; then
   echo "golden: rewrote $GOLDEN"
@@ -84,7 +107,8 @@ failed=0
 for f in shard-image.json shard-undo.json shard-undo-metrics.json \
   check.json check-metrics.json lint-r3.json lint-broken-fences.json \
   lint-concurrent.json lint-concurrent.txt shard-race.json \
-  shard-race-undo.json table2.txt figure8.txt; do
+  shard-race-undo.json table2.txt figure8.txt check-protocol.txt \
+  $(for e in $EXPERIMENTS; do echo "experiment-$e.txt"; done); do
   if ! cmp "$GOLDEN/$f" "$OUT/$f"; then
     echo "FAIL: $f differs from $GOLDEN/$f"
     failed=1

@@ -61,15 +61,22 @@ shard --shards 2 --clients 8 --requests 0 --grow-at 0 --sweep
 shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --lint
 shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --race-lint
 shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep-points 4
+# shard: a skew outside [0, 1), NaN included, and an empty shard heap
+shard --theta=-1
+shard --theta nan
+shard --heap-mib=-1
 # storm: the rack model
 storm --nodes=-5
 storm --servers 0
 storm --state-gib=-1
 storm --outage=-1
+storm --outage nan
+storm --outage inf
 # storm: the fleet model
 storm --nodes 10 --slots 0
 storm --nodes 10 --horizon 0
 storm --nodes 10 --stagger=-1
+storm --nodes 10 --stagger nan
 storm --nodes 10 --spares=-1
 storm --nodes 10 --failures 20
 # window

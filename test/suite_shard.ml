@@ -459,6 +459,24 @@ let service_tests =
             ignore
               (Service.run
                  { base with Service.crash_at = Some 5; crash_shard = Some 9 }));
+        Alcotest.check_raises "empty shard heap"
+          (Invalid_argument "Service.run: shard_heap must be positive")
+          (fun () ->
+            ignore
+              (Service.run
+                 { base with Service.shard_heap = Units.Size.mib (-1) }));
+        (* NaN fails every comparison, so a range test written the
+           other way round would wave it through. *)
+        List.iter
+          (fun theta ->
+            Alcotest.check_raises
+              (Printf.sprintf "theta %g" theta)
+              (Invalid_argument
+                 "Client.create: theta must be in [0, 1) (YCSB zipfian range)")
+              (fun () ->
+                ignore
+                  (Client.create ~theta ~clients:1 ~keyspace:10 ~seed:0 ())))
+          [ -1.0; Float.nan; Float.neg_infinity; 1.0 ];
         Alcotest.check_raises "cannot shrink to nothing"
           (Invalid_argument "Service.run: cannot shrink a 1-shard service")
           (fun () ->
