@@ -27,7 +27,3 @@ let leq a b =
   !ok
 
 let concurrent a b = (not (leq a b)) && not (leq b a)
-
-let pp ppf t =
-  Format.fprintf ppf "<%s>"
-    (String.concat "," (Array.to_list (Array.map string_of_int t)))

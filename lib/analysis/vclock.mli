@@ -35,6 +35,3 @@ val leq : t -> t -> bool
 val concurrent : t -> t -> bool
 (** Neither [leq a b] nor [leq b a]: no happens-before edge in either
     direction. *)
-
-val pp : Format.formatter -> t -> unit
-(** [<0,3,1>] — for diagnostics and tests. *)

@@ -2,14 +2,6 @@ open Wsp_sim
 
 type kind = Gpu | Disk | Nic | Usb | Audio | Chipset
 
-let kind_name = function
-  | Gpu -> "GPU"
-  | Disk -> "disk"
-  | Nic -> "NIC"
-  | Usb -> "USB"
-  | Audio -> "audio"
-  | Chipset -> "chipset"
-
 type spec = {
   name : string;
   kind : kind;

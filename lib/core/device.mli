@@ -11,8 +11,6 @@ open Wsp_sim
 
 type kind = Gpu | Disk | Nic | Usb | Audio | Chipset
 
-val kind_name : kind -> string
-
 type spec = {
   name : string;
   kind : kind;

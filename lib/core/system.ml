@@ -188,65 +188,61 @@ and save_step_interrupt'' t engine =
       (* Strawman: put every device into D3 before touching CPU state.
          This usually blows the residual window (Figure 9 vs Figure 7). *)
       let dur = Acpi.suspend_duration t.devices in
-      ignore
-        (Engine.schedule engine ~after:dur
-           (guard t (fun engine ->
-                ignore (Acpi.suspend_all t.devices);
-                t.report.acpi_done_at <- Some (Engine.now engine);
-                save_step_contexts t engine)))
+      Engine.schedule engine ~after:dur
+        (guard t (fun engine ->
+             ignore (Acpi.suspend_all t.devices);
+             t.report.acpi_done_at <- Some (Engine.now engine);
+             save_step_contexts t engine))
   | Restore_reinit | Virtualized_replay -> save_step_contexts t engine
 
 and save_step_contexts t engine =
   (* IPI fan-out, then every core saves its context in parallel. *)
   let dur = Time.add t.platform.Platform.ipi_latency t.platform.Platform.context_save_latency in
-  ignore
-    (Engine.schedule engine ~after:dur
-       (guard t (fun engine ->
-            if cut_here t engine Before_contexts then ()
-            else begin
-            let buf = Bytes.create (Cpu.context_area_bytes t.cpu) in
-            Cpu.save_contexts t.cpu buf ~off:0;
-            Nvram.write_bytes t.nvram ~addr:context_addr buf;
-            Array.iter
-              (fun core -> if Cpu.Core.id core <> 0 then Cpu.Core.halt core)
-              (Cpu.cores t.cpu);
-            t.report.contexts_saved_at <- Some (Engine.now engine);
-            Log.debug (fun m ->
-                m "contexts saved, %d cores halted at %a"
-                  (Cpu.core_count t.cpu - 1)
-                  Time.pp (Engine.now engine));
-            save_step_flush t engine
-            end)))
+  Engine.schedule engine ~after:dur
+    (guard t (fun engine ->
+         if cut_here t engine Before_contexts then ()
+         else begin
+           let buf = Bytes.create (Cpu.context_area_bytes t.cpu) in
+           Cpu.save_contexts t.cpu buf ~off:0;
+           Nvram.write_bytes t.nvram ~addr:context_addr buf;
+           Array.iter
+             (fun core -> if Cpu.Core.id core <> 0 then Cpu.Core.halt core)
+             (Cpu.cores t.cpu);
+           t.report.contexts_saved_at <- Some (Engine.now engine);
+           Log.debug (fun m ->
+               m "contexts saved, %d cores halted at %a"
+                 (Cpu.core_count t.cpu - 1)
+                 Time.pp (Engine.now engine));
+           save_step_flush t engine
+         end))
 
 and save_step_flush t engine =
   let dirty = Nvram.dirty_bytes t.nvram + Nvram.pending_nt_bytes t.nvram in
   t.report.dirty_bytes_flushed <- dirty;
   let dur = Flush.wbinvd_time t.platform ~dirty_bytes:dirty in
-  ignore
-    (Engine.schedule engine ~after:dur
-       (guard t (fun engine ->
-            if cut_here t engine Before_flush then ()
-            else begin
-              Nvram.wbinvd t.nvram;
-              t.report.flush_done_at <- Some (Engine.now engine);
-              Log.debug (fun m ->
-                  m "wbinvd complete (%d dirty bytes) at %a" dirty Time.pp
-                    (Engine.now engine));
-              save_step_marker t engine
-            end)))
+  Engine.schedule engine ~after:dur
+    (guard t (fun engine ->
+         if cut_here t engine Before_flush then ()
+         else begin
+           Nvram.wbinvd t.nvram;
+           t.report.flush_done_at <- Some (Engine.now engine);
+           Log.debug (fun m ->
+               m "wbinvd complete (%d dirty bytes) at %a" dirty Time.pp
+                 (Engine.now engine));
+           save_step_marker t engine
+         end))
 
 and save_step_marker t engine =
-  ignore
-    (Engine.schedule engine ~after:marker_step_latency
-       (guard t (fun engine ->
-            if cut_here t engine Before_marker then ()
-            else begin
-              write_marker t marker_magic;
-              t.report.marker_written_at <- Some (Engine.now engine);
-              Log.debug (fun m ->
-                  m "valid-image marker flushed at %a" Time.pp (Engine.now engine));
-              save_step_nvdimm t engine
-            end)))
+  Engine.schedule engine ~after:marker_step_latency
+    (guard t (fun engine ->
+         if cut_here t engine Before_marker then ()
+         else begin
+           write_marker t marker_magic;
+           t.report.marker_written_at <- Some (Engine.now engine);
+           Log.debug (fun m ->
+               m "valid-image marker flushed at %a" Time.pp (Engine.now engine));
+           save_step_nvdimm t engine
+         end))
 
 and save_step_nvdimm t engine =
   ignore (engine : Engine.t);
@@ -492,25 +488,24 @@ let power_on_and_restore t =
                detectable as well. *)
             write_marker t 0L;
             let device_time = restart_devices t in
-            ignore
-              (Engine.schedule engine ~after:device_time (fun engine ->
-                   if not t.powered then ()
-                   else begin
-                     Cpu.resume_all t.cpu;
-                   let ios_failed =
-                     List.fold_left (fun acc d -> acc + Device.ios_failed d) 0 t.devices
-                   in
-                   let ios_replayed =
-                     List.fold_left (fun acc d -> acc + Device.ios_replayed d) 0 t.devices
-                   in
-                   result :=
-                     Recovered
-                       {
-                         resume_latency = Time.sub (Engine.now engine) boot_at;
-                         ios_failed;
-                         ios_replayed;
-                       }
-                   end))
+            Engine.schedule engine ~after:device_time (fun engine ->
+                if not t.powered then ()
+                else begin
+                  Cpu.resume_all t.cpu;
+                  let ios_failed =
+                    List.fold_left (fun acc d -> acc + Device.ios_failed d) 0 t.devices
+                  in
+                  let ios_replayed =
+                    List.fold_left (fun acc d -> acc + Device.ios_replayed d) 0 t.devices
+                  in
+                  result :=
+                    Recovered
+                      {
+                        resume_latency = Time.sub (Engine.now engine) boot_at;
+                        ios_failed;
+                        ios_replayed;
+                      }
+                end)
           end);
   Engine.run t.engine;
   record_restore_metrics t ~boot_at !result;

@@ -90,27 +90,25 @@ let initiate_save t ~on_complete =
       ~power:t.save_power ~lasting:duration
   in
   if can_finish then begin
-    ignore
-      (Engine.schedule t.engine ~after:duration (fun engine ->
-           ignore (Ultracap.discharge t.ultracap ~power:t.save_power ~during:duration);
-           Flash.program t.flash ~src:t.dram ~fraction:1.0;
-           t.state <- Saved;
-           on_complete engine `Saved))
+    Engine.schedule t.engine ~after:duration (fun engine ->
+        ignore (Ultracap.discharge t.ultracap ~power:t.save_power ~during:duration);
+        Flash.program t.flash ~src:t.dram ~fraction:1.0;
+        t.state <- Saved;
+        on_complete engine `Saved)
   end
   else begin
     let usable =
       Ultracap.supply_duration t.ultracap ~band:Wsp_power.Ultracap.Datasheet
         ~power:t.save_power
     in
-    ignore
-      (Engine.schedule t.engine ~after:usable (fun engine ->
-           ignore (Ultracap.discharge t.ultracap ~power:t.save_power ~during:usable);
-           let fraction = Time.to_s usable /. Time.to_s duration in
-           Flash.program t.flash ~src:t.dram ~fraction;
-           (* The module browns out: whatever was in DRAM is gone too. *)
-           Bytes.fill t.dram 0 (Bytes.length t.dram) '\xCC';
-           t.state <- Lost;
-           on_complete engine `Save_failed))
+    Engine.schedule t.engine ~after:usable (fun engine ->
+        ignore (Ultracap.discharge t.ultracap ~power:t.save_power ~during:usable);
+        let fraction = Time.to_s usable /. Time.to_s duration in
+        Flash.program t.flash ~src:t.dram ~fraction;
+        (* The module browns out: whatever was in DRAM is gone too. *)
+        Bytes.fill t.dram 0 (Bytes.length t.dram) '\xCC';
+        t.state <- Lost;
+        on_complete engine `Save_failed)
   end
 
 let host_power_lost t =
@@ -126,20 +124,19 @@ let initiate_restore t ~on_complete =
   | (Active | Saving | Restoring) as s ->
       invalid_arg (Fmt.str "Nvdimm.initiate_restore: module is %s" (state_name s)));
   if not (Flash.image_complete t.flash) then
-    ignore (Engine.schedule t.engine ~after:Time.zero (fun engine -> on_complete engine `No_image))
+    Engine.schedule t.engine ~after:Time.zero (fun engine -> on_complete engine `No_image)
   else begin
     t.state <- Restoring;
     let duration = Flash.read_duration t.flash t.size in
-    ignore
-      (Engine.schedule t.engine ~after:duration (fun engine ->
-           (* Power may have died mid-restore (state forced to Lost):
-              the flash image is still intact, so a later boot simply
-              retries; this attempt reports nothing. *)
-           if t.state = Restoring then begin
-             Flash.recall t.flash ~dst:t.dram;
-             t.state <- Self_refresh;
-             on_complete engine `Restored
-           end))
+    Engine.schedule t.engine ~after:duration (fun engine ->
+        (* Power may have died mid-restore (state forced to Lost):
+           the flash image is still intact, so a later boot simply
+           retries; this attempt reports nothing. *)
+        if t.state = Restoring then begin
+          Flash.recall t.flash ~dst:t.dram;
+          t.state <- Self_refresh;
+          on_complete engine `Restored
+        end)
   end
 
 let image_complete t = Flash.image_complete t.flash

@@ -452,7 +452,6 @@ let crash t =
   t.clock <- Time.zero
 
 let dirty_bytes t = Hierarchy.dirty_bytes t.hierarchy
-let dirty_lines t = Hierarchy.dirty_lines t.hierarchy
 let dirty_line_count t = Hierarchy.dirty_line_count t.hierarchy
 let persistent_image t = Bytes.copy t.backing
 

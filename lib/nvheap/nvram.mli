@@ -189,7 +189,6 @@ val crash : t -> unit
     the clock resets (a new execution begins at restore). *)
 
 val dirty_bytes : t -> int
-val dirty_lines : t -> int list
 
 val dirty_line_count : t -> int
 (** Distinct dirty lines in the hierarchy; O(dirty lines) like

@@ -46,7 +46,6 @@ let create ?hierarchy ?config ?log_size ~size () =
 let nvram t = t.nvram
 let bus t = Nvram.bus t.nvram
 let dirty_bytes t = Nvram.dirty_bytes t.nvram
-let dirty_line_count t = Nvram.dirty_line_count t.nvram
 let txn t = t.txn
 let log t = Txn.log t.txn
 let allocator t = t.allocator

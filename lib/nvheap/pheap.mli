@@ -70,8 +70,6 @@ val dirty_bytes : t -> int
     amount a flush-on-fail save would have to write back right now.
     O(dirty lines). *)
 
-val dirty_line_count : t -> int
-
 val reset_clock : t -> unit
 
 (** {1 Allocation} *)

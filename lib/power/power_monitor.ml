@@ -16,13 +16,12 @@ let create ~engine ~psu () =
       t.triggered <- true;
       List.iter
         (fun handler ->
-          ignore
-            (Engine.schedule engine
-               ~after:(Time.add detect_latency serial_latency)
-               handler))
+          Engine.schedule engine
+            ~after:(Time.add detect_latency serial_latency)
+            handler)
         t.handlers);
   t
 
 let on_power_fail t handler = t.handlers <- t.handlers @ [ handler ]
-let send_i2c t f = ignore (Engine.schedule t.engine ~after:i2c_latency f)
+let send_i2c t f = Engine.schedule t.engine ~after:i2c_latency f
 let triggered t = t.triggered

@@ -116,10 +116,8 @@ let fail_input t ?jitter () =
       in
       t.fail_at <- Some now;
       t.window <- Time.scale (nominal_window t) scale;
-      List.iter (fun f -> ignore (Engine.schedule t.engine ~after:Time.zero f)) t.pwr_ok_cbs;
-      List.iter
-        (fun f -> ignore (Engine.schedule t.engine ~after:t.window f))
-        t.output_lost_cbs
+      List.iter (fun f -> Engine.schedule t.engine ~after:Time.zero f) t.pwr_ok_cbs;
+      List.iter (fun f -> Engine.schedule t.engine ~after:t.window f) t.output_lost_cbs
 
 let restore_input t =
   t.fail_at <- None;

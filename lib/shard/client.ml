@@ -19,9 +19,10 @@ type t = {
 let create ?(mix = default_mix) ?(theta = 0.99) ~clients ~keyspace ~seed () =
   if clients <= 0 then invalid_arg "Client.create: clients must be positive";
   if keyspace <= 0 then invalid_arg "Client.create: keyspace must be positive";
-  if mix.lookups < 0 || mix.inserts < 0 || mix.deletes < 0
-     || mix.lookups + mix.inserts + mix.deletes <> 100
-  then invalid_arg "Client.create: mix percentages must sum to 100";
+  if mix.lookups < 0 || mix.inserts < 0 || mix.deletes < 0 then
+    invalid_arg "Client.create: mix percentages must be non-negative";
+  if mix.lookups + mix.inserts + mix.deletes <> 100 then
+    invalid_arg "Client.create: mix percentages must sum to 100";
   (* Written so that NaN fails it too. *)
   if not (theta >= 0.0 && theta < 1.0) then
     invalid_arg "Client.create: theta must be in [0, 1) (YCSB zipfian range)";

@@ -5,12 +5,10 @@ type t = {
   m_depth : Wsp_obs.Metrics.Gauge.t;
 }
 
-type event_id = Event_queue.id
-
-let create ?(now = Time.zero) () =
+let create () =
   let reg = Wsp_obs.Metrics.ambient () in
   {
-    clock = now;
+    clock = Time.zero;
     queue = Event_queue.create ();
     m_dispatched = Wsp_obs.Metrics.counter reg "sim.engine.events_dispatched";
     m_depth = Wsp_obs.Metrics.gauge reg "sim.engine.queue_depth";
@@ -18,21 +16,12 @@ let create ?(now = Time.zero) () =
 
 let now t = t.clock
 
-let schedule_at t ~at f =
-  if Time.(at < t.clock) then
-    invalid_arg
-      (Fmt.str "Engine.schedule_at: %a is before now (%a)" Time.pp at Time.pp
-         t.clock);
-  let id = Event_queue.push t.queue ~at f in
-  Wsp_obs.Metrics.Gauge.set t.m_depth
-    (float_of_int (Event_queue.length t.queue));
-  id
-
 let schedule t ~after f =
   if Time.is_negative after then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~at:(Time.add t.clock after) f
+  Event_queue.push t.queue ~at:(Time.add t.clock after) f;
+  Wsp_obs.Metrics.Gauge.set t.m_depth
+    (float_of_int (Event_queue.length t.queue))
 
-let cancel t id = Event_queue.cancel t.queue id
 let pending t = Event_queue.length t.queue
 
 let step t =
@@ -59,12 +48,3 @@ let run_until t deadline =
   in
   loop ();
   if Time.(deadline > t.clock) then t.clock <- deadline
-
-let advance t span =
-  if Time.is_negative span then invalid_arg "Engine.advance: negative span";
-  let target = Time.add t.clock span in
-  (match Event_queue.peek_time t.queue with
-  | Some at when Time.(at < target) ->
-      invalid_arg "Engine.advance: would skip a pending event"
-  | _ -> ());
-  t.clock <- target

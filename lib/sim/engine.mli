@@ -2,34 +2,26 @@
 
     An engine owns a clock and an event queue. Handlers run at their
     scheduled timestamp with the clock already advanced; a handler may
-    schedule further events (at or after the current time) and cancel
-    pending ones. The engine is single-threaded and deterministic: equal
-    timestamps fire in scheduling order. *)
+    schedule further events at or after the current time. Scheduled
+    events are never cancelled: a handler whose moment has passed checks
+    its own state when it fires, as [System.guard] does. The engine is
+    single-threaded and deterministic: equal timestamps fire in
+    scheduling order. *)
 
 type t
 
-type event_id = Event_queue.id
-
-val create : ?now:Time.t -> unit -> t
+val create : unit -> t
+(** An engine with its clock at [Time.zero]. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)
 
-val schedule : t -> after:Time.t -> (t -> unit) -> event_id
+val schedule : t -> after:Time.t -> (t -> unit) -> unit
 (** [schedule t ~after f] runs [f] at [now t + after]. [after] must be
     non-negative. *)
 
-val schedule_at : t -> at:Time.t -> (t -> unit) -> event_id
-(** [schedule_at t ~at f] runs [f] at absolute time [at], which must not
-    be in the past. *)
-
-val cancel : t -> event_id -> unit
-
 val pending : t -> int
 (** Number of events still scheduled. *)
-
-val step : t -> bool
-(** Runs the next event. [false] when the queue was empty. *)
 
 val run : t -> unit
 (** Runs until the queue is empty. *)
@@ -37,8 +29,3 @@ val run : t -> unit
 val run_until : t -> Time.t -> unit
 (** Runs every event scheduled strictly before or at the given time, then
     advances the clock to exactly that time. *)
-
-val advance : t -> Time.t -> unit
-(** [advance t span] moves the clock forward by [span] without running
-    events; used by sequential (non-event) code charging simulated work.
-    Raises [Invalid_argument] if that would jump past a pending event. *)

@@ -1,19 +1,13 @@
-type id = int
-
 type 'a entry = { at : Time.t; seq : int; payload : 'a }
 
 type 'a t = {
   mutable heap : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
-  pending : (int, unit) Hashtbl.t;
-  (* Ids scheduled but neither delivered nor cancelled. Cancelled entries
-     are deleted lazily: they stay in the heap until they surface. *)
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; pending = Hashtbl.create 16 }
-let is_empty t = Hashtbl.length t.pending = 0
-let length t = Hashtbl.length t.pending
+let create () = { heap = [||]; size = 0; next_seq = 0 }
+let length t = t.size
 
 let entry_before a b =
   match Time.compare a.at b.at with
@@ -59,43 +53,11 @@ let push t ~at payload =
   grow t entry;
   t.heap.(t.size) <- entry;
   t.size <- t.size + 1;
-  Hashtbl.replace t.pending seq ();
-  sift_up t (t.size - 1);
-  seq
+  sift_up t (t.size - 1)
 
-(* Lazy deletion alone lets a schedule/cancel-heavy workload (timeout
-   timers that almost always get cancelled) grow the heap without bound
-   while [length] stays small. Once cancelled entries outnumber live
-   ones, rebuild the heap from the live entries (Floyd's bottom-up
-   heapify, O(live)). The rebuild is paid for by the >= size/2 cancels
-   since the last one, so push/pop/cancel stay amortized O(log n) in the
-   number of *live* events. *)
-let compact_threshold = 64
+let peek_time t = if t.size = 0 then None else Some t.heap.(0).at
 
-let compact t =
-  let n = ref 0 in
-  for i = 0 to t.size - 1 do
-    let e = t.heap.(i) in
-    if Hashtbl.mem t.pending e.seq then begin
-      t.heap.(!n) <- e;
-      incr n
-    end
-  done;
-  t.size <- !n;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
-
-let cancel t id =
-  if Hashtbl.mem t.pending id then begin
-    Hashtbl.remove t.pending id;
-    if t.size > compact_threshold && t.size > 2 * Hashtbl.length t.pending then
-      compact t
-  end
-
-let heap_size t = t.size
-
-let pop_raw t =
+let pop t =
   if t.size = 0 then None
   else begin
     let top = t.heap.(0) in
@@ -104,25 +66,5 @@ let pop_raw t =
       t.heap.(0) <- t.heap.(t.size);
       sift_down t 0
     end;
-    Some top
+    Some (top.at, top.payload)
   end
-
-let rec pop t =
-  match pop_raw t with
-  | None -> None
-  | Some entry ->
-      if Hashtbl.mem t.pending entry.seq then begin
-        Hashtbl.remove t.pending entry.seq;
-        Some (entry.at, entry.payload)
-      end
-      else pop t
-
-let rec peek_time t =
-  if t.size = 0 then None
-  else
-    let top = t.heap.(0) in
-    if Hashtbl.mem t.pending top.seq then Some top.at
-    else begin
-      ignore (pop_raw t);
-      peek_time t
-    end

@@ -1,34 +1,21 @@
 (** A priority queue of timed events.
 
     Events at equal timestamps are delivered in insertion order, which
-    keeps simulations deterministic. Cancellation is amortized O(1)
-    (lazy deletion: cancelled entries are dropped when they surface, and
-    the heap is compacted when they outnumber live entries). *)
+    keeps simulations deterministic. Nothing is ever cancelled: a
+    handler whose moment has passed checks its own state when it fires,
+    as [System.guard] does. *)
 
 type 'a t
 
-type id
-(** A handle naming a scheduled event, usable for cancellation. *)
-
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
 
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of queued events. *)
 
-val push : 'a t -> at:Time.t -> 'a -> id
-
-val cancel : 'a t -> id -> unit
-(** Cancelling an already-delivered or already-cancelled event is a
-    no-op. When cancelled entries come to outnumber live ones the heap
-    is compacted, so cancel-heavy workloads stay O(live events). *)
-
-val heap_size : 'a t -> int
-(** Physical heap entries, including lazily-deleted ones — exposed so
-    tests can pin down the compaction bound; always >= [length]. *)
+val push : 'a t -> at:Time.t -> 'a -> unit
 
 val peek_time : 'a t -> Time.t option
-(** Timestamp of the next live event, if any. *)
+(** Timestamp of the next event, if any. *)
 
 val pop : 'a t -> (Time.t * 'a) option
-(** Removes and returns the earliest live event. *)
+(** Removes and returns the earliest event. *)

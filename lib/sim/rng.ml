@@ -48,10 +48,6 @@ let int t bound =
   in
   draw ()
 
-let int_in t ~lo ~hi =
-  assert (hi >= lo);
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   (* 53 random bits into [0,1). *)
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
@@ -59,10 +55,6 @@ let float t bound =
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  -.mean *. log1p (-.u)
 
 let gaussian t ~mu ~sigma =
   let rec nonzero () =

@@ -23,18 +23,12 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val int_in : t -> lo:int -> hi:int -> int
-(** Uniform in the inclusive range [\[lo, hi\]]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
 
 val uniform : t -> lo:float -> hi:float -> float
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed, e.g. for inter-arrival times. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed via Box–Muller. *)

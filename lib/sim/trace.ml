@@ -60,7 +60,3 @@ let first_crossing_below t ~threshold ~hold =
    with Exit -> ());
   !result
 
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.times.(i) t.values.(i)
-  done

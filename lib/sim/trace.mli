@@ -23,5 +23,3 @@ val first_crossing_below : t -> threshold:float -> hold:Time.t -> Time.t option
     from which the signal stays below [threshold] for at least [hold]
     (used for the paper's "250 µs below 95 % of nominal" voltage-drop
     rule). *)
-
-val iter : t -> (Time.t -> float -> unit) -> unit

@@ -69,7 +69,6 @@ let rec find_in t node key =
   else find_in t (child_at t node i) key
 
 let find t key = find_in t (root t) key
-let mem t key = Option.is_some (find t key)
 
 (* Shifts keys/values (and children when [with_children]) right by one
    from position [i]. *)

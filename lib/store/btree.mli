@@ -27,7 +27,6 @@ val insert : t -> key:int64 -> value:int64 -> unit
 (** Inserts or overwrites. *)
 
 val find : t -> int64 -> int64 option
-val mem : t -> int64 -> bool
 
 val delete : t -> int64 -> bool
 (** [true] if the key was present. *)

@@ -164,8 +164,3 @@ let run_benchmark ?(entries = 100_000) ?(config = Config.fof) ?entry_bytes
     updates_per_s = float_of_int entries /. Time.to_s elapsed;
     per_op = Time.div elapsed entries;
   }
-
-let pp_result ppf r =
-  Fmt.pf ppf "%-10s %d entries in %a: %.0f updates/s (%a/op)"
-    r.config.Config.name r.entries Time.pp r.elapsed r.updates_per_s Time.pp
-    r.per_op

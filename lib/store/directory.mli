@@ -62,5 +62,3 @@ val run_benchmark :
   result
 (** The Table 1 run: inserts [entries] (default 100,000) random entries
     into an empty directory and reports update throughput. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -81,7 +81,6 @@ let find t key =
   | Some node -> Some (read t node f_value)
   | None -> None
 
-let mem t key = Option.is_some (find_node t key)
 
 let delete t key =
   let slot = bucket_addr t (bucket_of t key) in

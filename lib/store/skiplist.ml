@@ -75,7 +75,6 @@ let find t key =
   | Some node -> Some (read t node f_value)
   | None -> None
 
-let mem t key = Option.is_some (find_node t key)
 
 let insert t ~key ~value =
   let preds = predecessors t key in

@@ -79,11 +79,6 @@ type result = {
   final_count : int;
 }
 
-let pp_result ppf r =
-  Fmt.pf ppf "%-10s p=%.2f  %a/op  (%d ops in %a; %d/%d/%d l/i/d)"
-    r.config.Config.name r.update_prob Time.pp r.per_op r.ops Time.pp r.elapsed
-    r.lookups r.inserts r.deletes
-
 type structure = Hash | Avl_tree | Skip_list | B_tree
 
 let structure_name = function

@@ -53,8 +53,6 @@ type result = {
   final_count : int;  (** Entries left in the table. *)
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 type structure = Hash | Avl_tree | Skip_list | B_tree
 
 val structure_name : structure -> string

@@ -20,8 +20,12 @@
 # lint (the sabotaged handoff convicted under R8, and a clean undo run
 # that also lints, shrinks and crashes), the Table 2 and Figure 8
 # reproductions (both hinge on the cache model's tag walk), every
-# experiment fast enough to pin (each under 4 s at --jobs 1), and the
-# save-protocol sweep of `check --protocol`.
+# experiment fast enough to pin (each under 4 s at --jobs 1), the
+# save-protocol sweep of `check --protocol`, and the event-driven
+# power-cycle runs: `cycle` under each save strategy (its `--metrics`
+# carries the simulation engine's dispatch count and queue depth),
+# `window --runs 3`, and two fleet storms (the storm report is the one
+# caller of `Stats.percentile`).
 #
 # Every JSON file the commands write must also parse: a NaN or a stray
 # comma in any --json or --metrics emitter fails the gate.
@@ -54,7 +58,7 @@ exits() {
 # The experiments pinned here besides table2 and figure8; the rest take
 # too long for a gate.
 EXPERIMENTS="figure1 figure2 figure6 figure7 wear ablation models process \
-  distributed protocol"
+  distributed protocol figure9 summary motivation hibernate"
 
 SHARD="--shards 4 --clients 64 --queue-cap 64 --requests 20000 --keyspace 4000"
 
@@ -88,6 +92,12 @@ for e in $EXPERIMENTS; do
 done
 "$SIM" check --workload btree --config wsp --points 20 --protocol \
   > "$OUT/check-protocol.txt"
+"$SIM" cycle --metrics "$OUT/cycle-metrics.json" > "$OUT/cycle.txt"
+"$SIM" cycle --strategy acpi > "$OUT/cycle-acpi.txt"
+"$SIM" cycle --strategy replay > "$OUT/cycle-replay.txt"
+"$SIM" window --runs 3 > "$OUT/window.txt"
+"$SIM" storm > "$OUT/storm.txt"
+"$SIM" storm --nodes 200 --stagger 2 > "$OUT/storm-200.txt"
 
 echo "== golden: every JSON output parses =="
 for f in "$OUT"/*.json; do
@@ -108,6 +118,8 @@ for f in shard-image.json shard-undo.json shard-undo-metrics.json \
   check.json check-metrics.json lint-r3.json lint-broken-fences.json \
   lint-concurrent.json lint-concurrent.txt shard-race.json \
   shard-race-undo.json table2.txt figure8.txt check-protocol.txt \
+  cycle.txt cycle-metrics.json cycle-acpi.txt cycle-replay.txt window.txt \
+  storm.txt storm-200.txt \
   $(for e in $EXPERIMENTS; do echo "experiment-$e.txt"; done); do
   if ! cmp "$GOLDEN/$f" "$OUT/$f"; then
     echo "FAIL: $f differs from $GOLDEN/$f"

@@ -210,9 +210,8 @@ let system_tests =
         System.inject_power_failure sys;
         (* Power comes back... and dies again 5 ms into the restore,
            well before the NVDIMM restore (tens of ms) finishes. *)
-        ignore
-          (Engine.schedule (System.engine sys) ~after:(Time.ms 5.0) (fun _ ->
-               Psu.fail_input (System.psu sys) ()));
+        Engine.schedule (System.engine sys) ~after:(Time.ms 5.0) (fun _ ->
+            Psu.fail_input (System.psu sys) ());
         (match System.power_on_and_restore sys with
         | System.Recovered _ -> Alcotest.fail "restore should have been cut short"
         | System.No_image | System.Invalid_marker -> ());

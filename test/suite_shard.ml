@@ -196,6 +196,13 @@ let client_tests =
             Client.create
               ~mix:{ Client.lookups = 50; inserts = 50; deletes = 50 }
               ~clients:1 ~keyspace:10 ~seed:0 ());
+        Alcotest.check_raises "negative mix component"
+          (Invalid_argument "Client.create: mix percentages must be non-negative")
+          (fun () ->
+            ignore
+              (Client.create
+                 ~mix:{ Client.lookups = 50; inserts = 60; deletes = -10 }
+                 ~clients:1 ~keyspace:10 ~seed:0 ()));
         expect_invalid "theta" (fun () ->
             Client.create ~theta:1.0 ~clients:1 ~keyspace:10 ~seed:0 ());
         expect_invalid "clients" (fun () ->

@@ -98,20 +98,12 @@ let rng_tests =
           (Int64.equal (Rng.bits64 a) (Rng.bits64 b)));
     Alcotest.test_case "gaussian mean roughly right" `Quick (fun () ->
         let rng = Rng.create ~seed:5 in
-        let stats = Stats.create () in
+        let sum = ref 0.0 in
         for _ = 1 to 10_000 do
-          Stats.add stats (Rng.gaussian rng ~mu:10.0 ~sigma:2.0)
+          sum := !sum +. Rng.gaussian rng ~mu:10.0 ~sigma:2.0
         done;
         Alcotest.(check bool) "mean near 10" true
-          (abs_float (Stats.mean stats -. 10.0) < 0.1));
-    Alcotest.test_case "exponential mean roughly right" `Quick (fun () ->
-        let rng = Rng.create ~seed:6 in
-        let stats = Stats.create () in
-        for _ = 1 to 10_000 do
-          Stats.add stats (Rng.exponential rng ~mean:5.0)
-        done;
-        Alcotest.(check bool) "mean near 5" true
-          (abs_float (Stats.mean stats -. 5.0) < 0.2));
+          (abs_float ((!sum /. 10_000.0) -. 10.0) < 0.1));
     Alcotest.test_case "zipf ranks are skewed and in range" `Quick (fun () ->
         let rng = Rng.create ~seed:9 in
         let zipf = Rng.Zipf.create ~n:1000 () in
@@ -137,6 +129,19 @@ let rng_tests =
              ignore (Rng.Zipf.create ~theta:1.0 ~n:10 ());
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "split is reproducible from the seed" `Quick (fun () ->
+        let a = Rng.split (Rng.create ~seed:11)
+        and b = Rng.split (Rng.create ~seed:11) in
+        for _ = 1 to 20 do
+          Alcotest.(check int64) "same child stream" (Rng.bits64 a) (Rng.bits64 b)
+        done);
+    Alcotest.test_case "bool draws both values" `Quick (fun () ->
+        let rng = Rng.create ~seed:12 in
+        let trues = ref 0 in
+        for _ = 1 to 1000 do
+          if Rng.bool rng then incr trues
+        done;
+        Alcotest.(check bool) "roughly fair" true (!trues > 400 && !trues < 600));
     Alcotest.test_case "shuffle permutes" `Quick (fun () ->
         let rng = Rng.create ~seed:8 in
         let arr = Array.init 100 (fun i -> i) in
@@ -158,36 +163,25 @@ let rng_props =
            let v = Rng.int rng bound in
            v >= 0 && v < bound));
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"Rng.int_in stays in range" ~count:500
-         QCheck2.Gen.(triple small_int (int_range (-1000) 1000) (int_range 0 1000))
-         (fun (seed, lo, span) ->
-           let rng = Rng.create ~seed in
-           let v = Rng.int_in rng ~lo ~hi:(lo + span) in
-           v >= lo && v <= lo + span));
-    QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"Rng.float stays in bounds" ~count:500
          QCheck2.Gen.small_int (fun seed ->
            let rng = Rng.create ~seed in
            let v = Rng.float rng 3.5 in
            v >= 0.0 && v < 3.5));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"Rng.uniform stays in [lo, hi)" ~count:500
+         QCheck2.Gen.(pair small_int (float_range (-100.0) 100.0))
+         (fun (seed, lo) ->
+           let rng = Rng.create ~seed in
+           let hi = lo +. 2.5 in
+           let v = Rng.uniform rng ~lo ~hi in
+           v >= lo && v < hi));
   ]
 
 (* --- Stats ------------------------------------------------------------ *)
 
 let stats_tests =
   [
-    Alcotest.test_case "summary of a known sample" `Quick (fun () ->
-        let s = Stats.of_list [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-        Alcotest.(check (float 1e-9)) "mean" 5.0 s.Stats.mean;
-        Alcotest.(check (float 1e-9)) "min" 2.0 s.Stats.min;
-        Alcotest.(check (float 1e-9)) "max" 9.0 s.Stats.max;
-        Alcotest.(check int) "count" 8 s.Stats.count;
-        (* Sample stddev of that list = sqrt(32/7). *)
-        Alcotest.(check (float 1e-9)) "stddev" (sqrt (32.0 /. 7.0)) s.Stats.stddev);
-    Alcotest.test_case "empty stats raise" `Quick (fun () ->
-        let t = Stats.create () in
-        Alcotest.check_raises "min" (Invalid_argument "Stats.min: empty")
-          (fun () -> ignore (Stats.min t)));
     Alcotest.test_case "percentiles interpolate" `Quick (fun () ->
         let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
         Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile xs 0.0);
@@ -225,25 +219,35 @@ let stats_tests =
           (raises (fun () -> Stats.percentile [ 1.0 ] Float.nan));
         Alcotest.(check bool) "NaN sample" true
           (raises (fun () -> Stats.percentile [ 1.0; Float.nan ] 50.0)));
-    Alcotest.test_case "histogram buckets" `Quick (fun () ->
-        let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-        List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -5.0; 15.0 ];
-        let counts = Stats.Histogram.counts h in
-        Alcotest.(check int) "bucket0 (incl. clamped low)" 2 counts.(0);
-        Alcotest.(check int) "bucket1" 2 counts.(1);
-        Alcotest.(check int) "bucket9 (incl. clamped high)" 2 counts.(9);
-        Alcotest.(check int) "total" 6 (Stats.Histogram.total h));
+    Alcotest.test_case "percentile ignores sample order" `Quick (fun () ->
+        let sorted = [ 1.0; 2.0; 4.0; 8.0; 16.0 ]
+        and shuffled = [ 8.0; 1.0; 16.0; 4.0; 2.0 ] in
+        List.iter
+          (fun p ->
+            Alcotest.(check (float 1e-9)) (Fmt.str "p%g" p)
+              (Stats.percentile sorted p) (Stats.percentile shuffled p))
+          [ 0.0; 10.0; 50.0; 90.0; 99.0; 100.0 ];
+        (* Rank 0.9 * 4 = 3.6 lies between 8 and 16. *)
+        Alcotest.(check (float 1e-9)) "p90" 12.8 (Stats.percentile shuffled 90.0));
   ]
 
 let stats_props =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"streaming mean equals batch mean" ~count:200
-         QCheck2.Gen.(list_size (int_range 1 50) (float_range (-1e6) 1e6))
-         (fun xs ->
-           let s = Stats.of_list xs in
-           let expected = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-           abs_float (s.Stats.mean -. expected) < 1e-6 *. (1.0 +. abs_float expected)));
+      (QCheck2.Test.make ~name:"percentile is bounded and monotone in p"
+         ~count:300
+         QCheck2.Gen.(
+           triple
+             (list_size (int_range 1 40) (float_range (-1000.0) 1000.0))
+             (float_range 0.0 100.0) (float_range 0.0 100.0))
+         (fun (xs, p, q) ->
+           let lo = List.fold_left Float.min Float.infinity xs
+           and hi = List.fold_left Float.max Float.neg_infinity xs in
+           let p, q = (Float.min p q, Float.max p q) in
+           let vp = Stats.percentile xs p and vq = Stats.percentile xs q in
+           lo <= vp && vp <= vq && vq <= hi
+           && Stats.percentile xs 0.0 = lo
+           && Stats.percentile xs 100.0 = hi));
   ]
 
 (* --- Event queue ------------------------------------------------------- *)
@@ -252,9 +256,9 @@ let event_queue_tests =
   [
     Alcotest.test_case "pops in time order" `Quick (fun () ->
         let q = Event_queue.create () in
-        ignore (Event_queue.push q ~at:(Time.ns 30.0) "c");
-        ignore (Event_queue.push q ~at:(Time.ns 10.0) "a");
-        ignore (Event_queue.push q ~at:(Time.ns 20.0) "b");
+        Event_queue.push q ~at:(Time.ns 30.0) "c";
+        Event_queue.push q ~at:(Time.ns 10.0) "a";
+        Event_queue.push q ~at:(Time.ns 20.0) "b";
         let order =
           List.init 3 (fun _ ->
               match Event_queue.pop q with Some (_, x) -> x | None -> "?")
@@ -263,103 +267,88 @@ let event_queue_tests =
     Alcotest.test_case "equal times keep insertion order" `Quick (fun () ->
         let q = Event_queue.create () in
         List.iter
-          (fun s -> ignore (Event_queue.push q ~at:(Time.ns 5.0) s))
+          (fun s -> Event_queue.push q ~at:(Time.ns 5.0) s)
           [ "first"; "second"; "third" ];
         let order =
           List.init 3 (fun _ ->
               match Event_queue.pop q with Some (_, x) -> x | None -> "?")
         in
         Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] order);
-    Alcotest.test_case "cancel removes an event" `Quick (fun () ->
-        let q = Event_queue.create () in
-        let id = Event_queue.push q ~at:(Time.ns 1.0) "dead" in
-        ignore (Event_queue.push q ~at:(Time.ns 2.0) "alive");
-        Event_queue.cancel q id;
-        Alcotest.(check int) "length" 1 (Event_queue.length q);
-        (match Event_queue.pop q with
-        | Some (_, x) -> Alcotest.(check string) "survivor" "alive" x
-        | None -> Alcotest.fail "queue empty");
-        Alcotest.(check bool) "empty" true (Event_queue.is_empty q));
-    Alcotest.test_case "cancel of delivered id is harmless" `Quick (fun () ->
-        let q = Event_queue.create () in
-        let id = Event_queue.push q ~at:Time.zero "x" in
+    Alcotest.test_case "empty queue yields nothing" `Quick (fun () ->
+        let q : string Event_queue.t = Event_queue.create () in
+        Alcotest.(check int) "length" 0 (Event_queue.length q);
+        Alcotest.(check (option check_time)) "peek" None (Event_queue.peek_time q);
+        Alcotest.(check bool) "pop" true (Event_queue.pop q = None);
+        Event_queue.push q ~at:(Time.ns 1.0) "only";
         ignore (Event_queue.pop q);
-        ignore (Event_queue.push q ~at:Time.zero "y");
-        Event_queue.cancel q id;
-        Alcotest.(check int) "length" 1 (Event_queue.length q));
-    Alcotest.test_case "peek_time skips cancelled" `Quick (fun () ->
+        Alcotest.(check bool) "drained" true (Event_queue.pop q = None);
+        Alcotest.(check int) "length after drain" 0 (Event_queue.length q));
+    Alcotest.test_case "peek_time leaves the event queued" `Quick (fun () ->
         let q = Event_queue.create () in
-        let id = Event_queue.push q ~at:(Time.ns 1.0) "dead" in
-        ignore (Event_queue.push q ~at:(Time.ns 9.0) "alive");
-        Event_queue.cancel q id;
-        match Event_queue.peek_time q with
-        | Some at -> Alcotest.check check_time "peek" (Time.ns 9.0) at
+        Event_queue.push q ~at:(Time.ns 7.0) "late";
+        Event_queue.push q ~at:(Time.ns 3.0) "early";
+        Alcotest.(check (option check_time)) "peek" (Some (Time.ns 3.0))
+          (Event_queue.peek_time q);
+        Alcotest.(check (option check_time)) "peek again" (Some (Time.ns 3.0))
+          (Event_queue.peek_time q);
+        Alcotest.(check int) "still two" 2 (Event_queue.length q);
+        match Event_queue.pop q with
+        | Some (at, x) ->
+            Alcotest.check check_time "popped time" (Time.ns 3.0) at;
+            Alcotest.(check string) "popped payload" "early" x
         | None -> Alcotest.fail "expected an event");
-    Alcotest.test_case "cancel-heavy load keeps the heap bounded" `Quick
-      (fun () ->
-        (* A timeout-timer workload: schedule, then almost always cancel.
-           With lazy deletion alone the heap grows by one entry per
-           iteration; compaction must keep physical size O(live). *)
+    Alcotest.test_case "a push after a pop queues behind same-time peers"
+      `Quick (fun () ->
+        (* A handler that schedules at its own time must run after the
+           events already queued for that time. *)
         let q = Event_queue.create () in
-        let keep = ref [] in
-        for i = 1 to 10_000 do
-          let id = Event_queue.push q ~at:(Time.ps i) i in
-          if i mod 100 = 0 then keep := (i, id) :: !keep
-          else Event_queue.cancel q id
-        done;
-        Alcotest.(check int) "live entries" 100 (Event_queue.length q);
-        Alcotest.(check bool)
-          (Printf.sprintf "heap stays near live size (heap=%d)"
-             (Event_queue.heap_size q))
-          true
-          (Event_queue.heap_size q <= 2 * Event_queue.length q + 64);
-        (* Everything that survived still pops, in order. *)
-        let popped = ref [] in
-        let rec drain () =
-          match Event_queue.pop q with
-          | Some (_, x) ->
-              popped := x :: !popped;
-              drain ()
-          | None -> ()
+        Event_queue.push q ~at:(Time.ns 5.0) "a";
+        Event_queue.push q ~at:(Time.ns 5.0) "b";
+        let next () =
+          match Event_queue.pop q with Some (_, x) -> x | None -> "?"
         in
-        drain ();
-        Alcotest.(check (list int)) "survivors in order"
-          (List.rev_map fst !keep |> List.sort compare)
-          (List.rev !popped));
-    Alcotest.test_case "compaction preserves cancel of delivered ids" `Quick
-      (fun () ->
-        let q = Event_queue.create () in
-        let ids = List.init 200 (fun i -> Event_queue.push q ~at:(Time.ps i) i) in
-        (* Cancel all but the last few, forcing at least one compaction. *)
-        List.iteri (fun i id -> if i < 190 then Event_queue.cancel q id) ids;
-        Alcotest.(check int) "live" 10 (Event_queue.length q);
-        (* Double-cancel and cancel-after-pop stay harmless. *)
-        List.iter (Event_queue.cancel q) ids;
-        Alcotest.(check int) "still empty" 0 (Event_queue.length q));
+        let first = next () in
+        Event_queue.push q ~at:(Time.ns 5.0) "c";
+        Event_queue.push q ~at:(Time.ns 4.0) "z";
+        let rest = List.init 3 (fun _ -> next ()) in
+        Alcotest.(check (list string)) "order" [ "a"; "z"; "b"; "c" ] (first :: rest));
   ]
 
 let event_queue_props =
   [
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"event queue is a stable sort" ~count:200
-         QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 20))
-         (fun times ->
+         (* [Some t] pushes an event at time [t] and [None] pops one, so
+            pushes and pops interleave the way handlers schedule while
+            [Engine.run] drains the queue. *)
+         QCheck2.Gen.(list_size (int_range 0 150) (opt ~ratio:0.6 (int_range 0 20)))
+         (fun ops ->
            let q = Event_queue.create () in
-           List.iteri
-             (fun i t -> ignore (Event_queue.push q ~at:(Time.ps t) (t, i)))
-             times;
-           let rec drain acc =
-             match Event_queue.pop q with
-             | Some (_, x) -> drain (x :: acc)
-             | None -> List.rev acc
+           (* The model: pending (time, insertion) pairs in delivery order. *)
+           let model = ref [] in
+           let pop_agrees () =
+             match (Event_queue.pop q, !model) with
+             | None, [] -> true
+             | Some (at, x), ((t, _) as y) :: rest ->
+                 model := rest;
+                 x = y && Time.equal at (Time.ps t)
+             | _ -> false
            in
-           let popped = drain [] in
-           let expected =
-             List.mapi (fun i t -> (t, i)) times
-             |> List.stable_sort (fun (a, i) (b, j) ->
-                    match compare a b with 0 -> compare i j | c -> c)
+           let step i op =
+             (match op with
+             | Some t ->
+                 Event_queue.push q ~at:(Time.ps t) (t, i);
+                 model := List.merge compare !model [ (t, i) ];
+                 true
+             | None -> pop_agrees ())
+             && Event_queue.length q = List.length !model
            in
-           popped = expected));
+           let rec run i = function
+             | [] -> true
+             | op :: ops -> step i op && run (i + 1) ops
+           in
+           let rec drain () = !model = [] || (pop_agrees () && drain ()) in
+           run 0 ops && drain () && Event_queue.pop q = None));
   ]
 
 (* --- Engine ------------------------------------------------------------ *)
@@ -369,12 +358,10 @@ let engine_tests =
     Alcotest.test_case "clock advances to event times" `Quick (fun () ->
         let e = Engine.create () in
         let log = ref [] in
-        ignore
-          (Engine.schedule e ~after:(Time.ms 2.0) (fun e ->
-               log := ("b", Engine.now e) :: !log));
-        ignore
-          (Engine.schedule e ~after:(Time.ms 1.0) (fun e ->
-               log := ("a", Engine.now e) :: !log));
+        Engine.schedule e ~after:(Time.ms 2.0) (fun e ->
+            log := ("b", Engine.now e) :: !log);
+        Engine.schedule e ~after:(Time.ms 1.0) (fun e ->
+            log := ("a", Engine.now e) :: !log);
         Engine.run e;
         Alcotest.(check (list (pair string check_time)))
           "events with times"
@@ -385,43 +372,90 @@ let engine_tests =
         let hits = ref 0 in
         let rec tick e =
           incr hits;
-          if !hits < 5 then ignore (Engine.schedule e ~after:(Time.us 1.0) tick)
+          if !hits < 5 then Engine.schedule e ~after:(Time.us 1.0) tick
         in
-        ignore (Engine.schedule e ~after:Time.zero tick);
+        Engine.schedule e ~after:Time.zero tick;
         Engine.run e;
         Alcotest.(check int) "five ticks" 5 !hits;
         Alcotest.check check_time "final time" (Time.us 4.0) (Engine.now e));
     Alcotest.test_case "run_until stops at the deadline" `Quick (fun () ->
         let e = Engine.create () in
         let ran = ref [] in
-        ignore (Engine.schedule e ~after:(Time.ms 1.0) (fun _ -> ran := 1 :: !ran));
-        ignore (Engine.schedule e ~after:(Time.ms 5.0) (fun _ -> ran := 5 :: !ran));
+        Engine.schedule e ~after:(Time.ms 1.0) (fun _ -> ran := 1 :: !ran);
+        Engine.schedule e ~after:(Time.ms 5.0) (fun _ -> ran := 5 :: !ran);
         Engine.run_until e (Time.ms 2.0);
         Alcotest.(check (list int)) "only the first" [ 1 ] !ran;
         Alcotest.check check_time "clock at deadline" (Time.ms 2.0) (Engine.now e);
         Alcotest.(check int) "one pending" 1 (Engine.pending e));
-    Alcotest.test_case "cancelled events do not run" `Quick (fun () ->
+    Alcotest.test_case "zero-delay work runs after same-time peers" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let log = ref [] in
+        let note name e = log := (name, Engine.now e) :: !log in
+        Engine.schedule e ~after:(Time.ms 1.0) (fun e ->
+            note "a" e;
+            Engine.schedule e ~after:Time.zero (note "c"));
+        Engine.schedule e ~after:(Time.ms 1.0) (note "b");
+        Engine.run e;
+        Alcotest.(check (list (pair string check_time)))
+          "order and times"
+          [ ("a", Time.ms 1.0); ("b", Time.ms 1.0); ("c", Time.ms 1.0) ]
+          (List.rev !log));
+    Alcotest.test_case "negative delay is rejected" `Quick (fun () ->
+        let e = Engine.create () in
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Engine.schedule: negative delay") (fun () ->
+            Engine.schedule e ~after:(Time.sub Time.zero (Time.ns 1.0)) ignore);
+        Alcotest.(check int) "nothing queued" 0 (Engine.pending e));
+    Alcotest.test_case "run_until runs an event at the deadline" `Quick
+      (fun () ->
         let e = Engine.create () in
         let ran = ref false in
-        let id = Engine.schedule e ~after:(Time.ms 1.0) (fun _ -> ran := true) in
-        Engine.cancel e id;
-        Engine.run e;
-        Alcotest.(check bool) "not run" false !ran);
-    Alcotest.test_case "scheduling in the past is rejected" `Quick (fun () ->
-        let e = Engine.create ~now:(Time.ms 10.0) () in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Engine.schedule_at e ~at:(Time.ms 5.0) (fun _ -> ()));
-             false
-           with Invalid_argument _ -> true));
-    Alcotest.test_case "advance refuses to skip events" `Quick (fun () ->
+        Engine.schedule e ~after:(Time.ms 2.0) (fun _ -> ran := true);
+        Engine.run_until e (Time.ms 2.0);
+        Alcotest.(check bool) "ran" true !ran;
+        Alcotest.(check int) "none pending" 0 (Engine.pending e));
+    Alcotest.test_case "run_until never moves the clock back" `Quick (fun () ->
         let e = Engine.create () in
-        ignore (Engine.schedule e ~after:(Time.ms 1.0) (fun _ -> ()));
-        Alcotest.(check bool) "raises" true
-          (try
-             Engine.advance e (Time.ms 2.0);
-             false
-           with Invalid_argument _ -> true));
+        Engine.schedule e ~after:(Time.ms 3.0) ignore;
+        Engine.run e;
+        Engine.run_until e (Time.ms 1.0);
+        Alcotest.check check_time "clock kept" (Time.ms 3.0) (Engine.now e));
+    Alcotest.test_case "run resumes after run_until" `Quick (fun () ->
+        let e = Engine.create () in
+        let ran = ref [] in
+        List.iter
+          (fun ms ->
+            Engine.schedule e ~after:(Time.ms ms) (fun e ->
+                ran := Engine.now e :: !ran))
+          [ 1.0; 4.0; 6.0 ];
+        Engine.run_until e (Time.ms 2.0);
+        Alcotest.(check int) "two pending" 2 (Engine.pending e);
+        (* Delays count from the deadline the clock was moved to. *)
+        Engine.schedule e ~after:(Time.ms 1.0) (fun e ->
+            ran := Engine.now e :: !ran);
+        Engine.run e;
+        Alcotest.(check (list check_time))
+          "all ran in order"
+          [ Time.ms 1.0; Time.ms 3.0; Time.ms 4.0; Time.ms 6.0 ]
+          (List.rev !ran);
+        Alcotest.(check int) "none pending" 0 (Engine.pending e));
+    Alcotest.test_case "engine reports dispatches and queue depth" `Quick
+      (fun () ->
+        let module M = Wsp_obs.Metrics in
+        let reg = M.ambient () in
+        let dispatched = M.counter reg "sim.engine.events_dispatched"
+        and depth = M.gauge reg "sim.engine.queue_depth" in
+        let before = M.Counter.value dispatched in
+        let e = Engine.create () in
+        for i = 1 to 3 do
+          Engine.schedule e ~after:(Time.us (float_of_int i)) ignore
+        done;
+        Alcotest.(check (float 0.0)) "depth after scheduling" 3.0
+          (M.Gauge.value depth);
+        Engine.run e;
+        Alcotest.(check int) "three dispatched" 3
+          (M.Counter.value dispatched - before));
   ]
 
 (* --- Trace -------------------------------------------------------------- *)
@@ -468,6 +502,19 @@ let trace_tests =
         done;
         Alcotest.(check bool) "none" true
           (Trace.first_crossing_below t ~threshold:0.9 ~hold:(Time.ms 1.0) = None));
+    Alcotest.test_case "equal timestamps are kept oldest first" `Quick
+      (fun () ->
+        let t = Trace.create ~name:"v" in
+        Trace.record t (Time.ms 1.0) 1.0;
+        Trace.record t (Time.ms 1.0) 2.0;
+        Trace.record t (Time.ms 2.0) 3.0;
+        Alcotest.(check int) "length" 3 (Trace.length t);
+        Alcotest.(check (array (pair check_time (float 0.0))))
+          "samples"
+          [| (Time.ms 1.0, 1.0); (Time.ms 1.0, 2.0); (Time.ms 2.0, 3.0) |]
+          (Trace.samples t);
+        Alcotest.(check (option (float 0.0))) "latest wins" (Some 2.0)
+          (Trace.value_at t (Time.ms 1.0)));
   ]
 
 let suite =
