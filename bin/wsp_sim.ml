@@ -119,6 +119,10 @@ let refuse verb msg =
 
 let refusing verb f = try f () with Invalid_argument msg -> refuse verb msg
 
+(* The flags given, of those the chosen mode would ignore. *)
+let given_flags flags =
+  List.filter_map (fun (given, flag) -> if given then Some flag else None) flags
+
 (* [-j N]: worker domains; 0 defers to the default. *)
 let jobs_arg what =
   Arg.(
@@ -541,8 +545,7 @@ let lint_cmd =
     with_jobs "lint" jobs @@ fun jobs ->
     let conflicts =
       if concurrent then
-        List.filter_map
-          (fun (given, flag) -> if given then Some flag else None)
+        given_flags
           [
             (Option.is_some broken, "--broken");
             (Option.is_some psu, "--psu");
@@ -854,42 +857,38 @@ let storm_cmd =
       value & opt int 0
       & info [ "nodes" ] ~docv:"N"
           ~doc:"Run the fleet-scale storm over $(docv) nodes with staggered \
-                PSU failures (0: the classic rack model).")
+                PSU failures (0: the classic rack model, which refuses the \
+                fleet-storm flags).")
+  in
+  (* Absent unless given: the rack model refuses the fleet-storm flags,
+     and the fleet model takes a missing one from [default_fleet]. *)
+  let fleet_arg parse name docv doc =
+    Arg.(value & opt (some parse) None & info [ name ] ~docv ~doc)
   in
   let stagger_arg =
-    Arg.(
-      value & opt finite_float 5.0
-      & info [ "stagger" ] ~docv:"SECONDS"
-          ~doc:"PSU failures land uniformly in [0, $(docv)).")
+    fleet_arg finite_float "stagger" "SECONDS"
+      "PSU failures land uniformly in [0, $(docv))."
   in
   let slots_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "slots" ] ~docv:"N"
-          ~doc:"Simultaneous back-end catch-up slots in the fleet storm.")
+    fleet_arg Arg.int "slots" "N"
+      "Simultaneous back-end catch-up slots in the fleet storm."
   in
   let horizon_arg =
-    Arg.(
-      value & opt finite_float 600.0
-      & info [ "horizon" ] ~docv:"SECONDS"
-          ~doc:"Availability observation window of the fleet storm.")
+    fleet_arg finite_float "horizon" "SECONDS"
+      "Availability observation window of the fleet storm."
   in
   let failures_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "failures" ] ~docv:"N"
-          ~doc:"How many nodes fail in the fleet storm: 0 for the whole \
-                fleet (the classic PSU wave), $(docv) < nodes for a partial \
-                storm against a fleet that keeps serving.")
+    fleet_arg Arg.int "failures" "N"
+      "How many nodes fail in the fleet storm: 0 for the whole fleet (the \
+       classic PSU wave), $(docv) < nodes for a partial storm against a \
+       fleet that keeps serving."
   in
   let spares_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "spares" ] ~docv:"N"
-          ~doc:"Failed machines that never come back: the first $(docv) \
-                failures restore on spare nodes by pulling the dead node's \
-                whole NVRAM image through a back-end slot (image-shipping \
-                failover) instead of restoring from local NVDIMMs.")
+    fleet_arg Arg.int "spares" "N"
+      "Failed machines that never come back: the first $(docv) failures \
+       restore on spare nodes by pulling the dead node's whole NVRAM image \
+       through a back-end slot (image-shipping failover) instead of \
+       restoring from local NVDIMMs."
   in
   let json_arg =
     json_arg "Write the fleet-storm report as JSON to $(docv) ($(b,-) for stdout)."
@@ -919,40 +918,56 @@ let storm_cmd =
   in
   let run servers state_gib outage nodes stagger slots horizon failures spares
       json seed metrics trace =
-    with_obs metrics trace @@ fun () ->
-    refusing "storm" @@ fun () ->
-    let open Wsp_cluster.Recovery_storm in
-    let params =
-      {
-        default with
-        servers;
-        state_per_server = Units.Size.gib state_gib;
-        outage = Time.s outage;
-      }
+    let fleet_only =
+      given_flags
+        [
+          (Option.is_some stagger, "--stagger");
+          (Option.is_some slots, "--slots");
+          (Option.is_some horizon, "--horizon");
+          (Option.is_some failures, "--failures");
+          (Option.is_some spares, "--spares");
+          (Option.is_some json, "--json");
+        ]
     in
-    (* A negative node count goes to the fleet model, which refuses it. *)
-    if nodes <> 0 then begin
-      let fleet =
+    if nodes = 0 && fleet_only <> [] then
+      refuse "storm"
+        (Printf.sprintf "%s requires --nodes" (String.concat ", " fleet_only))
+    else
+      with_obs metrics trace @@ fun () ->
+      refusing "storm" @@ fun () ->
+      let open Wsp_cluster.Recovery_storm in
+      let params =
         {
-          node = params;
-          nodes;
-          stagger = Time.s stagger;
-          restore_concurrency = slots;
-          horizon = Time.s horizon;
-          failures;
-          spares;
-          seed;
+          default with
+          servers;
+          state_per_server = Units.Size.gib state_gib;
+          outage = Time.s outage;
         }
       in
-      let r = storm fleet in
-      Fmt.pr "%a@." pp_fleet_result r;
-      emit_json json (fleet_json r)
-    end
-    else begin
-      let r = run params in
-      Fmt.pr "%a@." pp_result r
-    end;
-    0
+      (* A negative node count goes to the fleet model, which refuses it. *)
+      if nodes <> 0 then begin
+        let fleet =
+          {
+            node = params;
+            nodes;
+            stagger = Option.fold ~none:default_fleet.stagger ~some:Time.s stagger;
+            restore_concurrency =
+              Option.value slots ~default:default_fleet.restore_concurrency;
+            horizon = Option.fold ~none:default_fleet.horizon ~some:Time.s horizon;
+            failures = Option.value failures ~default:default_fleet.failures;
+            spares = Option.value spares ~default:default_fleet.spares;
+            seed;
+          }
+        in
+        let r = storm fleet in
+        Fmt.pr "%a@." pp_fleet_result r;
+        emit_json json (fleet_json r)
+      end
+      else begin
+        let r = run params in
+        Fmt.pr "%a@." pp_result r
+      end;
+      0
   in
   Cmd.v
     (Cmd.info "storm"

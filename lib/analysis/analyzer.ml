@@ -39,10 +39,6 @@ let config_slug (c : Config.t) =
 
 (* --- lint-specific workloads ---------------------------------------- *)
 
-let apply_fault nvram = function
-  | Checker.Broken_fences -> Nvram.set_fault nvram Nvram.Broken_fence
-  | Checker.No_fault | Checker.Broken_wsp_save -> ()
-
 (* A transfer workload the checker's insert/delete scripts cannot
    express: aborted transactions (undo rollback over data *and*
    allocator metadata) and alloc/free churn inside transactions. *)
@@ -57,7 +53,7 @@ let run_bank ~config ~fault ~txns ~seed ~observe ~finish =
     Pheap.write_u64 heap ~addr:(accounts + (8 * i)) 100L
   done;
   Pheap.set_root heap accounts;
-  apply_fault nvram fault;
+  Checker.apply_fault nvram fault;
   (* Setup is mkfs, not under analysis: force it durable and clean. *)
   Nvram.wbinvd nvram;
   observe heap;
@@ -109,7 +105,7 @@ let run_avl ~config ~fault ~txns ~seed ~observe ~finish =
   for i = 1 to 16 do
     Wsp_store.Avl.insert tree ~key:(Int64.of_int (i * 17)) ~value:(Int64.of_int i)
   done;
-  apply_fault nvram fault;
+  Checker.apply_fault nvram fault;
   Nvram.wbinvd nvram;
   observe heap;
   let rng = Rng.create ~seed in
@@ -223,7 +219,7 @@ let lint ?jobs ?(fault = Checker.No_fault) ?(txns = 32) ?(seed = 1) ?psu
         List.filter_map
           (fun i ->
             if i >= 0 && i < Array.length recording.Trace.events then
-              Some (i, Fmt.str "%a" Trace.pp_event recording.Trace.events.(i))
+              Some (i, Fmt.str "%a" Event.pp recording.Trace.events.(i))
             else None)
           cited
       in

@@ -1,7 +1,7 @@
 open Wsp_nvheap
 module Trace = Wsp_check.Trace
 
-type item = Bus of Trace.event | Sync of Event.sync
+type item = Bus of Event.t | Sync of Event.sync
 
 let ring_size = 1024
 
@@ -280,29 +280,29 @@ let step s ~domain item =
           gmap_push d.gmap g;
           Rules.stream_step rs ev;
           match ev with
-          | Trace.Tx (Txn.Commit _) ->
+          | Event.Tx (Event.Commit _) ->
               if d.seal = Seal_idle then d.seal <- Seal_await_append
-          | Trace.Log (Rawlog.Append _) ->
+          | Event.Log (Event.Append _) ->
               if d.seal = Seal_await_append then d.seal <- Seal_await_fence
-          | Trace.Mem Nvram.Fence ->
+          | Event.Mem Event.Fence ->
               settle_addr s domain d ~g;
               if d.seal = Seal_await_fence && not s.m.Rules.fences_broken
               then begin
                 settle_tx s domain d ~g;
                 d.seal <- Seal_idle
               end
-          | Trace.Mem Nvram.Wbinvd ->
+          | Event.Mem Event.Wbinvd ->
               (* wbinvd persists everything regardless of fence
                  sabotage — mirror Pdag's sealing semantics. *)
               settle_addr ~force:true s domain d ~g;
               settle_tx s domain d ~g;
               d.seal <- Seal_idle
-          | Trace.Tx (Txn.Begin _ | Txn.Abort _)
-          | Trace.Log Rawlog.Truncate
-          | Trace.Mem
-              ( Nvram.Store _ | Nvram.Store_nt _ | Nvram.Clflush _
-              | Nvram.Flush_range _ )
-          | Trace.Wb _ | Trace.Heap _ ->
+          | Event.Tx (Event.Begin _ | Event.Abort _)
+          | Event.Log Event.Truncate
+          | Event.Mem
+              ( Event.Store _ | Event.Store_nt _ | Event.Clflush _
+              | Event.Flush_range _ )
+          | Event.Wb _ | Event.Heap _ ->
               ()))
 
 let register s ~domain heap =
@@ -365,7 +365,7 @@ let witness_text s (r : Rules.result) =
       | Some (g, dom, item) when g = i ->
           let text =
             match item with
-            | Bus ev -> Fmt.str "d%d %a" dom Trace.pp_event ev
+            | Bus ev -> Fmt.str "d%d %a" dom Event.pp ev
             | Sync sy -> Fmt.str "d%d %a" dom Event.pp_sync sy
           in
           (i, text) :: lines

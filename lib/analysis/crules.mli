@@ -42,7 +42,7 @@
     interleaved numbering. *)
 
 type item =
-  | Bus of Wsp_check.Trace.event
+  | Bus of Wsp_nvheap.Event.t
       (** One event from the domain's heap bus, in arrival order. *)
   | Sync of Wsp_nvheap.Event.sync
       (** An annotation from the domain's {!Wsp_nvheap.Nvram.sync_bus}. *)

@@ -119,7 +119,7 @@ type st = {
   mutable freed : (int * int) IntMap.t;  (* addr -> size, free event idx *)
   pending_headers : (int, unit) Hashtbl.t;
   mutable in_rollback : bool;
-  mutable tx_heap_journal : Alloc.event list;  (* newest first *)
+  mutable tx_heap_journal : Event.heap list;  (* newest first *)
 }
 
 let diag ?line ?txid ?wasted_ns st rule severity witness fmt =
@@ -145,7 +145,7 @@ let undoes_in_place st =
 
 (* One diagnostic per commit: the first offending line anchors the
    witness; the message carries the total count. [lines] holds
-   line-aligned byte addresses (the {!Txn.Commit} payload), converted
+   line-aligned byte addresses (the {!Event.Commit} payload), converted
    to cache-line numbers here. *)
 let check_commit_lines ?(rule = R1) st ~commit_idx ~txid ~what lines =
   let lines = List.map (Pdag.line_of st.pdag) lines in
@@ -221,29 +221,29 @@ let check_heap_store st ~idx ~addr ~len =
 
 let heap_event st ~idx ev =
   (match ev with
-  | Alloc.Alloc { addr; size } ->
+  | Event.Alloc { addr; size } ->
       st.allocated <- IntMap.add addr size st.allocated;
       (* Reused addresses are live again. *)
       st.freed <- IntMap.remove addr st.freed
-  | Alloc.Free { addr; size } ->
+  | Event.Free { addr; size } ->
       st.allocated <- IntMap.remove addr st.allocated;
       st.freed <- IntMap.add addr (size, idx) st.freed
-  | Alloc.Header_write { addr } -> Hashtbl.replace st.pending_headers addr ());
+  | Event.Header_write { addr } -> Hashtbl.replace st.pending_headers addr ());
   (* Journal payload-lifetime changes for abort reversal. *)
   match ev with
-  | (Alloc.Alloc _ | Alloc.Free _)
+  | (Event.Alloc _ | Event.Free _)
     when undoes_in_place st && Option.is_some st.cur_tx ->
       st.tx_heap_journal <- ev :: st.tx_heap_journal
-  | Alloc.Alloc _ | Alloc.Free _ | Alloc.Header_write _ -> ()
+  | Event.Alloc _ | Event.Free _ | Event.Header_write _ -> ()
 
 let revert_heap_journal st =
   List.iter
     (function
-      | Alloc.Alloc { addr; _ } -> st.allocated <- IntMap.remove addr st.allocated
-      | Alloc.Free { addr; size } ->
+      | Event.Alloc { addr; _ } -> st.allocated <- IntMap.remove addr st.allocated
+      | Event.Free { addr; size } ->
           st.allocated <- IntMap.add addr size st.allocated;
           st.freed <- IntMap.remove addr st.freed
-      | Alloc.Header_write _ -> ())
+      | Event.Header_write _ -> ())
     st.tx_heap_journal;
   st.tx_heap_journal <- []
 
@@ -251,20 +251,20 @@ let revert_heap_journal st =
 
 let leave_rollback st = st.in_rollback <- false
 
-let step st i (ev : Trace.event) =
+let step st i (ev : Event.t) =
   match ev with
-  | Trace.Mem mem -> (
+  | Event.Mem mem -> (
       st.mem_events <- st.mem_events + 1;
       match mem with
-      | Nvram.Store { addr; len } ->
+      | Event.Store { addr; len } ->
           r2_trigger st ~idx:i ~because:"a later store";
           check_heap_store st ~idx:i ~addr ~len;
           Pdag.store st.pdag ~idx:i ~addr ~len
-      | Nvram.Store_nt { addr } ->
+      | Event.Store_nt { addr } ->
           leave_rollback st;
           Pdag.store_nt st.pdag ~idx:i ~addr;
           if st.open_commit <> None then st.r2_nt_last <- i
-      | Nvram.Fence -> (
+      | Event.Fence -> (
           leave_rollback st;
           match Pdag.fence st.pdag ~idx:i with
           | Pdag.Drained _ -> st.open_commit <- None
@@ -276,7 +276,7 @@ let step st i (ev : Trace.event) =
                     (Wsp_sim.Time.to_ns st.m.hierarchy.Hierarchy.fence_latency)
                   "redundant fence: no unfenced flush and no pending \
                    non-temporal data")
-      | Nvram.Clflush { addr } ->
+      | Event.Clflush { addr } ->
           leave_rollback st;
           let r = Pdag.flush_line st.pdag ~idx:i ~addr in
           if r.Pdag.redundant && not st.m.fences_broken then
@@ -286,7 +286,7 @@ let step st i (ev : Trace.event) =
                 (Wsp_sim.Time.to_ns st.m.hierarchy.Hierarchy.clflush_issue)
               "redundant clflush: line %d has no unflushed store"
               (Pdag.line_of st.pdag addr)
-      | Nvram.Flush_range { addr; len } ->
+      | Event.Flush_range { addr; len } ->
           leave_rollback st;
           let r = Pdag.flush_range st.pdag ~idx:i ~addr ~len in
           if r.Pdag.redundant && not st.m.fences_broken then begin
@@ -303,20 +303,20 @@ let step st i (ev : Trace.event) =
                       n_lines))
               "redundant flush of %d-byte range: no covered line dirty" len
           end
-      | Nvram.Wbinvd ->
+      | Event.Wbinvd ->
           leave_rollback st;
           st.open_commit <- None;
           Pdag.wbinvd st.pdag ~idx:i)
-  | Trace.Wb { line; explicit } ->
+  | Event.Wb { line; explicit } ->
       Pdag.writeback st.pdag ~idx:i ~line ~explicit
-  | Trace.Heap ev -> heap_event st ~idx:i ev
-  | Trace.Tx tx -> (
+  | Event.Heap ev -> heap_event st ~idx:i ev
+  | Event.Tx tx -> (
       leave_rollback st;
       match tx with
-      | Txn.Begin txid ->
+      | Event.Begin txid ->
           st.cur_tx <- Some txid;
           st.tx_heap_journal <- []
-      | Txn.Commit { txid; written_lines } -> (
+      | Event.Commit { txid; written_lines } -> (
           st.txns <- st.txns + 1;
           st.tx_heap_journal <- [];
           match protocol st with
@@ -332,15 +332,15 @@ let step st i (ev : Trace.event) =
                 (fun line -> Hashtbl.replace st.redo_acc line txid)
                 written_lines
           | Config.Undo_log | Config.Redo_stm | Config.Plain -> ())
-      | Txn.Abort _ ->
+      | Event.Abort _ ->
           if undoes_in_place st then begin
             revert_heap_journal st;
             st.in_rollback <- true
           end;
           st.tx_heap_journal <- [])
-  | Trace.Log log -> (
+  | Event.Log log -> (
       match log with
-      | Rawlog.Append { kind; n_values = _ } ->
+      | Event.Append { kind; n_values = _ } ->
           r2_trigger st ~idx:i ~because:"a later log append";
           leave_rollback st;
           if kind = Txn.k_commit && durable_without_wsp st then begin
@@ -354,7 +354,7 @@ let step st i (ev : Trace.event) =
             st.open_commit <- Some (i, st.cur_tx);
             st.r2_nt_last <- -1
           end
-      | Rawlog.Truncate ->
+      | Event.Truncate ->
           r2_trigger st ~idx:i ~because:"log truncation";
           leave_rollback st;
           match protocol st with

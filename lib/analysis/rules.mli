@@ -120,7 +120,7 @@ val stream_create :
     Feed any pre-existing allocation baseline (see
     {!Wsp_check.Trace.iter_baseline}) before live events. *)
 
-val stream_step : stream -> Wsp_check.Trace.event -> unit
+val stream_step : stream -> Wsp_nvheap.Event.t -> unit
 (** Judges one event; events are implicitly numbered in arrival order,
     matching recorded-trace indices. *)
 

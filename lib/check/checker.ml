@@ -59,6 +59,10 @@ let fault_name = function
   | Broken_fences -> "broken-fences"
   | Broken_wsp_save -> "broken-wsp-save"
 
+let apply_fault nvram = function
+  | Broken_fences -> Nvram.set_fault nvram Nvram.Broken_fence
+  | No_fault | Broken_wsp_save -> ()
+
 (* --- environments --------------------------------------------------- *)
 
 (* 1 MiB of NVRAM per crash point: heap in the low half, and for
@@ -118,9 +122,7 @@ type env = { nvram : Nvram.t; heap : Pheap.t; handle : handle }
 
 let make_env ~kind ~config ~fault () =
   let nvram = Nvram.create ~size:(Units.Size.mib 1) () in
-  (match fault with
-  | Broken_fences -> Nvram.set_fault nvram Nvram.Broken_fence
-  | No_fault | Broken_wsp_save -> ());
+  apply_fault nvram fault;
   let heap =
     Pheap.create_in ~config ~log_size ~nvram ~base:0 ~len:(heap_len kind) ()
   in
@@ -217,17 +219,14 @@ let run_script env st ~kind script =
         script
 
 (* Records the full persistency trace of one complete execution. *)
-let record' ~kind ~config ~fault script =
+let record ~kind ~config ~fault script =
   let env = make_env ~kind ~config ~fault () in
   let tr = Ptrace.create () in
   Ptrace.instrument tr env.heap;
   Fun.protect
     ~finally:(fun () -> Ptrace.detach tr)
     (fun () -> run_script env (fresh_state ()) ~kind script);
-  (tr, env)
-
-let record ~kind ~config ~fault script =
-  fst (record' ~kind ~config ~fault script)
+  tr
 
 (* --- the golden run -------------------------------------------------- *)
 
@@ -517,9 +516,7 @@ let judge_state ~kind ~config ~fault ~st (state : Replay.state) =
     (* Flush-on-commit: power dies with no WSP save; the software
        log must carry recovery on the drained bytes alone. *)
     Replay.with_nvram ~hierarchy:judge_hierarchy state @@ fun nvram ->
-    (match fault with
-    | Broken_fences -> Nvram.set_fault nvram Nvram.Broken_fence
-    | No_fault | Broken_wsp_save -> ());
+    apply_fault nvram fault;
     Nvram.set_step_budget nvram (Some recovery_step_budget);
     match recover_nvram ~kind ~config nvram with
     | exception Nvram.Budget_exhausted -> Some recovery_diverged_message

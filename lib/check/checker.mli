@@ -75,6 +75,11 @@ type fault =
 
 val fault_name : fault -> string
 
+val apply_fault : Nvram.t -> fault -> unit
+(** Arms the fault's sabotage on the NVRAM: [Broken_fences] breaks its
+    fences; the other two leave it untouched ([Broken_wsp_save] acts on
+    the save path, not on the NVRAM). *)
+
 (** {1 Single executions without crash enumeration} *)
 
 val run_workload :

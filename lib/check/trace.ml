@@ -1,14 +1,7 @@
 open Wsp_nvheap
 
-type event = Event.t =
-  | Mem of Nvram.event
-  | Log of Rawlog.event
-  | Tx of Txn.event
-  | Wb of { line : int; explicit : bool }
-  | Heap of Alloc.event
-
 type t = {
-  mutable rev : event list;
+  mutable rev : Event.t list;
   mutable mem : int;
   mutable sub : Wsp_events.Bus.subscription option;
 }
@@ -21,7 +14,7 @@ let create () = { rev = []; mem = 0; sub = None }
    so the baseline is deterministic. *)
 let iter_baseline heap f =
   Alloc.iter_allocated (Pheap.allocator heap) (fun ~addr ~size ->
-      f (Heap (Event.Alloc { addr; size })))
+      f (Event.Heap (Alloc { addr; size })))
 
 let instrument t heap =
   if Option.is_some t.sub then
@@ -46,7 +39,7 @@ let mem_length t = t.mem
 let events t = Array.of_list (List.rev t.rev)
 
 type recording = {
-  events : event array;
+  events : Event.t array;
   line_size : int;
   alloc_base : int;
   alloc_limit : int;
@@ -62,42 +55,28 @@ let snapshot t heap =
     alloc_limit = Alloc.limit al;
   }
 
-let pp_event = Event.pp
-
-(* Index in the full stream of the [k]-th memory event, or None. *)
-let mem_pos stream k =
-  let pos = ref None and seen = ref 0 in
-  (try
-     Array.iteri
-       (fun i ev ->
-         match ev with
-         | Mem _ ->
-             if !seen = k then begin
-               pos := Some i;
-               raise Exit
-             end;
-             incr seen
-         | Log _ | Tx _ | Wb _ | Heap _ -> ())
-       stream
-   with Exit -> ());
-  !pos
-
-let describe_mem stream k =
-  match mem_pos stream k with
+let describe_mem (stream : Event.t array) k =
+  (* Index in the full stream of the [k]-th memory event, or None. *)
+  let rec mem_pos i seen =
+    if i >= Array.length stream then None
+    else
+      match stream.(i) with
+      | Mem _ when seen = k -> Some i
+      | Mem _ -> mem_pos (i + 1) (seen + 1)
+      | Log _ | Tx _ | Wb _ | Heap _ -> mem_pos (i + 1) seen
+  in
+  (* The nearest preceding annotation locates the event in the
+     protocol: which transaction, which log record. *)
+  let rec context j =
+    if j < 0 then None
+    else
+      match stream.(j) with
+      | (Log _ | Tx _) as c -> Some c
+      | Mem _ | Wb _ | Heap _ -> context (j - 1)
+  in
+  match mem_pos 0 0 with
   | None -> Fmt.str "mem event %d (beyond trace)" k
-  | Some i ->
-      (* The nearest preceding annotation locates the event in the
-         protocol: which transaction, which log record. *)
-      let context = ref None in
-      (try
-         for j = i - 1 downto 0 do
-           match stream.(j) with
-           | (Log _ | Tx _) when !context = None ->
-               context := Some stream.(j);
-               raise Exit
-           | Mem _ | Log _ | Tx _ | Wb _ | Heap _ -> ()
-         done
-       with Exit -> ());
-      match !context with
-      | None -> Fmt.str "before %a" pp_event stream.(i)
-      | Some c -> Fmt.str "before %a (in %a)" pp_event stream.(i) pp_event c
+  | Some i -> (
+      match context (i - 1) with
+      | None -> Fmt.str "before %a" Event.pp stream.(i)
+      | Some c -> Fmt.str "before %a (in %a)" Event.pp stream.(i) Event.pp c)

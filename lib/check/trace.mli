@@ -10,24 +10,6 @@
 
 open Wsp_nvheap
 
-type event = Wsp_nvheap.Event.t =
-  | Mem of Nvram.event
-  | Log of Rawlog.event
-  | Tx of Txn.event
-  | Wb of { line : int; explicit : bool }
-      (** A dirty cache line left the hierarchy — [explicit] for flush
-          instructions and NT displacement, [false] for silent capacity
-          evictions. Machine-level enrichment for the static analyzer;
-          not a crash point (the corresponding flush already is one). *)
-  | Heap of Alloc.event
-      (** Allocator lifetime annotations (alloc/free/header-write). At
-          {!instrument} time every block already allocated is replayed
-          as a synthetic [Alloc] baseline event. *)
-(** An equation onto {!Wsp_nvheap.Event.t}, the canonical event union —
-    this type's historical home. Code matching [Trace.Mem _] etc. keeps
-    working unchanged, but new consumers should depend on
-    [Wsp_nvheap.Event] directly and subscribe to {!Pheap.bus}. *)
-
 type t
 
 val create : unit -> t
@@ -43,7 +25,7 @@ val detach : t -> unit
 (** Removes exactly this trace's bus subscription — other observers on
     the same heap are untouched. Idempotent. *)
 
-val iter_baseline : Pheap.t -> (event -> unit) -> unit
+val iter_baseline : Pheap.t -> (Event.t -> unit) -> unit
 (** The synthetic [Heap (Alloc _)] baseline {!instrument} replays:
     one event per already-allocated block, addresses ascending. Exposed
     for streaming consumers that feed an analysis directly from the bus
@@ -53,11 +35,11 @@ val mem_length : t -> int
 (** Number of memory events recorded — the size of the crash-point
     space. *)
 
-val events : t -> event array
+val events : t -> Event.t array
 (** The full interleaved stream, in program order. *)
 
 type recording = {
-  events : event array;  (** The full interleaved stream. *)
+  events : Event.t array;  (** The full interleaved stream. *)
   line_size : int;  (** Cache-line size all line addresses refer to. *)
   alloc_base : int;  (** First byte of the allocator heap region. *)
   alloc_limit : int;  (** One past the last heap byte. *)
@@ -68,8 +50,6 @@ type recording = {
 val snapshot : t -> Pheap.t -> recording
 (** The recording so far, with geometry read off the given heap. *)
 
-val describe_mem : event array -> int -> string
+val describe_mem : Event.t array -> int -> string
 (** The [k]-th memory event with its nearest preceding log/transaction
     annotation — the human-readable name of crash point [k]. *)
-
-val pp_event : Format.formatter -> event -> unit

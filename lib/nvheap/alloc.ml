@@ -2,11 +2,6 @@
    region. header = (payload_size << 1) | used. A block's payload address
    is header address + 8. *)
 
-type event = Event.heap =
-  | Alloc of { addr : int; size : int }
-  | Free of { addr : int; size : int }
-  | Header_write of { addr : int }
-
 type t = {
   nvram : Nvram.t;
   base : int;
@@ -19,7 +14,7 @@ module Bus = Wsp_events.Bus
 (* Callers test [observed] first, so an unobserved allocator builds no
    event. *)
 let observed t = Bus.active (Nvram.bus t.nvram)
-let emit t ev = Bus.publish (Nvram.bus t.nvram) (Event.Heap ev)
+let emit t (ev : Event.heap) = Bus.publish (Nvram.bus t.nvram) (Event.Heap ev)
 
 (* Tallied whether or not anyone is subscribed, before the publish. *)
 let emit_alloc t ~addr ~size =

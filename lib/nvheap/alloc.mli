@@ -8,22 +8,10 @@
     Allocator metadata writes go through the NVRAM's cached path and are
     therefore subject to the same crash semantics as everything else:
     transactional configurations must log them (the {!Pheap} facade does
-    this automatically). *)
+    this automatically).
 
-type event = Event.heap =
-  | Alloc of { addr : int; size : int }
-      (** A payload of [size] bytes (already aligned/rounded) was handed
-          out at [addr]. Published before the header mutations. *)
-  | Free of { addr : int; size : int }
-      (** The payload at [addr] (of [size] bytes) was returned. Published
-          before the header mutations. *)
-  | Header_write of { addr : int }
-      (** A block-header word at [addr] is about to be written — lets a
-          trace consumer whitelist allocator-metadata stores that are
-          not stores to any payload. *)
-(** An equation onto {!Event.heap}: heap-lifetime annotations, published
-    on the owning {!Nvram.bus} as [Event.Heap] — the companion of the
-    memory events for use-after-free lint. *)
+    Every allocation, free and header write publishes an [Event.Heap]
+    annotation on the owning {!Nvram.bus} before mutating the header. *)
 
 type t
 

@@ -1,12 +1,11 @@
-(** The canonical persistency-event union — the one type every emitter
+(** The persistency-event vocabulary — the one type every emitter
     publishes and every observer subscribes to.
 
-    Each emitter's own event type is an equation onto a sub-type here
-    ({!Nvram.event} = {!type-mem}, {!Rawlog.event} = {!type-log},
-    {!Txn.event} = {!type-tx}, {!Alloc.event} = {!type-heap}), and
-    {!Wsp_check.Trace.event} is an equation onto {!type-t} itself — so
-    the constructors consumers always matched on ([Mem (Store _)],
-    [Tx (Commit _)], …) are unchanged; only the type's home moved.
+    Each emitter publishes one sub-stream on {!Nvram.bus}: {!Nvram}
+    its primitives as {!type-mem}, {!Rawlog} its operations as
+    {!type-log}, {!Txn} its transaction boundaries as {!type-tx}, and
+    {!Alloc} its heap lifetime as {!type-heap}. Producers and consumers
+    alike name the types here; no module restates them.
 
     Events are announced {e before} the primitive mutates any state, so
     a subscriber that raises models a power failure exactly between two
@@ -31,12 +30,14 @@ type tx =
   | Commit of { txid : int64; written_lines : int list }
       (** [written_lines] is the sorted set of line-base addresses the
           transaction wrote (including undo-logged allocator headers) —
-          exactly the lines the commit protocol must make durable.
-          Empty for read-only transactions. *)
+          exactly the lines the commit protocol must make durable, so
+          consumers need not re-derive it from raw stores. Empty for
+          read-only transactions. *)
   | Abort of int64
 (** Transaction-boundary annotations, fired before the boundary's first
     store. [Commit] marks commit {e entry}: stores announced between it
-    and the next [Begin] are the commit protocol itself. *)
+    and the next [Begin] are the commit protocol itself (log records,
+    in-place apply, truncation). *)
 
 type heap =
   | Alloc of { addr : int; size : int }
@@ -49,6 +50,8 @@ type heap =
       (** A block-header word at [addr] is about to be written — lets an
           observer whitelist allocator-metadata stores that are not
           stores to any payload. *)
+(** Heap-lifetime annotations: the companion of the {!type-mem} events
+    for the use-after-free lint. *)
 
 (** {1 The unified stream} *)
 

@@ -2,14 +2,6 @@ open Wsp_sim
 module Hierarchy = Wsp_machine.Hierarchy
 module Bus = Wsp_events.Bus
 
-type event = Event.mem =
-  | Store of { addr : int; len : int }
-  | Store_nt of { addr : int }
-  | Fence
-  | Clflush of { addr : int }
-  | Flush_range of { addr : int; len : int }
-  | Wbinvd
-
 type fault = No_fault | Broken_fence
 
 type tally = {
@@ -258,7 +250,7 @@ let set_tap t tp =
    raises models a power failure between the preceding store and this
    one. Callers test [Bus.active] first, so an unobserved primitive
    builds no event. *)
-let emit t ev = Bus.publish t.bus (Event.Mem ev)
+let emit t (ev : Event.mem) = Bus.publish t.bus (Event.Mem ev)
 
 let count_store t = t.counts.stores <- t.counts.stores + 1
 let count_flush t = t.counts.flushes <- t.counts.flushes + 1
@@ -452,7 +444,6 @@ let crash t =
   t.clock <- Time.zero
 
 let dirty_bytes t = Hierarchy.dirty_bytes t.hierarchy
-let dirty_line_count t = Hierarchy.dirty_line_count t.hierarchy
 let persistent_image t = Bytes.copy t.backing
 
 let volatile_image t =

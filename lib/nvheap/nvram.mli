@@ -97,25 +97,15 @@ val wbinvd : t -> unit
     raises models a crash exactly between two stores. Reads are not
     announced — they cannot alter the persistent image. *)
 
-type event = Event.mem =
-  | Store of { addr : int; len : int }  (** Cached write (dirties lines). *)
-  | Store_nt of { addr : int }  (** 8-byte non-temporal store. *)
-  | Fence  (** WC-buffer drain point. *)
-  | Clflush of { addr : int }
-  | Flush_range of { addr : int; len : int }
-  | Wbinvd
-(** An equation onto {!Event.mem}: this NVRAM's events arrive on {!bus}
-    wrapped as [Event.Mem]. *)
-
 val bus : t -> Event.t Wsp_events.Bus.t
 (** The unified persistency event bus for this NVRAM and everything
-    layered on it: {!Rawlog}, {!Txn} and {!Alloc} publish their
-    annotations here too, and hierarchy write-backs arrive as [Wb]
-    events. Any number of observers may subscribe concurrently; a
-    subscriber's exception aborts the announced primitive with no state
-    change. Every emitter tests {!Wsp_events.Bus.active} before building
-    its event, so with no subscriber an emit is a single branch and
-    allocates nothing. *)
+    layered on it: the NVRAM's own primitives arrive as [Mem] events,
+    {!Rawlog}, {!Txn} and {!Alloc} publish their annotations here too,
+    and hierarchy write-backs arrive as [Wb] events. Any number of
+    observers may subscribe concurrently; a subscriber's exception
+    aborts the announced primitive with no state change. Every emitter
+    tests {!Wsp_events.Bus.active} before building its event, so with
+    no subscriber an emit is a single branch and allocates nothing. *)
 
 val sync_bus : t -> Event.sync Wsp_events.Bus.t
 (** The race-annotation bus next to {!bus} (see {!Event.sync}). Both
@@ -189,10 +179,6 @@ val crash : t -> unit
     the clock resets (a new execution begins at restore). *)
 
 val dirty_bytes : t -> int
-
-val dirty_line_count : t -> int
-(** Distinct dirty lines in the hierarchy; O(dirty lines) like
-    {!dirty_bytes} — save-path and protocol loops poll this per step. *)
 
 val persistent_image : t -> Bytes.t
 (** A copy of the backing bytes only — what would survive a crash right

@@ -2,8 +2,6 @@ exception Log_full
 
 type mode = Durable | Cached
 
-type event = Event.log = Append of { kind : int; n_values : int } | Truncate
-
 type t = {
   nvram : Nvram.t;
   base : int;
@@ -17,7 +15,7 @@ module Bus = Wsp_events.Bus
 (* Callers test [observed] first, so an unobserved log builds no
    event. *)
 let observed t = Bus.active (Nvram.bus t.nvram)
-let emit t ev = Bus.publish (Nvram.bus t.nvram) (Event.Log ev)
+let emit t (ev : Event.log) = Bus.publish (Nvram.bus t.nvram) (Event.Log ev)
 
 (* Word encoding: (chunk : 32 bits, sign-extended) << 16 | generation :
    16 bits. Each 64-bit logical value occupies two words (low chunk,

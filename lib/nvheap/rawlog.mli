@@ -11,17 +11,15 @@
     Appends are written either {e durably} (non-temporal stores fenced at
     the record end — the flush-on-commit path) or {e cached} (plain
     stores left to the cache — the flush-on-fail path, durable only
-    because WSP flushes caches on power failure). *)
+    because WSP flushes caches on power failure).
+
+    {!append} and {!truncate} publish an [Event.Log] annotation on the
+    owning {!Nvram.bus} at operation entry, before any word is written;
+    the words themselves arrive as [Event.Mem] events. *)
 
 exception Log_full
 
 type mode = Durable | Cached
-
-type event = Event.log = Append of { kind : int; n_values : int } | Truncate
-(** An equation onto {!Event.log}: log-level annotations, published on
-    the owning {!Nvram.bus} as [Event.Log] at operation entry, before
-    any word is written. The word-granular stores and fences an
-    operation issues are announced separately as [Event.Mem] events. *)
 
 type t
 

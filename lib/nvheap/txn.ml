@@ -49,11 +49,6 @@ type tx = {
   mutable began_in_log : bool;  (* Begin record written (lazy) *)
 }
 
-type event = Event.tx =
-  | Begin of int64
-  | Commit of { txid : int64; written_lines : int list }
-  | Abort of int64
-
 type t = {
   nvram : Nvram.t;
   log : Rawlog.t;
@@ -73,7 +68,7 @@ type t = {
 (* Callers test [observed] first, so an unobserved transaction builds
    no event (nor sorts a commit's written lines). *)
 let observed t = Bus.active (Nvram.bus t.nvram)
-let emit t ev = Bus.publish (Nvram.bus t.nvram) (Event.Tx ev)
+let emit t (ev : Event.tx) = Bus.publish (Nvram.bus t.nvram) (Event.Tx ev)
 
 (* The tally counts a commit whether or not anyone is subscribed. *)
 let count_commit t = Nvram.count_tx_commit t.nvram

@@ -21,7 +21,12 @@
 
     Transactions are single-threaded (the paper's benchmarks are too);
     the STM machinery still performs read-set validation so its costs are
-    charged faithfully. *)
+    charged faithfully.
+
+    Every transaction boundary publishes an [Event.Tx] annotation on the
+    owning {!Nvram.bus} before its first store. The [Plain] protocol
+    (the [No_log] configuration) has no transaction machinery and
+    publishes nothing. *)
 
 
 type t
@@ -49,22 +54,6 @@ val log : t -> Rawlog.t
     {!Rawlog} hook through this. *)
 
 val in_tx : t -> bool
-
-type event = Event.tx =
-  | Begin of int64
-  | Commit of { txid : int64; written_lines : int list }
-      (** [written_lines] is the sorted set of line-base addresses the
-          transaction wrote (including undo-logged allocator headers) —
-          exactly the lines the commit protocol must make durable, so
-          trace consumers need not re-derive it from raw stores. Empty
-          for read-only transactions. *)
-  | Abort of int64
-(** An equation onto {!Event.tx}: transaction-boundary annotations,
-    published on the owning {!Nvram.bus} as [Event.Tx] before the
-    boundary's first store. [Commit] marks commit {e entry}: stores
-    announced between it and the next [Begin] are the commit protocol
-    itself (log records, in-place apply, truncation). The [No_log]
-    configuration has no transaction machinery and publishes nothing. *)
 
 (** {1 Log record kinds}
 

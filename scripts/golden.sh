@@ -13,10 +13,14 @@
 #
 # Cover: image-mode grow/shrink/crash `shard --json`, an undo-logged
 # crash run's `shard --json` and `--metrics`, the clean 500-point
-# certification's `check --json` and `--metrics`, the static lint's
-# `--json` over the registry (clean, under broken fences, and the
-# concurrent registry), the concurrent lint's human report (witness
-# chains for every race-annotation kind), the shard service's race
+# certification's `check --json` and `--metrics`, a sabotaged
+# hash-table sweep's `check --json` (its violations' `where` strings
+# name crash points by their events), the static lint's `--json` over
+# the registry (clean, under broken fences, and the concurrent
+# registry), the static lint's human report on the bank workload under
+# broken fences (witness chains over stores, flushes and log records),
+# the concurrent lint's human report (witness chains for every
+# race-annotation kind), the shard service's race
 # lint (the sabotaged handoff convicted under R8, and a clean undo run
 # that also lints, shrinks and crashes), the Table 2 and Figure 8
 # reproductions (both hinge on the cache model's tag walk), every
@@ -47,8 +51,16 @@ fi
 exits() {
   want=$1
   shift
+  prints "$want" /dev/null "$@"
+}
+
+# Like exits, but keeps the command's stdout in the file named second.
+prints() {
+  want=$1
+  out=$2
+  shift 2
   rc=0
-  "$SIM" "$@" > /dev/null || rc=$?
+  "$SIM" "$@" > "$out" || rc=$?
   if [ "$rc" -ne "$want" ]; then
     echo "FAIL: $* exited $rc, expected $want"
     exit 1
@@ -72,14 +84,12 @@ echo "== golden: generate =="
 "$SIM" check --points 500 --seed 42 --json "$OUT/check.json" \
   --metrics "$OUT/check-metrics.json" > /dev/null
 exits 0 lint --expect R3 --json "$OUT/lint-r3.json"
+exits 1 check --workload hash_table --config undo --broken fences \
+  --points 300 --no-shrink --json "$OUT/check-broken.json"
 exits 1 lint --broken fences --json "$OUT/lint-broken-fences.json"
+prints 1 "$OUT/lint-broken-bank.txt" lint --broken fences --workload bank
 exits 1 lint --concurrent --json "$OUT/lint-concurrent.json"
-rc=0
-"$SIM" lint --concurrent > "$OUT/lint-concurrent.txt" || rc=$?
-if [ "$rc" -ne 1 ]; then
-  echo "FAIL: lint --concurrent exited $rc, expected 1"
-  exit 1
-fi
+prints 1 "$OUT/lint-concurrent.txt" lint --concurrent
 RACE="--shards 3 --clients 32 --queue-cap 32 --requests 2000 --keyspace 800"
 exits 1 shard $RACE --grow-at 20 --race-lint --broken-handoff \
   --json "$OUT/shard-race.json"
@@ -115,8 +125,8 @@ fi
 echo "== golden: compare against $GOLDEN =="
 failed=0
 for f in shard-image.json shard-undo.json shard-undo-metrics.json \
-  check.json check-metrics.json lint-r3.json lint-broken-fences.json \
-  lint-concurrent.json lint-concurrent.txt shard-race.json \
+  check.json check-metrics.json check-broken.json lint-r3.json \
+  lint-broken-fences.json lint-broken-bank.txt lint-concurrent.json lint-concurrent.txt shard-race.json \
   shard-race-undo.json table2.txt figure8.txt check-protocol.txt \
   cycle.txt cycle-metrics.json cycle-acpi.txt cycle-replay.txt window.txt \
   storm.txt storm-200.txt \

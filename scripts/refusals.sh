@@ -79,6 +79,15 @@ storm --nodes 10 --stagger=-1
 storm --nodes 10 --stagger nan
 storm --nodes 10 --spares=-1
 storm --nodes 10 --failures 20
+# storm: the fleet model's flags without --nodes, which the rack model
+# would ignore
+storm --json x.json
+storm --slots 4
+storm --stagger 1
+storm --horizon 10
+storm --failures 3
+storm --spares 1
+storm --nodes 0 --spares 3 --slots 1
 # window
 window --runs 0
 window --runs=-2

@@ -56,16 +56,16 @@ let check_rules ~name ~machine ~recording ~errors ~advisories =
 
 (* Building blocks: a minimal undo transaction over one line, with the
    hole under test left in. *)
-let tx_begin = Trace.Tx (Txn.Begin 1L)
-let undo_append = Trace.Log (Rawlog.Append { kind = Txn.k_undo; n_values = 2 })
-let commit_ev = Trace.Tx (Txn.Commit { txid = 1L; written_lines = [ 0 ] })
-let commit_append = Trace.Log (Rawlog.Append { kind = Txn.k_commit; n_values = 1 })
-let store0 = Trace.Mem (Nvram.Store { addr = 0; len = 8 })
-let clflush0 = Trace.Mem (Nvram.Clflush { addr = 0 })
-let wb0 = Trace.Wb { line = 0; explicit = true }
-let fence = Trace.Mem Nvram.Fence
-let nt k = Trace.Mem (Nvram.Store_nt { addr = k })
-let truncate = Trace.Log Rawlog.Truncate
+let tx_begin = Event.Tx (Event.Begin 1L)
+let undo_append = Event.Log (Event.Append { kind = Txn.k_undo; n_values = 2 })
+let commit_ev = Event.Tx (Event.Commit { txid = 1L; written_lines = [ 0 ] })
+let commit_append = Event.Log (Event.Append { kind = Txn.k_commit; n_values = 1 })
+let store0 = Event.Mem (Event.Store { addr = 0; len = 8 })
+let clflush0 = Event.Mem (Event.Clflush { addr = 0 })
+let wb0 = Event.Wb { line = 0; explicit = true }
+let fence = Event.Mem Event.Fence
+let nt k = Event.Mem (Event.Store_nt { addr = k })
+let truncate = Event.Log Event.Truncate
 
 (* The fully-correct undo transaction: data flushed and fenced before
    the commit record, commit record's NT words fenced before truncation. *)
@@ -103,7 +103,7 @@ let table_tests =
         foc_stm,
         recording [
           tx_begin; commit_ev;
-          Trace.Log (Rawlog.Append { kind = Txn.k_redo; n_values = 2 });
+          Event.Log (Event.Append { kind = Txn.k_redo; n_values = 2 });
           commit_append; nt 1024; fence; store0; clflush0; wb0; fence;
           truncate;
         ],
@@ -113,7 +113,7 @@ let table_tests =
         foc_stm,
         recording [
           tx_begin; commit_ev;
-          Trace.Log (Rawlog.Append { kind = Txn.k_redo; n_values = 2 });
+          Event.Log (Event.Append { kind = Txn.k_redo; n_values = 2 });
           commit_append; nt 1024; fence; store0; truncate;
         ],
         [ Rules.R1 ],
@@ -157,17 +157,17 @@ let table_tests =
       ( "R4 bad: store to a never-allocated address",
         foc,
         recording ~alloc_limit:65536
-          [ Trace.Mem (Nvram.Store { addr = 100; len = 8 }) ],
+          [ Event.Mem (Event.Store { addr = 100; len = 8 }) ],
         [ Rules.R4 ],
         [] );
       ( "R4 bad: store to a freed block",
         foc,
         recording ~alloc_limit:65536
         [
-          Trace.Heap (Alloc.Alloc { addr = 128; size = 64 });
-          Trace.Mem (Nvram.Store { addr = 128; len = 8 });
-          Trace.Heap (Alloc.Free { addr = 128; size = 64 });
-          Trace.Mem (Nvram.Store { addr = 128; len = 8 });
+          Event.Heap (Event.Alloc { addr = 128; size = 64 });
+          Event.Mem (Event.Store { addr = 128; len = 8 });
+          Event.Heap (Event.Free { addr = 128; size = 64 });
+          Event.Mem (Event.Store { addr = 128; len = 8 });
         ],
         [ Rules.R4 ],
         [] );
@@ -175,11 +175,11 @@ let table_tests =
         foc,
         recording ~alloc_limit:65536
         [
-          Trace.Heap (Alloc.Alloc { addr = 128; size = 64 });
-          Trace.Mem (Nvram.Store { addr = 160; len = 8 });
-          Trace.Heap (Alloc.Header_write { addr = 64 });
-          Trace.Mem (Nvram.Store { addr = 64; len = 8 });
-          Trace.Heap (Alloc.Free { addr = 128; size = 64 });
+          Event.Heap (Event.Alloc { addr = 128; size = 64 });
+          Event.Mem (Event.Store { addr = 160; len = 8 });
+          Event.Heap (Event.Header_write { addr = 64 });
+          Event.Mem (Event.Store { addr = 64; len = 8 });
+          Event.Heap (Event.Free { addr = 128; size = 64 });
         ],
         [],
         [] );

@@ -172,20 +172,20 @@ let witness_tests =
         List.iter
           (fun ev -> Crules.step cs ~domain:0 (Crules.Bus ev))
           [
-            Trace.Tx (Txn.Begin 1L);
-            Trace.Log (Rawlog.Append { kind = Txn.k_undo; n_values = 2 });
-            Trace.Mem (Nvram.Store_nt { addr = 1024 });
-            Trace.Mem (Nvram.Store_nt { addr = 1032 });
-            Trace.Mem Nvram.Fence;
-            Trace.Mem (Nvram.Store { addr = 0; len = 8 });
-            Trace.Tx (Txn.Commit { txid = 1L; written_lines = [ 0 ] });
-            Trace.Mem (Nvram.Clflush { addr = 0 });
-            Trace.Wb { line = 0; explicit = true };
-            Trace.Mem Nvram.Fence;
-            Trace.Log (Rawlog.Append { kind = Txn.k_commit; n_values = 1 });
-            Trace.Mem (Nvram.Store_nt { addr = 1040 });
-            Trace.Mem Nvram.Fence;
-            Trace.Log Rawlog.Truncate;
+            Event.Tx (Event.Begin 1L);
+            Event.Log (Event.Append { kind = Txn.k_undo; n_values = 2 });
+            Event.Mem (Event.Store_nt { addr = 1024 });
+            Event.Mem (Event.Store_nt { addr = 1032 });
+            Event.Mem Event.Fence;
+            Event.Mem (Event.Store { addr = 0; len = 8 });
+            Event.Tx (Event.Commit { txid = 1L; written_lines = [ 0 ] });
+            Event.Mem (Event.Clflush { addr = 0 });
+            Event.Wb { line = 0; explicit = true };
+            Event.Mem Event.Fence;
+            Event.Log (Event.Append { kind = Txn.k_commit; n_values = 1 });
+            Event.Mem (Event.Store_nt { addr = 1040 });
+            Event.Mem Event.Fence;
+            Event.Log Event.Truncate;
           ];
         Crules.step cs ~domain:0 (Crules.Sync (ack 1L));
         let result = Crules.finish cs in

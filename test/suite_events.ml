@@ -114,6 +114,72 @@ let trace_tests =
           (Invalid_argument "Trace.instrument: trace already attached")
           (fun () -> Trace.instrument tr heap);
         Trace.detach tr);
+    (* These strings reach [check --json]'s [where], the lint's witness
+       chains and the race lint's witnesses. *)
+    Alcotest.test_case "the vocabulary's printed form is pinned" `Quick
+      (fun () ->
+        let str pp v = Fmt.str "%a" pp v in
+        List.iter
+          (fun (ev, want) -> Alcotest.(check string) want want (str Event.pp ev))
+          Event.
+            [
+              (Mem (Store { addr = 64; len = 8 }), "store[64,+8]");
+              (Mem (Store_nt { addr = 72 }), "store-nt[72]");
+              (Mem Fence, "fence");
+              (Mem (Clflush { addr = 128 }), "clflush[128]");
+              (Mem (Flush_range { addr = 0; len = 256 }), "flush[0,+256]");
+              (Mem Wbinvd, "wbinvd");
+              (Log (Append { kind = 1; n_values = 2 }), "log-append(kind=1,n=2)");
+              (Log Truncate, "log-truncate");
+              (Tx (Begin 7L), "tx-begin(7)");
+              ( Tx (Commit { txid = 7L; written_lines = [ 0; 64 ] }),
+                "tx-commit(7,2 lines)" );
+              (Tx (Abort 7L), "tx-abort(7)");
+              (Wb { line = 3; explicit = true }, "writeback[line 3,flush]");
+              (Wb { line = 3; explicit = false }, "writeback[line 3,evict]");
+              (Heap (Alloc { addr = 128; size = 64 }), "alloc[128,+64]");
+              (Heap (Free { addr = 128; size = 64 }), "free[128,+64]");
+              (Heap (Header_write { addr = 120 }), "heap-header[120]");
+            ];
+        List.iter
+          (fun (sy, want) ->
+            Alcotest.(check string) want want (str Event.pp_sync sy))
+          Event.
+            [
+              (Write { obj = 0x2aL; addr = 4096 }, "write obj=0x2a @0x1000");
+              (Write { obj = 0x2aL; addr = -1 }, "write obj=0x2a (tx)");
+              (Read { obj = 0x2aL }, "read obj=0x2a");
+              (Ack { obj = 0x2aL }, "ack obj=0x2a");
+              (Publish { chan = 3 }, "publish chan 3");
+              (Acquire { chan = 3 }, "acquire chan 3");
+              (Handoff_persist { obj = 0x2aL }, "handoff-persist obj=0x2a");
+              (Tombstone { obj = 0x2aL }, "tombstone obj=0x2a");
+              (Barrier, "barrier");
+            ];
+        (* Crash point k names its memory event and the nearest [Log] or
+           [Tx] annotation before it; [Wb] and [Heap] are not context. *)
+        let stream =
+          Event.
+            [|
+              Heap (Alloc { addr = 128; size = 64 });
+              Mem (Store { addr = 128; len = 8 });
+              Tx (Begin 1L);
+              Mem (Clflush { addr = 0 });
+              Log (Append { kind = 1; n_values = 2 });
+              Heap (Header_write { addr = 120 });
+              Wb { line = 0; explicit = true };
+              Mem Fence;
+            |]
+        in
+        List.iteri
+          (fun k want ->
+            Alcotest.(check string) want want (Trace.describe_mem stream k))
+          [
+            "before store[128,+8]";
+            "before clflush[0] (in tx-begin(1))";
+            "before fence (in log-append(kind=1,n=2))";
+            "mem event 3 (beyond trace)";
+          ]);
   ]
 
 (* --- concurrent observers -------------------------------------------------- *)

@@ -7,6 +7,7 @@ open Wsp_sim
 open Wsp_nvheap
 module Avl = Wsp_store.Avl
 module System = Wsp_core.System
+module Hierarchy = Wsp_machine.Hierarchy
 
 let kib = Units.Size.kib
 let log_size = kib 16
@@ -167,7 +168,7 @@ let roundtrip_tests =
             Alcotest.(check bool)
               (name ^ ": saved over dirty lines and a queued NT store")
               true
-              (Nvram.dirty_line_count nvram > 0
+              (Hierarchy.dirty_line_count (Nvram.hierarchy nvram) > 0
               && Nvram.pending_nt_bytes nvram > 0);
             let src_view = Nvram.volatile_image nvram in
             let image = Image.of_bytes (Image.to_bytes image) in
