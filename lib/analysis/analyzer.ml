@@ -164,17 +164,17 @@ let registry =
         })
       [ Config.foc_ul; Config.fof; Config.msync ]
 
+let matches ~workload ~config ~name cfg =
+  let structure =
+    match String.index_opt name '/' with
+    | Some i -> String.sub name 0 i
+    | None -> name
+  in
+  (match workload with None -> true | Some f -> f = structure || f = name)
+  && match config with None -> true | Some c -> config_slug cfg = c
+
 let find ?workload ?config () =
-  List.filter
-    (fun w ->
-      let structure =
-        match String.index_opt w.name '/' with
-        | Some i -> String.sub w.name 0 i
-        | None -> w.name
-      in
-      (match workload with None -> true | Some f -> f = structure || f = w.name)
-      && match config with None -> true | Some c -> config_slug w.config = c)
-    registry
+  List.filter (fun w -> matches ~workload ~config ~name:w.name w.config) registry
 
 (* --- running --------------------------------------------------------- *)
 
@@ -200,16 +200,13 @@ let lint ?jobs ?(fault = Checker.No_fault) ?(txns = 32) ?(seed = 1) ?psu
       busy;
     }
   in
-  (* Two phases: each workload's heap simulation runs exactly once,
-     then rule evaluation and witness rendering fan out over the
-     shared recordings — no job ever re-simulates a heap it only
-     needed the trace of. Both maps preserve input order, so the
-     report list (and its JSON) is independent of the job count. *)
-  let recordings =
-    Parallel.map ?jobs (fun w -> record_of_run w ~fault ~txns ~seed) workloads
-  in
+  (* One pass: each item simulates its workload's heap exactly once,
+     then evaluates the rules and renders witnesses over that
+     recording. The map preserves input order, so the report list (and
+     its JSON) is independent of the job count. *)
   Parallel.map ?jobs
-    (fun (w, recording) ->
+    (fun w ->
+      let recording = record_of_run w ~fault ~txns ~seed in
       let result = Rules.analyze (machine_of w) recording in
       let cited =
         List.concat_map (fun d -> d.Rules.witness) result.Rules.diagnostics
@@ -230,7 +227,7 @@ let lint ?jobs ?(fault = Checker.No_fault) ?(txns = 32) ?(seed = 1) ?psu
         result;
         witness_text;
       })
-    (List.combine workloads recordings)
+    workloads
 
 let expected ~expect (d : Rules.diagnostic) = List.mem d.Rules.rule expect
 

@@ -33,9 +33,15 @@ val registry : workload list
     [bank] transfer workload with aborts (rollback + allocator churn
     inside transactions) and the [avl] tree the experiments use. *)
 
+val matches :
+  workload:string option -> config:string option -> name:string ->
+  Wsp_nvheap.Config.t -> bool
+(** The registry filter {!find} and [Canalyzer.cfind] share: [workload]
+    names the structure (the part before the slash) or the whole
+    [name], [config] the config slug; [None] passes anything. *)
+
 val find : ?workload:string -> ?config:string -> unit -> workload list
-(** Registry entries whose name matches the optional structure
-    ([workload], the part before the slash) and config-slug filters. *)
+(** Registry entries that {!matches} the optional filters. *)
 
 type report = {
   workload : string;
@@ -57,10 +63,11 @@ val lint :
   workloads:workload list ->
   unit ->
   report list
-(** Records and analyses each workload, fanning out over
-    {!Wsp_sim.Parallel.map}; results come back in workload order
-    regardless of [jobs]. Defaults: no sabotage, 32 transactions, seed
-    1, the {!Rules.default_machine} platform/PSU, idle load. Raises
+(** Records and then analyses each workload in one
+    {!Wsp_sim.Parallel.map} item, so each heap is simulated once;
+    results come back in workload order regardless of [jobs].
+    Defaults: no sabotage, 32 transactions, seed 1, the
+    {!Rules.default_machine} platform/PSU, idle load. Raises
     [Invalid_argument] on a negative [txns]. *)
 
 val errors : expect:Rules.rule list -> report list -> int * int

@@ -140,14 +140,7 @@ let cregistry =
 
 let cfind ?workload ?config () =
   List.filter
-    (fun w ->
-      let structure =
-        match String.index_opt w.cname '/' with
-        | Some i -> String.sub w.cname 0 i
-        | None -> w.cname
-      in
-      (match workload with None -> true | Some f -> f = structure || f = w.cname)
-      && match config with None -> true | Some c -> Analyzer.config_slug w.cconfig = c)
+    (fun w -> Analyzer.matches ~workload ~config ~name:w.cname w.cconfig)
     cregistry
 
 let run_one ?buses w ~txns ~seed =

@@ -79,46 +79,7 @@ let heap_len = function
 let device_base = region_bytes / 2
 let device_len = region_bytes / 2
 
-type handle = {
-  insert : key:int64 -> value:int64 -> unit;
-  delete : int64 -> bool;
-  to_list : unit -> (int64 * int64) list;
-  check : unit -> (unit, string) result;
-}
-
-let btree_handle b =
-  {
-    insert = (fun ~key ~value -> Wsp_store.Btree.insert b ~key ~value);
-    delete = (fun k -> Wsp_store.Btree.delete b k);
-    to_list = (fun () -> Wsp_store.Btree.to_list b);
-    check = (fun () -> Wsp_store.Btree.check b);
-  }
-
-let hash_table_handle h =
-  {
-    insert = (fun ~key ~value -> Hash_table.insert h ~key ~value);
-    delete = (fun k -> Hash_table.delete h k);
-    to_list = (fun () -> Hash_table.to_list h);
-    check = (fun () -> Hash_table.check h);
-  }
-
-let skiplist_handle s =
-  {
-    insert = (fun ~key ~value -> Wsp_store.Skiplist.insert s ~key ~value);
-    delete = (fun k -> Wsp_store.Skiplist.delete s k);
-    to_list = (fun () -> Wsp_store.Skiplist.to_list s);
-    check = (fun () -> Wsp_store.Skiplist.check s);
-  }
-
-let block_kv_handle b =
-  {
-    insert = (fun ~key ~value -> Block_kv.insert b ~key ~value);
-    delete = (fun k -> Block_kv.delete b k);
-    to_list = (fun () -> Block_kv.to_list b);
-    check = (fun () -> Block_kv.check b);
-  }
-
-type env = { nvram : Nvram.t; heap : Pheap.t; handle : handle }
+type env = { nvram : Nvram.t; heap : Pheap.t; kv : Kv_view.t }
 
 let make_env ~kind ~config ~fault () =
   let nvram = Nvram.create ~size:(Units.Size.mib 1) () in
@@ -126,22 +87,23 @@ let make_env ~kind ~config ~fault () =
   let heap =
     Pheap.create_in ~config ~log_size ~nvram ~base:0 ~len:(heap_len kind) ()
   in
-  let handle =
+  let kv =
     match kind with
-    | Btree -> btree_handle (Wsp_store.Btree.create heap)
-    | Hash_table -> hash_table_handle (Hash_table.create ~buckets heap)
-    | Skiplist -> skiplist_handle (Wsp_store.Skiplist.create ~seed:skiplist_seed heap)
+    | Btree -> Kv_view.btree (Wsp_store.Btree.create heap)
+    | Hash_table -> Kv_view.hash_table (Hash_table.create ~buckets heap)
+    | Skiplist ->
+        Kv_view.skiplist (Wsp_store.Skiplist.create ~seed:skiplist_seed heap)
     | Block_kv ->
         let device =
           Blockstore.create nvram ~base:device_base ~len:device_len ()
         in
-        block_kv_handle (Block_kv.create ~buckets ~heap ~device ())
+        Kv_view.block_kv (Block_kv.create ~buckets ~heap ~device ())
   in
   (* Formatting is mkfs, not an operation under test: force it durable
      (wbinvd drains even under Broken_fences) so every crash point falls
      on the workload itself, against a recoverable base image. *)
   Nvram.wbinvd nvram;
-  { nvram; heap; handle }
+  { nvram; heap; kv }
 
 (* --- execution with committed/pending accounting -------------------- *)
 
@@ -179,9 +141,9 @@ let commit_op st op =
   st.clog_rev <- op :: st.clog_rev;
   st.clog_n <- st.clog_n + 1
 
-let apply_op h = function
-  | Insert (k, v) -> h.insert ~key:k ~value:v
-  | Delete k -> ignore (h.delete k)
+let apply_op (kv : Kv_view.t) = function
+  | Insert (k, v) -> kv.insert ~key:k ~value:v
+  | Delete k -> ignore (kv.delete k)
 
 (* A crash during the commit protocol may legitimately recover to either
    side of the transaction, so [pending]/[in_commit] are left frozen at
@@ -196,7 +158,7 @@ let run_script env st ~kind script =
             (fun op ->
               st.pending <- [ op ];
               st.in_commit <- true;
-              apply_op env.handle op;
+              apply_op env.kv op;
               commit_op st op;
               st.pending <- [];
               st.in_commit <- false)
@@ -208,7 +170,7 @@ let run_script env st ~kind script =
           Pheap.begin_tx env.heap;
           List.iter
             (fun op ->
-              apply_op env.handle op;
+              apply_op env.kv op;
               st.pending <- st.pending @ [ op ])
             ops;
           st.in_commit <- true;
@@ -355,28 +317,28 @@ let recover_nvram ~kind ~config nvram =
           ~len:(heap_len kind) ()
       in
       let device = Blockstore.attach nvram ~base:device_base ~len:device_len () in
-      (block_kv_handle (Block_kv.recover ~buckets ~heap ~device ()), heap)
+      (Kv_view.block_kv (Block_kv.recover ~buckets ~heap ~device ()), heap)
   | (Btree | Hash_table | Skiplist) as kind ->
       let heap =
         Pheap.attach_in ~config ~log_size ~nvram ~base:0 ~len:(heap_len kind) ()
       in
-      let handle =
+      let kv =
         match kind with
-        | Btree -> btree_handle (Wsp_store.Btree.attach heap)
-        | Hash_table -> hash_table_handle (Hash_table.attach heap)
+        | Btree -> Kv_view.btree (Wsp_store.Btree.attach heap)
+        | Hash_table -> Kv_view.hash_table (Hash_table.attach heap)
         | Skiplist ->
-            skiplist_handle (Wsp_store.Skiplist.attach ~seed:skiplist_seed heap)
+            Kv_view.skiplist (Wsp_store.Skiplist.attach ~seed:skiplist_seed heap)
         | Block_kv -> assert false
       in
-      (handle, heap)
+      (kv, heap)
 
 let pp_entries ppf l =
   Fmt.pf ppf "{%a}"
     (Fmt.list ~sep:Fmt.comma (fun ppf (k, v) -> Fmt.pf ppf "%Ld:%Ld" k v))
     l
 
-let durability_oracle st handle =
-  let actual = List.sort compare (handle.to_list ()) in
+let durability_oracle st (kv : Kv_view.t) =
+  let actual = List.sort compare (kv.to_list ()) in
   let committed = model_list st.committed in
   if actual = committed then None
   else begin
@@ -398,8 +360,8 @@ let durability_oracle st handle =
             else ""))
   end
 
-let structural_oracles handle heap =
-  match handle.check () with
+let structural_oracles (kv : Kv_view.t) heap =
+  match kv.check () with
   | Error e -> Some ("structural invariant: " ^ e)
   | Ok () -> (
       match Alloc.check_invariants (Pheap.allocator heap) with
@@ -524,16 +486,16 @@ let judge_state ~kind ~config ~fault ~st (state : Replay.state) =
         Some
           (Fmt.str "recovery raised %s (torn state not tolerated)"
              (Printexc.to_string e))
-    | handle, heap -> (
+    | kv, heap -> (
         (* Oracles walk the recovered structure; on states recovery
            wrongly accepted, that walk itself can explode (a cycle of
            torn pointers overflows the stack, or a pointer loop walks
            forever until the step budget trips). That is a verdict, not
            a checker crash. *)
         match
-          match durability_oracle st handle with
+          match durability_oracle st kv with
           | Some m -> Some m
-          | None -> structural_oracles handle heap
+          | None -> structural_oracles kv heap
         with
         | verdict -> verdict
         | exception Nvram.Budget_exhausted -> Some recovery_diverged_message

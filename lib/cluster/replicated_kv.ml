@@ -66,13 +66,7 @@ module Node = struct
     Queue.iter (fun u -> Queue.add u t.log) peer.log
 end
 
-type t = {
-  mutable nodes : Node.t list;
-  mutable seq : int;
-  value_bytes : int;
-  log_retention : int;
-  mutable next_id : int;
-}
+type t = { nodes : Node.t list; mutable seq : int; value_bytes : int }
 
 let create ?(replicas = 3) ?(log_retention = 100_000) ?(value_bytes = 64) () =
   if replicas < 1 then invalid_arg "Replicated_kv.create: no replicas";
@@ -81,13 +75,10 @@ let create ?(replicas = 3) ?(log_retention = 100_000) ?(value_bytes = 64) () =
       List.init replicas (fun id -> Node.make ~id ~log_retention ~value_bytes);
     seq = 0;
     value_bytes;
-    log_retention;
-    next_id = replicas;
   }
 
 let nodes t = t.nodes
 let live_nodes t = List.filter Node.alive t.nodes
-let seq t = t.seq
 
 let node t id =
   match List.find_opt (fun n -> Node.id n = id) t.nodes with
@@ -152,80 +143,6 @@ let recover_node t id =
   in
   failed.Node.alive <- true;
   recovery
-
-(* --- restore-on-a-different-node failover -------------------------- *)
-
-let add_spare t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let n =
-    Node.make ~id ~log_retention:t.log_retention ~value_bytes:t.value_bytes
-  in
-  (* A cold spare serves nothing until a failover brings it online. *)
-  n.Node.alive <- false;
-  t.nodes <- t.nodes @ [ n ];
-  id
-
-type failover = {
-  spare : int;
-  mode : [ `Image_catch_up | `Image_plus_full ];
-  image_bytes : int;
-  transferred_bytes : int;
-  duration : Time.t;
-  missed_updates : int;
-}
-
-(* The WSP variant of replacing a dead machine: its NVRAM image is
-   stale but intact, so the spare adopts the whole image and then pulls
-   only the updates the image missed from a live peer's retained log —
-   falling back to a full peer transfer when the outage outlived the
-   retention. The failed node leaves the roster for good. *)
-let failover_node t ~failed ~spare =
-  let dead = node t failed in
-  if Node.alive dead then
-    invalid_arg "Replicated_kv.failover_node: node is live";
-  let sp = node t spare in
-  if Node.alive sp then
-    invalid_arg "Replicated_kv.failover_node: spare already in service";
-  let peer =
-    match live_nodes t with
-    | [] -> failwith "Replicated_kv: no live peer to catch up from"
-    | p :: _ -> p
-  in
-  let image_bytes = Node.state_bytes dead in
-  Node.clone_state_from sp dead;
-  t.nodes <- List.filter (fun n -> n != dead) t.nodes;
-  let missed_updates = Node.last_seq peer - Node.last_seq sp in
-  let result =
-    match Node.updates_since peer (Node.last_seq sp) with
-    | Some missed ->
-        List.iter (fun u -> Node.apply sp u) missed;
-        let bytes =
-          image_bytes
-          + (List.length missed * (update_wire_bytes + t.value_bytes))
-        in
-        {
-          spare;
-          mode = `Image_catch_up;
-          image_bytes;
-          transferred_bytes = bytes;
-          duration = Units.Bandwidth.transfer_time network_bandwidth bytes;
-          missed_updates;
-        }
-    | None ->
-        Node.clone_state_from sp peer;
-        let bytes = image_bytes + Node.state_bytes peer in
-        {
-          spare;
-          mode = `Image_plus_full;
-          image_bytes;
-          transferred_bytes = bytes;
-          duration = Units.Bandwidth.transfer_time network_bandwidth bytes;
-          missed_updates;
-        }
-  in
-  sp.Node.alive <- true;
-  result
 
 let consistent t =
   match live_nodes t with

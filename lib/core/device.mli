@@ -59,6 +59,4 @@ val ios_failed : t -> int
 
 (** Per-platform suites calibrated to Figure 9. *)
 
-val intel_suite : unit -> t list
-val amd_suite : unit -> t list
 val suite_for : Wsp_machine.Platform.t -> t list

@@ -343,18 +343,6 @@ let attach_heap ?config t =
   Pheap.attach_in ?config ~nvram:t.nvram ~base:(app_base t)
     ~len:(app_len t) ()
 
-(* --- image shipping ------------------------------------------------ *)
-
-let heap_image t heap =
-  if Pheap.nvram heap != t.nvram then
-    invalid_arg "System.heap_image: heap does not live on this node";
-  Image.save heap
-
-let adopt_image t image =
-  if Image.region_len image > app_len t then
-    invalid_arg "System.adopt_image: image larger than this node's region";
-  Image.restore_at image ~nvram:t.nvram ~base:(app_base t) ()
-
 (* --- observability -------------------------------------------------- *)
 
 (* Cold path: runs once per failure cycle, after the event loop drains,

@@ -156,19 +156,6 @@ val attach_heap : ?config:Config.t -> t -> Pheap.t
 (** Re-adopts the heap after a restore, running software recovery. The
     heap must have been formatted with {!heap}'s default 4 MiB log. *)
 
-val heap_image : t -> Pheap.t -> Image.t
-(** Captures this node's application heap as a relocatable image
-    ({!Image.save}) — the unit of node-to-node migration. The heap must
-    live in this machine's NVRAM. *)
-
-val adopt_image : t -> Image.t -> Pheap.t
-(** Restores a (possibly foreign) heap image at {e this} node's
-    application base — generally a different address than the image was
-    saved at; the base-relative root relocates automatically and callers
-    run their structure's swizzle pass for intra-heap pointers. The
-    heap runs under {!Config.fof}. Raises [Invalid_argument] when the
-    image does not fit this node's region. *)
-
 val inject_power_failure : t -> unit
 (** Fails input power now and runs the engine until the machine is off
     and any NVDIMM save has finished. Inspect {!report} afterwards. *)

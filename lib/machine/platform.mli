@@ -51,13 +51,10 @@ val aggregate_hierarchy : t -> Hierarchy.config
 (** Every cache on the machine folded into one hierarchy — what
     machine-wide flush timing (Figure 8, Table 2) walks. *)
 
-(* The four measured platforms. *)
+(* Measured platforms; [all] adds the Westmere X5650 (Figure 8 only). *)
 
 val intel_c5528 : t
 (** The paper's high-end testbed: 2-socket Nehalem, 2 × 8 MB L3. *)
-
-val intel_x5650 : t
-(** Westmere Xeon, 12 MB L3 (Figure 8 only). *)
 
 val amd_4180 : t
 (** The paper's low-end testbed: 6-core Opteron, 6 MB L3. *)

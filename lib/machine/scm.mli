@@ -27,12 +27,6 @@ val dram : profile
 val pcm_optimistic : profile
 (** Phase-change memory, optimistic corner: reads 2×, writes 10×. *)
 
-val pcm_pessimistic : profile
-(** Phase-change memory, pessimistic corner: reads 2×, writes 100×. *)
-
-val memristor : profile
-(** A faster-SCM projection: reads 1.5×, writes 4×. *)
-
 val profiles : profile list
 val by_name : string -> profile option
 

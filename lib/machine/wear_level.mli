@@ -35,9 +35,6 @@ val gap_moves : t -> int
 val wear : t -> int array
 (** Per-physical-slot write counts. *)
 
-val max_wear : t -> int
-val mean_wear : t -> float
-
 val wear_ratio : t -> float
 (** [max_wear / mean_wear] — 1.0 is perfect levelling. Uniform traffic
     without levelling also gives ≈1; a hot spot without levelling gives

@@ -6,12 +6,7 @@ type event = {
   tid : int;
 }
 
-type t = {
-  tid : int;
-  mutable events : event array;
-  mutable size : int;
-  mutable open_spans : (string * string * int) list;  (* name, cat, start *)
-}
+type t = { tid : int; mutable events : event array; mutable size : int }
 
 let global_enabled = Atomic.make false
 let set_enabled v = Atomic.set global_enabled v
@@ -19,10 +14,7 @@ let enabled () = Atomic.get global_enabled
 
 let next_tid = Atomic.make 0
 
-let make () =
-  { tid = Atomic.fetch_and_add next_tid 1; events = [||]; size = 0; open_spans = [] }
-
-let create () = make ()
+let create () = { tid = Atomic.fetch_and_add next_tid 1; events = [||]; size = 0 }
 
 let push t ev =
   let capacity = Array.length t.events in
@@ -49,17 +41,6 @@ let span ?(cat = "sim") t ~name ~start_ps ~stop_ps =
         tid = t.tid;
       }
 
-let begin_span ?(cat = "sim") t ~name ~ts =
-  if enabled () then t.open_spans <- (name, cat, ts) :: t.open_spans
-
-let end_span t ~ts =
-  if enabled () then
-    match t.open_spans with
-    | [] -> invalid_arg "Tracer.end_span: no open span"
-    | (name, cat, start_ps) :: rest ->
-        t.open_spans <- rest;
-        span ~cat t ~name ~start_ps ~stop_ps:ts
-
 let events t = Array.to_list (Array.sub t.events 0 t.size)
 
 (* --- ambient per-domain tracers ------------------------------------- *)
@@ -69,7 +50,7 @@ let all_ambient_mu = Mutex.create ()
 
 let ambient_key : t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let tr = make () in
+      let tr = create () in
       Mutex.lock all_ambient_mu;
       all_ambient := tr :: !all_ambient;
       Mutex.unlock all_ambient_mu;
@@ -87,8 +68,7 @@ let reset_all () =
   List.iter
     (fun t ->
       t.size <- 0;
-      t.events <- [||];
-      t.open_spans <- [])
+      t.events <- [||])
     (snapshot_ambient ())
 
 (* --- export ---------------------------------------------------------- *)

@@ -31,15 +31,6 @@ val instant : ?cat:string -> t -> name:string -> ts:int -> unit
 val span : ?cat:string -> t -> name:string -> start_ps:int -> stop_ps:int -> unit
 (** A complete span (Chrome phase [X]). Recorded only when enabled. *)
 
-val begin_span : ?cat:string -> t -> name:string -> ts:int -> unit
-(** Opens a span; close it with [end_span]. Begin/end pairs nest per
-    tracer (a stack), and the pair is emitted as one complete span. *)
-
-val end_span : t -> ts:int -> unit
-(** Closes the innermost open span. Raises [Invalid_argument] when no
-    span is open (only if tracing is enabled; disabled tracing makes
-    both calls no-ops). *)
-
 type event = {
   name : string;
   cat : string;

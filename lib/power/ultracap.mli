@@ -49,7 +49,3 @@ val discharge : t -> power:Units.Power.t -> during:Time.t -> [ `Ok | `Exhausted 
 
 val recharge : t -> unit
 (** Restores full charge and counts one charge/discharge cycle. *)
-
-val voltage_after : t -> power:Units.Power.t -> during:Time.t -> Units.Voltage.t
-(** Pure variant of {!discharge}: terminal voltage after the draw,
-    without mutating the cell. *)

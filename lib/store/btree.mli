@@ -13,8 +13,6 @@ open Wsp_nvheap
 
 type t
 
-val min_degree : int
-
 val create : Pheap.t -> t
 (** Allocates an empty root leaf and publishes it as the heap root. *)
 

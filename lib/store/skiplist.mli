@@ -14,8 +14,6 @@ open Wsp_nvheap
 
 type t
 
-val max_level : int
-
 val create : ?seed:int -> Pheap.t -> t
 (** Allocates the head tower and publishes it as the heap root. *)
 

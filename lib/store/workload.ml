@@ -89,49 +89,6 @@ let structure_name = function
 
 let structures = [ Hash; Avl_tree; Skip_list; B_tree ]
 
-(* A first-class view of one persistent key-value structure. *)
-type kv = {
-  kv_insert : key:int64 -> value:int64 -> unit;
-  kv_find : int64 -> int64 option;
-  kv_delete : int64 -> bool;
-  kv_count : unit -> int;
-}
-
-let kv_of_structure structure heap =
-  match structure with
-  | Hash ->
-      let t = Hash_table.create heap in
-      {
-        kv_insert = Hash_table.insert t;
-        kv_find = Hash_table.find t;
-        kv_delete = Hash_table.delete t;
-        kv_count = (fun () -> Hash_table.count t);
-      }
-  | Avl_tree ->
-      let t = Avl.create heap in
-      {
-        kv_insert = Avl.insert t;
-        kv_find = Avl.find t;
-        kv_delete = Avl.delete t;
-        kv_count = (fun () -> Avl.size t);
-      }
-  | Skip_list ->
-      let t = Skiplist.create heap in
-      {
-        kv_insert = Skiplist.insert t;
-        kv_find = Skiplist.find t;
-        kv_delete = Skiplist.delete t;
-        kv_count = (fun () -> Skiplist.size t);
-      }
-  | B_tree ->
-      let t = Btree.create heap in
-      {
-        kv_insert = Btree.insert t;
-        kv_find = Btree.find t;
-        kv_delete = Btree.delete t;
-        kv_count = (fun () -> Btree.size t);
-      }
-
 let op_overhead = Time.ns 60.0
 
 let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
@@ -142,7 +99,13 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
   let rng = Rng.create ~seed in
   let heap = Pheap.create ?hierarchy ~config ~size:heap_size () in
   (* Setup is unmeasured and untransactional, as in the paper's harness. *)
-  let kv = kv_of_structure structure heap in
+  let kv =
+    match structure with
+    | Hash -> Kv_view.hash_table (Hash_table.create heap)
+    | Avl_tree -> Kv_view.avl (Avl.create heap)
+    | Skip_list -> Kv_view.skiplist (Skiplist.create heap)
+    | B_tree -> Kv_view.btree (Btree.create heap)
+  in
   let pool = Key_pool.create ~capacity:(2 * entries) () in
   (* Zipfian popularity ranks the pool's slots; uniform draws any. *)
   let slot =
@@ -159,7 +122,7 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
   for _ = 1 to entries do
     let key = Key_pool.fresh pool in
     Key_pool.add pool key;
-    Pheap.durably heap (fun () -> kv.kv_insert ~key ~value:(Int64.neg key))
+    Pheap.durably heap (fun () -> kv.insert ~key ~value:(Int64.neg key))
   done;
   Pheap.reset_clock heap;
   let lookups = ref 0 and inserts = ref 0 and deletes = ref 0 in
@@ -170,17 +133,17 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
         incr lookups;
         match Key_pool.nth_present pool (slot ()) with
         | None -> ()
-        | Some key -> ignore (Pheap.durably heap (fun () -> kv.kv_find key)))
+        | Some key -> ignore (Pheap.durably heap (fun () -> kv.find key)))
     | Insert ->
         incr inserts;
         let key = Key_pool.fresh pool in
         Key_pool.add pool key;
-        Pheap.durably heap (fun () -> kv.kv_insert ~key ~value:(Int64.neg key))
+        Pheap.durably heap (fun () -> kv.insert ~key ~value:(Int64.neg key))
     | Delete -> (
         incr deletes;
         match Key_pool.remove_at pool (slot ()) with
         | None -> ()
-        | Some key -> ignore (Pheap.durably heap (fun () -> kv.kv_delete key)))
+        | Some key -> ignore (Pheap.durably heap (fun () -> kv.delete key)))
   done;
   let elapsed = Pheap.clock heap in
   {
@@ -192,7 +155,7 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
     lookups = !lookups;
     inserts = !inserts;
     deletes = !deletes;
-    final_count = kv.kv_count ();
+    final_count = kv.size ();
   }
 
 type block_result = {

@@ -7,7 +7,8 @@
 #      --jobs 2 on two sabotaged cells whose reports carry violations.
 #      The incremental engine is compared with the full-replay
 #      reference engine in the test suite (test/suite_check.ml).
-#   2. Lint JSON is byte-identical between --jobs 1 and --jobs 4.
+#   2. Lint JSON parses and is byte-identical between --jobs 1 and
+#      --jobs 4.
 #   3. The shard service's --metrics export is byte-identical between
 #      --jobs 1 and --jobs 2 (each shard counts into its own registry,
 #      so two worker domains never share a counter).
@@ -45,9 +46,10 @@ check_jobs() {
 check_jobs --workload block_kv --config wsp --broken wsp-save
 check_jobs --workload hash_table --config undo --broken fences
 
-echo "== lint: --jobs 4 JSON byte-identical to --jobs 1 =="
+echo "== lint: valid JSON, --jobs 4 byte-identical to --jobs 1 =="
 "$SIM" lint --expect R3 --jobs 1 --json lint-det-j1.json > /dev/null
 "$SIM" lint --expect R3 --jobs 4 --json lint-det-j4.json > /dev/null
+python3 -c "import json; json.load(open('lint-det-j1.json'))"
 cmp lint-det-j1.json lint-det-j4.json
 
 echo "== shard: --metrics --jobs 2 byte-identical to --jobs 1 =="

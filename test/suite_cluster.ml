@@ -152,72 +152,6 @@ let replicated_kv_tests =
            with Invalid_argument _ -> true));
   ]
 
-let failover_tests =
-  [
-    Alcotest.test_case "a spare adopts a dead node's image and catches up"
-      `Quick (fun () ->
-        let c = Replicated_kv.create ~replicas:3 () in
-        for i = 1 to 100 do
-          Replicated_kv.put c ~key:(Int64.of_int i) ~value:0L
-        done;
-        Replicated_kv.fail_node c 1;
-        for i = 1 to 10 do
-          Replicated_kv.put c ~key:(Int64.of_int i) ~value:1L
-        done;
-        let spare = Replicated_kv.add_spare c in
-        let f = Replicated_kv.failover_node c ~failed:1 ~spare in
-        Alcotest.(check bool) "image + log catch-up" true
-          (f.Replicated_kv.mode = `Image_catch_up);
-        Alcotest.(check int) "ten missed" 10 f.Replicated_kv.missed_updates;
-        Alcotest.(check bool) "image bytes shipped" true
-          (f.Replicated_kv.image_bytes > 0);
-        Alcotest.(check bool) "catch-up beats re-replication" true
-          (f.Replicated_kv.transferred_bytes
-          < 2 * f.Replicated_kv.image_bytes);
-        (* The dead node left the roster for good. *)
-        Alcotest.(check bool) "roster dropped the dead node" true
-          (not
-             (List.exists
-                (fun n -> Replicated_kv.Node.id n = 1)
-                (Replicated_kv.nodes c)));
-        Alcotest.(check bool) "spare serves" true
-          (List.exists
-             (fun n -> Replicated_kv.Node.id n = spare)
-             (Replicated_kv.live_nodes c));
-        Alcotest.(check bool) "consistent" true (Replicated_kv.consistent c));
-    Alcotest.test_case "failover beyond retention re-clones a live peer"
-      `Quick (fun () ->
-        let c = Replicated_kv.create ~replicas:2 ~log_retention:10 () in
-        for i = 1 to 5 do
-          Replicated_kv.put c ~key:(Int64.of_int i) ~value:0L
-        done;
-        Replicated_kv.fail_node c 1;
-        for i = 1 to 50 do
-          Replicated_kv.put c ~key:(Int64.of_int i) ~value:1L
-        done;
-        let spare = Replicated_kv.add_spare c in
-        let f = Replicated_kv.failover_node c ~failed:1 ~spare in
-        Alcotest.(check bool) "image + full re-clone" true
-          (f.Replicated_kv.mode = `Image_plus_full);
-        Alcotest.(check bool) "consistent" true (Replicated_kv.consistent c));
-    Alcotest.test_case "failover of a live node or onto a live spare is \
-                        rejected" `Quick (fun () ->
-        let c = Replicated_kv.create ~replicas:3 () in
-        Replicated_kv.put c ~key:1L ~value:1L;
-        let spare = Replicated_kv.add_spare c in
-        Alcotest.(check bool) "live failed node raises" true
-          (try
-             ignore (Replicated_kv.failover_node c ~failed:0 ~spare);
-             false
-           with Invalid_argument _ -> true);
-        Replicated_kv.fail_node c 1;
-        Alcotest.(check bool) "serving spare raises" true
-          (try
-             ignore (Replicated_kv.failover_node c ~failed:1 ~spare:0);
-             false
-           with Invalid_argument _ -> true));
-  ]
-
 let replicated_kv_props =
   [
     QCheck_alcotest.to_alcotest
@@ -402,5 +336,5 @@ let suite =
     ("cluster.recovery_storm", storm_tests @ fleet_tests);
     ("cluster.replication", replication_tests);
     ( "cluster.replicated_kv",
-      replicated_kv_tests @ failover_tests @ replicated_kv_props );
+      replicated_kv_tests @ replicated_kv_props );
   ]

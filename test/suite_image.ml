@@ -1,12 +1,10 @@
 (* Tests for relocatable heap images: the tagged root sentinel, image
    round-trips at the same and at different bases, wire-form corruption
-   rejection, msync-backend transaction basics, and node-to-node image
-   shipping through System. *)
+   rejection and msync-backend transaction basics. *)
 
 open Wsp_sim
 open Wsp_nvheap
 module Avl = Wsp_store.Avl
-module System = Wsp_core.System
 module Hierarchy = Wsp_machine.Hierarchy
 
 let kib = Units.Size.kib
@@ -435,34 +433,6 @@ let msync_tests =
           (Avl.find tree 1L = Some 10L));
   ]
 
-let system_tests =
-  [
-    Alcotest.test_case "image ships between two machines" `Quick (fun () ->
-        let a = System.create ~memory:(Units.Size.mib 1) () in
-        let b = System.create ~memory:(Units.Size.mib 1) () in
-        let heap_a = System.heap ~log_size a in
-        let tree_a = Avl.create heap_a in
-        for i = 0 to 99 do
-          Avl.insert tree_a ~key:(Int64.of_int i) ~value:(Int64.of_int (-i))
-        done;
-        let expected = Avl.to_list tree_a in
-        let image = System.heap_image a heap_a in
-        let heap_b = System.adopt_image b image in
-        (* Identically shaped machines put the app region at the same
-           base, so the delta here is zero; the relocated-base path is
-           exercised by the Pheap-level tests above. *)
-        let delta = System.app_base b - Image.src_base image in
-        let tree_b = Avl.attach_relocated heap_b ~delta in
-        check_tree_equal "shipped tree" expected tree_b);
-    Alcotest.test_case "a foreign heap is refused" `Quick (fun () ->
-        let a = System.create ~memory:(Units.Size.mib 1) () in
-        let other = fresh_heap () in
-        Alcotest.check_raises "foreign heap"
-          (Invalid_argument
-             "System.heap_image: heap does not live on this node") (fun () ->
-            ignore (System.heap_image a other)));
-  ]
-
 let suite =
   [
     ("image.root", root_sentinel_tests);
@@ -470,5 +440,4 @@ let suite =
     ("image.corruption", corruption_tests);
     ("image.swizzle", swizzle_tests);
     ("image.msync", msync_tests);
-    ("image.system", system_tests);
   ]

@@ -9,6 +9,30 @@ let mk_nvram ?(size = Units.Size.kib 256) () = Nvram.create ~size ()
 
 (* --- Nvram ---------------------------------------------------------------- *)
 
+(* Litmus for an 8-byte store whose low four bytes sit at the end of
+   one cache line and whose high four start the next: flushing one line
+   and crashing tears the word at the line boundary, whichever half the
+   flushed line holds ("Lost in Interpretation", PAPERS.md). *)
+let straddle_litmus ~flush =
+  let nv = mk_nvram () in
+  let line = Nvram.line_size nv in
+  let addr = line - 4 in
+  let old_v = 0x1111_1111_2222_2222L and new_v = 0x3333_3333_4444_4444L in
+  Nvram.write_u64 nv ~addr old_v;
+  Nvram.wbinvd nv;
+  Nvram.write_u64 nv ~addr new_v;
+  let low, high =
+    match flush with
+    | `First -> (new_v, old_v)
+    | `Second -> (old_v, new_v)
+  in
+  Nvram.clflush nv ~addr:(match flush with `First -> 0 | `Second -> line);
+  Nvram.crash nv;
+  let mask = 0xFFFF_FFFFL in
+  Alcotest.(check int64) "torn at the line boundary"
+    Int64.(logor (logand low mask) (logand high (lognot mask)))
+    (Bytes.get_int64_le (Nvram.persistent_image nv) addr)
+
 let nvram_tests =
   [
     Alcotest.test_case "read your writes" `Quick (fun () ->
@@ -41,6 +65,12 @@ let nvram_tests =
         Nvram.crash nv;
         Alcotest.(check int64) "flushed survives" 7L (Nvram.read_u64 nv ~addr:64);
         Alcotest.(check int64) "other lost" 0L (Nvram.read_u64 nv ~addr:256));
+    Alcotest.test_case "straddling store: flushing the first line persists \
+                        its low half" `Quick (fun () ->
+        straddle_litmus ~flush:`First);
+    Alcotest.test_case "straddling store: flushing the second line persists \
+                        its high half" `Quick (fun () ->
+        straddle_litmus ~flush:`Second);
     Alcotest.test_case "wbinvd makes everything durable" `Quick (fun () ->
         let nv = mk_nvram () in
         for i = 0 to 63 do

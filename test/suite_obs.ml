@@ -185,27 +185,6 @@ let tracer_tests =
           (contains ~sub:"\"dur\":2.500000" json);
         Alcotest.(check bool) "instant" true
           (contains ~sub:"\"ph\":\"i\"" json));
-    Alcotest.test_case "begin/end nest as a stack" `Quick (fun () ->
-        Tracer.set_enabled true;
-        Fun.protect ~finally:(fun () -> Tracer.set_enabled false) @@ fun () ->
-        let tr = Tracer.create () in
-        Tracer.begin_span tr ~name:"outer" ~ts:0;
-        Tracer.begin_span tr ~name:"inner" ~ts:10;
-        Tracer.end_span tr ~ts:20;
-        Tracer.end_span tr ~ts:100;
-        (match Tracer.events tr with
-        | [ a; b ] ->
-            Alcotest.(check string) "inner first" "inner" a.Tracer.name;
-            Alcotest.(check int) "inner dur" 10 a.Tracer.dur_ps;
-            Alcotest.(check string) "outer second" "outer" b.Tracer.name;
-            Alcotest.(check int) "outer dur" 100 b.Tracer.dur_ps
-        | evs -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d"
-                                  (List.length evs)));
-        Alcotest.(check bool) "unbalanced end raises" true
-          (try
-             Tracer.end_span tr ~ts:200;
-             false
-           with Invalid_argument _ -> true));
     Alcotest.test_case "export orders by timestamp" `Quick (fun () ->
         Tracer.set_enabled true;
         Fun.protect ~finally:(fun () ->

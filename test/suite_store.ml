@@ -1,5 +1,6 @@
 (* Tests for wsp_store: AVL tree, hash table (model-based against the
-   stdlib), workloads and the directory server. *)
+   stdlib), the shared key-value view, workloads and the directory
+   server. *)
 
 open Wsp_sim
 open Wsp_nvheap
@@ -381,10 +382,68 @@ let directory_tests =
           (w.Directory.updates_per_s > m.Directory.updates_per_s));
   ]
 
+(* --- Kv_view ------------------------------------------------------------ *)
+
+(* Drive each structure through its view against a stdlib model: every
+   field must reach the structure the constructor closed over, so
+   find/delete answers, size, contents and the invariant walk agree with
+   the model after a mixed run of inserts, overwrites and deletes. *)
+let kv_view_agrees_with_model (kv : Kv_view.t) =
+  let model = Hashtbl.create 64 in
+  let rng = Random.State.make [| 28 |] in
+  for _ = 1 to 400 do
+    let key = Int64.of_int (Random.State.int rng 64) in
+    match Random.State.int rng 3 with
+    | 0 ->
+        Alcotest.(check bool) "delete answer" (Hashtbl.mem model key)
+          (kv.Kv_view.delete key);
+        Hashtbl.remove model key
+    | _ ->
+        let value = Random.State.int64 rng 1_000_000L in
+        kv.Kv_view.insert ~key ~value;
+        Hashtbl.replace model key value
+  done;
+  for k = 0 to 63 do
+    let key = Int64.of_int k in
+    Alcotest.(check (option int64)) "find" (Hashtbl.find_opt model key)
+      (kv.Kv_view.find key)
+  done;
+  Alcotest.(check int) "size" (Hashtbl.length model) (kv.Kv_view.size ());
+  Alcotest.(check (list (pair int64 int64)))
+    "to_list"
+    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+    (List.sort compare (kv.Kv_view.to_list ()));
+  Alcotest.(check bool) "check" true (kv.Kv_view.check () = Ok ())
+
+let kv_view_tests =
+  let case name mk =
+    Alcotest.test_case (name ^ " view agrees with a model") `Quick (fun () ->
+        kv_view_agrees_with_model (mk ()))
+  in
+  [
+    case "hash table" (fun () ->
+        Kv_view.hash_table (Hash_table.create ~buckets:16 (mk_heap ())));
+    case "avl" (fun () -> Kv_view.avl (Avl.create (mk_heap ())));
+    case "skiplist" (fun () -> Kv_view.skiplist (Skiplist.create (mk_heap ())));
+    case "btree" (fun () -> Kv_view.btree (Btree.create (mk_heap ())));
+    case "block kv" (fun () ->
+        let nvram = Nvram.create ~size:(Units.Size.mib 4) () in
+        let heap =
+          Pheap.create_in ~nvram ~base:0 ~len:(Units.Size.mib 2)
+            ~log_size:(Units.Size.kib 64) ()
+        in
+        let device =
+          Blockstore.create nvram ~base:(Units.Size.mib 2)
+            ~len:(Units.Size.mib 2) ()
+        in
+        Kv_view.block_kv (Block_kv.create ~buckets:64 ~heap ~device ()));
+  ]
+
 let suite =
   [
     ("store.avl", avl_tests @ avl_props);
     ("store.hash_table", hash_tests @ hash_props);
+    ("store.kv_view", kv_view_tests);
     ("store.workload", workload_tests);
     ("store.directory", directory_tests);
   ]
