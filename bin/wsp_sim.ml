@@ -145,7 +145,6 @@ let with_jobs verb jobs f =
    leaves its observability behind. *)
 let with_obs metrics trace f =
   if trace <> None then Wsp_obs.Tracer.set_enabled true;
-  if metrics <> None then Wsp_nvheap.Event_obs.set_enabled true;
   let export () =
     (* The compact metrics JSON carries no final newline of its own. *)
     if metrics <> None then

@@ -246,9 +246,9 @@ let storm f =
     order;
   (* Tail statistics are over the nodes that failed; a node that never
      went down has no restore latency to report. *)
-  let samples =
-    Array.to_list (Array.map (fun i -> Time.to_s latencies.(i)) failing)
-  in
+  let samples = Array.map (fun i -> Time.to_s latencies.(i)) failing in
+  let mean = Array.fold_left ( +. ) 0.0 samples /. float_of_int nfail in
+  Array.sort Float.compare samples;
   let horizon = Time.to_s f.horizon in
   let downtime =
     Array.fold_left
@@ -275,7 +275,7 @@ let storm f =
     p50 = Time.s (Stats.percentile samples 50.0);
     p99 = Time.s (Stats.percentile samples 99.0);
     worst = Time.s (Stats.percentile samples 100.0);
-    mean = Time.s (List.fold_left ( +. ) 0.0 samples /. float_of_int nfail);
+    mean = Time.s mean;
     availability;
     failed_in_window;
     spare_failovers;

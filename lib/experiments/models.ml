@@ -13,41 +13,29 @@ type row = {
 let seed = 31
 
 let data ?(entries = 5000) ?(ops = 20_000) () =
-  let heap_row label config =
-    let per_op p =
-      (Workload.run_structure_benchmark ~structure:Workload.Hash ~entries ~ops
-         ~heap_size:(Units.Size.mib 32) ~config ~update_prob:p ~seed ())
-        .Workload.per_op
-    in
-    {
-      label;
-      per_op_read = per_op 0.0;
-      per_op_mixed = per_op 0.5;
-      per_op_update = per_op 1.0;
-      footprint_factor = 1.0;
-    }
-  in
-  let block_row =
+  let row label structure config =
     let run p =
-      Workload.run_block_benchmark ~entries ~ops ~heap_size:(Units.Size.mib 32)
-        ~update_prob:p ~seed ()
+      Workload.run_structure_benchmark ~structure ~entries ~ops
+        ~heap_size:(Units.Size.mib 32) ~config ~update_prob:p ~seed ()
     in
     let r0 = run 0.0 and r5 = run 0.5 and r1 = run 1.0 in
     {
-      label = "Block-based (RAMdisk journal)";
-      per_op_read = r0.Workload.block_per_op;
-      per_op_mixed = r5.Workload.block_per_op;
-      per_op_update = r1.Workload.block_per_op;
+      label;
+      per_op_read = r0.Workload.per_op;
+      per_op_mixed = r5.Workload.per_op;
+      per_op_update = r1.Workload.per_op;
       footprint_factor =
-        float_of_int (r5.Workload.table_bytes + r5.Workload.journal_bytes)
-        /. float_of_int r5.Workload.table_bytes;
+        (match r5.Workload.footprint with
+        | None -> 1.0
+        | Some { Workload.table_bytes; journal_bytes } ->
+            float_of_int (table_bytes + journal_bytes) /. float_of_int table_bytes);
     }
   in
   [
-    block_row;
-    heap_row "NV-heap (FoC + STM, Mnemosyne)" Config.foc_stm;
-    heap_row "NV-heap (FoC + UL)" Config.foc_ul;
-    heap_row "Whole-system (WSP, FoF)" Config.fof;
+    row "Block-based (RAMdisk journal)" Workload.Block Config.fof;
+    row "NV-heap (FoC + STM, Mnemosyne)" Workload.Hash Config.foc_stm;
+    row "NV-heap (FoC + UL)" Workload.Hash Config.foc_ul;
+    row "Whole-system (WSP, FoF)" Workload.Hash Config.fof;
   ]
 
 let run ~full =

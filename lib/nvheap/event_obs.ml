@@ -1,12 +1,8 @@
 module C = Wsp_obs.Metrics.Counter
 
-let flag = Atomic.make false
-let set_enabled b = Atomic.set flag b
-let enabled () = Atomic.get flag
-
 let attach ?metrics bus =
   let reg =
-    match metrics with Some reg -> reg | None -> Wsp_obs.Metrics.ambient ()
+    match metrics with Some reg -> reg | None -> Wsp_obs.Metrics.create ()
   in
   let c = Wsp_obs.Metrics.counter reg in
   let m_fences = c "nvheap.fences" in

@@ -1,33 +1,24 @@
-(** The metrics bridge: nvheap-level counters derived from the event bus
-    instead of being hand-threaded through each emitter's call sites.
+(** The event-derived reference for the six [nvheap.*] counters, and a
+    subscriber whose cost is one hooked dispatch per event.
 
-    When enabled, every {!Nvram.create} attaches one counting subscriber
-    to the new NVRAM's bus, resolving counter handles from the NVRAM's
-    registry ({!Nvram.metrics}) — so per-registry counts merge
-    commutatively and [--jobs N] metrics exports stay byte-identical,
-    exactly as the inline counters did. When disabled (the default), nothing is
-    attached and an unobserved NVRAM pays only the bus's zero-subscriber
-    branch per event.
+    The counters themselves are kept inline by their emitters, resolved
+    once from {!Nvram.metrics}: [nvheap.fences] by {!Nvram.fence},
+    [nvheap.log.appends], [nvheap.log.append_words] and
+    [nvheap.log.truncates] by {!Rawlog}, [nvheap.txn.commits] and
+    [nvheap.txn.aborts] by {!Txn}. This subscriber counts the same names
+    from the events on a bus instead, so a test can check that the
+    inline counts are what the bus carried, and a benchmark can price a
+    store with one subscriber attached.
 
-    Counters maintained: [nvheap.fences], [nvheap.log.appends],
-    [nvheap.log.append_words], [nvheap.log.truncates],
-    [nvheap.txn.commits], [nvheap.txn.aborts]. The [No_log]
-    configuration's commits and aborts publish no events (there is no
-    transaction machinery to announce), so {!Txn} counts those two
-    inline — totals match the event-derived counts of the logging
-    configurations. *)
-
-val set_enabled : bool -> unit
-(** Globally enables/disables the bridge for NVRAMs created {e after}
-    the call (in any domain). The CLI's [--metrics] plumbing turns this
-    on. *)
-
-val enabled : unit -> bool
+    The two disagree in one place by design: the [No_log] configuration
+    publishes no [Tx] events (there is no transaction machinery to
+    announce), so only the inline counters see its commits and
+    aborts. *)
 
 val attach :
   ?metrics:Wsp_obs.Metrics.t ->
   Event.t Wsp_events.Bus.t ->
   Wsp_events.Bus.subscription
-(** Attaches the counting subscriber to one bus explicitly, regardless
-    of {!enabled}; counters resolve from [metrics] (default: the calling
-    domain's ambient registry). *)
+(** Attaches the counting subscriber to one bus; counters resolve from
+    [metrics] (default: a fresh private registry, so attaching never
+    double-counts into the registry the inline counters use). *)

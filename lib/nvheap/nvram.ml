@@ -130,6 +130,7 @@ type t = {
   sync_bus : Event.sync Bus.t;
   counts : counts;
   metrics : Wsp_obs.Metrics.t;
+  m_fences : Wsp_obs.Metrics.Counter.t;
   mutable fault : fault;
   mutable steps_left : int;
       (* Remaining budgeted accesses; -1 = unlimited (the default). *)
@@ -185,7 +186,6 @@ let create ?hierarchy ?backing ?metrics ~size () =
         Lines.remove dirty line
   in
   let h = Hierarchy.create ~on_writeback ~metrics cfg in
-  if Event_obs.enabled () then ignore (Event_obs.attach ~metrics bus);
   {
     backing;
     dirty;
@@ -197,6 +197,7 @@ let create ?hierarchy ?backing ?metrics ~size () =
     sync_bus = Bus.create ();
     counts;
     metrics;
+    m_fences = Wsp_obs.Metrics.counter metrics "nvheap.fences";
     fault = No_fault;
     steps_left = -1;
     tap;
@@ -408,6 +409,7 @@ let drain_wc t =
 
 let fence t =
   t.counts.fences <- t.counts.fences + 1;
+  Wsp_obs.Metrics.Counter.incr t.m_fences;
   if Bus.active t.bus then emit t Fence;
   charge t (Hierarchy.fence t.hierarchy);
   (* A broken fence charges its latency but never drains the

@@ -41,8 +41,11 @@ val hierarchy : t -> Wsp_machine.Hierarchy.t
     events on {!bus}. *)
 
 val metrics : t -> Wsp_obs.Metrics.t
-(** The registry given to (or defaulted by) {!create}; {!Txn} resolves
-    its counters here too. *)
+(** The registry given to (or defaulted by) {!create}. The NVRAM counts
+    [nvheap.fences] here, and {!Rawlog} and {!Txn} resolve their
+    [nvheap.log.*] and [nvheap.txn.*] counters here too; each is bumped
+    inline, next to its {!tally} field, whether or not anyone
+    subscribes to {!bus}. *)
 
 val clock : t -> Time.t
 (** Simulated time consumed by memory operations so far. *)
@@ -90,8 +93,8 @@ val wbinvd : t -> unit
 
 (** {1 The persistency event bus}
 
-    The instrumentation interface the crash-consistency checker, the
-    metrics bridge and the static analyzer are built on: every primitive
+    The instrumentation interface the crash-consistency checker and the
+    static analyzer are built on: every primitive
     that can change (or fail to change) what a power failure preserves
     publishes itself {e before} mutating any state, so a subscriber that
     raises models a crash exactly between two stores. Reads are not

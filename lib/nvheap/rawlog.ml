@@ -2,15 +2,34 @@ exception Log_full
 
 type mode = Durable | Cached
 
+module Counter = Wsp_obs.Metrics.Counter
+
 type t = {
   nvram : Nvram.t;
   base : int;
   words : int;  (* region capacity in 64-bit words, header included *)
   mutable gen : int;
   mutable head : int;  (* next free word index; word 0 is the gen word *)
+  m_appends : Counter.t;
+  m_append_words : Counter.t;
+  m_truncates : Counter.t;
 }
 
 module Bus = Wsp_events.Bus
+
+(* An unformatted view of the region: generation 1, empty. *)
+let make nvram ~base ~len =
+  let c = Wsp_obs.Metrics.counter (Nvram.metrics nvram) in
+  {
+    nvram;
+    base;
+    words = len / 8;
+    gen = 1;
+    head = 1;
+    m_appends = c "nvheap.log.appends";
+    m_append_words = c "nvheap.log.append_words";
+    m_truncates = c "nvheap.log.truncates";
+  }
 
 (* Callers test [observed] first, so an unobserved log builds no
    event. *)
@@ -47,7 +66,7 @@ let write_gen t ~mode gen =
 
 let create nvram ~base ~len =
   if base mod 8 <> 0 || len < 64 then invalid_arg "Rawlog.create: bad region";
-  let t = { nvram; base; words = len / 8; gen = 1; head = 1 } in
+  let t = make nvram ~base ~len in
   write_gen t ~mode:Durable 1;
   t
 
@@ -69,11 +88,13 @@ let decode_header chunk =
 
 let record_words n_values = 1 + (2 * n_values)
 
-(* A record is opened (capacity check, tally, announcement, header
+(* A record is opened (capacity check, counts, announcement, header
    word), filled with [write_value], and closed (fence, head). *)
 let open_record t ~mode ~kind ~n =
   if t.head + record_words n > t.words then raise Log_full;
   Nvram.count_log_append t.nvram;
+  Counter.incr t.m_appends;
+  Counter.add t.m_append_words (record_words n);
   if observed t then emit t (Append { kind; n_values = n });
   write_word t ~mode t.head (encode_word ~gen:t.gen (header_chunk ~kind ~n))
 
@@ -103,6 +124,7 @@ let append_addr t ~mode ~kind addr v =
   close_record t ~mode ~n:2
 
 let truncate t ~mode =
+  Counter.incr t.m_truncates;
   if observed t then emit t Truncate;
   t.gen <- (t.gen + 1) land 0xffff;
   if t.gen = 0 then t.gen <- 1;
@@ -144,7 +166,7 @@ let scan_persistent t =
   scan_with t (fun i -> Nvram.peek_u64 t.nvram ~addr:(word_addr t i))
 
 let attach nvram ~base ~len =
-  let t = { nvram; base; words = len / 8; gen = 1; head = 1 } in
+  let t = make nvram ~base ~len in
   t.gen <- gen_of_header (read_word t 0);
   if t.gen = 0 then begin
     (* Never formatted: format now. *)

@@ -15,7 +15,8 @@
 
     {!append} and {!truncate} publish an [Event.Log] annotation on the
     owning {!Nvram.bus} at operation entry, before any word is written;
-    the words themselves arrive as [Event.Mem] events. *)
+    the words themselves arrive as [Event.Mem] events. Each also bumps
+    its [nvheap.log.*] counters of {!Nvram.metrics} inline. *)
 
 exception Log_full
 

@@ -59,8 +59,6 @@ type t = {
   scratch : tx;  (* reused across transactions to avoid allocation churn *)
   mutable commits_since_truncate : int;
   unflushed : unit Itbl.t;  (* line-aligned addresses (FoC redo) *)
-  mutable committed : int;
-  mutable aborted : int;
   m_commits : Wsp_obs.Metrics.Counter.t;
   m_aborts : Wsp_obs.Metrics.Counter.t;
 }
@@ -70,8 +68,13 @@ type t = {
 let observed t = Bus.active (Nvram.bus t.nvram)
 let emit t (ev : Event.tx) = Bus.publish (Nvram.bus t.nvram) (Event.Tx ev)
 
-(* The tally counts a commit whether or not anyone is subscribed. *)
-let count_commit t = Nvram.count_tx_commit t.nvram
+(* The tally and the commit counter count a commit whether or not
+   anyone is subscribed. *)
+let count_commit t =
+  Nvram.count_tx_commit t.nvram;
+  Wsp_obs.Metrics.Counter.incr t.m_commits
+
+let count_abort t = Wsp_obs.Metrics.Counter.incr t.m_aborts
 
 let log_mode t : Rawlog.mode =
   if Config.is_durable_without_wsp t.config then Rawlog.Durable
@@ -119,8 +122,6 @@ let create ~nvram ~config ~log () =
     scratch = fresh_scratch ();
     commits_since_truncate = 0;
     unflushed = Itbl.create 256;
-    committed = 0;
-    aborted = 0;
     m_commits = Wsp_obs.Metrics.counter (Nvram.metrics nvram) "nvheap.txn.commits";
     m_aborts = Wsp_obs.Metrics.counter (Nvram.metrics nvram) "nvheap.txn.aborts";
   }
@@ -308,16 +309,14 @@ let commit_msync t =
     flush_written_lines t tx.written_lines;
     Rawlog.truncate t.log ~mode:(log_mode t)
   end;
-  t.active <- None;
-  t.committed <- t.committed + 1
+  t.active <- None
 
 let commit t =
   match t.protocol with
   | Config.Plain ->
-      (* No transaction machinery, so no [Commit] event for the metrics
-         bridge to count — count inline to keep totals comparable with
-         the logging configurations. *)
-      t.committed <- t.committed + 1;
+      (* No transaction machinery and no [Commit] event, but the commit
+         counter still counts it, keeping totals comparable with the
+         logging configurations. *)
       Wsp_obs.Metrics.Counter.incr t.m_commits
   | Config.Undo_log ->
       let tx = active t in
@@ -333,8 +332,7 @@ let commit t =
         append t ~kind:k_commit [| tx.txid |];
         Rawlog.truncate t.log ~mode:(log_mode t)
       end;
-      t.active <- None;
-      t.committed <- t.committed + 1
+      t.active <- None
   | Config.Redo_stm ->
       let tx = active t in
       count_commit t;
@@ -376,17 +374,15 @@ let commit t =
          (* Mnemosyne's commit fences even when nothing was written:
             tearing down a durable transaction context orders the log. *)
          Nvram.fence t.nvram);
-      t.active <- None;
-      t.committed <- t.committed + 1
+      t.active <- None
   | Config.Page_commit -> commit_msync t
 
 let abort t =
   match t.protocol with
-  | Config.Plain ->
-      t.aborted <- t.aborted + 1;
-      Wsp_obs.Metrics.Counter.incr t.m_aborts
+  | Config.Plain -> count_abort t
   | Config.Undo_log | Config.Page_commit ->
       let tx = active t in
+      count_abort t;
       if observed t then emit t (Abort tx.txid);
       (* Every in-place write (all of them under undo logging, allocator
          headers under msync, whose buffered data writes are simply
@@ -397,13 +393,12 @@ let abort t =
           (Bytes.get_int64_le u.u_olds (8 * i))
       done;
       if tx.began_in_log then Rawlog.truncate t.log ~mode:(log_mode t);
-      t.active <- None;
-      t.aborted <- t.aborted + 1
+      t.active <- None
   | Config.Redo_stm ->
       let tx = active t in
+      count_abort t;
       if observed t then emit t (Abort tx.txid);
-      t.active <- None;
-      t.aborted <- t.aborted + 1
+      t.active <- None
 
 let with_tx t f =
   begin_tx t;
@@ -498,6 +493,3 @@ let attach ~nvram ~config ~log () =
   let t = create ~nvram ~config ~log () in
   recover t;
   t
-
-let committed_count t = t.committed
-let aborted_count t = t.aborted

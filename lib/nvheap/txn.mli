@@ -26,7 +26,11 @@
     Every transaction boundary publishes an [Event.Tx] annotation on the
     owning {!Nvram.bus} before its first store. The [Plain] protocol
     (the [No_log] configuration) has no transaction machinery and
-    publishes nothing. *)
+    publishes nothing.
+
+    Under every protocol, [Plain] included, {!commit} and {!abort} bump
+    the [nvheap.txn.commits] and [nvheap.txn.aborts] counters of
+    {!Nvram.metrics} inline. *)
 
 
 type t
@@ -112,6 +116,3 @@ val quiesce : t -> unit
     addresses, so a quiesced log is a precondition for saving a
     relocatable heap image. Raises [Invalid_argument] inside a
     transaction. *)
-
-val committed_count : t -> int
-val aborted_count : t -> int

@@ -909,25 +909,13 @@ let start_shrink st round =
 
 (* ---- reporting helpers ------------------------------------------- *)
 
-(* Latency percentiles over sorted picosecond samples, with the same
-   linear interpolation as [Stats.percentile] but array-based: the
-   global sample is millions of points and must not round-trip through
-   a list. *)
-let percentile_ps sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Time.zero
-  else if n = 1 then Time.ps sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    Time.ps
-      (int_of_float
-         (Float.round
-            (float_of_int sorted.(lo)
-            +. (frac *. float_of_int (sorted.(hi) - sorted.(lo))))))
-  end
+(* The percentiles of sorted picosecond samples, rounded to the
+   picosecond; zero for an empty sample. *)
+let percentile_ps sorted =
+  let xs = Array.map float_of_int sorted in
+  fun p ->
+    if Array.length xs = 0 then Time.zero
+    else Time.ps (int_of_float (Float.round (Stats.percentile xs p)))
 
 let sorted_concat cmp parts =
   let all = Array.concat parts in
@@ -1164,11 +1152,12 @@ let finish st ~rounds =
           acc (Avl.to_list sh.tree))
       0 st.roster
   in
-  let global = sorted_lat st.roster in
+  let global = percentile_ps (sorted_lat st.roster) in
   let per_shard =
     List.map
       (fun sh ->
         let lat = sorted_lat [ sh ] in
+        let pct = percentile_ps lat in
         let tally = Nvram.tally sh.nvram and t0 = sh.tally0 in
         {
           shard = sh.id;
@@ -1189,9 +1178,9 @@ let finish st ~rounds =
             Array.fold_left
               (fun acc v -> Time.add acc (Time.ps v))
               Time.zero lat;
-          p50 = percentile_ps lat 50.0;
-          p99 = percentile_ps lat 99.0;
-          lat_max = percentile_ps lat 100.0;
+          p50 = pct 50.0;
+          p99 = pct 99.0;
+          lat_max = pct 100.0;
           stores = tally.stores - t0.stores;
           flushes = tally.flushes - t0.flushes;
           fences = tally.fences - t0.fences;
@@ -1239,10 +1228,10 @@ let finish st ~rounds =
        else
          1.0
          -. (float_of_int st.downtime_ps /. float_of_int st.shard_time_ps));
-    p50 = percentile_ps global 50.0;
-    p99 = percentile_ps global 99.0;
-    p999 = percentile_ps global 99.9;
-    lat_max = percentile_ps global 100.0;
+    p50 = global 50.0;
+    p99 = global 99.0;
+    p999 = global 99.9;
+    lat_max = global 100.0;
     lost_acked =
       List.fold_left (fun n (r : restore) -> n + r.lost_acked) 0 st.restores;
     keys_moved =

@@ -166,8 +166,7 @@ type shard_stats = {
   lint_advisories : int;
   bus_subscribers : int;
       (** Subscribers still on the shard's bus when the run ended: the
-          metrics bridge under [--metrics], the race detector's tap
-          under [race_lint], and nothing else. *)
+          race detector's tap under [race_lint], and nothing else. *)
 }
 
 type report = {

@@ -44,9 +44,6 @@ module Key_pool = struct
       t.size <- t.size + 1
     end
 
-  let random_present t rng =
-    if t.size = 0 then None else Some t.keys.(Rng.int rng t.size)
-
   let nth_present t i =
     if t.size = 0 then None else Some t.keys.(i mod t.size)
 
@@ -62,9 +59,6 @@ module Key_pool = struct
       t.size <- t.size - 1;
       Some key
     end
-
-  let remove t rng =
-    if t.size = 0 then None else remove_at t (Rng.int rng t.size)
 end
 
 type result = {
@@ -77,15 +71,19 @@ type result = {
   inserts : int;
   deletes : int;
   final_count : int;
+  footprint : footprint option;
 }
 
-type structure = Hash | Avl_tree | Skip_list | B_tree
+and footprint = { table_bytes : int; journal_bytes : int }
+
+type structure = Hash | Avl_tree | Skip_list | B_tree | Block
 
 let structure_name = function
   | Hash -> "hash table"
   | Avl_tree -> "AVL tree"
   | Skip_list -> "skip list"
   | B_tree -> "B-tree"
+  | Block -> "block-journalled hash table"
 
 let structures = [ Hash; Avl_tree; Skip_list; B_tree ]
 
@@ -97,14 +95,30 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
   if update_prob < 0.0 || update_prob > 1.0 then
     invalid_arg "run_structure_benchmark: update_prob out of range";
   let rng = Rng.create ~seed in
-  let heap = Pheap.create ?hierarchy ~config ~size:heap_size () in
   (* Setup is unmeasured and untransactional, as in the paper's harness. *)
-  let kv =
+  let on_heap view =
+    let heap = Pheap.create ?hierarchy ~config ~size:heap_size () in
+    (heap, view heap, fun () -> None)
+  in
+  let heap, kv, footprint =
     match structure with
-    | Hash -> Kv_view.hash_table (Hash_table.create heap)
-    | Avl_tree -> Kv_view.avl (Avl.create heap)
-    | Skip_list -> Kv_view.skiplist (Skiplist.create heap)
-    | B_tree -> Kv_view.btree (Btree.create heap)
+    | Hash -> on_heap (fun h -> Kv_view.hash_table (Hash_table.create h))
+    | Avl_tree -> on_heap (fun h -> Kv_view.avl (Avl.create h))
+    | Skip_list -> on_heap (fun h -> Kv_view.skiplist (Skiplist.create h))
+    | B_tree -> on_heap (fun h -> Kv_view.btree (Btree.create h))
+    | Block ->
+        (* One NVRAM: the low half holds the in-memory representation,
+           the high half is the block device holding the journal. *)
+        let total = Units.Size.to_bytes heap_size in
+        let nvram = Nvram.create ?hierarchy ~size:heap_size () in
+        let heap = Pheap.create_in ~config ~nvram ~base:0 ~len:(total / 2) () in
+        let device = Blockstore.create nvram ~base:(total / 2) ~len:(total / 2) () in
+        let t = Block_kv.create ~heap ~device () in
+        let footprint () =
+          Some
+            { table_bytes = Block_kv.memory_bytes t; journal_bytes = Block_kv.block_bytes t }
+        in
+        (heap, Kv_view.block_kv t, footprint)
   in
   let pool = Key_pool.create ~capacity:(2 * entries) () in
   (* Zipfian popularity ranks the pool's slots; uniform draws any. *)
@@ -156,55 +170,5 @@ let run_structure_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
     inserts = !inserts;
     deletes = !deletes;
     final_count = kv.size ();
-  }
-
-type block_result = {
-  block_ops : int;
-  block_update_prob : float;
-  block_per_op : Time.t;
-  journal_bytes : int;
-  table_bytes : int;
-}
-
-let run_block_benchmark ?(entries = 100_000) ?(ops = 1_000_000)
-    ?(heap_size = Units.Size.mib 64) ~update_prob ~seed () =
-  let rng = Rng.create ~seed in
-  (* One NVRAM: the low half holds the in-memory representation, the
-     high half is the block device holding the journal. *)
-  let total = Units.Size.to_bytes heap_size in
-  let nvram = Nvram.create ~size:heap_size () in
-  let heap = Pheap.create_in ~config:Config.fof ~nvram ~base:0 ~len:(total / 2) () in
-  let device =
-    Blockstore.create nvram ~base:(total / 2) ~len:(total / 2) ()
-  in
-  let kv = Block_kv.create ~heap ~device () in
-  let pool = Key_pool.create ~capacity:(2 * entries) () in
-  for _ = 1 to entries do
-    let key = Key_pool.fresh pool in
-    Key_pool.add pool key;
-    Block_kv.insert kv ~key ~value:(Int64.neg key)
-  done;
-  Nvram.reset_clock nvram;
-  for _ = 1 to ops do
-    Nvram.charge nvram op_overhead;
-    match pick_op rng ~update_prob with
-    | Lookup -> (
-        match Key_pool.random_present pool rng with
-        | None -> ()
-        | Some key -> ignore (Block_kv.find kv key))
-    | Insert ->
-        let key = Key_pool.fresh pool in
-        Key_pool.add pool key;
-        Block_kv.insert kv ~key ~value:(Int64.neg key)
-    | Delete -> (
-        match Key_pool.remove pool rng with
-        | None -> ()
-        | Some key -> ignore (Block_kv.delete kv key))
-  done;
-  {
-    block_ops = ops;
-    block_update_prob = update_prob;
-    block_per_op = Time.div (Nvram.clock nvram) ops;
-    journal_bytes = Block_kv.block_bytes kv;
-    table_bytes = Block_kv.memory_bytes kv;
+    footprint = footprint ();
   }

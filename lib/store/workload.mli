@@ -29,9 +29,6 @@ module Key_pool : sig
   (** A key never produced before; the caller is expected to add it. *)
 
   val add : t -> int64 -> unit
-  val random_present : t -> Rng.t -> int64 option
-  val remove : t -> Rng.t -> int64 option
-  (** Removes and returns a uniformly random present key. *)
 
   val nth_present : t -> int -> int64 option
   (** The key at slot [i mod size] — rank-based access for skewed
@@ -51,12 +48,29 @@ type result = {
   inserts : int;
   deletes : int;
   final_count : int;  (** Entries left in the table. *)
+  footprint : footprint option;  (** [Some] for the [Block] structure only. *)
 }
 
-type structure = Hash | Avl_tree | Skip_list | B_tree
+and footprint = {
+  table_bytes : int;  (** In-memory representation footprint. *)
+  journal_bytes : int;  (** Block-device bytes holding the journal. *)
+}
+
+type structure =
+  | Hash
+  | Avl_tree
+  | Skip_list
+  | B_tree
+  | Block
+      (** The hash table persisted the block-based way (§3.2, model 1):
+          every update also writes a journal block through a
+          {!Wsp_nvheap.Blockstore} device on the high half of the NVRAM,
+          and the table lives on the low half. *)
 
 val structure_name : structure -> string
+
 val structures : structure list
+(** The four in-memory structures, without [Block]. *)
 
 val run_structure_benchmark :
   ?entries:int ->
@@ -71,33 +85,12 @@ val run_structure_benchmark :
   unit ->
   result
 (** The Figure 5 benchmark over any persistent data structure
-    ([structure:Hash] is the paper's hash table; the others carry the
-    §7 transparency claim: under WSP any in-memory structure persists
-    without modification, so the FoF-vs-FoC gap must hold for all of
-    them). Every operation charges 60 ns of application compute. Defaults: 100,000
+    ([structure:Hash] is the paper's hash table; [Block] is §3.2's
+    block model of it; the other three carry the §7 transparency claim:
+    under WSP any in-memory structure persists without modification, so
+    the FoF-vs-FoC gap must hold for all of them). Every operation charges 60 ns of application compute. Defaults: 100,000
     entries and 1,000,000 operations as in the paper (callers scale
     down for quick runs), the Intel C5528 DRAM hierarchy ([hierarchy]
     lets the SCM experiments substitute slower memory), and uniform key
     popularity ([`Zipfian theta] gives YCSB-style skew). Raises
     [Invalid_argument] unless [0 <= update_prob <= 1]. *)
-
-type block_result = {
-  block_ops : int;
-  block_update_prob : float;
-  block_per_op : Time.t;  (** Simulated time per operation. *)
-  journal_bytes : int;  (** Block-device bytes holding the journal. *)
-  table_bytes : int;  (** In-memory representation footprint. *)
-}
-
-val run_block_benchmark :
-  ?entries:int ->
-  ?ops:int ->
-  ?heap_size:Units.Size.t ->
-  update_prob:float ->
-  seed:int ->
-  unit ->
-  block_result
-(** The same workload as {!run_structure_benchmark} over the hash
-    table, but persisted the block-based way (§3.2, model 1): every
-    update also writes a journal block through a
-    {!Wsp_nvheap.Blockstore} device. *)

@@ -17,7 +17,10 @@
 # hash-table sweep's `check --json` (its violations' `where` strings
 # name crash points by their events), the static lint's `--json` over
 # the registry (clean, under broken fences, and the concurrent
-# registry), the static lint's human report on the bank workload under
+# registry), the static lint's `--metrics` on the bank workload
+# (`lint-bank-metrics.json`: the one golden whose `nvheap.*` counters
+# reach commits and aborts under the plain FoF protocol and the msync
+# backend together), the static lint's human report on the bank workload under
 # broken fences (witness chains over stores, flushes and log records),
 # the concurrent lint's human report (witness chains for every
 # race-annotation kind), the shard service's race
@@ -28,8 +31,8 @@
 # save-protocol sweep of `check --protocol`, and the event-driven
 # power-cycle runs: `cycle` under each save strategy (its `--metrics`
 # carries the simulation engine's dispatch count and queue depth),
-# `window --runs 3`, and two fleet storms (the storm report is the one
-# caller of `Stats.percentile`).
+# `window --runs 3`, and two fleet storms (the storm report and the
+# shard reports share `Stats.percentile`).
 #
 # Every JSON file the commands write must also parse: a NaN or a stray
 # comma in any --json or --metrics emitter fails the gate.
@@ -84,6 +87,7 @@ echo "== golden: generate =="
 "$SIM" check --points 500 --seed 42 --json "$OUT/check.json" \
   --metrics "$OUT/check-metrics.json" > /dev/null
 exits 0 lint --expect R3 --json "$OUT/lint-r3.json"
+exits 0 lint --workload bank --metrics "$OUT/lint-bank-metrics.json"
 exits 1 check --workload hash_table --config undo --broken fences \
   --points 300 --no-shrink --json "$OUT/check-broken.json"
 exits 1 lint --broken fences --json "$OUT/lint-broken-fences.json"
@@ -126,6 +130,7 @@ echo "== golden: compare against $GOLDEN =="
 failed=0
 for f in shard-image.json shard-undo.json shard-undo-metrics.json \
   check.json check-metrics.json check-broken.json lint-r3.json \
+  lint-bank-metrics.json \
   lint-broken-fences.json lint-broken-bank.txt lint-concurrent.json lint-concurrent.txt shard-race.json \
   shard-race-undo.json table2.txt figure8.txt check-protocol.txt \
   cycle.txt cycle-metrics.json cycle-acpi.txt cycle-replay.txt window.txt \

@@ -194,28 +194,96 @@ let counter_names =
     "nvheap.txn.aborts";
   ]
 
+(* The six counter values in [reg], in [counter_names] order. *)
+let counter_values reg =
+  List.map (fun n -> Metrics.Counter.value (Metrics.counter reg n)) counter_names
+
+(* One run between its [observe] and [finish]: what the heap's registry
+   counted inline, and what [Event_obs.attach] counted from the bus into
+   its own registry. *)
+let inline_and_reference run =
+  let reference = Metrics.create () in
+  let start = ref [] and sub = ref None and inline = ref [] in
+  let values heap = counter_values (Nvram.metrics (Pheap.nvram heap)) in
+  run
+    ~observe:(fun heap ->
+      start := values heap;
+      sub := Some (Event_obs.attach ~metrics:reference (Pheap.bus heap)))
+    ~finish:(fun heap ->
+      Option.iter Bus.unsubscribe !sub;
+      inline := List.map2 ( - ) (values heap) !start);
+  (!inline, counter_values reference)
+
+(* Six commits and one abort on a heap counting into a private
+   registry. *)
+let run_private config ~observe ~finish =
+  let len = Units.Size.to_bytes (Units.Size.kib 256) in
+  let nvram = Nvram.create ~metrics:(Metrics.create ()) ~size:(Units.Size.kib 256) () in
+  let heap =
+    Pheap.create_in ~config ~log_size:(Units.Size.kib 64) ~nvram ~base:0 ~len ()
+  in
+  let a = Pheap.alloc heap 64 in
+  observe heap;
+  for i = 1 to 6 do
+    Pheap.with_tx heap (fun () -> Pheap.write_u64 heap ~addr:a (Int64.of_int i))
+  done;
+  Pheap.begin_tx heap;
+  Pheap.write_u64 heap ~addr:a 99L;
+  Pheap.abort heap;
+  Pheap.quiesce heap;
+  finish heap
+
 let observer_tests =
   [
-    Alcotest.test_case "metrics bridge counts only while subscribed" `Quick
+    Alcotest.test_case "inline nvheap counters match the event-derived reference"
+      `Quick (fun () ->
+        (* Every backend on a private registry, then lint's bank workload
+           under each of its configs ([bank] aborts every third of its 32
+           transactions). Fences and log counts must be what the bus
+           carried; commits and aborts the workload's totals, which the
+           bus does not carry under [No_log]. *)
+        let cases =
+          List.map
+            (fun c -> (c.Config.name, (6, 1), run_private c))
+            Config.all_backends
+          @ List.map
+              (fun (w : Analyzer.workload) ->
+                (w.name, (22, 10), w.run ~fault:Checker.No_fault ~txns:32 ~seed:1))
+              (Analyzer.find ~workload:"bank" ())
+        in
+        let counted =
+          List.fold_left
+            (fun counted (name, (commits, aborts), run) ->
+              let inline, reference = inline_and_reference run in
+              let want = List.filteri (fun i _ -> i < 4) reference @ [ commits; aborts ] in
+              Alcotest.(check (list (pair string int)))
+                name
+                (List.combine counter_names want)
+                (List.combine counter_names inline);
+              List.map2 ( + ) counted inline)
+            (List.map (fun _ -> 0) counter_names)
+            cases
+        in
+        List.iter2
+          (fun n v -> Alcotest.(check bool) (n ^ " counted") true (v > 0))
+          counter_names counted);
+    Alcotest.test_case "metrics totals independent of job width" `Slow
       (fun () ->
+        (* The per-domain registries merge to the same totals at any
+           job width. *)
+        let totals jobs =
+          Metrics.reset_all ();
+          ignore
+            (Analyzer.lint ~jobs ~workloads:(Analyzer.find ~workload:"bank" ()) ());
+          List.combine counter_names (counter_values (Metrics.merged ()))
+        in
+        let j1 = totals 1 in
+        let j4 = totals 4 in
         Metrics.reset_all ();
-        let heap = mk_heap () in
-        let a = Pheap.alloc heap 64 in
-        let sub = Event_obs.attach (Pheap.bus heap) in
-        for i = 1 to 5 do
-          Pheap.with_tx heap (fun () ->
-              Pheap.write_u64 heap ~addr:a (Int64.of_int i))
-        done;
-        Pheap.begin_tx heap;
-        Pheap.write_u64 heap ~addr:a 99L;
-        Pheap.abort heap;
-        Bus.unsubscribe sub;
-        Pheap.with_tx heap (fun () -> Pheap.write_u64 heap ~addr:a 123L);
-        let v name = Metrics.Counter.value (Metrics.counter (Metrics.ambient ()) name) in
-        Alcotest.(check int) "commits" 5 (v "nvheap.txn.commits");
-        Alcotest.(check int) "aborts" 1 (v "nvheap.txn.aborts");
-        Alcotest.(check bool) "appends counted" true (v "nvheap.log.appends" > 0);
-        Alcotest.(check bool) "fences counted" true (v "nvheap.fences" > 0));
+        Alcotest.(check (list (pair string int))) "same totals" j1 j4;
+        List.iter
+          (fun (n, v) -> Alcotest.(check bool) (n ^ " counted") true (v > 0))
+          j1);
     Alcotest.test_case
       "checker verdicts unchanged by concurrent metrics+tracing observers"
       `Slow (fun () ->
@@ -225,33 +293,12 @@ let observer_tests =
         in
         let s r = Fmt.str "%a" Checker.pp_report r in
         let baseline = run () in
-        Event_obs.set_enabled true;
         Wsp_obs.Tracer.set_enabled true;
         let observed = s (run ()) in
         let observed_j4 = s (run ~jobs:4 ()) in
-        Event_obs.set_enabled false;
         Wsp_obs.Tracer.set_enabled false;
         Alcotest.(check string) "observed = unobserved" (s baseline) observed;
         Alcotest.(check string) "jobs-invariant" (s baseline) observed_j4);
-    Alcotest.test_case "metrics totals independent of job width" `Slow
-      (fun () ->
-        let workloads = Analyzer.find ~workload:"bank" () in
-        let totals jobs =
-          Metrics.reset_all ();
-          ignore (Analyzer.lint ~jobs ~txns:8 ~workloads ());
-          let m = Metrics.merged () in
-          List.map
-            (fun n -> (n, Metrics.Counter.value (Metrics.counter m n)))
-            counter_names
-        in
-        Event_obs.set_enabled true;
-        let j1 = totals 1 in
-        let j4 = totals 4 in
-        Event_obs.set_enabled false;
-        Metrics.reset_all ();
-        Alcotest.(check (list (pair string int))) "same totals" j1 j4;
-        Alcotest.(check bool) "bridge counted something" true
-          (List.exists (fun (_, v) -> v > 0) j1));
   ]
 
 (* --- the per-NVRAM tally -------------------------------------------------- *)

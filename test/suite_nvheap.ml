@@ -631,6 +631,12 @@ let mk_txn config =
 
 let data_base = Units.Size.kib 64
 
+(* The inline [nvheap.txn.<name>] counter of the registry [nv] counts
+   into. *)
+let txn_counter nv name =
+  Wsp_obs.Metrics.Counter.value
+    (Wsp_obs.Metrics.counter (Nvram.metrics nv) ("nvheap.txn." ^ name))
+
 let txn_tests =
   [
     Alcotest.test_case "undo: abort rolls back in-place writes" `Quick (fun () ->
@@ -715,12 +721,14 @@ let txn_tests =
         Txn.recover txn;
         Alcotest.(check int64) "kept" 42L (Txn.read_u64 txn ~addr:data_base));
     Alcotest.test_case "counters" `Quick (fun () ->
-        let _, txn = mk_txn Config.foc_ul in
+        let nv, txn = mk_txn Config.foc_ul in
+        let commits = txn_counter nv "commits"
+        and aborts = txn_counter nv "aborts" in
         Txn.with_tx txn (fun () -> Txn.write_u64 txn ~addr:data_base 1L);
         Txn.begin_tx txn;
         Txn.abort txn;
-        Alcotest.(check int) "committed" 1 (Txn.committed_count txn);
-        Alcotest.(check int) "aborted" 1 (Txn.aborted_count txn));
+        Alcotest.(check int) "committed" 1 (txn_counter nv "commits" - commits);
+        Alcotest.(check int) "aborted" 1 (txn_counter nv "aborts" - aborts));
     Alcotest.test_case "nested begin rejected" `Quick (fun () ->
         let _, txn = mk_txn Config.foc_ul in
         Txn.begin_tx txn;
@@ -818,12 +826,13 @@ let pheap_tests =
           (fun config ->
             let heap = Pheap.create ~config ~size:(Units.Size.mib 8) () in
             let p = Pheap.alloc heap 64 in
-            let before = Txn.committed_count (Pheap.txn heap) in
+            let commits () = txn_counter (Pheap.nvram heap) "commits" in
+            let before = commits () in
             Pheap.durably heap (fun () -> Pheap.write_u64 heap ~addr:p 7L);
             Alcotest.(check bool)
               (config.Config.name ^ " brackets")
               (List.assoc config.Config.name brackets_durable_updates)
-              (Txn.committed_count (Pheap.txn heap) > before);
+              (commits () > before);
             Alcotest.(check int64)
               (config.Config.name ^ " update lands")
               7L

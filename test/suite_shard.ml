@@ -234,6 +234,31 @@ let service_tests =
         Alcotest.(check int) "shed" 0 r.Service.shed;
         Alcotest.(check int) "shards reported" 4
           (List.length r.Service.per_shard));
+    Alcotest.test_case "a run with no requests reports zero latency" `Quick
+      (fun () ->
+        (* An empty latency sample has no percentile to interpolate;
+           the report must still hold zeros, globally and per shard. *)
+        let r =
+          Service.run ~jobs:1
+            { (small_params ~shards:2 ~seed:7) with Service.requests = 0 }
+        in
+        Alcotest.(check int) "served" 0 r.Service.served;
+        let zero name t = Alcotest.(check int) name 0 (Time.to_ps t) in
+        List.iter
+          (fun (name, t) -> zero name t)
+          [
+            ("p50", r.Service.p50);
+            ("p99", r.Service.p99);
+            ("p999", r.Service.p999);
+            ("max", r.Service.lat_max);
+          ];
+        List.iter
+          (fun (s : Service.shard_stats) ->
+            let name what = Printf.sprintf "shard %d %s" s.shard what in
+            zero (name "p50") s.p50;
+            zero (name "p99") s.p99;
+            zero (name "max") s.lat_max)
+          r.Service.per_shard);
     Alcotest.test_case "bounded admission sheds and accounts" `Quick
       (fun () ->
         (* One shard, cap 8, 64 clients per round: most arrivals shed,
@@ -603,13 +628,8 @@ let service_tests =
             Wsp_obs.Metrics.Counter.value
               (Wsp_obs.Metrics.counter m "machine.cache.hits") )
         in
-        Wsp_nvheap.Event_obs.set_enabled true;
         let (j1, hits), (j2, _) =
-          Fun.protect
-            ~finally:(fun () ->
-              Wsp_nvheap.Event_obs.set_enabled false;
-              Wsp_obs.Metrics.reset_all ())
-            (fun () ->
+          Fun.protect ~finally:Wsp_obs.Metrics.reset_all (fun () ->
               let j1 = export 1 in
               (j1, export 2))
         in
@@ -631,7 +651,18 @@ let service_tests =
         check "plain" p;
         check "grow" { p with Service.grow_at = Some 20 };
         check "undo shrink"
-          { p with Service.config = Wsp_nvheap.Config.foc_ul; shrink_at = Some 20 });
+          { p with Service.config = Wsp_nvheap.Config.foc_ul; shrink_at = Some 20 };
+        (* Counting metrics subscribes nothing either. *)
+        Wsp_obs.Metrics.reset_all ();
+        check "undo, metrics collected"
+          { p with Service.config = Wsp_nvheap.Config.foc_ul };
+        let merged = Wsp_obs.Metrics.merged () in
+        Wsp_obs.Metrics.reset_all ();
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " counted") true
+              (Wsp_obs.Metrics.Counter.value (Wsp_obs.Metrics.counter merged name) > 0))
+          [ "nvheap.fences"; "nvheap.log.appends"; "nvheap.txn.commits" ]);
     Alcotest.test_case "an injection at a write-back still yields a verdict"
       `Quick (fun () ->
         (* Both shapes once armed the injector at a [Wb] event, which is

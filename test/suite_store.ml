@@ -235,7 +235,10 @@ let workload_tests =
         Alcotest.(check int) "size" 20 (Workload.Key_pool.size pool);
         let removed = ref [] in
         for _ = 1 to 20 do
-          match Workload.Key_pool.remove pool rng with
+          match
+            Workload.Key_pool.remove_at pool
+              (Rng.int rng (Workload.Key_pool.size pool))
+          with
           | Some k -> removed := k :: !removed
           | None -> Alcotest.fail "pool exhausted early"
         done;
@@ -243,7 +246,7 @@ let workload_tests =
         Alcotest.(check bool) "no key removed twice" true
           (List.length (List.sort_uniq compare !removed) = 20);
         Alcotest.(check bool) "empty pool removes nothing" true
-          (Workload.Key_pool.remove pool rng = None));
+          (Workload.Key_pool.remove_at pool 0 = None));
     Alcotest.test_case "fresh keys never repeat" `Quick (fun () ->
         let pool = Workload.Key_pool.create () in
         let keys = List.init 1000 (fun _ -> Workload.Key_pool.fresh pool) in
