@@ -467,7 +467,7 @@ let lint_cmd =
     let parse s =
       match Rules.rule_of_name s with
       | Some r -> Ok r
-      | None -> Error (`Msg (Printf.sprintf "unknown rule %S (R1..R9)" s))
+      | None -> Error (`Msg (Printf.sprintf "unknown rule %S (R1..R10)" s))
     in
     Arg.conv (parse, fun ppf r -> Fmt.string ppf (Rules.rule_name r))
   in

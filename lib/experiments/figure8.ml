@@ -29,6 +29,7 @@ let mechanistic_check platform ~dirty_bytes =
   for i = 0 to lines - 1 do
     ignore (Hierarchy.store h ~addr:(i * line))
   done;
+  Hierarchy.count h Wbinvd;
   Time.add (Flush.context_save_time platform) (Hierarchy.flush_all h)
 
 let run ~full:_ =

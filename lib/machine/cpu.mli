@@ -41,7 +41,6 @@ module Core : sig
   val socket : t -> int
   val state : t -> state
   val context : t -> Context.t
-  val set_context : t -> Context.t -> unit
   val halt : t -> unit
   val resume : t -> unit
 

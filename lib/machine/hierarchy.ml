@@ -188,9 +188,28 @@ let invalidate_line t line =
     !dirty
   end
 
+type instr = Nt_store | Fence | Clflush | Flush_range | Wbinvd
+
+let count t instr =
+  C.incr
+    (match instr with
+    | Nt_store -> t.m.m_nt_stores
+    | Fence -> t.m.m_fences
+    | Clflush -> t.m.m_clflush
+    | Flush_range -> t.m.m_flush_range
+    | Wbinvd -> t.m.m_wbinvd)
+
+let writeback_byte_counters =
+  [
+    "machine.cache.writeback_bytes";
+    "machine.flush.clflush_bytes";
+    "machine.flush.flush_range_bytes";
+    "machine.flush.wbinvd_bytes";
+    "machine.flush.nt_flush_bytes";
+  ]
+
 let store_nt t ~addr =
   let line = line_of t addr in
-  C.incr t.m.m_nt_stores;
   (* Any cached copy is flushed first so the line's pre-existing dirty
      bytes are not lost when the caller writes directly to backing. *)
   if invalidate_line t line then begin
@@ -199,13 +218,10 @@ let store_nt t ~addr =
   end;
   t.cfg.nt_store_latency
 
-let fence t =
-  C.incr t.m.m_fences;
-  t.cfg.fence_latency
+let fence t = t.cfg.fence_latency
 
 let clflush t ~addr =
   let line = line_of t addr in
-  C.incr t.m.m_clflush;
   let dirty = invalidate_line t line in
   if dirty then begin
     C.add t.m.m_clflush_bytes t.line_size;
@@ -223,7 +239,6 @@ let flush_lines t ~addr ~len =
     (* Batched bookkeeping: invalidate the whole range first, then
        charge one issue per line and a single write-back transfer for
        the dirty total, instead of a clflush round-trip per line. *)
-    C.incr t.m.m_flush_range;
     let first = line_of t addr and last = line_of t (addr + len - 1) in
     let dirty = ref 0 in
     for line = first to last do
@@ -286,7 +301,6 @@ let total_line_slots t =
   Array.fold_left (fun acc level -> acc + Cache.line_count level) 0 t.levels
 
 let flush_all t =
-  C.incr t.m.m_wbinvd;
   let dirty = ref 0 in
   iter_dirty t (fun line ->
       incr dirty;

@@ -60,6 +60,19 @@ val load : t -> addr:int -> Time.t
 val store : t -> addr:int -> Time.t
 (** Writes one word through the cache (write-allocate), dirtying a line. *)
 
+type instr = Nt_store | Fence | Clflush | Flush_range | Wbinvd
+
+val count : t -> instr -> unit
+(** Counts one instruction in its [machine.flush.*] counter. The
+    instructions below count only the bytes they write back, so a
+    caller can count one before announcing it: one an observer aborts
+    is then counted but never executed. *)
+
+val writeback_byte_counters : string list
+(** The byte counters of the write-back causes: eviction, [clflush],
+    {!flush_lines}, [wbinvd] and NT displacement. Each write-back adds
+    one line to exactly one of them. *)
+
 val store_nt : t -> addr:int -> Time.t
 (** Non-temporal store: the touched line is flushed from the hierarchy if
     present and the write goes straight to the backing store (the caller

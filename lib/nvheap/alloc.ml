@@ -7,6 +7,8 @@ type t = {
   base : int;
   limit : int;  (* one past the last byte *)
   mutable free_list : int list;  (* header addresses, unordered *)
+  m_allocs : Wsp_obs.Metrics.Counter.t;
+  m_frees : Wsp_obs.Metrics.Counter.t;
 }
 
 module Bus = Wsp_events.Bus
@@ -16,10 +18,23 @@ module Bus = Wsp_events.Bus
 let observed t = Bus.active (Nvram.bus t.nvram)
 let emit t (ev : Event.heap) = Bus.publish (Nvram.bus t.nvram) (Event.Heap ev)
 
-(* Tallied whether or not anyone is subscribed, before the publish. *)
+(* Counted whether or not anyone is subscribed, before the publish. *)
 let emit_alloc t ~addr ~size =
-  Nvram.count_alloc t.nvram;
+  Wsp_obs.Metrics.Counter.incr t.m_allocs;
   if observed t then emit t (Alloc { addr; size })
+
+(* An unrecovered handle on [base, base + len), its counters resolved
+   from the NVRAM's registry. *)
+let make nvram ~base ~len =
+  let c = Wsp_obs.Metrics.counter (Nvram.metrics nvram) in
+  {
+    nvram;
+    base;
+    limit = base + len;
+    free_list = [];
+    m_allocs = c "nvheap.alloc.allocs";
+    m_frees = c "nvheap.alloc.frees";
+  }
 
 let header_size = 8
 let align n = (n + 7) land lnot 7
@@ -43,7 +58,7 @@ let create nvram ~base ~len =
     invalid_arg "Alloc.create: region too small";
   if base mod 8 <> 0 then invalid_arg "Alloc.create: unaligned base";
   let len = len land lnot 7 in
-  let t = { nvram; base; limit = base + len; free_list = [] } in
+  let t = make nvram ~base ~len in
   write_header t base ~size:(len - header_size) ~used:false;
   t.free_list <- [ base ];
   t
@@ -73,8 +88,7 @@ let recover t =
   t.free_list <- List.rev !free
 
 let attach nvram ~base ~len =
-  let len = len land lnot 7 in
-  let t = { nvram; base; limit = base + len; free_list = [] } in
+  let t = make nvram ~base ~len:(len land lnot 7) in
   recover t;
   t
 
@@ -117,7 +131,7 @@ let free t ?on_header_write payload =
   if hdr < t.base || hdr >= t.limit then invalid_arg "Alloc.free: bad address";
   let size, used = read_header t hdr in
   if not used then invalid_arg "Alloc.free: double free";
-  Nvram.count_free t.nvram;
+  Wsp_obs.Metrics.Counter.incr t.m_frees;
   if observed t then emit t (Free { addr = payload; size });
   (* Coalesce with a free right neighbour so long churn does not
      fragment the region unboundedly. *)

@@ -11,7 +11,10 @@
     this automatically).
 
     Every allocation, free and header write publishes an [Event.Heap]
-    annotation on the owning {!Nvram.bus} before mutating the header. *)
+    annotation on the owning {!Nvram.bus} before mutating the header.
+    Allocations and frees are counted just before their publish, in
+    [nvheap.alloc.allocs] and [nvheap.alloc.frees] of
+    {!Nvram.metrics}, whether or not anyone subscribes. *)
 
 type t
 

@@ -37,9 +37,6 @@ module Dqueue : sig
   val attach : Pheap.t -> t
   (** Re-adopts the ring from the heap root after a crash. *)
 
-  val enqueue : t -> int64 -> int
-  (** Returns the slot's global sequence number. *)
-
   val drain : t -> int64 list
   (** The single consumer: everything between head and tail, oldest
       first; advances and persists the head. *)
@@ -52,11 +49,12 @@ module Dqueue : sig
   (** Raw slot contents for sequence [seq] — audit access. *)
 
   val expected : seq:int -> int64
-  (** The deterministic non-zero value {!enqueue} stores for sequence
-      [seq] in the certification workloads. *)
+  (** The deterministic non-zero value {!enqueue_expected} stores for
+      sequence [seq] in the certification workloads. *)
 
   val enqueue_expected : t -> int
-  (** [enqueue q (expected ~seq:(tail q))]. *)
+  (** Enqueues [expected ~seq:(tail q)]; returns the slot's global
+      sequence number. *)
 end
 
 (** A durable counter behind a release/acquire channel (chan 0): each

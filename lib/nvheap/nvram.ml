@@ -4,30 +4,6 @@ module Bus = Wsp_events.Bus
 
 type fault = No_fault | Broken_fence
 
-type tally = {
-  stores : int;
-  flushes : int;
-  fences : int;
-  writebacks : int;
-  tx_commits : int;
-  log_appends : int;
-  allocs : int;
-  frees : int;
-}
-
-(* The live counts behind {!tally}, bumped by each emitter immediately
-   before its publish whether or not anyone subscribes. *)
-type counts = {
-  mutable stores : int;
-  mutable flushes : int;
-  mutable fences : int;
-  mutable writebacks : int;
-  mutable tx_commits : int;
-  mutable log_appends : int;
-  mutable allocs : int;
-  mutable frees : int;
-}
-
 exception Budget_exhausted
 
 (* The replay tap: a synchronous observer of every *data* mutation, in
@@ -128,9 +104,8 @@ type t = {
   mutable clock : Time.t;
   bus : Event.t Bus.t;
   sync_bus : Event.sync Bus.t;
-  counts : counts;
   metrics : Wsp_obs.Metrics.t;
-  m_fences : Wsp_obs.Metrics.Counter.t;
+  m_stores : Wsp_obs.Metrics.Counter.t;  (* cached stores *)
   mutable fault : fault;
   mutable steps_left : int;
       (* Remaining budgeted accesses; -1 = unlimited (the default). *)
@@ -155,18 +130,6 @@ let create ?hierarchy ?backing ?metrics ~size () =
   in
   let dirty = Lines.create 1024 in
   let bus = Bus.create () in
-  let counts : counts =
-    {
-      stores = 0;
-      flushes = 0;
-      fences = 0;
-      writebacks = 0;
-      tx_commits = 0;
-      log_appends = 0;
-      allocs = 0;
-      frees = 0;
-    }
-  in
   let metrics =
     match metrics with Some reg -> reg | None -> Wsp_obs.Metrics.ambient ()
   in
@@ -176,7 +139,6 @@ let create ?hierarchy ?backing ?metrics ~size () =
      silent capacity evictions and explicit flushes arrive as the same
      [Wb] event, distinguished only by [explicit]. *)
   let on_writeback ~line ~explicit =
-    counts.writebacks <- counts.writebacks + 1;
     if Bus.active bus then Bus.publish bus (Event.Wb { line; explicit });
     match Lines.find_opt dirty line with
     | None -> ()
@@ -195,9 +157,8 @@ let create ?hierarchy ?backing ?metrics ~size () =
     clock = Time.zero;
     bus;
     sync_bus = Bus.create ();
-    counts;
     metrics;
-    m_fences = Wsp_obs.Metrics.counter metrics "nvheap.fences";
+    m_stores = Wsp_obs.Metrics.counter metrics "nvheap.stores";
     fault = No_fault;
     steps_left = -1;
     tap;
@@ -205,23 +166,6 @@ let create ?hierarchy ?backing ?metrics ~size () =
 
 let bus t = t.bus
 let sync_bus t = t.sync_bus
-let tally t : tally =
-  let c = t.counts in
-  {
-    stores = c.stores;
-    flushes = c.flushes;
-    fences = c.fences;
-    writebacks = c.writebacks;
-    tx_commits = c.tx_commits;
-    log_appends = c.log_appends;
-    allocs = c.allocs;
-    frees = c.frees;
-  }
-
-let count_tx_commit t = t.counts.tx_commits <- t.counts.tx_commits + 1
-let count_log_append t = t.counts.log_appends <- t.counts.log_appends + 1
-let count_alloc t = t.counts.allocs <- t.counts.allocs + 1
-let count_free t = t.counts.frees <- t.counts.frees + 1
 let metrics t = t.metrics
 let set_fault t fault = t.fault <- fault
 let fault t = t.fault
@@ -252,9 +196,6 @@ let set_tap t tp =
    one. Callers test [Bus.active] first, so an unobserved primitive
    builds no event. *)
 let emit t (ev : Event.mem) = Bus.publish t.bus (Event.Mem ev)
-
-let count_store t = t.counts.stores <- t.counts.stores + 1
-let count_flush t = t.counts.flushes <- t.counts.flushes + 1
 
 let size t = Bytes.length t.backing
 let line_size t = t.line_size
@@ -310,7 +251,7 @@ let charge_access t ~addr ~len ~write =
    the write and desynchronising the dirty table from the hierarchy. *)
 let write_range t ~addr src ~src_off ~len =
   spend_step t;
-  count_store t;
+  Wsp_obs.Metrics.Counter.incr t.m_stores;
   if Bus.active t.bus then emit t (Store { addr; len });
   let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
   for line = first to last do
@@ -360,7 +301,7 @@ let write_u64 t ~addr v =
   if off + 8 > t.line_size then write_range t ~addr (word_bytes v) ~src_off:0 ~len:8
   else begin
     spend_step t;
-    count_store t;
+    Wsp_obs.Metrics.Counter.incr t.m_stores;
     if Bus.active t.bus then emit t (Store { addr; len = 8 });
     let line = addr / t.line_size in
     charge t (Hierarchy.store t.hierarchy ~addr:(line * t.line_size));
@@ -387,7 +328,7 @@ let write_bytes t ~addr src =
 (* Announces and charges a non-temporal store; the caller queues it. *)
 let nt_store t ~addr =
   check_range t addr 8;
-  count_store t;
+  Hierarchy.count t.hierarchy Nt_store;
   if Bus.active t.bus then emit t (Store_nt { addr });
   charge t (Hierarchy.store_nt t.hierarchy ~addr)
 
@@ -408,8 +349,7 @@ let drain_wc t =
   match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
 
 let fence t =
-  t.counts.fences <- t.counts.fences + 1;
-  Wsp_obs.Metrics.Counter.incr t.m_fences;
+  Hierarchy.count t.hierarchy Fence;
   if Bus.active t.bus then emit t Fence;
   charge t (Hierarchy.fence t.hierarchy);
   (* A broken fence charges its latency but never drains the
@@ -421,18 +361,18 @@ let pending_nt_bytes t = 8 * t.wc_pending.wc_n
 
 let clflush t ~addr =
   check_range t addr 1;
-  count_flush t;
+  Hierarchy.count t.hierarchy Clflush;
   if Bus.active t.bus then emit t (Clflush { addr });
   charge t (Hierarchy.clflush t.hierarchy ~addr)
 
 let flush_range t ~addr ~len =
   check_range t addr len;
-  count_flush t;
+  Hierarchy.count t.hierarchy Flush_range;
   if Bus.active t.bus then emit t (Flush_range { addr; len });
   charge t (Hierarchy.flush_lines t.hierarchy ~addr ~len)
 
 let wbinvd t =
-  count_flush t;
+  Hierarchy.count t.hierarchy Wbinvd;
   if Bus.active t.bus then emit t Wbinvd;
   charge t (Hierarchy.flush_all t.hierarchy);
   (* Flushing also drains write-combining buffers. *)

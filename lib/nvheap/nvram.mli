@@ -41,11 +41,15 @@ val hierarchy : t -> Wsp_machine.Hierarchy.t
     events on {!bus}. *)
 
 val metrics : t -> Wsp_obs.Metrics.t
-(** The registry given to (or defaulted by) {!create}. The NVRAM counts
-    [nvheap.fences] here, and {!Rawlog} and {!Txn} resolve their
-    [nvheap.log.*] and [nvheap.txn.*] counters here too; each is bumped
-    inline, next to its {!tally} field, whether or not anyone
-    subscribes to {!bus}. *)
+(** The registry given to (or defaulted by) {!create}. Each counted
+    event on {!bus} bumps one counter here, inline, in the layer that
+    executes it, whether or not anyone subscribes: the NVRAM counts
+    cached stores ([nvheap.stores]); the hierarchy counts non-temporal
+    stores, fences and flushes ([machine.flush.*]) and adds each
+    write-back as one line to a byte counter; {!Rawlog}, {!Txn} and
+    {!Alloc} resolve their [nvheap.log.*], [nvheap.txn.*] and
+    [nvheap.alloc.*] counters here too. Each is counted before its
+    publish, so one a raising subscriber aborts is still counted. *)
 
 val clock : t -> Time.t
 (** Simulated time consumed by memory operations so far. *)
@@ -115,34 +119,6 @@ val sync_bus : t -> Event.sync Wsp_events.Bus.t
     dispatch synchronously, so a subscriber to both sees one
     program-ordered stream; an observer of {!bus} alone (the checker,
     the migration injector) never sees an annotation. *)
-
-type tally = {
-  stores : int;  (** [Store] and [Store_nt] *)
-  flushes : int;  (** [Clflush], [Flush_range] and [Wbinvd] *)
-  fences : int;  (** [Fence] *)
-  writebacks : int;  (** [Wb] *)
-  tx_commits : int;  (** [Tx Commit] *)
-  log_appends : int;  (** [Log Append] *)
-  allocs : int;  (** [Heap Alloc] *)
-  frees : int;  (** [Heap Free] *)
-}
-(** Counts of the events published on {!bus}, kept whether or not
-    anyone subscribes: the count a subscriber tallying every event on
-    the bus would hold. Each emitter bumps its count immediately before
-    its publish, so an event a raising subscriber aborts is still
-    counted. *)
-
-val tally : t -> tally
-(** A snapshot of this NVRAM's counts; later events do not change it. *)
-
-val count_tx_commit : t -> unit
-val count_log_append : t -> unit
-val count_alloc : t -> unit
-
-val count_free : t -> unit
-(** The bumps behind {!tally} for the events {!Txn}, {!Rawlog} and
-    {!Alloc} publish; each emitter calls its own just before it
-    publishes. *)
 
 (** {1 Fault injection} *)
 

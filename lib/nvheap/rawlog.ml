@@ -92,7 +92,6 @@ let record_words n_values = 1 + (2 * n_values)
    word), filled with [write_value], and closed (fence, head). *)
 let open_record t ~mode ~kind ~n =
   if t.head + record_words n > t.words then raise Log_full;
-  Nvram.count_log_append t.nvram;
   Counter.incr t.m_appends;
   Counter.add t.m_append_words (record_words n);
   if observed t then emit t (Append { kind; n_values = n });

@@ -68,12 +68,8 @@ type t = {
 let observed t = Bus.active (Nvram.bus t.nvram)
 let emit t (ev : Event.tx) = Bus.publish (Nvram.bus t.nvram) (Event.Tx ev)
 
-(* The tally and the commit counter count a commit whether or not
-   anyone is subscribed. *)
-let count_commit t =
-  Nvram.count_tx_commit t.nvram;
-  Wsp_obs.Metrics.Counter.incr t.m_commits
-
+(* A commit or abort is counted whether or not anyone is subscribed. *)
+let count_commit t = Wsp_obs.Metrics.Counter.incr t.m_commits
 let count_abort t = Wsp_obs.Metrics.Counter.incr t.m_aborts
 
 let log_mode t : Rawlog.mode =
@@ -317,7 +313,7 @@ let commit t =
       (* No transaction machinery and no [Commit] event, but the commit
          counter still counts it, keeping totals comparable with the
          logging configurations. *)
-      Wsp_obs.Metrics.Counter.incr t.m_commits
+      count_commit t
   | Config.Undo_log ->
       let tx = active t in
       count_commit t;

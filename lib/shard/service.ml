@@ -162,7 +162,7 @@ type shard = {
   nvram : Nvram.t;
       (* Counts into a registry private to this shard, so the worker
          domain serving it writes no counter another domain writes. *)
-  tally0 : Nvram.tally;  (* the NVRAM's tally once the shard was made *)
+  counts0 : Metrics.t;  (* a copy of its registry once formatted *)
   mutable heap : Pheap.t;
   mutable tree : Avl.t;
   model : (int64, int64) Hashtbl.t;  (* acknowledged writes, volatile *)
@@ -299,6 +299,17 @@ let attach_lint config heap =
   let sub = Bus.subscribe (Pheap.bus heap) (Rules.stream_step stream) in
   (stream, sub)
 
+(* What the shard's registry counted since it was formatted, summed
+   over [names]. Each event is counted there once, by the layer that
+   executes it. *)
+let counted sh names =
+  let sum reg =
+    List.fold_left
+      (fun n name -> n + Metrics.Counter.value (Metrics.counter reg name))
+      0 names
+  in
+  sum (Nvram.metrics sh.nvram) - sum sh.counts0
+
 let make_shard p ~race id =
   let len = Units.Size.to_bytes p.shard_heap in
   let nvram =
@@ -308,13 +319,14 @@ let make_shard p ~race id =
     Pheap.create_in ~config:p.config ~log_size:p.log_size ~nvram ~base:0 ~len ()
   in
   let tree = Avl.create heap in
-  let tally0 = Nvram.tally nvram in
+  let counts0 = Metrics.create () in
+  Metrics.merge_into ~into:counts0 (Nvram.metrics nvram);
   let lint = if p.lint then Some (attach_lint p.config heap) else None in
   let sh =
     {
       id;
       nvram;
-      tally0;
+      counts0;
       heap;
       tree;
       model = Hashtbl.create 1024;
@@ -1158,7 +1170,6 @@ let finish st ~rounds =
       (fun sh ->
         let lat = sorted_lat [ sh ] in
         let pct = percentile_ps lat in
-        let tally = Nvram.tally sh.nvram and t0 = sh.tally0 in
         {
           shard = sh.id;
           served = sh.served;
@@ -1181,14 +1192,18 @@ let finish st ~rounds =
           p50 = pct 50.0;
           p99 = pct 99.0;
           lat_max = pct 100.0;
-          stores = tally.stores - t0.stores;
-          flushes = tally.flushes - t0.flushes;
-          fences = tally.fences - t0.fences;
-          writebacks = tally.writebacks - t0.writebacks;
-          tx_commits = tally.tx_commits - t0.tx_commits;
-          log_appends = tally.log_appends - t0.log_appends;
-          allocs = tally.allocs - t0.allocs;
-          frees = tally.frees - t0.frees;
+          stores = counted sh [ "nvheap.stores"; "machine.flush.nt_stores" ];
+          flushes =
+            counted sh
+              [ "machine.flush.clflush"; "machine.flush.flush_range"; "machine.flush.wbinvd" ];
+          fences = counted sh [ "machine.flush.fences" ];
+          writebacks =
+            counted sh Wsp_machine.Hierarchy.writeback_byte_counters
+            / Nvram.line_size sh.nvram;
+          tx_commits = counted sh [ "nvheap.txn.commits" ];
+          log_appends = counted sh [ "nvheap.log.appends" ];
+          allocs = counted sh [ "nvheap.alloc.allocs" ];
+          frees = counted sh [ "nvheap.alloc.frees" ];
           lint_errors = sh.lint_errors;
           lint_advisories = sh.lint_advisories;
           bus_subscribers = Bus.subscriber_count (Nvram.bus sh.nvram);

@@ -153,8 +153,16 @@ type shard_stats = {
   lat_max : Time.t;
   stores : int;
       (** Persistency events published on the shard's bus since the
-          shard was made (its NVRAM's {!Wsp_nvheap.Nvram.tally}), per
-          class; counted whether or not anyone subscribed. *)
+          shard was formatted, per class, read off the counters of the
+          registry its NVRAM counts into ({!Wsp_nvheap.Nvram.metrics}):
+          [stores] is [nvheap.stores] plus [machine.flush.nt_stores],
+          [flushes] the three [machine.flush] instruction counts,
+          [fences] [machine.flush.fences], [writebacks] the
+          {!Wsp_machine.Hierarchy.writeback_byte_counters} over the
+          line size, and the rest
+          [nvheap.txn.commits], [nvheap.log.appends] and
+          [nvheap.alloc.*]. Counted whether or not anyone subscribed;
+          the merged [--metrics] export holds the same counters. *)
   flushes : int;
   fences : int;
   writebacks : int;

@@ -44,6 +44,8 @@ module Key_pool = struct
       t.size <- t.size + 1
     end
 
+  (* The key at slot [i mod size]: rank-based access for skewed
+     distributions. *)
   let nth_present t i =
     if t.size = 0 then None else Some t.keys.(i mod t.size)
 

@@ -30,10 +30,6 @@ module Key_pool : sig
 
   val add : t -> int64 -> unit
 
-  val nth_present : t -> int -> int64 option
-  (** The key at slot [i mod size] — rank-based access for skewed
-      distributions. *)
-
   val remove_at : t -> int -> int64 option
   (** Removes the key at slot [i mod size]. *)
 end

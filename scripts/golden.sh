@@ -12,16 +12,18 @@
 #   sh scripts/golden.sh --update   rewrite test/golden/ (review the diff)
 #
 # Cover: image-mode grow/shrink/crash `shard --json`, an undo-logged
-# crash run's `shard --json` and `--metrics`, the clean 500-point
-# certification's `check --json` and `--metrics`, a sabotaged
-# hash-table sweep's `check --json` (its violations' `where` strings
-# name crash points by their events), the static lint's `--json` over
-# the registry (clean, under broken fences, and the concurrent
-# registry), the static lint's `--metrics` on the bank workload
-# (`lint-bank-metrics.json`: the one golden whose `nvheap.*` counters
-# reach commits and aborts under the plain FoF protocol and the msync
-# backend together), the static lint's human report on the bank workload under
-# broken fences (witness chains over stores, flushes and log records),
+# crash run's `shard --json` and `--metrics` (each per-shard event
+# count in the former is read off counters the latter exports), the
+# clean 500-point certification's `check --json` and `--metrics`, a
+# sabotaged hash-table sweep's `check --json` (its violations' `where`
+# strings name crash points by their events), the static lint's
+# `--json` over the registry (clean, under broken fences, and the
+# concurrent registry), the static lint's `--metrics` on the bank
+# workload (`lint-bank-metrics.json`: the one golden whose per-event
+# counters, `nvheap.*` and `machine.flush.*`, reach commits and aborts
+# under the plain FoF protocol and the msync backend together), the
+# static lint's human report on the bank workload under broken fences
+# (witness chains over stores, flushes and log records),
 # the concurrent lint's human report (witness chains for every
 # race-annotation kind), the shard service's race
 # lint (the sabotaged handoff convicted under R8, and a clean undo run

@@ -94,6 +94,7 @@ window --runs=-2
 # values the option parser itself rejects
 check --config bogus
 lint --broken bogus
+lint --expect R11
 shard --migrate-mode nope
 cycle --strategy bogus
 cycle --seed x

@@ -184,89 +184,171 @@ let trace_tests =
 
 (* --- concurrent observers -------------------------------------------------- *)
 
+(* Every counter [Event_obs.attach] derives from the bus, each kept
+   inline by the layer that executes the event. *)
 let counter_names =
   [
-    "nvheap.fences";
+    "nvheap.stores";
+    "machine.flush.nt_stores";
+    "machine.flush.fences";
+    "machine.flush.clflush";
+    "machine.flush.flush_range";
+    "machine.flush.wbinvd";
     "nvheap.log.appends";
     "nvheap.log.append_words";
     "nvheap.log.truncates";
     "nvheap.txn.commits";
     "nvheap.txn.aborts";
+    "nvheap.alloc.allocs";
+    "nvheap.alloc.frees";
   ]
 
-(* The six counter values in [reg], in [counter_names] order. *)
-let counter_values reg =
-  List.map (fun n -> Metrics.Counter.value (Metrics.counter reg n)) counter_names
+let counter_values reg names =
+  List.map (fun n -> Metrics.Counter.value (Metrics.counter reg n)) names
+
+(* [counter_values] of [counter_names], then the write-back lines. *)
+let inline_counts nvram =
+  let reg = Nvram.metrics nvram in
+  counter_values reg counter_names
+  @ [ List.fold_left ( + ) 0 (counter_values reg Wsp_machine.Hierarchy.writeback_byte_counters) / Nvram.line_size nvram ]
+
+let checked_names = counter_names @ [ "write-back lines" ]
 
 (* One run between its [observe] and [finish]: what the heap's registry
    counted inline, and what [Event_obs.attach] counted from the bus into
-   its own registry. *)
+   its own registry, followed by the [Wb] events the bus carried. *)
 let inline_and_reference run =
-  let reference = Metrics.create () in
-  let start = ref [] and sub = ref None and inline = ref [] in
-  let values heap = counter_values (Nvram.metrics (Pheap.nvram heap)) in
+  let reference = Metrics.create () and wbs = ref 0 in
+  let start = ref [] and subs = ref [] and inline = ref [] in
+  let values heap = inline_counts (Pheap.nvram heap) in
   run
     ~observe:(fun heap ->
       start := values heap;
-      sub := Some (Event_obs.attach ~metrics:reference (Pheap.bus heap)))
+      subs :=
+        [
+          Event_obs.attach ~metrics:reference (Pheap.bus heap);
+          Bus.subscribe (Pheap.bus heap) (function
+            | Event.Wb _ -> incr wbs
+            | Event.Mem _ | Event.Log _ | Event.Tx _ | Event.Heap _ -> ());
+        ])
     ~finish:(fun heap ->
-      Option.iter Bus.unsubscribe !sub;
+      List.iter Bus.unsubscribe !subs;
       inline := List.map2 ( - ) (values heap) !start);
-  (!inline, counter_values reference)
+  (!inline, counter_values reference counter_names @ [ !wbs ])
 
-(* Six commits and one abort on a heap counting into a private
-   registry. *)
-let run_private config ~observe ~finish =
-  let len = Units.Size.to_bytes (Units.Size.kib 256) in
-  let nvram = Nvram.create ~metrics:(Metrics.create ()) ~size:(Units.Size.kib 256) () in
+(* An AVL insert/delete run on a heap counting into a private registry:
+   300 committed transactions and one aborted, a quiesce, an empty and
+   a 4 KiB [flush_range], and the flush-on-fail [wbinvd]. *)
+let run_avl config ~observe ~finish =
+  let size = Units.Size.kib 512 in
+  let nvram = Nvram.create ~metrics:(Metrics.create ()) ~size () in
   let heap =
-    Pheap.create_in ~config ~log_size:(Units.Size.kib 64) ~nvram ~base:0 ~len ()
+    Pheap.create_in ~config ~log_size:(Units.Size.kib 64) ~nvram ~base:0
+      ~len:(Units.Size.to_bytes size) ()
   in
-  let a = Pheap.alloc heap 64 in
+  let tree = Wsp_store.Avl.create heap in
   observe heap;
-  for i = 1 to 6 do
-    Pheap.with_tx heap (fun () -> Pheap.write_u64 heap ~addr:a (Int64.of_int i))
+  let rng = Rng.create ~seed:3 in
+  for i = 1 to 300 do
+    let key = Int64.of_int (Rng.int rng 100) in
+    if i mod 4 = 0 then
+      ignore (Pheap.with_tx heap (fun () -> Wsp_store.Avl.delete tree key))
+    else
+      Pheap.with_tx heap (fun () ->
+          Wsp_store.Avl.insert tree ~key ~value:(Int64.of_int i))
   done;
   Pheap.begin_tx heap;
-  Pheap.write_u64 heap ~addr:a 99L;
+  Wsp_store.Avl.insert tree ~key:1000L ~value:1L;
   Pheap.abort heap;
   Pheap.quiesce heap;
+  Nvram.flush_range nvram ~addr:0 ~len:0;
+  Nvram.flush_range nvram ~addr:0 ~len:4096;
+  Pheap.wsp_flush heap;
   finish heap
 
 let observer_tests =
   [
     Alcotest.test_case "inline nvheap counters match the event-derived reference"
       `Quick (fun () ->
-        (* Every backend on a private registry, then lint's bank workload
-           under each of its configs ([bank] aborts every third of its 32
-           transactions). Fences and log counts must be what the bus
-           carried; commits and aborts the workload's totals, which the
-           bus does not carry under [No_log]. *)
+        (* The AVL run on every backend, then lint's bank workload under
+           each of its configs ([bank] aborts every third of its 32
+           transactions). Every count must be what the bus carried,
+           except commits and aborts: those are the workload's totals,
+           which the bus does not carry under [No_log]. *)
+        let avl_seen = [ "nvheap.stores"; "nvheap.alloc.allocs"; "nvheap.alloc.frees" ] in
         let cases =
           List.map
-            (fun c -> (c.Config.name, (6, 1), run_private c))
+            (fun c -> (c.Config.name, (300, 1), avl_seen, run_avl c))
             Config.all_backends
           @ List.map
               (fun (w : Analyzer.workload) ->
-                (w.name, (22, 10), w.run ~fault:Checker.No_fault ~txns:32 ~seed:1))
+                (w.name, (22, 10), [], w.run ~fault:Checker.No_fault ~txns:32 ~seed:1))
               (Analyzer.find ~workload:"bank" ())
         in
         let counted =
           List.fold_left
-            (fun counted (name, (commits, aborts), run) ->
+            (fun counted (name, (commits, aborts), seen, run) ->
               let inline, reference = inline_and_reference run in
-              let want = List.filteri (fun i _ -> i < 4) reference @ [ commits; aborts ] in
+              (* Each AVL run stores, allocates and frees. *)
+              List.iter2
+                (fun n v ->
+                  if List.mem n seen then
+                    Alcotest.(check bool) (name ^ ": " ^ n ^ " seen") true (v > 0))
+                checked_names inline;
+              let want =
+                List.map2
+                  (fun n v ->
+                    match n with
+                    | "nvheap.txn.commits" -> commits
+                    | "nvheap.txn.aborts" -> aborts
+                    | _ -> v)
+                  checked_names reference
+              in
               Alcotest.(check (list (pair string int)))
                 name
-                (List.combine counter_names want)
-                (List.combine counter_names inline);
+                (List.combine checked_names want)
+                (List.combine checked_names inline);
               List.map2 ( + ) counted inline)
-            (List.map (fun _ -> 0) counter_names)
+            (List.map (fun _ -> 0) checked_names)
             cases
         in
         List.iter2
           (fun n v -> Alcotest.(check bool) (n ^ " counted") true (v > 0))
-          counter_names counted);
+          checked_names counted);
+    Alcotest.test_case "an event a raising subscriber aborts is still counted"
+      `Quick (fun () ->
+        (* The crash-injection contract: a [Crash_point] aborts the
+           primitive after its count, as the recorded trace keeps the
+           aborted event. *)
+        let aborted name op =
+          let nvram =
+            Nvram.create ~metrics:(Metrics.create ()) ~size:(Units.Size.kib 64) ()
+          in
+          let log = Rawlog.create nvram ~base:0 ~len:4096 in
+          let heap = Alloc.create nvram ~base:4096 ~len:4096 in
+          let count () =
+            Metrics.Counter.value (Metrics.counter (Nvram.metrics nvram) name)
+          in
+          let before = count () in
+          let raised =
+            Bus.with_subscriber (Nvram.bus nvram)
+              (fun _ -> raise Boom)
+              (fun () ->
+                match op nvram log heap with () -> false | exception Boom -> true)
+          in
+          Alcotest.(check bool) (name ^ ": aborted") true raised;
+          Alcotest.(check int) name (before + 1) (count ())
+        in
+        aborted "nvheap.stores" (fun nv _ _ -> Nvram.write_u64 nv ~addr:8192 1L);
+        aborted "machine.flush.nt_stores" (fun nv _ _ -> Nvram.write_u64_nt nv ~addr:8192 1L);
+        aborted "machine.flush.fences" (fun nv _ _ -> Nvram.fence nv);
+        aborted "machine.flush.clflush" (fun nv _ _ -> Nvram.clflush nv ~addr:8192);
+        aborted "machine.flush.flush_range" (fun nv _ _ ->
+            Nvram.flush_range nv ~addr:8192 ~len:64);
+        aborted "machine.flush.wbinvd" (fun nv _ _ -> Nvram.wbinvd nv);
+        aborted "nvheap.log.appends" (fun _ log _ ->
+            Rawlog.append log ~mode:Rawlog.Durable ~kind:1 [| 1L |]);
+        aborted "nvheap.alloc.allocs" (fun _ _ heap -> ignore (Alloc.alloc heap 64)));
     Alcotest.test_case "metrics totals independent of job width" `Slow
       (fun () ->
         (* The per-domain registries merge to the same totals at any
@@ -275,14 +357,17 @@ let observer_tests =
           Metrics.reset_all ();
           ignore
             (Analyzer.lint ~jobs ~workloads:(Analyzer.find ~workload:"bank" ()) ());
-          List.combine counter_names (counter_values (Metrics.merged ()))
+          List.combine counter_names (counter_values (Metrics.merged ()) counter_names)
         in
         let j1 = totals 1 in
         let j4 = totals 4 in
         Metrics.reset_all ();
         Alcotest.(check (list (pair string int))) "same totals" j1 j4;
+        (* Every count but [flush_range], which no workload issues. *)
         List.iter
-          (fun (n, v) -> Alcotest.(check bool) (n ^ " counted") true (v > 0))
+          (fun (n, v) ->
+            if n <> "machine.flush.flush_range" then
+              Alcotest.(check bool) (n ^ " counted") true (v > 0))
           j1);
     Alcotest.test_case
       "checker verdicts unchanged by concurrent metrics+tracing observers"
@@ -299,82 +384,6 @@ let observer_tests =
         Wsp_obs.Tracer.set_enabled false;
         Alcotest.(check string) "observed = unobserved" (s baseline) observed;
         Alcotest.(check string) "jobs-invariant" (s baseline) observed_j4);
-  ]
-
-(* --- the per-NVRAM tally -------------------------------------------------- *)
-
-(* The eight classes a shard once tallied with a bus subscriber, in
-   [Nvram.tally] field order. *)
-let classify counts (ev : Event.t) =
-  let bump i = counts.(i) <- counts.(i) + 1 in
-  match ev with
-  | Event.Mem (Event.Store _ | Event.Store_nt _) -> bump 0
-  | Event.Mem (Event.Clflush _ | Event.Flush_range _ | Event.Wbinvd) -> bump 1
-  | Event.Mem Event.Fence -> bump 2
-  | Event.Wb _ -> bump 3
-  | Event.Tx (Event.Commit _) -> bump 4
-  | Event.Log (Event.Append _) -> bump 5
-  | Event.Heap (Event.Alloc _) -> bump 6
-  | Event.Heap (Event.Free _) -> bump 7
-  | Event.Tx (Event.Begin _ | Event.Abort _)
-  | Event.Log Event.Truncate
-  | Event.Heap (Event.Header_write _) -> ()
-
-let tally_fields (t : Nvram.tally) =
-  [|
-    t.stores; t.flushes; t.fences; t.writebacks; t.tx_commits; t.log_appends;
-    t.allocs; t.frees;
-  |]
-
-let tally_names =
-  [ "stores"; "flushes"; "fences"; "writebacks"; "tx_commits"; "log_appends";
-    "allocs"; "frees" ]
-
-let tally_tests =
-  [
-    Alcotest.test_case "the tally matches a counting subscriber everywhere"
-      `Quick (fun () ->
-        List.iter
-          (fun (config : Config.t) ->
-            let heap =
-              Pheap.create ~config ~size:(Units.Size.kib 512)
-                ~log_size:(Units.Size.kib 64) ()
-            in
-            let nvram = Pheap.nvram heap in
-            let tree = Wsp_store.Avl.create heap in
-            let before = tally_fields (Nvram.tally nvram) in
-            let counts = Array.make 8 0 in
-            let sub = Bus.subscribe (Pheap.bus heap) (classify counts) in
-            let rng = Rng.create ~seed:3 in
-            for i = 1 to 300 do
-              let key = Int64.of_int (Rng.int rng 100) in
-              if i mod 4 = 0 then
-                ignore
-                  (Pheap.with_tx heap (fun () -> Wsp_store.Avl.delete tree key))
-              else
-                Pheap.with_tx heap (fun () ->
-                    Wsp_store.Avl.insert tree ~key ~value:(Int64.of_int i))
-            done;
-            Pheap.begin_tx heap;
-            Wsp_store.Avl.insert tree ~key:1000L ~value:1L;
-            Pheap.abort heap;
-            Pheap.quiesce heap;
-            Nvram.flush_range nvram ~addr:0 ~len:4096;
-            Pheap.wsp_flush heap;
-            Bus.unsubscribe sub;
-            let after = tally_fields (Nvram.tally nvram) in
-            List.iteri
-              (fun i name ->
-                Alcotest.(check int)
-                  (Printf.sprintf "%s: %s" config.Config.name name)
-                  counts.(i)
-                  (after.(i) - before.(i)))
-              tally_names;
-            Alcotest.(check bool)
-              (config.Config.name ^ ": stores, allocs and frees seen")
-              true
-              (counts.(0) > 0 && counts.(6) > 0 && counts.(7) > 0))
-          Config.all_backends);
   ]
 
 (* --- streaming ≡ recorded -------------------------------------------------- *)
@@ -481,6 +490,6 @@ let suite =
   [
     ("events.bus", bus_tests);
     ("events.trace", trace_tests);
-    ("events.observers", observer_tests @ tally_tests);
+    ("events.observers", observer_tests);
     ("events.streaming", streaming_tests @ streaming_props);
   ]

@@ -662,7 +662,76 @@ let service_tests =
           (fun name ->
             Alcotest.(check bool) (name ^ " counted") true
               (Wsp_obs.Metrics.Counter.value (Wsp_obs.Metrics.counter merged name) > 0))
-          [ "nvheap.fences"; "nvheap.log.appends"; "nvheap.txn.commits" ]);
+          [ "machine.flush.fences"; "nvheap.log.appends"; "nvheap.txn.commits" ]);
+    Alcotest.test_case "the report's event counts are the metrics export's"
+      `Quick (fun () ->
+        (* Per event class, the per-shard counts summed over shards equal
+           the merged metrics of the run less those of the same params
+           serving no request, which count only the shards' formatting
+           (without the crash, which an idle run would fire at its end).
+           An undo-logged run with a whole-service crash reaches every
+           class. *)
+        let p =
+          {
+            (small_params ~shards:3 ~seed:9) with
+            Service.config = Wsp_nvheap.Config.foc_ul;
+            crash_at = Some 40;
+          }
+        in
+        let export p =
+          Wsp_obs.Metrics.reset_all ();
+          let r = Service.run ~jobs:1 p in
+          (r, Wsp_obs.Metrics.merged ())
+        in
+        let (r, run), (_, idle) =
+          Fun.protect ~finally:Wsp_obs.Metrics.reset_all (fun () ->
+              let run = export p in
+              (run, export { p with Service.requests = 0; crash_at = None }))
+        in
+        let delta names =
+          List.fold_left
+            (fun n name ->
+              let v reg =
+                Wsp_obs.Metrics.Counter.value (Wsp_obs.Metrics.counter reg name)
+              in
+              n + v run - v idle)
+            0 names
+        in
+        let line =
+          Wsp_machine.Hierarchy.config_line_size
+            (Wsp_machine.Platform.core_hierarchy Wsp_machine.Platform.intel_c5528)
+        in
+        List.iter
+          (fun (cls, field, names, unit) ->
+            let reported =
+              List.fold_left (fun n s -> n + field s) 0 r.Service.per_shard
+            in
+            Alcotest.(check bool) (cls ^ " counted") true (reported > 0);
+            Alcotest.(check int) cls (delta names) (unit * reported))
+          Service.
+            [
+              ( "stores",
+                (fun s -> s.stores),
+                [ "nvheap.stores"; "machine.flush.nt_stores" ],
+                1 );
+              ( "flushes",
+                (fun s -> s.flushes),
+                [
+                  "machine.flush.clflush";
+                  "machine.flush.flush_range";
+                  "machine.flush.wbinvd";
+                ],
+                1 );
+              ("fences", (fun s -> s.fences), [ "machine.flush.fences" ], 1);
+              ( "writebacks",
+                (fun s -> s.writebacks),
+                Wsp_machine.Hierarchy.writeback_byte_counters,
+                line );
+              ("tx_commits", (fun s -> s.tx_commits), [ "nvheap.txn.commits" ], 1);
+              ("log_appends", (fun s -> s.log_appends), [ "nvheap.log.appends" ], 1);
+              ("allocs", (fun s -> s.allocs), [ "nvheap.alloc.allocs" ], 1);
+              ("frees", (fun s -> s.frees), [ "nvheap.alloc.frees" ], 1);
+            ]);
     Alcotest.test_case "an injection at a write-back still yields a verdict"
       `Quick (fun () ->
         (* Both shapes once armed the injector at a [Wb] event, which is

@@ -361,7 +361,11 @@ let directory_tests =
         Pheap.crash heap;
         Pheap.recover heap;
         let d' = Directory.attach heap () in
-        let commits () = (Nvram.tally (Pheap.nvram heap)).Nvram.tx_commits in
+        let commits () =
+          Wsp_obs.Metrics.(
+            Counter.value
+              (counter (Nvram.metrics (Pheap.nvram heap)) "nvheap.txn.commits"))
+        in
         let before = commits () in
         Directory.add_entry d' rng;
         Alcotest.(check int) "one commit per update" (before + 1) (commits ());
