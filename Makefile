@@ -48,7 +48,7 @@ shard-smoke: build
 
 # Live-topology gate: grow + shrink drain losslessly, a single shard's
 # power failure spares the rest (and books the availability dip), the
-# mid-migration crash sweep recovers every injected persistency event,
+# mid-migration crash sweep recovers every injected migration memory event,
 # and the combined worst case is job-width deterministic.
 shard-migrate-smoke: build
 	sh scripts/shard_migrate_smoke.sh

@@ -717,8 +717,8 @@ let shard_cmd =
       value & flag
       & info [ "sweep" ]
           ~doc:"Mid-migration crash sweep: run once crash-free, then re-run \
-                with a power failure injected at each sampled migration \
-                persistency event, verifying lossless single-owner recovery \
+                with a power failure injected before each sampled migration \
+                memory event, verifying lossless single-owner recovery \
                 against the golden run. Needs $(b,--grow-at) or \
                 $(b,--shrink-at) and refuses $(b,--lint) and \
                 $(b,--race-lint); exits non-zero on any violation.")
@@ -727,9 +727,9 @@ let shard_cmd =
     Arg.(
       value & opt (some int) None
       & info [ "sweep-points" ] ~docv:"N"
-          ~doc:"Maximum injected crash points in $(b,--sweep) (evenly \
-                sampled over the migration's persistency events; default \
-                64).")
+          ~doc:"Crash points in $(b,--sweep): a sample of the migration's \
+                memory events seeded by $(b,--seed), or all of them when \
+                $(docv) is at least their count (default 64).")
   in
   let lint_arg =
     Arg.(

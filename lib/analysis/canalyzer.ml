@@ -208,22 +208,15 @@ type verdict = {
 
 let clean v = v.losses = 0 && v.torn = 0
 
-exception Crash_now
-
 (* One run of [w]'s own driver, failing power immediately before memory
-   event [stop_at] (counted across every heap it adds). A crashed run is
-   power-cycled — a WSP save unless the backend is durable without
-   one, then the cut — and audited after re-attach. Returns the events
-   seen and the (loss, torn) audit, which is clean for a run that
-   finishes before [stop_at]. *)
+   event [stop_at] (counted across every heap it adds; [None] only
+   counts). A crashed run is power-cycled — a WSP save unless the
+   backend is durable without one, then the cut — and audited after
+   re-attach. Returns the events seen and the (loss, torn) audit, which
+   is clean for a run that finishes before [stop_at]. *)
 let crash_run w ~txns ~stop_at =
-  let heaps = ref [] and subs = ref [] and acked = ref [] and seen = ref 0 in
-  let count = function
-    | Event.Mem _ ->
-        incr seen;
-        if !seen = stop_at then raise Crash_now
-    | Event.Log _ | Event.Tx _ | Event.Wb _ | Event.Heap _ -> ()
-  in
+  let crash = Crash.create ?at:stop_at Crash.Freeze in
+  let heaps = ref [] and acked = ref [] and subs = ref [] in
   let ack = function
     | Event.Ack { obj } -> acked := obj :: !acked
     | Event.Write _ | Event.Read _ | Event.Publish _ | Event.Acquire _
@@ -235,46 +228,46 @@ let crash_run w ~txns ~stop_at =
       add_heap =
         (fun ~domains:_ heap ->
           heaps := heap :: !heaps;
+          Crash.watch crash (Pheap.nvram heap);
           subs :=
-            Wsp_events.Bus.subscribe (Pheap.bus heap) count
-            :: Wsp_events.Bus.subscribe (Nvram.sync_bus (Pheap.nvram heap)) ack
+            Wsp_events.Bus.subscribe (Nvram.sync_bus (Pheap.nvram heap)) ack
             :: !subs);
       set_domain = ignore;
     }
   in
-  let crashed =
+  let completed =
     Fun.protect
       ~finally:(fun () -> List.iter Wsp_events.Bus.unsubscribe !subs)
       (fun () ->
-        try
-          w.crun ctx ~domains:w.cdomains ~txns ~seed:1;
-          false
-        with Crash_now -> true)
+        Crash.run crash [] (fun () ->
+            w.crun ctx ~domains:w.cdomains ~txns ~seed:1))
   in
-  if not crashed then (!seen, (false, false))
-  else begin
-    let config = w.cconfig and heaps = List.rev !heaps in
-    List.iter
-      (fun heap ->
-        if not (Config.is_durable_without_wsp config) then Pheap.wsp_flush heap;
-        Pheap.crash heap)
-      heaps;
-    (* Each heap is re-attached at its own geometry, whatever the
-       entry's driver created it with. *)
-    let reattach heap =
-      Pheap.attach_in ~config
-        ~log_size:(Units.Size.bytes (Pheap.log_bytes heap))
-        ~nvram:(Pheap.nvram heap) ~base:(Pheap.base heap)
-        ~len:(Pheap.region_len heap) ()
-    in
-    (!seen, w.caudit (List.map reattach heaps) ~acked:!acked)
-  end
+  ( Crash.events crash,
+    match completed with
+    | Some () -> (false, false)
+    | None ->
+        let config = w.cconfig and heaps = List.rev !heaps in
+        List.iter
+          (fun heap ->
+            if not (Config.is_durable_without_wsp config) then
+              Pheap.wsp_flush heap;
+            Pheap.crash heap)
+          heaps;
+        (* Each heap is re-attached at its own geometry, whatever the
+           entry's driver created it with. *)
+        let reattach heap =
+          Pheap.attach_in ~config
+            ~log_size:(Units.Size.bytes (Pheap.log_bytes heap))
+            ~nvram:(Pheap.nvram heap) ~base:(Pheap.base heap)
+            ~len:(Pheap.region_len heap) ()
+        in
+        w.caudit (List.map reattach heaps) ~acked:!acked )
 
 let sweep w ~txns =
   (* The uncrashed run counts the points; then one run per point. *)
-  let points, _ = crash_run w ~txns ~stop_at:0 in
+  let points, _ = crash_run w ~txns ~stop_at:None in
   let audits =
-    List.init points (fun i -> snd (crash_run w ~txns ~stop_at:(i + 1)))
+    List.init points (fun i -> snd (crash_run w ~txns ~stop_at:(Some i)))
   in
   let count p = List.length (List.filter p audits) in
   {

@@ -21,7 +21,7 @@
     domain. Call it after the structure is created so the baseline
     covers its blocks. [set_domain] switches the current domain.
     {!sweep} drives the same workload under a crash context that
-    counts memory events on the added heaps, collects the acks from
+    {!Wsp_nvheap.Crash.watch}es the added heaps, collects the acks from
     their annotation buses and ignores domains. *)
 type ctx = {
   add_heap : domains:int list -> Wsp_nvheap.Pheap.t -> unit;

@@ -5,8 +5,6 @@ open Wsp_sim
 open Wsp_nvheap
 open Wsp_store
 
-exception Crash_point
-
 (* --- workloads ----------------------------------------------------- *)
 
 type kind = Btree | Hash_table | Skiplist | Block_kv
@@ -147,7 +145,7 @@ let apply_op (kv : Kv_view.t) = function
 
 (* A crash during the commit protocol may legitimately recover to either
    side of the transaction, so [pending]/[in_commit] are left frozen at
-   the instant Crash_point escapes. *)
+   the instant the power failure escapes. *)
 let run_script env st ~kind script =
   match kind with
   | Block_kv ->
@@ -179,16 +177,6 @@ let run_script env st ~kind script =
           st.pending <- [];
           st.in_commit <- false)
         script
-
-(* Records the full persistency trace of one complete execution. *)
-let record ~kind ~config ~fault script =
-  let env = make_env ~kind ~config ~fault () in
-  let tr = Ptrace.create () in
-  Ptrace.instrument tr env.heap;
-  Fun.protect
-    ~finally:(fun () -> Ptrace.detach tr)
-    (fun () -> run_script env (fresh_state ()) ~kind script);
-  tr
 
 (* --- the golden run -------------------------------------------------- *)
 
@@ -280,30 +268,6 @@ let record_workload ?txns ?fault ~kind ~config ~seed () =
         ~finish:(fun heap -> out := Some (Ptrace.snapshot tr heap))
         ());
   Option.get !out
-
-(* Re-executes the script, cutting power before memory event [point].
-   Returns the crash state captured at that instant, or None if the trace
-   ended before the point was reached. Re-raising on every subsequent
-   event freezes the machine: even rollback writes from an exception
-   handler cannot run past the failure. *)
-let run_to_crash env st ~kind ~point script =
-  let count = ref 0 in
-  let state = ref None in
-  (* [with_subscriber]: the subscription must not outlive this call even
-     when [run_script] raises something other than [Crash_point] — a
-     leaked subscriber would keep counting (and crashing) someone else's
-     events on the same bus. *)
-  Wsp_events.Bus.with_subscriber (Nvram.bus env.nvram)
-    (function
-      | Event.Mem _ ->
-          if !count >= point then begin
-            if !state = None then state := Some (Replay.capture env.nvram);
-            raise Crash_point
-          end;
-          incr count
-      | Event.Log _ | Event.Tx _ | Event.Wb _ | Event.Heap _ -> ())
-    (fun () -> try run_script env st ~kind script with Crash_point -> ());
-  !state
 
 (* --- recovery and oracles ------------------------------------------- *)
 
@@ -518,14 +482,21 @@ let judge_state ~kind ~config ~fault ~st (state : Replay.state) =
              diff)
 
 (* Verdict for one crash point: None = survived, Some message = bug.
-   The full-replay engine: re-executes the workload from scratch and
-   cuts power at the point. *)
+   The full-replay engine: re-executes the workload from scratch, cuts
+   power before memory event [point] (a freeze, so not even a rollback
+   stores past the failure) and judges the state captured at that
+   instant. A trace that ends before the point has nothing to crash. *)
 let judge_point ~kind ~config ~fault ~point script =
   let env = make_env ~kind ~config ~fault () in
   let st = fresh_state () in
-  match run_to_crash env st ~kind ~point script with
-  | None -> None (* trace ended before the point: nothing to crash *)
-  | Some state -> judge_state ~kind ~config ~fault ~st state
+  let state = ref None in
+  let crash =
+    Crash.create ~at:point
+      ~on_trip:(fun () -> state := Some (Replay.capture env.nvram))
+      Crash.Freeze
+  in
+  ignore (Crash.run crash [ env.nvram ] (fun () -> run_script env st ~kind script));
+  Option.bind !state (judge_state ~kind ~config ~fault ~st)
 
 (* --- the incremental engine ------------------------------------------ *)
 
@@ -595,7 +566,7 @@ type report = {
   shrunk : shrunk option;
 }
 
-(* --- shrinking ------------------------------------------------------- *)
+(* --- engines and shrinking -------------------------------------------- *)
 
 type engine = Incremental | Full_replay
 
@@ -604,26 +575,53 @@ type engine = Incremental | Full_replay
    transaction's trace prefix. *)
 let shrink_scan_cap = 400
 
+(* Splits an ascending point list into runs of at most [sz], keeping
+   order: the parallel grain of the incremental engine (each run gets
+   its own cursor, restored once from the nearest waypoint). *)
+let chunk_points sz pts =
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | p :: rest ->
+        if k = sz then go (List.rev cur :: acc) [ p ] 1 rest
+        else go acc (p :: cur) (k + 1) rest
+  in
+  go [] [] 0 pts
+
+(* The engine's recorded trace of [script] and its judge over ascending
+   crash points; with [until_violation] the verdicts end at the first
+   failing point. Only the full-replay engine re-executes per point. *)
+let prepare ?jobs ?(until_violation = false) ~engine ~stride ~kind ~config
+    ~fault script =
+  let g = record_golden ~stride ~kind ~config ~fault script in
+  let judge =
+    match engine with
+    | Full_replay ->
+        let one point = (point, judge_point ~kind ~config ~fault ~point script) in
+        if until_violation then
+          let rec go = function
+            | [] -> []
+            | p :: rest -> (
+                match one p with (_, Some _) as v -> [ v ] | v -> v :: go rest)
+          in
+          go
+        else Parallel.map ?jobs one
+    | Incremental when until_violation -> judge_marks ~until_violation g
+    | Incremental ->
+        fun pts ->
+          let sz = if stride > 0 then stride else max 1 (List.length pts) in
+          chunk_points sz pts
+          |> Parallel.map ?jobs ~chunk:1 (judge_marks g)
+          |> List.concat
+  in
+  (g.trace, judge)
+
 let first_failure ~engine ~kind ~config ~fault ~stride script =
-  match engine with
-  | Full_replay ->
-      let n = Ptrace.mem_length (record ~kind ~config ~fault script) in
-      let limit = min n shrink_scan_cap in
-      let rec go p =
-        if p >= limit then None
-        else
-          match judge_point ~kind ~config ~fault ~point:p script with
-          | Some m -> Some (p, n, m)
-          | None -> go (p + 1)
-      in
-      go 0
-  | Incremental ->
-      let g = record_golden ~stride ~kind ~config ~fault script in
-      let n = Replay.marks g.rp in
-      judge_marks ~until_violation:true g
-        (List.init (min n shrink_scan_cap) Fun.id)
-      |> List.find_map (fun (p, verdict) ->
-             Option.map (fun m -> (p, n, m)) verdict)
+  let tr, judge =
+    prepare ~until_violation:true ~engine ~stride ~kind ~config ~fault script
+  in
+  let n = Ptrace.mem_length tr in
+  judge (List.init (min n shrink_scan_cap) Fun.id)
+  |> List.find_map (fun (p, verdict) -> Option.map (fun m -> (p, n, m)) verdict)
 
 let drop_nth l n = List.filteri (fun i _ -> i <> n) l
 
@@ -662,18 +660,6 @@ let shrink_failing ~engine ~kind ~config ~fault ~stride script =
 
 (* --- top level ------------------------------------------------------- *)
 
-(* Splits an ascending point list into runs of at most [sz], keeping
-   order: the parallel grain of the incremental engine (each run gets
-   its own cursor, restored once from the nearest waypoint). *)
-let chunk_points sz pts =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | p :: rest ->
-        if k = sz then go (List.rev cur :: acc) [ p ] 1 rest
-        else go acc (p :: cur) (k + 1) rest
-  in
-  go [] [] 0 pts
-
 let check ?jobs ?(points = 1000) ?(txns = default_txns)
     ?(ops_per_txn = default_ops_per_txn) ?(keyspace = default_keyspace)
     ?(setup_entries = default_setup_entries) ?(fault = No_fault) ?(shrink = true)
@@ -685,41 +671,11 @@ let check ?jobs ?(points = 1000) ?(txns = default_txns)
   let rng = Rng.create ~seed in
   let script = gen_script ~rng ~txns ~ops_per_txn ~keyspace ~setup_entries in
   let tr, judge =
-    match engine with
-    | Full_replay ->
-        let tr = record ~kind ~config ~fault script in
-        ( tr,
-          fun pts ->
-            Parallel.map ?jobs
-              (fun point -> (point, judge_point ~kind ~config ~fault ~point script))
-              pts )
-    | Incremental ->
-        let g =
-          record_golden ~stride:snapshot_stride ~kind ~config ~fault script
-        in
-        ( g.trace,
-          fun pts ->
-            let sz =
-              if snapshot_stride > 0 then snapshot_stride
-              else max 1 (List.length pts)
-            in
-            chunk_points sz pts
-            |> Parallel.map ?jobs ~chunk:1 (fun pts -> judge_marks g pts)
-            |> List.concat )
+    prepare ?jobs ~engine ~stride:snapshot_stride ~kind ~config ~fault script
   in
   let stream = Ptrace.events tr in
   let n = Ptrace.mem_length tr in
-  let pts, exhaustive =
-    if n <= points then (List.init n Fun.id, true)
-    else begin
-      (* Sample without replacement, seeded: reproducible coverage. *)
-      let arr = Array.init n Fun.id in
-      Rng.shuffle rng arr;
-      let sel = Array.sub arr 0 points in
-      Array.sort compare sel;
-      (Array.to_list sel, false)
-    end
-  in
+  let pts, exhaustive = Crash.select ~rng ~total:n ~budget:points in
   let verdicts =
     judge pts
     |> List.map (fun (point, verdict) ->

@@ -21,18 +21,14 @@
       byte for byte — WSP resumes rather than recovers, so nothing else
       may be demanded, and nothing less suffices.
 
-    Short traces are enumerated exhaustively; long ones are sampled
-    without replacement from a seeded {!Wsp_sim.Rng}, so every report is
-    reproducible from its seed. Failing traces are shrunk greedily to a
-    1-minimal reproducer (no single transaction or operation can be
-    dropped without losing the failure). *)
+    Crash points are {!Wsp_nvheap.Crash}'s, in its [Freeze] mode. Short
+    traces are enumerated exhaustively; long ones are sampled by
+    {!Wsp_nvheap.Crash.select} from a seeded {!Wsp_sim.Rng}, so every
+    report is reproducible from its seed. Failing traces are shrunk
+    greedily to a 1-minimal reproducer (no single transaction or
+    operation can be dropped without losing the failure). *)
 
 open Wsp_nvheap
-
-exception Crash_point
-(** Raised by the injected bus subscriber at the chosen memory event;
-    escapes the workload and freezes the simulated machine at the crash
-    instant. *)
 
 (** {1 Workloads} *)
 

@@ -9,8 +9,8 @@
     ([~racy:true]) variant that commits a deliberate persist-ordering
     bug from the Delay-Free taxonomy — acks or publishes that outrun
     the persist backing them. Clean and racy variants are what the
-    static race detector ({!Wsp_analysis.Crules}) and the crash sweep
-    of the same drivers ({!Wsp_analysis.Canalyzer.sweep})
+    static race detector ({!Wsp_analysis.Crules}) and the {!Crash}
+    sweep of the same drivers ({!Wsp_analysis.Canalyzer.sweep})
     cross-certify.
 
     Every protocol step that matters to a race analysis is announced

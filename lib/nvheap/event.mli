@@ -75,8 +75,8 @@ val pp : Format.formatter -> t -> unit
     on {!Nvram.sync_bus} by protocol code ({!Dstruct}, the shard
     service) and consumed by the race detector
     ({!Wsp_analysis.Crules}). Annotations are not crash points: they
-    never travel on {!Nvram.bus}, so the checker, the migration
-    injector and every other persistency observer never see them.
+    never travel on {!Nvram.bus}, so {!Crash} and every other
+    persistency observer never see them.
     Objects are caller-chosen 64-bit identities (a key, a queue
     sequence number); [addr] is the object's backing byte address when
     the caller persists it with explicit flushes, or negative when a

@@ -117,8 +117,8 @@ val bus : t -> Event.t Wsp_events.Bus.t
 val sync_bus : t -> Event.sync Wsp_events.Bus.t
 (** The race-annotation bus next to {!bus} (see {!Event.sync}). Both
     dispatch synchronously, so a subscriber to both sees one
-    program-ordered stream; an observer of {!bus} alone (the checker,
-    the migration injector) never sees an annotation. *)
+    program-ordered stream; an observer of {!bus} alone ({!Crash}, the
+    trace recorder) never sees an annotation. *)
 
 (** {1 Fault injection} *)
 

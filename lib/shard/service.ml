@@ -143,20 +143,6 @@ type report = {
   final_contents : (int64 * int64) array option;
 }
 
-(* Crash injection into the migration engine. Migration steps run on
-   the coordinating domain only, so the counter is deterministic: the
-   k-th migration persistency event is the same event at every [--jobs]
-   width. The injector is subscribed only inside the migration window,
-   so client traffic never advances the counter. *)
-exception Crash_mid_migration
-
-type mig_ctl = {
-  mutable events : int;  (* migration persistency events seen so far *)
-  mutable arm : int option;  (* crash at this event index, if armed *)
-  freeze : bool;  (* transactional config: fail at the exact event *)
-  mutable tripped : bool;
-}
-
 type shard = {
   id : int;  (* stable id = ring label - 1; survives renumbering *)
   nvram : Nvram.t;
@@ -219,7 +205,9 @@ type migration = {
 type state = {
   p : params;
   pool : Parallel.pool;  (* worker domains for the rounds' fan-outs *)
-  ctl : mig_ctl;
+  crash : Crash.t;
+      (* Runs only around migration steps, on the coordinating domain:
+         the k-th event is the same at every [--jobs] width. *)
   race : Crules.stream option;  (* the cross-domain race detector *)
   mutable router : Router.t;
   mutable ring : shard array;  (* router index -> shard *)
@@ -246,46 +234,6 @@ type state = {
   mutable image_bytes : int;
   mutable image_deltas : int;
 }
-
-(* The injection subscriber. Under a transactional config the machine
-   freezes at the armed event — the exception keeps firing on every
-   later event, so not even rollback writes can run past the failure
-   (log recovery undoes the in-flight transaction instead, exactly like
-   [Checker.run_to_crash]). A [Wb] is counted but never raised at: it
-   is published from inside an eviction, after the line has left the
-   cache, and raising there would orphan the line's dirty bytes; the
-   next other event fails instead. Under plain flush-on-fail the trip
-   is realised at the next handoff checkpoint: WSP saves all state at
-   the failure and resumes transparently, so the in-flight operation
-   completing and then crashing is observationally the same machine. *)
-let inject (ctl : mig_ctl) (ev : Event.t) =
-  let e = ctl.events in
-  ctl.events <- e + 1;
-  match ctl.arm with
-  | Some target when e >= target -> (
-      ctl.tripped <- true;
-      match ev with
-      | Event.Wb _ -> ()
-      | Event.Mem _ | Event.Log _ | Event.Tx _ | Event.Heap _ ->
-          if ctl.freeze then raise Crash_mid_migration)
-  | _ -> ()
-
-(* Runs [f] with the injector on every shard bus, detaching it on
-   return or exception. *)
-let with_injector st f =
-  let subs =
-    List.map
-      (fun sh -> Bus.subscribe (Nvram.bus sh.nvram) (inject st.ctl))
-      st.roster
-  in
-  Fun.protect ~finally:(fun () -> List.iter Bus.unsubscribe subs) f
-
-let mig_checkpoint (ctl : mig_ctl) =
-  if ctl.tripped then begin
-    ctl.tripped <- false;
-    ctl.arm <- None;
-    raise Crash_mid_migration
-  end
 
 let attach_lint config heap =
   let machine = Rules.default_machine ~config () in
@@ -665,22 +613,19 @@ let move_key st m key =
         tombstone src key;
         race_drain st
       in
-      if st.p.broken_handoff then begin
-        (* Sabotage: tombstone first. A power failure at the checkpoint
-           between the halves holds the key nowhere — the value only
-           survives in this volatile binding. *)
-        retire_half ();
-        mig_checkpoint st.ctl;
-        persist_half ()
-      end
-      else begin
-        persist_half ();
-        mig_checkpoint st.ctl;
-        retire_half ()
-      end;
+      (* Sabotage: tombstone first. A power failure at the checkpoint
+         between the halves holds the key nowhere — the value only
+         survives in this volatile binding. *)
+      let first, second =
+        if st.p.broken_handoff then (retire_half, persist_half)
+        else (persist_half, retire_half)
+      in
+      first ();
+      Crash.checkpoint st.crash;
+      second ();
       book_handoff m dst key;
       Hashtbl.remove st.pending key;
-      mig_checkpoint st.ctl
+      Crash.checkpoint st.crash
 
 let retire sh =
   sh.retired <- true;
@@ -794,7 +739,6 @@ let crash_one st sh =
    report accounts. *)
 let apply_migrations st =
   if st.migrations <> [] then begin
-    let ctl = st.ctl in
     let actors =
       List.filter (fun sh -> not sh.retired) st.roster
       |> List.map (fun sh -> (sh, Pheap.clock sh.heap))
@@ -806,42 +750,35 @@ let apply_migrations st =
         [] st.migrations
     in
     List.iter (fun t -> t.migration_rounds <- t.migration_rounds + 1) topos;
-    let crashed =
-      with_injector st @@ fun () ->
-      try
-        List.iter
-          (fun m ->
-            if not m.src.is_down then begin
-              ensure_staged st m;
-              let moved = ref 0 in
-              let stalled = ref false in
-              while
-                (not !stalled)
-                && !moved < st.p.migrate_batch
-                && m.pos < Array.length m.queue
-              do
-                let key = m.queue.(m.pos) in
-                if Hashtbl.mem st.pending key then begin
-                  let dst = st.ring.(Router.shard_of_key st.router key) in
-                  if dst.is_down then stalled := true
-                  else begin
-                    move_key st m key;
-                    incr moved;
-                    m.pos <- m.pos + 1
-                  end
+    let drain () =
+      List.iter
+        (fun m ->
+          if not m.src.is_down then begin
+            ensure_staged st m;
+            let moved = ref 0 in
+            let stalled = ref false in
+            while
+              (not !stalled)
+              && !moved < st.p.migrate_batch
+              && m.pos < Array.length m.queue
+            do
+              let key = m.queue.(m.pos) in
+              if Hashtbl.mem st.pending key then begin
+                let dst = st.ring.(Router.shard_of_key st.router key) in
+                if dst.is_down then stalled := true
+                else begin
+                  move_key st m key;
+                  incr moved;
+                  m.pos <- m.pos + 1
                 end
-                else m.pos <- m.pos + 1
-              done
-            end)
-          st.migrations;
-        false
-      with Crash_mid_migration -> true
+              end
+              else m.pos <- m.pos + 1
+            done
+          end)
+        st.migrations
     in
-    if crashed then begin
-      ctl.arm <- None;
-      ctl.tripped <- false;
-      crash_service st
-    end;
+    if Crash.run st.crash (List.map (fun sh -> sh.nvram) st.roster) drain = None
+    then crash_service st;
     let delta =
       List.fold_left
         (fun acc (sh, c0) ->
@@ -1023,13 +960,11 @@ let fire_crash st round =
         | Some _ | None -> ())
 
 let setup p ~pool ~arm ~rounds =
-  let ctl =
-    {
-      events = 0;
-      arm;
-      freeze = Config.protocol p.config <> Config.Plain;
-      tripped = false;
-    }
+  (* With a log to roll back, freeze; plain WSP resumes, then fails. *)
+  let crash =
+    Crash.create ?at:arm
+      (if Config.protocol p.config = Config.Plain then Crash.Defer
+       else Crash.Freeze)
   in
   let race =
     if p.race_lint then
@@ -1044,7 +979,7 @@ let setup p ~pool ~arm ~rounds =
   {
     p;
     pool;
-    ctl;
+    crash;
     race;
     router = Router.create ~vnodes:p.vnodes ~shards:p.shards ();
     ring = shards0;
@@ -1252,7 +1187,7 @@ let finish st ~rounds =
     keys_moved =
       List.fold_left (fun n t -> n + t.moved_keys) 0 st.topology;
     migration_time = st.migration_time;
-    mig_events = st.ctl.events;
+    mig_events = Crash.events st.crash;
     dup_resolved = st.dup_resolved;
     images_shipped = st.images_shipped;
     image_bytes = st.image_bytes;
@@ -1268,7 +1203,7 @@ let finish st ~rounds =
   }
 
 (* [arm] injects a whole-service power failure at that migration
-   persistency event — the sweep's hook, kept out of [params]. *)
+   memory event — the sweep's hook, kept out of [params]. *)
 let simulate ?jobs ?arm p =
   validate p;
   (* Before [setup], so a bad mix or skew is refused before any shard
@@ -1320,8 +1255,8 @@ let sweep_violations s =
   List.filter (fun pt -> not (pt.lost = 0 && pt.misplaced = 0 && pt.state_ok))
     s.points
 
-(* A golden run counts the migration's persistency events; then the
-   service re-runs with a power failure injected at each sampled event.
+(* A golden run counts the migration's memory events; then the service
+   re-runs with a power failure injected at each sampled event.
    Every crash run must lose nothing, place every key uniquely, and
    converge to the golden run's exact final state and lookup answers. *)
 let crash_sweep ?jobs ?(points = 64) p =
@@ -1343,9 +1278,8 @@ let crash_sweep ?jobs ?(points = 64) p =
   (* A sweep with nothing to inject would certify nothing. *)
   if total = 0 then
     invalid_arg "Service.crash_sweep: the migration has no persistency event";
-  let chosen =
-    if total <= points then List.init total (fun i -> i)
-    else List.init points (fun i -> i * total / points)
+  let chosen, _ =
+    Crash.select ~rng:(Rng.create ~seed:p.seed) ~total ~budget:points
   in
   let pts =
     List.map
@@ -1565,7 +1499,7 @@ let pp_report ppf r =
     Fmt.pf ppf
       "@,\
        migration: %d keys (%d bytes) handed off in %a simulated, %d \
-       persistency events, %d duplicate(s) resolved, %d misplaced key(s)"
+       memory events, %d duplicate(s) resolved, %d misplaced key(s)"
       r.keys_moved (16 * r.keys_moved) Time.pp r.migration_time r.mig_events
       r.dup_resolved r.misplaced_keys;
   if r.images_shipped > 0 then
@@ -1634,7 +1568,7 @@ let pp_report ppf r =
 let pp_sweep ppf s =
   let bad = sweep_violations s in
   Fmt.pf ppf
-    "@[<v>mid-migration crash sweep: %d of %d migration persistency events \
+    "@[<v>mid-migration crash sweep: %d of %d migration memory events \
      injected, %d violation(s)@]"
     (List.length s.points) s.total_events (List.length bad);
   List.iter

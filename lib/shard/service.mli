@@ -198,7 +198,7 @@ type report = {
   lost_acked : int;  (** Total across restores; 0 in a correct run. *)
   keys_moved : int;  (** Keys handed off by all topology changes. *)
   migration_time : Time.t;  (** Simulated time spent draining. *)
-  mig_events : int;  (** Persistency events during migration steps. *)
+  mig_events : int;  (** Memory events during migration steps. *)
   dup_resolved : int;
       (** Double-owned keys a crash recovery resolved in favour of the
           destination. *)
@@ -244,7 +244,7 @@ val run : ?jobs:int -> params -> report
 (** {2 Checker-driven mid-migration crash sweep} *)
 
 type sweep_point = {
-  event : int;  (** Migration persistency event the failure hit. *)
+  event : int;  (** Migration memory event the failure hit. *)
   lost : int;  (** Acked writes lost — must be 0. *)
   misplaced : int;  (** Keys not owned exactly once — must be 0. *)
   dups : int;  (** Handoffs recovery resolved toward the destination. *)
@@ -255,19 +255,20 @@ type sweep_point = {
 
 type sweep = {
   golden : report;  (** The crash-free reference run. *)
-  total_events : int;  (** Migration persistency events available. *)
+  total_events : int;  (** Migration memory events available. *)
   points : sweep_point list;  (** One per injected failure. *)
 }
 
 val crash_sweep : ?jobs:int -> ?points:int -> params -> sweep
-(** Runs the service once crash-free to count the migration's
-    persistency events, then re-runs it with a whole-service power
-    failure injected at up to [points] (default 64, evenly sampled)
-    of those events. Requires [grow_at] or [shrink_at]; overrides any
-    crash settings in [params]. Raises [Invalid_argument] when the
-    golden run has no migration persistency event to inject (nothing
-    moved), since such a sweep would certify nothing, and when [lint]
-    or [race_lint] is set, since the sweep reports neither verdict. *)
+(** Runs the service once crash-free to count the migration's memory
+    events, then re-runs it with a whole-service power failure
+    ({!Wsp_nvheap.Crash}) before each of up to [points] of them (default
+    64; a {!Wsp_nvheap.Crash.select} sample seeded by [params.seed]). Requires [grow_at]
+    or [shrink_at]; overrides any crash settings in [params]. Raises
+    [Invalid_argument] on a non-positive [points], when the golden run
+    has no migration memory event to inject (nothing moved), since such
+    a sweep would certify nothing, and when [lint] or [race_lint] is
+    set, since the sweep reports neither verdict. *)
 
 val sweep_violations : sweep -> sweep_point list
 (** The points that lost data, double/zero-owned a key, or diverged

@@ -11,7 +11,9 @@
 #      --jobs 4.
 #   3. The shard service's --metrics export is byte-identical between
 #      --jobs 1 and --jobs 2 (each shard counts into its own registry,
-#      so two worker domains never share a counter).
+#      so two worker domains never share a counter), and its
+#      mid-migration crash sweep JSON between --jobs 1 and --jobs 4
+#      (the sweep's crash points are a sample seeded by --seed).
 #   4. The record-once lint fan-out must not regress under parallelism:
 #      j4 wall time <= 1.5x j1 (the old per-rule-re-execution fan-out
 #      was 3-4x slower at j4 on a single-core box).
@@ -59,6 +61,13 @@ KV_ARGS="--shards 2 --keyspace 2000000 --theta 0 --mix 20/75/5 --config undo \
 "$SIM" shard $KV_ARGS --jobs 2 --metrics shard-metrics-j2.json > /dev/null
 cmp shard-metrics-j1.json shard-metrics-j2.json
 
+echo "== shard: --sweep --json --jobs 4 byte-identical to --jobs 1 =="
+SWEEP_ARGS="--shards 3 --clients 32 --queue-cap 32 --requests 6000 \
+  --keyspace 1200 --config undo --grow-at 30 --sweep --sweep-points 8"
+"$SIM" shard $SWEEP_ARGS --jobs 1 --json shard-sweep-j1.json > /dev/null
+"$SIM" shard $SWEEP_ARGS --jobs 4 --json shard-sweep-j4.json > /dev/null
+cmp shard-sweep-j1.json shard-sweep-j4.json
+
 echo "== lint: parallel perf guard (j4 <= 1.5x j1) =="
 # Warm-up run so neither timed run pays first-touch costs.
 "$SIM" lint --expect R3 --jobs 1 --json /dev/null > /dev/null
@@ -76,5 +85,6 @@ if [ $((j4 * 2)) -gt $((j1 * 3)) ]; then
 fi
 
 rm -f check-inc.json check-s0.json check-j1.json check-j2.json lint-det-j1.json lint-det-j4.json \
-  shard-metrics-j1.json shard-metrics-j2.json
+  shard-metrics-j1.json shard-metrics-j2.json shard-sweep-j1.json \
+  shard-sweep-j4.json
 echo "ci-determinism: all gates passed"

@@ -61,6 +61,9 @@ shard --shards 2 --clients 8 --requests 0 --grow-at 0 --sweep
 shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --lint
 shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --race-lint
 shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep-points 4
+# shard: a sweep needs a positive crash-point budget
+shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --sweep-points 0
+shard --shards 2 --clients 8 --requests 200 --grow-at 2 --sweep --sweep-points=-3
 # shard: a skew outside [0, 1), NaN included, and an empty shard heap
 shard --theta=-1
 shard --theta nan

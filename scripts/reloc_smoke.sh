@@ -8,7 +8,7 @@
 #      misplaces nothing — and the image run really shipped images,
 #      each only its live extents (under 1 MiB for the whole run).
 #   2. The mid-migration crash sweep holds in image mode too: a whole-
-#      service power failure injected at sampled migration persistency
+#      service power failure injected before sampled migration memory
 #      events (shipping included) recovers lossless with unique
 #      ownership and golden-equal state.
 #   3. The image run is byte-identical between --jobs 1 and --jobs 4.

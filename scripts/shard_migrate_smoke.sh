@@ -11,8 +11,9 @@
 #      the run is lossless, the report books the availability dip
 #      (strictly below 1), and exactly one restore is recorded.
 #   3. The mid-migration crash sweep — a whole-service power failure
-#      injected at evenly-sampled migration persistency events, on
-#      plain-WSP and on undo-logged heaps — recovers every point
+#      injected before a sample of the migration's memory events,
+#      seeded by --seed, on plain-WSP and on undo-logged heaps —
+#      recovers every point
 #      lossless with unique ownership and golden-equal state (the CLI
 #      exits 1 on any violation).
 #   4. The combined worst case (grow + shrink + single-shard crash) is

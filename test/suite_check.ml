@@ -341,6 +341,14 @@ let refusal_tests =
   let d = Storm.default in
   let fleet f () = ignore (Storm.storm f) in
   let f = { Storm.default_fleet with nodes = 10 } in
+  let select budget () =
+    ignore (Crash.select ~rng:(Wsp_sim.Rng.create ~seed:1) ~total:10 ~budget)
+  in
+  let sweep points () =
+    ignore
+      (Wsp_shard.Service.crash_sweep ~points
+         { Wsp_shard.Service.default with grow_at = Some 1 })
+  in
   (* One case per malformed value: (case, expected message, thunk). *)
   List.map
     (fun (name, msg, thunk) ->
@@ -354,6 +362,13 @@ let refusal_tests =
       ("check txns -1", "Checker.check: negative txns", check ~txns:(-1) ());
       ("check stride -1", "Checker.check: negative snapshot_stride",
         check ~stride:(-1) ());
+      ("select budget 0", "Crash.select: budget must be positive", select 0);
+      ("select budget -3", "Crash.select: budget must be positive",
+        select (-3));
+      ("sweep points 0", "Service.crash_sweep: points must be positive",
+        sweep 0);
+      ("sweep points -3", "Service.crash_sweep: points must be positive",
+        sweep (-3));
       ("run servers 0", "Recovery_storm.run: servers must be positive",
         run { d with servers = 0 });
       ("run state -1 GiB", "Recovery_storm.run: negative state_per_server",

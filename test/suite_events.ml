@@ -317,9 +317,9 @@ let observer_tests =
           checked_names counted);
     Alcotest.test_case "an event a raising subscriber aborts is still counted"
       `Quick (fun () ->
-        (* The crash-injection contract: a [Crash_point] aborts the
-           primitive after its count, as the recorded trace keeps the
-           aborted event. *)
+        (* The crash-injection contract: a [Crash] power failure
+           aborts the primitive after its count, as the recorded trace
+           keeps the aborted event. *)
         let aborted name op =
           let nvram =
             Nvram.create ~metrics:(Metrics.create ()) ~size:(Units.Size.kib 64) ()

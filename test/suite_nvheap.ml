@@ -1097,6 +1097,214 @@ let itbl_tests =
           (Bytes.equal (Nvram.persistent_image a) (Nvram.persistent_image b)));
   ]
 
+(* --- Crash ------------------------------------------------------------------ *)
+
+(* One row per property of the crash primitive. [body nvs] does any
+   setup outside the run and returns what runs inside [Crash.run] over
+   NVRAMs 0 and 1 (NVRAM 2 counts only once the body watches it). Each
+   row states how the run ends and how many memory events it counted;
+   every row also checks that no subscriber outlives the run, that a
+   crash fails power at most once, and, under Freeze, that no NVRAM
+   byte changes after the trip instant. *)
+type crash_row = {
+  name : string;
+  mode : Crash.mode;
+  at : int option;
+  body : Nvram.t array -> Crash.t -> unit;
+  outcome : [ `Returned | `Failed | `Raised ];
+  events : int;
+  landed : unit -> (int * int * int64) list;
+      (* (nvram, addr, value) read back after the run *)
+}
+
+(* Store [i]: word [i + 1] at address [8 * i], alternating NVRAMs. *)
+let store nvs i =
+  Nvram.write_u64 nvs.(i mod 2) ~addr:(8 * i) (Int64.of_int (i + 1))
+
+let stores nvs n = for i = 0 to n - 1 do store nvs i done
+
+let crash_rows =
+  let tx_addr = ref 0 in
+  let annotations nv =
+    List.iter
+      (Wsp_events.Bus.publish (Nvram.bus nv))
+      [
+        Event.Wb { line = 0; explicit = true };
+        Event.Log Event.Truncate;
+        Event.Tx (Event.Begin 1L);
+        Event.Heap (Event.Free { addr = 64; size = 16 });
+      ]
+  in
+  [
+    {
+      name = "arms at the k-th memory event across two buses";
+      mode = Crash.Freeze;
+      at = Some 3;
+      body = (fun nvs _ -> stores nvs 6);
+      outcome = `Failed;
+      events = 4;
+      landed = (fun () -> [ (0, 16, 3L); (1, 24, 0L) ]);
+    };
+    {
+      name = "Wb, Log, Tx and Heap events are neither counted nor raised at";
+      mode = Crash.Freeze;
+      at = Some 1;
+      body =
+        (fun nvs _ ->
+          Array.iter annotations [| nvs.(0); nvs.(1) |];
+          store nvs 0;
+          Array.iter annotations [| nvs.(0); nvs.(1) |];
+          store nvs 1);
+      outcome = `Failed;
+      events = 2;
+      landed = (fun () -> [ (0, 0, 1L); (1, 8, 0L) ]);
+    };
+    {
+      name = "under Freeze an undo rollback after the trip stores nothing";
+      mode = Crash.Freeze;
+      at = Some 12;
+      body =
+        (fun nvs ->
+          let heap =
+            Pheap.create_in ~config:Config.foc_ul ~log_size:(Units.Size.kib 4)
+              ~nvram:nvs.(0) ~base:0 ~len:(32 * 1024) ()
+          in
+          tx_addr := Pheap.alloc heap 64;
+          fun _ ->
+            Pheap.with_tx heap (fun () ->
+                for i = 0 to 7 do
+                  Pheap.write_u64 heap ~addr:(!tx_addr + (8 * i)) 7L
+                done));
+      outcome = `Failed;
+      (* Twelve events, the tripping one, and the rollback's first
+         store, which fails too. The first word was stored in place
+         before the trip; the rollback that would restore it never
+         ran. *)
+      events = 14;
+      landed = (fun () -> [ (0, !tx_addr, 7L) ]);
+    };
+    {
+      name = "under Defer nothing fails until the checkpoint";
+      mode = Crash.Defer;
+      at = Some 1;
+      body =
+        (fun nvs crash ->
+          stores nvs 4;
+          Crash.checkpoint crash;
+          store nvs 4);
+      outcome = `Failed;
+      events = 4;
+      landed = (fun () -> [ (1, 24, 4L); (0, 32, 0L) ]);
+    };
+    {
+      name = "an unarmed crash only counts and detaches on return";
+      mode = Crash.Freeze;
+      at = None;
+      body =
+        (fun nvs crash ->
+          stores nvs 5;
+          Crash.checkpoint crash);
+      outcome = `Returned;
+      events = 5;
+      landed = (fun () -> [ (0, 32, 5L) ]);
+    };
+    {
+      name = "a foreign exception propagates and detaches";
+      mode = Crash.Freeze;
+      at = Some 10;
+      body =
+        (fun nvs _ ->
+          stores nvs 2;
+          raise Exit);
+      outcome = `Raised;
+      events = 2;
+      landed = (fun () -> [ (1, 8, 2L) ]);
+    };
+    {
+      name = "a watched NVRAM counts until the run returns";
+      mode = Crash.Freeze;
+      at = Some 2;
+      body =
+        (fun nvs crash ->
+          Crash.watch crash nvs.(2);
+          for i = 0 to 3 do
+            Nvram.write_u64 nvs.(2) ~addr:(8 * i) 9L
+          done);
+      outcome = `Failed;
+      events = 3;
+      landed = (fun () -> [ (2, 8, 9L); (2, 16, 0L) ]);
+    };
+  ]
+
+let crash_tests =
+  List.map
+    (fun row ->
+      Alcotest.test_case row.name `Quick (fun () ->
+          let nvs =
+            Array.init 3 (fun _ -> Nvram.create ~size:(Units.Size.kib 64) ())
+          in
+          let images () =
+            Array.map
+              (fun nv -> (Nvram.volatile_image nv, Nvram.persistent_image nv))
+              nvs
+          in
+          let at_trip = ref None in
+          let crash =
+            Crash.create ?at:row.at
+              ~on_trip:(fun () -> at_trip := Some (images ()))
+              row.mode
+          in
+          let body = row.body nvs in
+          let outcome =
+            match Crash.run crash [ nvs.(0); nvs.(1) ] (fun () -> body crash) with
+            | Some () -> `Returned
+            | None -> `Failed
+            | exception Exit -> `Raised
+          in
+          Alcotest.(check bool) "outcome" true (outcome = row.outcome);
+          Alcotest.(check int) "events counted" row.events (Crash.events crash);
+          Array.iter
+            (fun nv ->
+              Alcotest.(check int) "subscribers detached" 0
+                (Wsp_events.Bus.subscriber_count (Nvram.bus nv)))
+            nvs;
+          List.iter
+            (fun (nv, addr, v) ->
+              Alcotest.(check int64)
+                (Printf.sprintf "NVRAM %d at %d" nv addr)
+                v
+                (Nvram.read_u64 nvs.(nv) ~addr))
+            (row.landed ());
+          if row.mode = Crash.Freeze && outcome = `Failed then
+            Alcotest.(check bool) "no byte changed after the trip" true
+              (!at_trip = Some (images ()));
+          (* Power fails once: a later run reaches its checkpoint. *)
+          Alcotest.(check bool) "fails at most once" true
+            (Crash.run crash [ nvs.(0); nvs.(1) ] (fun () ->
+                 store nvs 0;
+                 Crash.checkpoint crash)
+            = Some ())))
+    crash_rows
+
+let select_tests =
+  List.map
+    (fun (total, budget) ->
+      Alcotest.test_case
+        (Printf.sprintf "select %d of %d" budget total)
+        `Quick
+        (fun () ->
+          let pick () = Crash.select ~rng:(Rng.create ~seed:5) ~total ~budget in
+          let pts, exhaustive = pick () in
+          Alcotest.(check bool) "exhaustive" (total <= budget) exhaustive;
+          Alcotest.(check int) "how many" (min total budget) (List.length pts);
+          if exhaustive then
+            Alcotest.(check (list int)) "every point" (List.init total Fun.id) pts;
+          Alcotest.(check bool) "ascending, distinct, in range" true
+            (List.for_all (fun p -> p >= 0 && p < total) pts
+            && List.sort_uniq compare pts = pts);
+          Alcotest.(check (list int)) "same seed, same points" pts (fst (pick ()))))
+    [ (0, 3); (4, 4); (4, 10); (100, 7); (1000, 1) ]
+
 let suite =
   [
     ( "nvheap.nvram",
@@ -1107,4 +1315,5 @@ let suite =
       txn_tests
       @ [ txn_crash_prop Config.foc_ul; txn_crash_prop Config.foc_stm ] );
     ("nvheap.pheap", pheap_tests);
+    ("nvheap.crash", crash_tests @ select_tests);
   ]

@@ -736,7 +736,8 @@ let service_tests =
       `Quick (fun () ->
         (* Both shapes once armed the injector at a [Wb] event, which is
            published mid-eviction: raising there orphaned the evicted
-           line and the next wbinvd failed its assertion. The verdicts
+           line and the next wbinvd failed its assertion. [Crash] counts
+           no [Wb] now; the shapes stay as the regression. The verdicts
            themselves are not pinned here. *)
         let p =
           {
