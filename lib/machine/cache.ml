@@ -37,7 +37,15 @@ type config = {
    links are ever read: a clean way's are stale. The list makes
    [dirty_lines]/[iter_dirty] O(dirty) and, together with the
    [dirty_n]/[resident_n] counters, turns the dirty polls that protocol
-   loops issue per simulated step from O(total slots) into O(dirty). *)
+   loops issue per simulated step from O(total slots) into O(dirty).
+
+   One set scan per level: [memo_line]/[memo_node] remember the last
+   line a lookup found or an insert placed, and its node. A lookup of
+   that line re-reads the node's tag instead of scanning the set, so
+   the [set_dirty] after each store's probe, and repeated probes of one
+   line, cost O(1). The memo is checked against the tag, so an eviction,
+   invalidation or [clear] since it was set makes it miss, never lie;
+   it holds only ints, so updating it needs no write barrier. *)
 type t = {
   cfg : config;
   n_sets : int;
@@ -54,6 +62,8 @@ type t = {
   mutable dirty_n : int;
   mutable resident_n : int;
   mutable tick : int;
+  mutable memo_line : int;  (* -1, or the line at [memo_node] when set. *)
+  mutable memo_node : int;
 }
 
 let line_count t = t.n_slots
@@ -101,6 +111,8 @@ let create cfg =
     dirty_n = 0;
     resident_n = 0;
     tick = 0;
+    memo_line = -1;
+    memo_node = 0;
   }
 
 let config t = t.cfg
@@ -179,8 +191,6 @@ let mark_clean t pg s =
     unlink_dirty t pg s
   end
 
-type victim = { line : int; dirty : bool }
-
 (* Top-level so probing allocates no closure; annotated so the tag
    comparison is an integer compare, not the polymorphic one. *)
 let rec scan_set (pg : int array) (line : int) i stop =
@@ -188,10 +198,29 @@ let rec scan_set (pg : int array) (line : int) i stop =
   else if Array.unsafe_get pg i = line then i
   else scan_set pg line (i + 1) stop
 
-(* The index of [line]'s way in page [pg], or -1. *)
-let[@inline] find t pg set line =
-  let b = base t set in
-  scan_set pg line b (b + t.assoc)
+let[@inline] remember t line node =
+  t.memo_line <- line;
+  t.memo_node <- node
+
+(* The node of [line]'s way, or -1: the memo when its tag still holds
+   [line], else one scan of the set. *)
+let[@inline] lookup t line =
+  let node = t.memo_node in
+  if line = t.memo_line
+     && Array.unsafe_get (node_page t node) (node_index t node) = line
+  then node
+  else begin
+    let set = set_of_line t line in
+    let p = page_of_set t set in
+    let b = base t set in
+    let s = scan_set (Array.unsafe_get t.pages p) line b (b + t.assoc) in
+    if s < 0 then -1
+    else begin
+      let node = (p lsl t.node_shift) lor s in
+      remember t line node;
+      node
+    end
+  end
 
 let[@inline] touch t pg s =
   t.tick <- t.tick + 1;
@@ -199,18 +228,14 @@ let[@inline] touch t pg s =
   Array.unsafe_set pg i ((t.tick lsl 1) lor (Array.unsafe_get pg i land 1))
 
 let probe t ~line =
-  let set = set_of_line t line in
-  let pg = Array.unsafe_get t.pages (page_of_set t set) in
-  let s = find t pg set line in
-  if s < 0 then false
+  let node = lookup t line in
+  if node < 0 then false
   else begin
-    touch t pg s;
+    touch t (node_page t node) (node_index t node);
     true
   end
 
-let contains t ~line =
-  let set = set_of_line t line in
-  find t (Array.unsafe_get t.pages (page_of_set t set)) set line >= 0
+let contains t ~line = lookup t line >= 0
 
 (* Victim selection: prefer an invalid way; otherwise the least
    recently used. Ties go to the lower way. *)
@@ -227,6 +252,10 @@ let rec pick_way (pg : int array) a i stop best =
     in
     pick_way pg a (i + 1) stop best
 
+let no_victim = -1
+let victim_line code = code asr 1
+let victim_dirty code = code land 1 = 1
+
 (* Allocates [line], which the caller knows is absent: the set is
    scanned once, for the victim, and never for the line itself. *)
 let insert_absent t ~line ~dirty =
@@ -236,49 +265,43 @@ let insert_absent t ~line ~dirty =
   let s = pick_way pg t.assoc (b + 1) (b + t.assoc) b in
   let old = Array.unsafe_get pg s in
   let victim =
-    if old >= 0 then Some { line = old; dirty = dirty_at t pg s }
+    if old >= 0 then (old lsl 1) lor Bool.to_int (dirty_at t pg s)
     else begin
       t.resident_n <- t.resident_n + 1;
-      None
+      no_victim
     end
   in
   mark_clean t pg s;
   Array.unsafe_set pg s line;
   if dirty then mark_dirty t pg p s;
   touch t pg s;
+  remember t line ((p lsl t.node_shift) lor s);
   victim
 
 let insert t ~line ~dirty =
-  let set = set_of_line t line in
-  let p = page_of_set t set in
-  let pg = Array.unsafe_get t.pages p in
-  let s = find t pg set line in
-  if s < 0 then insert_absent t ~line ~dirty
+  let node = lookup t line in
+  if node < 0 then insert_absent t ~line ~dirty
   else begin
-    if dirty then mark_dirty t pg p s;
+    let pg = node_page t node and s = node_index t node in
+    if dirty then mark_dirty t pg (node lsr t.node_shift) s;
     touch t pg s;
-    None
+    no_victim
   end
 
 let set_dirty t ~line =
-  let set = set_of_line t line in
-  let p = page_of_set t set in
-  let pg = Array.unsafe_get t.pages p in
-  let s = find t pg set line in
-  if s >= 0 then mark_dirty t pg p s
+  let node = lookup t line in
+  if node >= 0 then
+    mark_dirty t (node_page t node) (node lsr t.node_shift) (node_index t node)
 
 let is_dirty t ~line =
-  let set = set_of_line t line in
-  let pg = Array.unsafe_get t.pages (page_of_set t set) in
-  let s = find t pg set line in
-  s >= 0 && dirty_at t pg s
+  let node = lookup t line in
+  node >= 0 && dirty_at t (node_page t node) (node_index t node)
 
 let invalidate t ~line =
-  let set = set_of_line t line in
-  let pg = Array.unsafe_get t.pages (page_of_set t set) in
-  let s = find t pg set line in
-  if s < 0 then false
+  let node = lookup t line in
+  if node < 0 then false
   else begin
+    let pg = node_page t node and s = node_index t node in
     let was_dirty = dirty_at t pg s in
     mark_clean t pg s;
     Array.unsafe_set pg s (lnot line);

@@ -11,10 +11,14 @@
     proportion to the sets it has touched, not to its configured
     capacity; an untouched set reads as all ways invalid. Within a set,
     tags, ages (with the dirty flag) and dirty-list links are separate
-    runs of one int array, so a set scan reads consecutive ints. Dirty and resident state is tracked incrementally:
-    per-cache counters plus an intrusive doubly-linked index of dirty
-    ways make {!dirty_count}, {!resident_count}, {!dirty_lines} and
-    {!iter_dirty} O(dirty lines) rather than a fold over every slot.
+    runs of one int array, so a set scan reads consecutive ints. The
+    level remembers the way of the line it last found or inserted, so
+    the [set_dirty] that follows a store's probe, or a second probe of
+    the same line, scans no set. Dirty and resident state is tracked
+    incrementally: per-cache counters plus an intrusive doubly-linked
+    index of dirty ways make {!dirty_count}, {!resident_count},
+    {!dirty_lines} and {!iter_dirty} O(dirty lines) rather than a fold
+    over every slot.
     The flush-on-fail protocol and residual-energy-window loops poll
     these on every simulated step, so this is the simulator's hottest
     bookkeeping. *)
@@ -37,20 +41,28 @@ val config : t -> config
 val line_count : t -> int
 (** Total configured capacity in lines, touched or not. *)
 
-type victim = { line : int; dirty : bool }
-
 val probe : t -> line:int -> bool
 (** [probe t ~line] is [true] on hit, updating LRU recency. *)
 
 val contains : t -> line:int -> bool
 (** Like {!probe} but without touching LRU state. *)
 
-val insert : t -> line:int -> dirty:bool -> victim option
-(** Allocates [line]; when the target set is full the LRU way is evicted
-    and returned. Inserting a line already present merges the dirty flag
-    instead. *)
+(** {1 Victims}
 
-val insert_absent : t -> line:int -> dirty:bool -> victim option
+    An insert reports the way it displaced as an int code, so the fill
+    path allocates nothing: {!no_victim}, or the evicted line and its
+    dirty flag packed as [line lsl 1 lor dirty]. *)
+
+val no_victim : int
+val victim_line : int -> int
+val victim_dirty : int -> bool
+
+val insert : t -> line:int -> dirty:bool -> int
+(** Allocates [line]; when the target set is full the LRU way is evicted
+    and its victim code returned. Inserting a line already present
+    merges the dirty flag instead and returns {!no_victim}. *)
+
+val insert_absent : t -> line:int -> dirty:bool -> int
 (** {!insert} for a caller that knows [line] is absent (a probe just
     missed it): the set is scanned only to pick the slot. Inserting a
     present line this way would duplicate it. *)

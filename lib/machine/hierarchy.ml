@@ -39,6 +39,11 @@ type t = {
          nothing per probe. *)
   miss_latency : Time.t;  (* Full probe chain plus memory latency. *)
   line_size : int;
+  line_shift : int;  (* [line_size = 1 lsl line_shift] *)
+  mutable absent : int;
+      (* -1, or a line [invalidate_line] found or left in no level and
+         that no [access] has filled since: one NT store or [clflush]
+         after another to the same line skips the LLC scan. *)
   seen : (int, unit) Hashtbl.t;
       (* Scratch table reused by the dirty-line union walks; reset per
          call so dirty polls allocate no fresh table. *)
@@ -53,6 +58,13 @@ let config_line_size (cfg : config) =
   | [] -> invalid_arg "Hierarchy.create: no levels"
   | first :: _ -> first.Cache.line_size
 
+let config_line_shift cfg =
+  let line_size = config_line_size cfg in
+  if line_size <= 0 || line_size land (line_size - 1) <> 0 then
+    invalid_arg "Hierarchy: line size not a power of two";
+  let rec go k = if 1 lsl k = line_size then k else go (k + 1) in
+  go 0
+
 let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) ?metrics
     (cfg : config) =
   (match cfg.levels with
@@ -63,8 +75,8 @@ let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) ?metrics
           if l.line_size <> first.line_size then
             invalid_arg "Hierarchy.create: mismatched line sizes")
         rest);
+  let line_shift = config_line_shift cfg in
   let levels = Array.of_list (List.map Cache.create cfg.levels) in
-  let line_size = (List.hd cfg.levels).Cache.line_size in
   let cum_hit_latency = Array.make (Array.length levels) Time.zero in
   let acc = ref Time.zero in
   Array.iteri
@@ -82,7 +94,9 @@ let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) ?metrics
     levels;
     cum_hit_latency;
     miss_latency;
-    line_size;
+    line_size = 1 lsl line_shift;
+    line_shift;
+    absent = -1;
     seen = Hashtbl.create 256;
     on_writeback;
     m =
@@ -109,7 +123,7 @@ let llc t = t.levels.(Array.length t.levels - 1)
 
 let line_of t addr =
   assert (addr >= 0);
-  addr / t.line_size
+  addr lsr t.line_shift
 
 (* Evicting [victim] from level [i] drops it from all upper levels too
    (back-invalidation), accumulating their dirtiness. Every eviction
@@ -119,19 +133,20 @@ let line_of t addr =
    a dirty victim is written back; otherwise level [i+1] already holds
    it and only inherits the dirty bit. [invalidate_line] and
    [resident_lines] rely on inclusion too. *)
-let evict_from t i (victim : Cache.victim) =
+let evict_from t i victim =
   C.incr t.m.m_evictions;
-  let dirty = ref victim.dirty in
+  let line = Cache.victim_line victim in
+  let dirty = ref (Cache.victim_dirty victim) in
   for j = 0 to i - 1 do
-    if Cache.invalidate t.levels.(j) ~line:victim.line then dirty := true
+    if Cache.invalidate t.levels.(j) ~line then dirty := true
   done;
   if i = Array.length t.levels - 1 then begin
     if !dirty then begin
       C.add t.m.m_writeback_bytes t.line_size;
-      t.on_writeback ~line:victim.line ~explicit:false
+      t.on_writeback ~line ~explicit:false
     end
   end
-  else if !dirty then Cache.set_dirty t.levels.(i + 1) ~line:victim.line
+  else if !dirty then Cache.set_dirty t.levels.(i + 1) ~line
 
 (* Fills [line] into levels [0..upto], lowest level first. The probe
    has just missed it at each of them, and an eviction only ever
@@ -139,9 +154,8 @@ let evict_from t i (victim : Cache.victim) =
    scan. *)
 let fill t ~line ~upto =
   for i = upto downto 0 do
-    match Cache.insert_absent t.levels.(i) ~line ~dirty:false with
-    | None -> ()
-    | Some v -> evict_from t i v
+    let victim = Cache.insert_absent t.levels.(i) ~line ~dirty:false in
+    if victim <> Cache.no_victim then evict_from t i victim
   done
 
 (* Probes levels in order; the hit level's index, or -1 on a full miss.
@@ -155,6 +169,7 @@ let rec probe_from levels line i n =
 
 let access t ~addr ~write =
   let line = line_of t addr in
+  if line = t.absent then t.absent <- -1;
   let n = Array.length t.levels in
   let k = probe_from t.levels line 0 n in
   let latency =
@@ -177,15 +192,20 @@ let store t ~addr = access t ~addr ~write:true
 
 (* By inclusion a line the LLC lacks is in no level, so one LLC scan
    settles the common case: a non-temporal store to an uncached log
-   line. *)
+   line. The line is then remembered as [absent], so the next NT store
+   or [clflush] to it settles with no scan at all. *)
 let invalidate_line t line =
-  if not (Cache.contains (llc t) ~line) then false
+  if line = t.absent then false
   else begin
-    let dirty = ref false in
-    for i = 0 to Array.length t.levels - 1 do
-      if Cache.invalidate t.levels.(i) ~line then dirty := true
-    done;
-    !dirty
+    t.absent <- line;
+    if not (Cache.contains (llc t) ~line) then false
+    else begin
+      let dirty = ref false in
+      for i = 0 to Array.length t.levels - 1 do
+        if Cache.invalidate t.levels.(i) ~line then dirty := true
+      done;
+      !dirty
+    end
   end
 
 type instr = Nt_store | Fence | Clflush | Flush_range | Wbinvd

@@ -15,7 +15,8 @@
 open Wsp_sim
 
 type config = {
-  levels : Cache.config list;  (** Ordered L1 first; all share a line size. *)
+  levels : Cache.config list;
+      (** Ordered L1 first; all share a line size, a power of two. *)
   memory_latency : Time.t;  (** Memory read latency on LLC miss. *)
   memory_bandwidth : Units.Bandwidth.t;  (** Read/fill bandwidth. *)
   memory_write_bandwidth : Units.Bandwidth.t;
@@ -53,6 +54,10 @@ val line_size : t -> int
 val config_line_size : config -> int
 (** The shared line size of a (non-empty) level list, without building
     the hierarchy — lets a caller size line buffers before {!create}. *)
+
+val config_line_shift : config -> int
+(** [log2] of {!config_line_size}. Raises [Invalid_argument] unless the
+    line size is a power of two, as {!create} does. *)
 
 val load : t -> addr:int -> Time.t
 (** Reads one word; returns the charged latency. *)

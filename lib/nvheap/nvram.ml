@@ -29,16 +29,18 @@ type tap = {
       (* The write-combining queue was flushed to backing. *)
 }
 
-(* The dirty overlay's table, keyed by line number: the line is its own
-   hash, so a lookup calls neither the polymorphic hash nor the
-   polymorphic compare. Iteration order is never observable — the
-   overlay's lines are disjoint. *)
-module Lines = Hashtbl.Make (struct
-  type t = int
+(* The dirty overlay maps a line number to its volatile copy through a
+   paged direct index: page [line lsr page_shift], slot [line land
+   page_mask]. A lookup is two array loads and a physical compare with
+   [none] — no hash, no division, no option. Pages are allocated at
+   their first write; until then a page is [fresh], one array shared by
+   every untouched page of every NVRAM and never written. *)
+let page_shift = 9
+let page_mask = (1 lsl page_shift) - 1
 
-  let equal = Int.equal
-  let hash line = line
-end)
+(* The empty slot. Compared physically: no line buffer is this one. *)
+let none = Bytes.create 0
+let fresh : Bytes.t array = Array.make (1 lsl page_shift) none
 
 (* The write-combining FIFO of undrained non-temporal stores, oldest
    first, kept as an address column and a packed value column so that
@@ -97,10 +99,13 @@ let wc_filter wc keep =
 
 type t = {
   backing : Bytes.t;  (* Persistent contents: survives crash. *)
-  dirty : Bytes.t Lines.t;  (* line number -> volatile line copy *)
+  pages : Bytes.t array array;  (* the dirty overlay; [fresh] until written *)
+  overlay_n : int ref;
+      (* Lines in the overlay. A ref for the reason [tap] is one. *)
   wc_pending : wc;
   hierarchy : Hierarchy.t;
   line_size : int;
+  line_shift : int;  (* [line_size = 1 lsl line_shift] *)
   mutable clock : Time.t;
   bus : Event.t Bus.t;
   sync_bus : Event.sync Bus.t;
@@ -117,9 +122,14 @@ type t = {
 let default_hierarchy () =
   Wsp_machine.Platform.core_hierarchy Wsp_machine.Platform.intel_c5528
 
+(* The overlay's buffer for [line], or [none]. [line] is in range. *)
+let[@inline] overlay_find pages line =
+  Array.unsafe_get (Array.unsafe_get pages (line lsr page_shift)) (line land page_mask)
+
 let create ?hierarchy ?backing ?metrics ~size () =
   let cfg = match hierarchy with Some h -> h | None -> default_hierarchy () in
-  let line_size = Hierarchy.config_line_size cfg in
+  let line_shift = Hierarchy.config_line_shift cfg in
+  let line_size = 1 lsl line_shift in
   let backing =
     match backing with
     | None -> Bytes.make (Units.Size.to_bytes size) '\x00'
@@ -128,32 +138,39 @@ let create ?hierarchy ?backing ?metrics ~size () =
           invalid_arg "Nvram.create: backing smaller than size";
         b
   in
-  let dirty = Lines.create 1024 in
+  let n_lines = (Bytes.length backing + line_size - 1) lsr line_shift in
+  let pages = Array.make ((n_lines + page_mask) lsr page_shift) fresh in
   let bus = Bus.create () in
   let metrics =
     match metrics with Some reg -> reg | None -> Wsp_obs.Metrics.ambient ()
   in
   let tap = ref None in
+  let overlay_n = ref 0 in
   (* The hierarchy's write-back wiring both moves the dirty bytes to
      backing and surfaces the machine-level fact on the unified bus:
      silent capacity evictions and explicit flushes arrive as the same
      [Wb] event, distinguished only by [explicit]. *)
   let on_writeback ~line ~explicit =
     if Bus.active bus then Bus.publish bus (Event.Wb { line; explicit });
-    match Lines.find_opt dirty line with
-    | None -> ()
-    | Some data ->
+    if line < n_lines then begin
+      let data = overlay_find pages line in
+      if data != none then begin
         (match !tap with Some tp -> tp.on_wb ~line ~data | None -> ());
-        Bytes.blit data 0 backing (line * line_size) line_size;
-        Lines.remove dirty line
+        Bytes.blit data 0 backing (line lsl line_shift) line_size;
+        Array.unsafe_set pages.(line lsr page_shift) (line land page_mask) none;
+        decr overlay_n
+      end
+    end
   in
   let h = Hierarchy.create ~on_writeback ~metrics cfg in
   {
     backing;
-    dirty;
+    pages;
+    overlay_n;
     wc_pending = wc_create ();
     hierarchy = h;
     line_size;
+    line_shift;
     clock = Time.zero;
     bus;
     sync_bus = Bus.create ();
@@ -210,37 +227,50 @@ let check_range t addr len =
 
 (* The volatile copy of [line], creating it from backing on first write. *)
 let dirty_line t line =
-  match Lines.find_opt t.dirty line with
-  | Some data -> data
-  | None ->
-      let data = Bytes.create t.line_size in
-      Bytes.blit t.backing (line * t.line_size) data 0 t.line_size;
-      Lines.add t.dirty line data;
-      data
+  let data = overlay_find t.pages line in
+  if data != none then data
+  else begin
+    let data = Bytes.create t.line_size in
+    Bytes.blit t.backing (line lsl t.line_shift) data 0 t.line_size;
+    let p = line lsr page_shift in
+    let pg = Array.unsafe_get t.pages p in
+    let pg =
+      if pg != fresh then pg
+      else begin
+        let pg = Array.make (1 lsl page_shift) none in
+        Array.unsafe_set t.pages p pg;
+        pg
+      end
+    in
+    Array.unsafe_set pg (line land page_mask) data;
+    incr t.overlay_n;
+    data
+  end
 
 (* Copies the volatile view of [addr, addr + len) into [dst] at
    [dst_off] with one overlay lookup per line, from the line's overlay
    copy or, for a line with none, from backing. [len] must be positive.
    Pending non-temporal words are not applied. *)
 let blit_volatile t ~addr ~len dst ~dst_off =
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
+  let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
   for line = first to last do
-    let line_start = max addr (line * t.line_size) in
-    let line_end = min (addr + len) ((line + 1) * t.line_size) in
+    let line_start = max addr (line lsl t.line_shift) in
+    let line_end = min (addr + len) ((line + 1) lsl t.line_shift) in
     let n = line_end - line_start and dst_off = dst_off + line_start - addr in
-    match Lines.find_opt t.dirty line with
-    | Some data -> Bytes.blit data (line_start mod t.line_size) dst dst_off n
-    | None -> Bytes.blit t.backing line_start dst dst_off n
+    let data = overlay_find t.pages line in
+    if data != none then
+      Bytes.blit data (line_start land (t.line_size - 1)) dst dst_off n
+    else Bytes.blit t.backing line_start dst dst_off n
   done
 
 (* Charges one hierarchy access per line the range touches. *)
 let charge_access t ~addr ~len ~write =
   spend_step t;
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
+  let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
   for line = first to last do
     let latency =
-      if write then Hierarchy.store t.hierarchy ~addr:(line * t.line_size)
-      else Hierarchy.load t.hierarchy ~addr:(line * t.line_size)
+      if write then Hierarchy.store t.hierarchy ~addr:(line lsl t.line_shift)
+      else Hierarchy.load t.hierarchy ~addr:(line lsl t.line_shift)
     in
     charge t latency
   done
@@ -248,18 +278,18 @@ let charge_access t ~addr ~len ~write =
 (* Writes a byte range, interleaving the hierarchy access and the data
    write per line: charging first for the whole range could evict a
    just-dirtied line of the same range before its buffer exists, losing
-   the write and desynchronising the dirty table from the hierarchy. *)
+   the write and desynchronising the overlay from the hierarchy. *)
 let write_range t ~addr src ~src_off ~len =
   spend_step t;
   Wsp_obs.Metrics.Counter.incr t.m_stores;
   if Bus.active t.bus then emit t (Store { addr; len });
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
+  let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
   for line = first to last do
-    charge t (Hierarchy.store t.hierarchy ~addr:(line * t.line_size));
-    let line_start = max addr (line * t.line_size) in
-    let line_end = min (addr + len) ((line + 1) * t.line_size) in
+    charge t (Hierarchy.store t.hierarchy ~addr:(line lsl t.line_shift));
+    let line_start = max addr (line lsl t.line_shift) in
+    let line_end = min (addr + len) ((line + 1) lsl t.line_shift) in
     let n = line_end - line_start and src_pos = src_off + line_start - addr in
-    Bytes.blit src src_pos (dirty_line t line) (line_start mod t.line_size) n;
+    Bytes.blit src src_pos (dirty_line t line) (line_start land (t.line_size - 1)) n;
     (* Fired per line, after that line's bytes land: a later line's
        hierarchy charge can evict an earlier line of this same store,
        and the tap must see the slice before its write-back. *)
@@ -273,19 +303,22 @@ let word_bytes v =
   Bytes.set_int64_le b 0 v;
   b
 
-(* A word inside one line — every aligned word — costs one overlay
-   lookup and one 8-byte load; a word straddling two lines takes the
-   per-line path. Inlined into both readers, so [read_int] never boxes
-   the word. *)
+(* A word inside one line — every aligned word — costs one hierarchy
+   access, one overlay lookup and one 8-byte load; a word straddling two
+   lines takes the per-line path. Inlined into both readers, so
+   [read_int] never boxes the word. *)
 let[@inline] read_word t ~addr =
   check_range t addr 8;
-  charge_access t ~addr ~len:8 ~write:false;
-  let off = addr mod t.line_size in
-  if off + 8 <= t.line_size then
-    match Lines.find_opt t.dirty (addr / t.line_size) with
-    | Some data -> Bytes.get_int64_le data off
-    | None -> Bytes.get_int64_le t.backing addr
+  let off = addr land (t.line_size - 1) in
+  if off + 8 <= t.line_size then begin
+    spend_step t;
+    charge t (Hierarchy.load t.hierarchy ~addr);
+    let data = overlay_find t.pages (addr lsr t.line_shift) in
+    if data != none then Bytes.get_int64_le data off
+    else Bytes.get_int64_le t.backing addr
+  end
   else begin
+    charge_access t ~addr ~len:8 ~write:false;
     let b = Bytes.create 8 in
     blit_volatile t ~addr ~len:8 b ~dst_off:0;
     Bytes.get_int64_le b 0
@@ -297,15 +330,14 @@ let read_int t ~addr = Int64.to_int (read_word t ~addr)
 (* The one-line case of [write_range], storing the word in place. *)
 let write_u64 t ~addr v =
   check_range t addr 8;
-  let off = addr mod t.line_size in
+  let off = addr land (t.line_size - 1) in
   if off + 8 > t.line_size then write_range t ~addr (word_bytes v) ~src_off:0 ~len:8
   else begin
     spend_step t;
     Wsp_obs.Metrics.Counter.incr t.m_stores;
     if Bus.active t.bus then emit t (Store { addr; len = 8 });
-    let line = addr / t.line_size in
-    charge t (Hierarchy.store t.hierarchy ~addr:(line * t.line_size));
-    Bytes.set_int64_le (dirty_line t line) off v;
+    charge t (Hierarchy.store t.hierarchy ~addr);
+    Bytes.set_int64_le (dirty_line t (addr lsr t.line_shift)) off v;
     match !(t.tap) with
     | Some tp -> tp.on_slice ~addr ~data:(word_bytes v)
     | None -> ()
@@ -377,22 +409,33 @@ let wbinvd t =
   charge t (Hierarchy.flush_all t.hierarchy);
   (* Flushing also drains write-combining buffers. *)
   drain_wc t;
-  assert (Lines.length t.dirty = 0)
+  assert (!(t.overlay_n) = 0)
 
 let crash t =
   Hierarchy.drop_volatile t.hierarchy;
-  Lines.reset t.dirty;
+  Array.fill t.pages 0 (Array.length t.pages) fresh;
+  t.overlay_n := 0;
   t.wc_pending.wc_n <- 0;
   t.clock <- Time.zero
+
+(* [f line data] over every overlay line. *)
+let iter_overlay t f =
+  Array.iteri
+    (fun p pg ->
+      if pg != fresh then
+        Array.iteri
+          (fun i data ->
+            if data != none then f ((p lsl page_shift) lor i) data)
+          pg)
+    t.pages
 
 let dirty_bytes t = Hierarchy.dirty_bytes t.hierarchy
 let persistent_image t = Bytes.copy t.backing
 
 let volatile_image t =
   let img = Bytes.copy t.backing in
-  Lines.iter
-    (fun line data -> Bytes.blit data 0 img (line * t.line_size) t.line_size)
-    t.dirty;
+  iter_overlay t (fun line data ->
+      Bytes.blit data 0 img (line lsl t.line_shift) t.line_size);
   (* Write-combining data is newer than any cached line of the same
      address (a non-temporal store flushes the line first). *)
   wc_apply t.wc_pending img;
@@ -405,7 +448,9 @@ let peek_u64 t ~addr = Bytes.get_int64_le t.backing addr
    replays over, without charging time or publishing events. *)
 
 let overlay_lines t =
-  Lines.fold (fun line data acc -> (line, Bytes.copy data) :: acc) t.dirty []
+  let acc = ref [] in
+  iter_overlay t (fun line data -> acc := (line, Bytes.copy data) :: !acc);
+  !acc
 
 let pending_nt t =
   let wc = t.wc_pending in
@@ -424,20 +469,23 @@ let peek_volatile t ~addr ~len dst ~dst_off =
 
 (* Drops, without writing back, the cached state a DMA-style load into
    [addr, addr + len) makes stale: the overlay lines the range touches
-   and the pending non-temporal words inside it. The overlay is probed
-   line by line or walked whole, whichever is shorter, so a large range
-   over a sparse overlay costs the overlay's size, not the range's. *)
+   and the pending non-temporal words inside it. Pages no write has
+   touched are skipped whole, so a large range over a sparse overlay
+   costs its pages, not its lines. *)
 let invalidate_range t ~addr ~len =
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
-  let cached = Lines.length t.dirty in
-  if last - first < cached then
-    for line = first to last do
-      Lines.remove t.dirty line
-    done
-  else if cached > 0 then
-    Lines.filter_map_inplace
-      (fun line data -> if line < first || line > last then Some data else None)
-      t.dirty;
+  let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
+  if !(t.overlay_n) > 0 then
+    for p = first lsr page_shift to last lsr page_shift do
+      let pg = t.pages.(p) in
+      if pg != fresh then
+        for line = max first (p lsl page_shift) to min last (((p + 1) lsl page_shift) - 1) do
+          let i = line land page_mask in
+          if pg.(i) != none then begin
+            pg.(i) <- none;
+            decr t.overlay_n
+          end
+        done
+    done;
   wc_filter t.wc_pending (fun a -> a < addr || a >= addr + len)
 
 let load_backing t ~addr src =

@@ -10,7 +10,13 @@
 
     Every operation charges simulated time to the NVRAM's clock, giving
     the performance side of the evaluation. Addresses are byte offsets in
-    [\[0, size)]. *)
+    [\[0, size)].
+
+    The dirty buffer is a paged direct index from line number to the
+    line's volatile copy, so a word access costs one hierarchy access,
+    two array loads and the word's own load or store: no hash, no
+    division (the line size is a power of two) and no allocation once
+    the line's copy exists. *)
 
 open Wsp_sim
 

@@ -36,12 +36,65 @@ let undo_push u addr old =
   Bytes.set_int64_le u.u_olds (8 * n) old;
   u.u_n <- n + 1
 
+(* The addresses a transaction has undo-logged: an open-addressing int
+   set with linear probing. A slot is live iff its stamp is the set's
+   current one, so [uset_clear] bumps the stamp and touches no slot;
+   membership tests and inserts allocate nothing until the set grows.
+   Nothing reads its order. *)
+type uset = {
+  mutable keys : int array;  (* length a power of two *)
+  mutable stamps : int array;
+  mutable stamp : int;
+  mutable count : int;
+}
+
+let uset_create n =
+  { keys = Array.make n 0; stamps = Array.make n 0; stamp = 1; count = 0 }
+
+let uset_clear u =
+  u.stamp <- u.stamp + 1;
+  u.count <- 0
+
+(* Multiplicative hashing of the word index, high bits folded down. *)
+let[@inline] uset_hash x =
+  let h = (x lsr 3) * 0x9e3779b97f4a7c1 in
+  h lxor (h lsr 29)
+
+(* The slot holding [x], or the free slot where linear probing would
+   place it. Top-level so a lookup allocates no closure. *)
+let rec uset_slot u (x : int) i mask =
+  if Array.unsafe_get u.stamps i <> u.stamp || Array.unsafe_get u.keys i = x
+  then i
+  else uset_slot u x ((i + 1) land mask) mask
+
+(* Adds [x]; [true] iff it was absent. *)
+let rec uset_add u x =
+  let mask = Array.length u.keys - 1 in
+  let i = uset_slot u x (uset_hash x land mask) mask in
+  if Array.unsafe_get u.stamps i = u.stamp then false
+  else begin
+    Array.unsafe_set u.keys i x;
+    Array.unsafe_set u.stamps i u.stamp;
+    u.count <- u.count + 1;
+    if 2 * u.count > Array.length u.keys then uset_grow u;
+    true
+  end
+
+and uset_grow u =
+  let keys = u.keys and stamps = u.stamps and stamp = u.stamp in
+  let n = 2 * Array.length keys in
+  u.keys <- Array.make n 0;
+  u.stamps <- Array.make n 0;
+  u.stamp <- 1;
+  u.count <- 0;
+  Array.iteri (fun i k -> if stamps.(i) = stamp then ignore (uset_add u k)) keys
+
 type tx = {
-  txid : int64;
+  mutable txid : int64;
   write_set : int64 Itbl.t;
   mutable write_order : int list;  (* newest first; reversed at commit *)
   mutable read_set : int;
-  undo_logged : unit Itbl.t;  (* addresses with an undo entry *)
+  undo_logged : uset;  (* addresses with an undo entry *)
   undo : undo;
   written_lines : unit Itbl.t;
       (* Iterated by the commit's flush, so its order is simulated
@@ -56,7 +109,8 @@ type t = {
   protocol : Config.protocol;
   mutable next_txid : int64;
   mutable active : tx option;
-  scratch : tx;  (* reused across transactions to avoid allocation churn *)
+  scratch : tx;  (* every transaction's record: beginning one allocates nothing *)
+  scratch_active : tx option;  (* [Some scratch], built once *)
   mutable commits_since_truncate : int;
   unflushed : unit Itbl.t;  (* line-aligned addresses (FoC redo) *)
   m_commits : Wsp_obs.Metrics.Counter.t;
@@ -101,13 +155,14 @@ let fresh_scratch () =
     write_set = Itbl.create 64;
     write_order = [];
     read_set = 0;
-    undo_logged = Itbl.create 64;
+    undo_logged = uset_create 64;
     undo = { u_addrs = Array.make 64 0; u_olds = Bytes.create 512; u_n = 0 };
     written_lines = Itbl.create 64;
     began_in_log = false;
   }
 
 let create ~nvram ~config ~log () =
+  let scratch = fresh_scratch () in
   {
     nvram;
     log;
@@ -115,7 +170,8 @@ let create ~nvram ~config ~log () =
     protocol = Config.protocol config;
     next_txid = 1L;
     active = None;
-    scratch = fresh_scratch ();
+    scratch;
+    scratch_active = Some scratch;
     commits_since_truncate = 0;
     unflushed = Itbl.create 256;
     m_commits = Wsp_obs.Metrics.counter (Nvram.metrics nvram) "nvheap.txn.commits";
@@ -127,9 +183,7 @@ let nvram t = t.nvram
 let log t = t.log
 let in_tx t = Option.is_some t.active
 
-let line_base t addr =
-  let ls = Nvram.line_size t.nvram in
-  addr / ls * ls
+let line_base t addr = addr land lnot (Nvram.line_size t.nvram - 1)
 
 let page_base addr = addr / Config.msync_page * Config.msync_page
 
@@ -145,11 +199,12 @@ let begin_tx t =
     Itbl.clear tx.write_set;
     tx.write_order <- [];
     tx.read_set <- 0;
-    Itbl.clear tx.undo_logged;
+    uset_clear tx.undo_logged;
     tx.undo.u_n <- 0;
     Itbl.clear tx.written_lines;
     tx.began_in_log <- false;
-    t.active <- Some { tx with txid }
+    tx.txid <- txid;
+    t.active <- t.scratch_active
   end
 
 let active t =
@@ -184,10 +239,9 @@ let read_int t ~addr =
       Nvram.read_int t.nvram ~addr
 
 let undo_log_write t tx ~addr =
-  if not (Itbl.mem tx.undo_logged addr) then begin
+  if uset_add tx.undo_logged addr then begin
     ensure_began t tx;
     let old = Nvram.read_u64 t.nvram ~addr in
-    Itbl.add tx.undo_logged addr ();
     undo_push tx.undo addr old;
     append_addr t ~kind:k_undo addr old
   end

@@ -30,7 +30,12 @@
 
     Under every protocol, [Plain] included, {!commit} and {!abort} bump
     the [nvheap.txn.commits] and [nvheap.txn.aborts] counters of
-    {!Nvram.metrics} inline. *)
+    {!Nvram.metrics} inline.
+
+    Every transaction of a manager reuses one record, so beginning one
+    allocates nothing, and the set of undo-logged addresses is an
+    open-addressing int set cleared in O(1): an undo-logged store pays
+    one probe of it. *)
 
 
 type t

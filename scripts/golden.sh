@@ -14,6 +14,9 @@
 # Cover: image-mode grow/shrink/crash `shard --json`, an undo-logged
 # crash run's `shard --json` and `--metrics` (each per-shard event
 # count in the former is read off counters the latter exports), the
+# kv-cold-undo benchmark's shape as a `shard` run (`shard-cold-undo*`:
+# 2M uniform keys outgrow L2 and evict from the LLC, so capacity
+# write-backs and the overlay's eviction path are pinned), the
 # clean 500-point certification's `check --json` and `--metrics`, a
 # sabotaged hash-table sweep's `check --json` (its violations' `where`
 # strings name crash points by their events), the static lint's
@@ -86,6 +89,10 @@ echo "== golden: generate =="
 "$SIM" shard $SHARD --config undo --crash-at 150 \
   --json "$OUT/shard-undo.json" --metrics "$OUT/shard-undo-metrics.json" \
   > /dev/null
+"$SIM" shard --shards 2 --clients 256 --queue-cap 4096 --requests 10000 \
+  --keyspace 2000000 --theta 0 --mix 20/75/5 --config undo --heap-mib 16 \
+  --json "$OUT/shard-cold-undo.json" \
+  --metrics "$OUT/shard-cold-undo-metrics.json" > /dev/null
 "$SIM" check --points 500 --seed 42 --json "$OUT/check.json" \
   --metrics "$OUT/check-metrics.json" > /dev/null
 exits 0 lint --expect R3 --json "$OUT/lint-r3.json"
@@ -131,6 +138,7 @@ fi
 echo "== golden: compare against $GOLDEN =="
 failed=0
 for f in shard-image.json shard-undo.json shard-undo-metrics.json \
+  shard-cold-undo.json shard-cold-undo-metrics.json \
   check.json check-metrics.json check-broken.json lint-r3.json \
   lint-bank-metrics.json \
   lint-broken-fences.json lint-broken-bank.txt lint-concurrent.json lint-concurrent.txt shard-race.json \

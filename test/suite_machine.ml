@@ -34,18 +34,17 @@ let cache_tests =
         ignore (Cache.insert c ~line:8 ~dirty:false);
         ignore (Cache.probe c ~line:0);
         (* 8 is now LRU *)
-        match Cache.insert c ~line:16 ~dirty:false with
-        | Some victim ->
-            Alcotest.(check int) "victim is LRU" 8 victim.Cache.line;
-            Alcotest.(check bool) "0 stays" true (Cache.contains c ~line:0)
-        | None -> Alcotest.fail "expected an eviction");
+        let victim = Cache.insert c ~line:16 ~dirty:false in
+        if victim = Cache.no_victim then Alcotest.fail "expected an eviction";
+        Alcotest.(check int) "victim is LRU" 8 (Cache.victim_line victim);
+        Alcotest.(check bool) "0 stays" true (Cache.contains c ~line:0));
     Alcotest.test_case "dirty eviction reported" `Quick (fun () ->
         let c = small_cache () in
         ignore (Cache.insert c ~line:0 ~dirty:true);
         ignore (Cache.insert c ~line:8 ~dirty:false);
-        match Cache.insert c ~line:16 ~dirty:false with
-        | Some victim -> Alcotest.(check bool) "dirty" true victim.Cache.dirty
-        | None -> Alcotest.fail "expected an eviction");
+        let victim = Cache.insert c ~line:16 ~dirty:false in
+        if victim = Cache.no_victim then Alcotest.fail "expected an eviction";
+        Alcotest.(check bool) "dirty" true (Cache.victim_dirty victim));
     Alcotest.test_case "insert merges dirty flag" `Quick (fun () ->
         let c = small_cache () in
         ignore (Cache.insert c ~line:1 ~dirty:true);
@@ -116,8 +115,9 @@ let cache_props =
 
 (* --- Hierarchy ----------------------------------------------------------- *)
 
-let tiny_hierarchy ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) () =
-  Hierarchy.create ~on_writeback
+let tiny_hierarchy ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) ?metrics
+    () =
+  Hierarchy.create ~on_writeback ?metrics
     {
       Hierarchy.levels =
         [
@@ -216,6 +216,29 @@ let hierarchy_tests =
         ignore (Hierarchy.store h ~addr:0);
         ignore (Hierarchy.store_nt h ~addr:8);
         Alcotest.(check (list int)) "line 0 written back" [ 0 ] !written);
+    Alcotest.test_case "an NT store finds its line absent until a fill" `Quick
+      (fun () ->
+        (* The second NT store skips the LLC scan; the load refills the
+           line, so the last NT store must find it dirty again. *)
+        let metrics = Wsp_obs.Metrics.create () in
+        let explicit_wbs = ref 0 in
+        let h =
+          tiny_hierarchy ~metrics
+            ~on_writeback:(fun ~line:_ ~explicit ->
+              if explicit then incr explicit_wbs)
+            ()
+        in
+        let addr = 3 * 64 in
+        ignore (Hierarchy.store h ~addr);
+        ignore (Hierarchy.store_nt h ~addr);
+        ignore (Hierarchy.store_nt h ~addr:(addr + 8));
+        ignore (Hierarchy.load h ~addr);
+        ignore (Hierarchy.store h ~addr);
+        ignore (Hierarchy.store_nt h ~addr);
+        Alcotest.(check int) "explicit write-backs" 2 !explicit_wbs;
+        Alcotest.(check int) "nt_flush_bytes" (2 * 64)
+          (Wsp_obs.Metrics.Counter.value
+             (Wsp_obs.Metrics.counter metrics "machine.flush.nt_flush_bytes")));
     Alcotest.test_case "total_line_slots" `Quick (fun () ->
         let h = tiny_hierarchy () in
         Alcotest.(check int) "slots" (8 + 32) (Hierarchy.total_line_slots h));
@@ -615,7 +638,10 @@ type cache_op =
 (* One step on both sides; [insert_absent] is only legal on an absent
    line, so on a present one both sides take a plain [insert]. *)
 let step_both c m op =
-  let victim = Option.map (fun v -> (v.Cache.line, v.Cache.dirty)) in
+  let victim v =
+    if v = Cache.no_victim then None
+    else Some (Cache.victim_line v, Cache.victim_dirty v)
+  in
   match op with
   | C_probe l -> (`Bool (Cache.probe c ~line:l), `Bool (model_probe m l))
   | C_contains l ->
@@ -654,19 +680,35 @@ let model_obs m =
   let resident = Array.fold_left (fun n ways -> n + List.length ways) 0 m.m_sets in
   (resident, List.length m.m_dirty, List.rev m.m_dirty, m.m_dirty)
 
-let gen_cache_op line =
+(* An op awaiting its line. *)
+let gen_cache_kind =
   QCheck2.Gen.(
     frequency
       [
-        (3, map (fun l -> C_probe l) line);
-        (1, map (fun l -> C_contains l) line);
-        (4, map2 (fun l d -> C_insert (l, d)) line bool);
-        (3, map2 (fun l d -> C_insert_absent (l, d)) line bool);
-        (2, map (fun l -> C_set_dirty l) line);
-        (1, map (fun l -> C_is_dirty l) line);
-        (2, map (fun l -> C_invalidate l) line);
-        (1, return C_clear);
+        (3, return (fun l -> C_probe l));
+        (1, return (fun l -> C_contains l));
+        (4, map (fun d l -> C_insert (l, d)) bool);
+        (3, map (fun d l -> C_insert_absent (l, d)) bool);
+        (2, return (fun l -> C_set_dirty l));
+        (1, return (fun l -> C_is_dirty l));
+        (2, return (fun l -> C_invalidate l));
+        (1, return (fun _ -> C_clear));
       ])
+
+(* About half the ops reuse the previous op's line, so runs such as
+   probe, invalidate, probe or insert_absent, set_dirty go through the
+   level's way memo, each step checked against the model. *)
+let gen_cache_ops size line =
+  QCheck2.Gen.(
+    map
+      (fun steps ->
+        List.fold_left
+          (fun (prev, acc) (kind, l, reuse) ->
+            let l = if reuse && prev >= 0 then prev else l in
+            (l, kind l :: acc))
+          (-1, []) steps
+        |> snd |> List.rev)
+      (list_size size (triple gen_cache_kind line bool)))
 
 (* Lines [k * sets + set] for [k < 8] over a few chosen sets: twice as
    many lines as ways, so sets fill and evict. A prefix touches only the
@@ -678,8 +720,8 @@ let gen_diff_stream ~sets ~low ~high =
     let line of_sets = map2 (fun k s -> (k * sets) + s) (int_range 0 7) (oneofl of_sets) in
     map2
       (fun prefix suffix -> prefix @ (C_clear :: suffix))
-      (list_size (int_range 0 60) (gen_cache_op (line low)))
-      (list_size (int_range 0 150) (gen_cache_op (line (low @ high)))))
+      (gen_cache_ops (int_range 0 60) (line low))
+      (gen_cache_ops (int_range 0 150) (line (low @ high))))
 
 let differential_test ~sets ~ways ~low ~high =
   QCheck_alcotest.to_alcotest

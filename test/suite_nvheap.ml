@@ -247,6 +247,194 @@ let fence_crash_props =
              slots));
   ]
 
+(* The dirty overlay against a flat byte model. A two-level hierarchy
+   of 8 and 16 lines over a 1536-line NVRAM (three overlay pages): the
+   streams touch a few lines at the start, at a page boundary and near
+   the end, more lines than the hierarchy holds, so capacity evictions
+   write dirty lines back mid-stream. DMA loads are line-aligned, so
+   they drop whole overlay lines and the flat model stays exact. *)
+
+type ov_op =
+  | O_write of int * int64  (* an aligned word, or one straddling lines *)
+  | O_bytes of int * string
+  | O_nt of int * int64
+  | O_fence
+  | O_clflush of int
+  | O_flush_range of int * int
+  | O_wbinvd
+  | O_load of int * string  (* first line, whole lines of bytes *)
+  | O_clear of int * int  (* first line, line count *)
+  | O_crash
+
+let ov_lines = List.init 6 Fun.id @ List.init 6 (( + ) 509) @ List.init 6 (( + ) 1526)
+let ov_line_count = 1536
+
+(* Every line a stream can touch: a multi-line write runs past its
+   line. *)
+let ov_checked =
+  List.concat_map (fun l -> [ l; l + 1; l + 2; l + 3 ]) ov_lines
+  |> List.filter (fun l -> l < ov_line_count)
+  |> List.sort_uniq compare
+
+let ov_hierarchy =
+  let level name bytes associativity =
+    {
+      Wsp_machine.Cache.name;
+      size = Units.Size.bytes bytes;
+      line_size = 64;
+      associativity;
+      hit_latency = Time.ns 1.0;
+    }
+  in
+  {
+    Wsp_machine.Hierarchy.levels = [ level "L1" 512 2; level "L2" 1024 4 ];
+    memory_latency = Time.ns 60.0;
+    memory_bandwidth = Units.Bandwidth.gib_per_s 10.0;
+    memory_write_bandwidth = Units.Bandwidth.gib_per_s 10.0;
+    nt_store_latency = Time.ns 20.0;
+    fence_latency = Time.ns 50.0;
+    clflush_issue = Time.ns 6.0;
+    wbinvd_line_walk = Time.ns 7.0;
+  }
+
+let gen_ov_op =
+  QCheck2.Gen.(
+    let line = oneofl ov_lines in
+    let word = map Int64.of_int int in
+    let aligned = map2 (fun l k -> (l * 64) + (8 * k)) line (int_range 0 7) in
+    let straddling = map2 (fun l k -> (l * 64) + 56 + k) line (int_range 1 7) in
+    let bytes n = string_size ~gen:char (return n) in
+    frequency
+      [
+        (6, map2 (fun a v -> O_write (a, v)) aligned word);
+        (2, map2 (fun a v -> O_write (a, v)) straddling word);
+        ( 1,
+          map3
+            (fun l off s -> O_bytes ((l * 64) + off, s))
+            line (int_range 0 63)
+            (int_range 1 130 >>= bytes) );
+        (3, map2 (fun a v -> O_nt (a, v)) aligned word);
+        (2, return O_fence);
+        (2, map (fun a -> O_clflush a) (oneof [ aligned; straddling ]));
+        (1, map2 (fun a len -> O_flush_range (a, len)) aligned (int_range 1 200));
+        (1, return O_wbinvd);
+        ( 1,
+          map2 (fun l s -> O_load (l, s)) line (int_range 1 2 >>= fun n -> bytes (64 * n)) );
+        (1, map2 (fun l n -> O_clear (l, n)) line (int_range 1 2));
+        (1, return O_crash);
+      ])
+
+(* The model's state besides the bytes: whether a DMA load has run, and
+   the addresses of the undrained non-temporal words. A cached store to
+   a line holding an undrained NT word is skipped: the simulator does
+   not order the two (its overlay copy of the line misses the NT word,
+   and the write-combining data is laid over it), so program order and
+   the view would disagree. *)
+type ov_state = { mutable dma : bool; mutable pending : int list }
+
+let ov_step nv model st op =
+  let covers_pending addr len =
+    List.exists (fun a -> a / 64 <= (addr + len - 1) / 64 && addr / 64 <= a / 64)
+      st.pending
+  in
+  let dma addr len =
+    st.dma <- true;
+    st.pending <- List.filter (fun a -> a < addr || a >= addr + len) st.pending
+  in
+  match op with
+  | O_write (addr, v) ->
+      if not (covers_pending addr 8) then begin
+        Nvram.write_u64 nv ~addr v;
+        Bytes.set_int64_le model addr v
+      end
+  | O_bytes (addr, s) ->
+      if not (covers_pending addr (String.length s)) then begin
+        Nvram.write_bytes nv ~addr (Bytes.of_string s);
+        Bytes.blit_string s 0 model addr (String.length s)
+      end
+  | O_nt (addr, v) ->
+      Nvram.write_u64_nt nv ~addr v;
+      Bytes.set_int64_le model addr v;
+      st.pending <- addr :: st.pending
+  | O_fence ->
+      Nvram.fence nv;
+      st.pending <- []
+  | O_clflush addr -> Nvram.clflush nv ~addr
+  | O_flush_range (addr, len) -> Nvram.flush_range nv ~addr ~len
+  | O_wbinvd ->
+      Nvram.wbinvd nv;
+      st.pending <- []
+  | O_load (line, s) ->
+      Nvram.load_backing nv ~addr:(line * 64) (Bytes.of_string s);
+      dma (line * 64) (String.length s);
+      Bytes.blit_string s 0 model (line * 64) (String.length s)
+  | O_clear (line, n) ->
+      Nvram.clear_backing nv ~addr:(line * 64) ~len:(n * 64);
+      dma (line * 64) (n * 64);
+      Bytes.fill model (line * 64) (n * 64) '\x00'
+  | O_crash ->
+      Nvram.crash nv;
+      st.pending <- []
+
+let ov_print =
+  let one = function
+    | O_write (a, v) -> Printf.sprintf "write %d %Ld" a v
+    | O_bytes (a, s) -> Printf.sprintf "bytes %d +%d" a (String.length s)
+    | O_nt (a, v) -> Printf.sprintf "nt %d %Ld" a v
+    | O_fence -> "fence"
+    | O_clflush a -> Printf.sprintf "clflush %d" a
+    | O_flush_range (a, n) -> Printf.sprintf "flush_range %d +%d" a n
+    | O_wbinvd -> "wbinvd"
+    | O_load (l, s) -> Printf.sprintf "load line %d +%d" l (String.length s)
+    | O_clear (l, n) -> Printf.sprintf "clear line %d x%d" l n
+    | O_crash -> "crash"
+  in
+  fun ops -> String.concat "; " (List.map one ops)
+
+let ov_view nv line =
+  let b = Bytes.create 64 in
+  Nvram.peek_volatile nv ~addr:(line * 64) ~len:64 b ~dst_off:0;
+  b
+
+let overlay_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"the overlay agrees with a flat byte model at every step"
+         ~count:200 ~print:ov_print
+         QCheck2.Gen.(list_size (int_range 1 150) gen_ov_op)
+         (fun ops ->
+           let size = Units.Size.bytes (ov_line_count * 64) in
+           let nv = Nvram.create ~hierarchy:ov_hierarchy ~size () in
+           let model = Bytes.make (ov_line_count * 64) '\x00' in
+           let st = { dma = false; pending = [] } in
+           List.for_all
+             (fun op ->
+               ov_step nv model st op;
+               let crashed = op = O_crash in
+               let persistent = Nvram.persistent_image nv in
+               let view_ok =
+                 List.for_all
+                   (fun line ->
+                     let want =
+                       if crashed then Bytes.sub persistent (line * 64) 64
+                       else Bytes.sub model (line * 64) 64
+                     in
+                     Bytes.equal (ov_view nv line) want)
+                   ov_checked
+               in
+               if crashed then Bytes.blit persistent 0 model 0 (Bytes.length model);
+               let lines_ok =
+                 st.dma
+                 || List.sort compare (List.map fst (Nvram.overlay_lines nv))
+                    = List.sort compare
+                        (Wsp_machine.Hierarchy.dirty_lines (Nvram.hierarchy nv))
+               in
+               view_ok && lines_ok)
+             ops
+           && Bytes.equal (Nvram.volatile_image nv) model));
+  ]
+
 (* --- Alloc ---------------------------------------------------------------- *)
 
 let mk_alloc ?(len = Units.Size.kib 8) () =
@@ -639,6 +827,34 @@ let txn_counter nv name =
 
 let txn_tests =
   [
+    Alcotest.test_case "undo: each address is logged once per transaction"
+      `Quick (fun () ->
+        (* 300 addresses grow the undo set from 64 slots to 1024, and the
+           second transaction must log them all again. *)
+        let _, txn = mk_txn Config.foc_ul in
+        let addrs =
+          List.init 300 (fun i ->
+              if i mod 2 = 0 then data_base + (8 * (i * 37 mod 300))
+              else data_base + 4096 + (512 * i))
+        in
+        let undo_records () =
+          List.length
+            (List.filter (fun (kind, _) -> kind = 2) (Rawlog.scan (Txn.log txn)))
+        in
+        List.iter (fun addr -> Txn.write_u64 txn ~addr 1L) addrs;
+        for round = 1 to 2 do
+          Txn.begin_tx txn;
+          List.iter (fun addr -> Txn.write_u64 txn ~addr 2L) addrs;
+          List.iter (fun addr -> Txn.write_u64 txn ~addr 3L) (List.rev addrs);
+          Alcotest.(check int)
+            (Printf.sprintf "undo records, round %d" round)
+            (List.length addrs) (undo_records ());
+          Txn.abort txn;
+          List.iter
+            (fun addr ->
+              Alcotest.(check int64) "rolled back" 1L (Txn.read_u64 txn ~addr))
+            addrs
+        done);
     Alcotest.test_case "undo: abort rolls back in-place writes" `Quick (fun () ->
         let _, txn = mk_txn Config.foc_ul in
         Txn.write_u64 txn ~addr:data_base 1L;
@@ -1308,7 +1524,8 @@ let select_tests =
 let suite =
   [
     ( "nvheap.nvram",
-      nvram_tests @ nvram_props @ fence_crash_props @ tap_tests @ itbl_tests );
+      nvram_tests @ nvram_props @ fence_crash_props @ overlay_props @ tap_tests
+      @ itbl_tests );
     ("nvheap.alloc", alloc_tests @ alloc_props);
     ("nvheap.rawlog", rawlog_tests @ rawlog_props @ rawlog_torn_tests);
     ( "nvheap.txn",
