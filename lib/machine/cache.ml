@@ -16,18 +16,17 @@ type config = {
    directly in the major heap: a page is never copied, by a minor
    collection or otherwise. Until its first insert a page is [fresh]:
    one array shared by every untouched page and never written, which
-   reads as all ways invalid. Lookups, [set_dirty] and [invalidate]
-   treat it as a miss and allocate nothing.
+   reads as all ways invalid.
 
    Within a page, set [k] starts at [k * stride], [stride = 4a] for
    associativity [a]. Way [w] of a set starting at [b] keeps its tag at
    [s = b+w], its LRU age and dirty flag at [s+a] (the tick shifted left
    by one, dirty in bit 0: ticks are distinct, so the bit never changes
    which way is older), and its dirty-list links at [s+2a] (prev) and
-   [s+3a] (next), so a set scan reads [a] consecutive ints. A way's tag
-   is its line number while valid and [lnot line] (negative) once
-   invalid: lines are non-negative, so a scan needs no separate valid
-   check, and an invalid way keeps its stale line and age, which victim
+   [s+3a] (next), so the victim scan reads [a] consecutive ints. A
+   way's tag is its line number while valid and [lnot line] (negative)
+   once invalid: lines are non-negative, so the sign is the valid bit,
+   and an invalid way keeps its stale line and age, which victim
    selection still reads.
 
    Ways double as nodes of an intrusive, circular, doubly-linked list
@@ -39,13 +38,18 @@ type config = {
    [dirty_n]/[resident_n] counters, turns the dirty polls that protocol
    loops issue per simulated step from O(total slots) into O(dirty).
 
-   One set scan per level: [memo_line]/[memo_node] remember the last
-   line a lookup found or an insert placed, and its node. A lookup of
-   that line re-reads the node's tag instead of scanning the set, so
-   the [set_dirty] after each store's probe, and repeated probes of one
-   line, cost O(1). The memo is checked against the tag, so an eviction,
-   invalidation or [clear] since it was set makes it miss, never lie;
-   it holds only ints, so updating it needs no write barrier. *)
+   One directory per level: [dir] maps a line number to the node of
+   its way, or -1, so a lookup is two loads and never scans a set. It
+   is paged like [Nvram]'s overlay: page [line lsr dir_shift], slot
+   [line land dir_mask]. A page holds 512 node ids as 32-bit ints in a
+   2 KiB [Bytes.t]: half the memory of an int array, nothing for the
+   GC to scan, and still more than [max_young_words], so it is
+   allocated straight in the major heap at the first insert of a line
+   it covers. Until then a page is [dir_fresh], one module-level page
+   of -1 shared by every level and never written. The top-level array
+   grows on demand. An entry is set when a line is inserted and
+   cleared when it is evicted, invalidated or cleared, so it is exact:
+   a present line always has its node, an absent one -1. *)
 type t = {
   cfg : config;
   n_sets : int;
@@ -62,8 +66,7 @@ type t = {
   mutable dirty_n : int;
   mutable resident_n : int;
   mutable tick : int;
-  mutable memo_line : int;  (* -1, or the line at [memo_node] when set. *)
-  mutable memo_node : int;
+  mutable dir : Bytes.t array;  (* Pages of [dir_fresh] until owned. *)
 }
 
 let line_count t = t.n_slots
@@ -75,6 +78,15 @@ let max_young_words = 256
 let log2_ceil n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
+
+let dir_shift = 9
+let dir_mask = (1 lsl dir_shift) - 1
+let dir_fresh = Bytes.make (4 lsl dir_shift) '\xff'
+
+(* Unchecked native-endian 32-bit access: every index is a slot of a
+   whole page, and entries are only read back by this module. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 (* Never-touched state: every way invalid, age 0, clean. *)
 let fresh_page ~sets ~stride ~assoc =
@@ -95,6 +107,10 @@ let create cfg =
   in
   let sets_per_page = 1 lsl page_shift in
   let fresh = fresh_page ~sets:sets_per_page ~stride ~assoc in
+  let node_shift = log2_ceil (sets_per_page * stride) in
+  let n_pages = (n_sets + sets_per_page - 1) / sets_per_page in
+  (* The directory stores node ids in 32 bits. *)
+  assert (log2_ceil n_pages + node_shift < 31);
   {
     cfg;
     n_sets;
@@ -103,16 +119,15 @@ let create cfg =
     n_slots = total_lines;
     stride;
     page_shift;
-    node_shift = log2_ceil (sets_per_page * stride);
-    pages = Array.make ((n_sets + sets_per_page - 1) / sets_per_page) fresh;
+    node_shift;
+    pages = Array.make n_pages fresh;
     fresh;
     first = sentinel;
     last = sentinel;
     dirty_n = 0;
     resident_n = 0;
     tick = 0;
-    memo_line = -1;
-    memo_node = 0;
+    dir = [||];
   }
 
 let config t = t.cfg
@@ -191,36 +206,40 @@ let mark_clean t pg s =
     unlink_dirty t pg s
   end
 
-(* Top-level so probing allocates no closure; annotated so the tag
-   comparison is an integer compare, not the polymorphic one. *)
-let rec scan_set (pg : int array) (line : int) i stop =
-  if i >= stop then -1
-  else if Array.unsafe_get pg i = line then i
-  else scan_set pg line (i + 1) stop
-
-let[@inline] remember t line node =
-  t.memo_line <- line;
-  t.memo_node <- node
-
-(* The node of [line]'s way, or -1: the memo when its tag still holds
-   [line], else one scan of the set. *)
+(* The node of [line]'s way, or -1. *)
 let[@inline] lookup t line =
-  let node = t.memo_node in
-  if line = t.memo_line
-     && Array.unsafe_get (node_page t node) (node_index t node) = line
-  then node
-  else begin
-    let set = set_of_line t line in
-    let p = page_of_set t set in
-    let b = base t set in
-    let s = scan_set (Array.unsafe_get t.pages p) line b (b + t.assoc) in
-    if s < 0 then -1
+  assert (line >= 0);
+  let p = line lsr dir_shift and dir = t.dir in
+  if p >= Array.length dir then -1
+  else
+    Int32.to_int (get32 (Array.unsafe_get dir p) ((line land dir_mask) lsl 2))
+
+(* Points [line]'s entry at [node], owning (and first growing to) its
+   page. *)
+let dir_set t line node =
+  let p = line lsr dir_shift in
+  let n = Array.length t.dir in
+  if p >= n then begin
+    let dir = Array.make (max (p + 1) (2 * n)) dir_fresh in
+    Array.blit t.dir 0 dir 0 n;
+    t.dir <- dir
+  end;
+  let pg = Array.unsafe_get t.dir p in
+  let pg =
+    if pg != dir_fresh then pg
     else begin
-      let node = (p lsl t.node_shift) lor s in
-      remember t line node;
-      node
+      let pg = Bytes.make (4 lsl dir_shift) '\xff' in
+      Array.unsafe_set t.dir p pg;
+      pg
     end
-  end
+  in
+  set32 pg ((line land dir_mask) lsl 2) (Int32.of_int node)
+
+(* Clears the entry of a present line, whose page is owned. *)
+let[@inline] dir_clear t line =
+  set32
+    (Array.unsafe_get t.dir (line lsr dir_shift))
+    ((line land dir_mask) lsl 2) (-1l)
 
 let[@inline] touch t pg s =
   t.tick <- t.tick + 1;
@@ -257,7 +276,7 @@ let victim_line code = code asr 1
 let victim_dirty code = code land 1 = 1
 
 (* Allocates [line], which the caller knows is absent: the set is
-   scanned once, for the victim, and never for the line itself. *)
+   scanned once, for the victim. *)
 let insert_absent t ~line ~dirty =
   let set = set_of_line t line in
   let p = page_of_set t set in
@@ -265,7 +284,10 @@ let insert_absent t ~line ~dirty =
   let s = pick_way pg t.assoc (b + 1) (b + t.assoc) b in
   let old = Array.unsafe_get pg s in
   let victim =
-    if old >= 0 then (old lsl 1) lor Bool.to_int (dirty_at t pg s)
+    if old >= 0 then begin
+      dir_clear t old;
+      (old lsl 1) lor Bool.to_int (dirty_at t pg s)
+    end
     else begin
       t.resident_n <- t.resident_n + 1;
       no_victim
@@ -275,7 +297,7 @@ let insert_absent t ~line ~dirty =
   Array.unsafe_set pg s line;
   if dirty then mark_dirty t pg p s;
   touch t pg s;
-  remember t line ((p lsl t.node_shift) lor s);
+  dir_set t line ((p lsl t.node_shift) lor s);
   victim
 
 let insert t ~line ~dirty =
@@ -305,6 +327,7 @@ let invalidate t ~line =
     let was_dirty = dirty_at t pg s in
     mark_clean t pg s;
     Array.unsafe_set pg s (lnot line);
+    dir_clear t line;
     t.resident_n <- t.resident_n - 1;
     was_dirty
   end
@@ -335,7 +358,10 @@ let clear t =
         for k = 0 to (1 lsl t.page_shift) - 1 do
           for s = k * t.stride to (k * t.stride) + a - 1 do
             let tag = pg.(s) in
-            if tag >= 0 then pg.(s) <- lnot tag;
+            if tag >= 0 then begin
+              pg.(s) <- lnot tag;
+              dir_clear t tag
+            end;
             pg.(s + a) <- pg.(s + a) land lnot 1
           done
         done)

@@ -11,10 +11,11 @@
     proportion to the sets it has touched, not to its configured
     capacity; an untouched set reads as all ways invalid. Within a set,
     tags, ages (with the dirty flag) and dirty-list links are separate
-    runs of one int array, so a set scan reads consecutive ints. The
-    level remembers the way of the line it last found or inserted, so
-    the [set_dirty] that follows a store's probe, or a second probe of
-    the same line, scans no set. Dirty and resident state is tracked
+    runs of one int array, so picking a victim reads consecutive ints.
+    A paged directory from line number to way makes each lookup
+    ({!probe}, {!contains}, {!set_dirty}, {!is_dirty}, {!invalidate})
+    two array loads, with no set scan; its pages too are allocated at
+    their first insert. Dirty and resident state is tracked
     incrementally: per-cache counters plus an intrusive doubly-linked
     index of dirty ways make {!dirty_count}, {!resident_count},
     {!dirty_lines} and {!iter_dirty} O(dirty lines) rather than a fold

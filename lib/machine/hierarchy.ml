@@ -40,10 +40,6 @@ type t = {
   miss_latency : Time.t;  (* Full probe chain plus memory latency. *)
   line_size : int;
   line_shift : int;  (* [line_size = 1 lsl line_shift] *)
-  mutable absent : int;
-      (* -1, or a line [invalidate_line] found or left in no level and
-         that no [access] has filled since: one NT store or [clflush]
-         after another to the same line skips the LLC scan. *)
   seen : (int, unit) Hashtbl.t;
       (* Scratch table reused by the dirty-line union walks; reset per
          call so dirty polls allocate no fresh table. *)
@@ -96,7 +92,6 @@ let create ?(on_writeback = fun ~line:_ ~explicit:_ -> ()) ?metrics
     miss_latency;
     line_size = 1 lsl line_shift;
     line_shift;
-    absent = -1;
     seen = Hashtbl.create 256;
     on_writeback;
     m =
@@ -151,7 +146,7 @@ let evict_from t i victim =
 (* Fills [line] into levels [0..upto], lowest level first. The probe
    has just missed it at each of them, and an eviction only ever
    removes lines from upper levels, so each insert skips the presence
-   scan. *)
+   lookup. *)
 let fill t ~line ~upto =
   for i = upto downto 0 do
     let victim = Cache.insert_absent t.levels.(i) ~line ~dirty:false in
@@ -169,7 +164,6 @@ let rec probe_from levels line i n =
 
 let access t ~addr ~write =
   let line = line_of t addr in
-  if line = t.absent then t.absent <- -1;
   let n = Array.length t.levels in
   let k = probe_from t.levels line 0 n in
   let latency =
@@ -190,22 +184,17 @@ let access t ~addr ~write =
 let load t ~addr = access t ~addr ~write:false
 let store t ~addr = access t ~addr ~write:true
 
-(* By inclusion a line the LLC lacks is in no level, so one LLC scan
-   settles the common case: a non-temporal store to an uncached log
-   line. The line is then remembered as [absent], so the next NT store
-   or [clflush] to it settles with no scan at all. *)
+(* By inclusion a line the LLC lacks is in no level, so one LLC
+   directory lookup settles the common case: a non-temporal store to an
+   uncached log line. *)
 let invalidate_line t line =
-  if line = t.absent then false
+  if not (Cache.contains (llc t) ~line) then false
   else begin
-    t.absent <- line;
-    if not (Cache.contains (llc t) ~line) then false
-    else begin
-      let dirty = ref false in
-      for i = 0 to Array.length t.levels - 1 do
-        if Cache.invalidate t.levels.(i) ~line then dirty := true
-      done;
-      !dirty
-    end
+    let dirty = ref false in
+    for i = 0 to Array.length t.levels - 1 do
+      if Cache.invalidate t.levels.(i) ~line then dirty := true
+    done;
+    !dirty
   end
 
 type instr = Nt_store | Fence | Clflush | Flush_range | Wbinvd

@@ -44,14 +44,20 @@ let fresh : Bytes.t array = Array.make (1 lsl page_shift) none
 
 (* The write-combining FIFO of undrained non-temporal stores, oldest
    first, kept as an address column and a packed value column so that
-   queuing a word allocates nothing. *)
+   queuing a word allocates nothing. [wc_lo, wc_hi) bounds the bytes
+   the queued words cover, so a cached access outside the log rules
+   the queue out with two compares even when a broken fence has let it
+   grow without bound. *)
 type wc = {
   mutable wc_addrs : int array;
   mutable wc_vals : Bytes.t;  (* 8 bytes per entry, little-endian *)
   mutable wc_n : int;
+  mutable wc_lo : int;
+  mutable wc_hi : int;
 }
 
-let wc_create () = { wc_addrs = Array.make 16 0; wc_vals = Bytes.create 128; wc_n = 0 }
+let wc_create () =
+  { wc_addrs = Array.make 16 0; wc_vals = Bytes.create 128; wc_n = 0; wc_lo = 0; wc_hi = 0 }
 let wc_addr wc i = Array.unsafe_get wc.wc_addrs i
 let wc_val wc i = Bytes.get_int64_le wc.wc_vals (8 * i)
 
@@ -66,7 +72,22 @@ let[@inline] wc_add wc addr v =
   end;
   Array.unsafe_set wc.wc_addrs n addr;
   Bytes.set_int64_le wc.wc_vals (8 * n) v;
+  if n = 0 then begin
+    wc.wc_lo <- addr;
+    wc.wc_hi <- addr + 8
+  end
+  else begin
+    if addr < wc.wc_lo then wc.wc_lo <- addr;
+    if addr + 8 > wc.wc_hi then wc.wc_hi <- addr + 8
+  end;
   wc.wc_n <- n + 1
+
+(* Whether a queued word from entry [i] on has a byte in [lo, hi).
+   Top-level so it allocates no closure. *)
+let rec wc_hits wc lo hi i =
+  i < wc.wc_n
+  && (let a = wc_addr wc i in
+      (a < hi && a + 8 > lo) || wc_hits wc lo hi (i + 1))
 
 (* Writes every queued word into [dst] at its address, oldest first. *)
 let wc_apply wc dst =
@@ -225,11 +246,31 @@ let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > Bytes.length t.backing then
     invalid_arg (Fmt.str "Nvram: address range [%d,%d) out of bounds" addr (addr + len))
 
+(* Moves each pending non-temporal word straight into backing. *)
+let drain_wc t =
+  wc_apply t.wc_pending t.backing;
+  t.wc_pending.wc_n <- 0;
+  match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
+
+(* A cached load or store is about to read lines [first, last] from
+   backing. If a queued non-temporal word lies in them, the queue
+   drains first, as a write-combining buffer does when a cached access
+   hits its line: otherwise the access would miss the word, and a store
+   would bury it under an older copy of the line. An empty queue costs
+   one compare. *)
+let[@inline] drain_lines t ~first ~last =
+  let wc = t.wc_pending in
+  if wc.wc_n > 0 then begin
+    let lo = first lsl t.line_shift and hi = (last + 1) lsl t.line_shift in
+    if lo < wc.wc_hi && hi > wc.wc_lo && wc_hits wc lo hi 0 then drain_wc t
+  end
+
 (* The volatile copy of [line], creating it from backing on first write. *)
 let dirty_line t line =
   let data = overlay_find t.pages line in
   if data != none then data
   else begin
+    drain_lines t ~first:line ~last:line;
     let data = Bytes.create t.line_size in
     Bytes.blit t.backing (line lsl t.line_shift) data 0 t.line_size;
     let p = line lsr page_shift in
@@ -250,7 +291,9 @@ let dirty_line t line =
 (* Copies the volatile view of [addr, addr + len) into [dst] at
    [dst_off] with one overlay lookup per line, from the line's overlay
    copy or, for a line with none, from backing. [len] must be positive.
-   Pending non-temporal words are not applied. *)
+   Pending non-temporal words are not applied: a cached read drains
+   those of its lines first ([read_range]), and [peek_volatile] lays
+   them over the copy. *)
 let blit_volatile t ~addr ~len dst ~dst_off =
   let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
   for line = first to last do
@@ -263,17 +306,17 @@ let blit_volatile t ~addr ~len dst ~dst_off =
     else Bytes.blit t.backing line_start dst dst_off n
   done
 
-(* Charges one hierarchy access per line the range touches. *)
-let charge_access t ~addr ~len ~write =
+(* A cached load of [addr, addr + len) into [dst] at [dst_off]: one
+   hierarchy access per line the range touches, then the copy. [len]
+   must be positive. *)
+let read_range t ~addr ~len dst ~dst_off =
   spend_step t;
   let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
   for line = first to last do
-    let latency =
-      if write then Hierarchy.store t.hierarchy ~addr:(line lsl t.line_shift)
-      else Hierarchy.load t.hierarchy ~addr:(line lsl t.line_shift)
-    in
-    charge t latency
-  done
+    charge t (Hierarchy.load t.hierarchy ~addr:(line lsl t.line_shift))
+  done;
+  drain_lines t ~first ~last;
+  blit_volatile t ~addr ~len dst ~dst_off
 
 (* Writes a byte range, interleaving the hierarchy access and the data
    write per line: charging first for the whole range could evict a
@@ -313,14 +356,17 @@ let[@inline] read_word t ~addr =
   if off + 8 <= t.line_size then begin
     spend_step t;
     charge t (Hierarchy.load t.hierarchy ~addr);
-    let data = overlay_find t.pages (addr lsr t.line_shift) in
+    let line = addr lsr t.line_shift in
+    let data = overlay_find t.pages line in
     if data != none then Bytes.get_int64_le data off
-    else Bytes.get_int64_le t.backing addr
+    else begin
+      drain_lines t ~first:line ~last:line;
+      Bytes.get_int64_le t.backing addr
+    end
   end
   else begin
-    charge_access t ~addr ~len:8 ~write:false;
     let b = Bytes.create 8 in
-    blit_volatile t ~addr ~len:8 b ~dst_off:0;
+    read_range t ~addr ~len:8 b ~dst_off:0;
     Bytes.get_int64_le b 0
   end
 
@@ -346,10 +392,7 @@ let write_u64 t ~addr v =
 let read_bytes t ~addr ~len =
   check_range t addr len;
   let b = Bytes.create len in
-  if len > 0 then begin
-    charge_access t ~addr ~len ~write:false;
-    blit_volatile t ~addr ~len b ~dst_off:0
-  end;
+  if len > 0 then read_range t ~addr ~len b ~dst_off:0;
   b
 
 let write_bytes t ~addr src =
@@ -373,12 +416,6 @@ let write_int_nt t ~addr w =
   nt_store t ~addr;
   wc_add t.wc_pending addr (Int64.of_int w);
   match !(t.tap) with Some tp -> tp.on_nt ~addr ~v:(Int64.of_int w) | None -> ()
-
-(* Moves each pending non-temporal word straight into backing. *)
-let drain_wc t =
-  wc_apply t.wc_pending t.backing;
-  t.wc_pending.wc_n <- 0;
-  match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
 
 let fence t =
   Hierarchy.count t.hierarchy Fence;

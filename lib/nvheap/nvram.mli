@@ -81,7 +81,9 @@ val write_bytes : t -> addr:int -> Bytes.t -> unit
 
     Non-temporal stores bypass the cache through write-combining buffers.
     They are {e not} durable until a {!fence} drains them: a crash before
-    the fence discards undrained data. *)
+    the fence discards undrained data. A cached load or store to a line
+    holding a queued word drains the whole queue first, so it sees the
+    word and never buries it under an older copy of the line. *)
 
 val write_u64_nt : t -> addr:int -> int64 -> unit
 
@@ -204,7 +206,8 @@ type tap = {
           the callback — the overlay never mutates a removed buffer. *)
   on_drain : unit -> unit;
       (** The write-combining queue was flushed to backing (a drained
-          {!fence} or {!wbinvd}). *)
+          {!fence}, {!wbinvd}, or a cached access to a line holding a
+          queued word). *)
 }
 
 val set_tap : t -> tap option -> unit

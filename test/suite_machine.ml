@@ -50,6 +50,32 @@ let cache_tests =
         ignore (Cache.insert c ~line:1 ~dirty:true);
         ignore (Cache.insert c ~line:1 ~dirty:false);
         Alcotest.(check bool) "still dirty" true (Cache.is_dirty c ~line:1));
+    Alcotest.test_case "an evicted line reads absent and re-inserts cleanly"
+      `Quick (fun () ->
+        (* 8 sets, 2 ways. Line 1029 (set 5) sits in the line
+           directory's third page; 5 and 13 fill its set and evict it. *)
+        let c = small_cache () in
+        let line = (128 * 8) + 5 in
+        ignore (Cache.insert c ~line ~dirty:true);
+        ignore (Cache.insert c ~line:5 ~dirty:false);
+        let victim = Cache.insert c ~line:13 ~dirty:false in
+        Alcotest.(check int) "evicted" line (Cache.victim_line victim);
+        Alcotest.(check bool) "contains" false (Cache.contains c ~line);
+        Alcotest.(check bool) "probe" false (Cache.probe c ~line);
+        Alcotest.(check bool) "is_dirty" false (Cache.is_dirty c ~line);
+        Cache.set_dirty c ~line;
+        Alcotest.(check int) "set_dirty on it is a no-op" 0 (Cache.dirty_count c);
+        Alcotest.(check bool) "invalidate" false (Cache.invalidate c ~line);
+        Alcotest.(check int) "resident" 2 (Cache.resident_count c);
+        let victim = Cache.insert_absent c ~line ~dirty:false in
+        Alcotest.(check int) "re-insert evicts the LRU way" 5
+          (Cache.victim_line victim);
+        Alcotest.(check bool) "back" true (Cache.contains c ~line);
+        Alcotest.(check bool) "clean" false (Cache.is_dirty c ~line);
+        Alcotest.(check bool) "its victim reads absent" false
+          (Cache.contains c ~line:5);
+        Alcotest.(check bool) "13 stays" true (Cache.contains c ~line:13);
+        Alcotest.(check int) "resident after" 2 (Cache.resident_count c));
     Alcotest.test_case "invalidate returns dirtiness" `Quick (fun () ->
         let c = small_cache () in
         ignore (Cache.insert c ~line:1 ~dirty:true);
@@ -218,8 +244,8 @@ let hierarchy_tests =
         Alcotest.(check (list int)) "line 0 written back" [ 0 ] !written);
     Alcotest.test_case "an NT store finds its line absent until a fill" `Quick
       (fun () ->
-        (* The second NT store skips the LLC scan; the load refills the
-           line, so the last NT store must find it dirty again. *)
+        (* The second NT store finds the line absent; the load refills
+           it, so the last NT store must find it dirty again. *)
         let metrics = Wsp_obs.Metrics.create () in
         let explicit_wbs = ref 0 in
         let h =
@@ -696,8 +722,8 @@ let gen_cache_kind =
       ])
 
 (* About half the ops reuse the previous op's line, so runs such as
-   probe, invalidate, probe or insert_absent, set_dirty go through the
-   level's way memo, each step checked against the model. *)
+   probe, invalidate, probe or insert_absent, set_dirty hit one
+   directory entry in turn, each step checked against the model. *)
 let gen_cache_ops size line =
   QCheck2.Gen.(
     map
@@ -714,23 +740,30 @@ let gen_cache_ops size line =
    many lines as ways, so sets fill and evict. A prefix touches only the
    [low] sets, then a [clear], then a suffix touches [low] and [high]:
    the [high] sets are first touched after a clear, some of them in a
-   page of sets that no insert has allocated yet. *)
-let gen_diff_stream ~sets ~low ~high =
+   page of sets that no insert has allocated yet. A suffix drawing [k]
+   up to [k_max] reaches line-directory pages (512 lines each) that
+   the prefix never touched. *)
+let gen_diff_stream ~sets ~low ~high ~k_max =
   QCheck2.Gen.(
-    let line of_sets = map2 (fun k s -> (k * sets) + s) (int_range 0 7) (oneofl of_sets) in
+    let line k_max of_sets =
+      map2 (fun k s -> (k * sets) + s) (int_range 0 k_max) (oneofl of_sets)
+    in
     map2
       (fun prefix suffix -> prefix @ (C_clear :: suffix))
-      (gen_cache_ops (int_range 0 60) (line low))
-      (gen_cache_ops (int_range 0 150) (line (low @ high))))
+      (gen_cache_ops (int_range 0 60) (line 7 low))
+      (gen_cache_ops (int_range 0 150) (line k_max (low @ high))))
 
-let differential_test ~sets ~ways ~low ~high =
+let differential_test ?(k_max = 7) ~sets ~ways ~low ~high () =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:
          (Printf.sprintf
-            "cache agrees with a naive LRU model at every step (%d sets)" sets)
+            "cache agrees with a naive LRU model at every step (%d sets%s)"
+            sets
+            (if k_max = 7 then ""
+             else Printf.sprintf ", lines below %d" ((k_max + 1) * sets)))
        ~count:300
-       (gen_diff_stream ~sets ~low ~high)
+       (gen_diff_stream ~sets ~low ~high ~k_max)
        (fun ops ->
          let c =
            small_cache ~size:(Units.Size.bytes (sets * ways * 64)) ~assoc:ways ()
@@ -743,11 +776,16 @@ let differential_test ~sets ~ways ~low ~high =
            ops))
 
 (* Four ways make a page of 32 sets. 64 sets: two pages, the set index
-   a mask. 96 sets: three pages, the set index a division. *)
+   a mask. 96 sets: three pages, the set index a division. The third
+   run's prefix stays in the first line-directory page (lines below
+   512) and its suffix spans nine, eight of them first touched after
+   the [clear]. *)
 let differential_tests =
   [
-    differential_test ~sets:64 ~ways:4 ~low:[ 0; 1; 31 ] ~high:[ 32; 33; 63 ];
-    differential_test ~sets:96 ~ways:4 ~low:[ 0; 1; 47 ] ~high:[ 48; 64; 95 ];
+    differential_test ~sets:64 ~ways:4 ~low:[ 0; 1; 31 ] ~high:[ 32; 33; 63 ] ();
+    differential_test ~sets:96 ~ways:4 ~low:[ 0; 1; 47 ] ~high:[ 48; 64; 95 ] ();
+    differential_test ~k_max:64 ~sets:64 ~ways:4 ~low:[ 0; 1; 31 ]
+      ~high:[ 32; 33; 63 ] ();
   ]
 
 (* --- Allocation guards -------------------------------------------------- *)
