@@ -481,12 +481,12 @@ let judge_state ~kind ~config ~fault ~st (state : Replay.state) =
               the pre-failure contents"
              diff)
 
-(* Verdict for one crash point: None = survived, Some message = bug.
-   The full-replay engine: re-executes the workload from scratch, cuts
-   power before memory event [point] (a freeze, so not even a rollback
-   stores past the failure) and judges the state captured at that
-   instant. A trace that ends before the point has nothing to crash. *)
-let judge_point ~kind ~config ~fault ~point script =
+(* The full-replay engine's crash state: re-executes the workload from
+   scratch, cuts power before memory event [point] (a freeze, so not
+   even a rollback stores past the failure) and captures the machine
+   and the software state at that instant. A trace that ends before the
+   point has nothing to crash. *)
+let freeze_at ~kind ~config ~fault ~point script =
   let env = make_env ~kind ~config ~fault () in
   let st = fresh_state () in
   let state = ref None in
@@ -496,7 +496,15 @@ let judge_point ~kind ~config ~fault ~point script =
       Crash.Freeze
   in
   ignore (Crash.run crash [ env.nvram ] (fun () -> run_script env st ~kind script));
-  Option.bind !state (judge_state ~kind ~config ~fault ~st)
+  Option.map (fun state -> (state, st)) !state
+
+let crash_state ~kind ~config ~fault ~point script =
+  Option.map fst (freeze_at ~kind ~config ~fault ~point script)
+
+(* Verdict for one crash point: None = survived, Some message = bug. *)
+let judge_point ~kind ~config ~fault ~point script =
+  Option.bind (freeze_at ~kind ~config ~fault ~point script) (fun (state, st) ->
+      judge_state ~kind ~config ~fault ~st state)
 
 (* --- the incremental engine ------------------------------------------ *)
 
@@ -673,7 +681,8 @@ let check ?jobs ?(points = 1000) ?(txns = default_txns)
   let tr, judge =
     prepare ?jobs ~engine ~stride:snapshot_stride ~kind ~config ~fault script
   in
-  let stream = Ptrace.events tr in
+  (* The event stream is built only if a violation needs describing. *)
+  let stream = lazy (Ptrace.events tr) in
   let n = Ptrace.mem_length tr in
   let pts, exhaustive = Crash.select ~rng ~total:n ~budget:points in
   let verdicts =
@@ -681,7 +690,11 @@ let check ?jobs ?(points = 1000) ?(txns = default_txns)
     |> List.map (fun (point, verdict) ->
            Option.map
              (fun message ->
-               { point; where = Ptrace.describe_mem stream point; message })
+               {
+                 point;
+                 where = Ptrace.describe_mem (Lazy.force stream) point;
+                 message;
+               })
              verdict)
   in
   let violations = List.filter_map Fun.id verdicts in

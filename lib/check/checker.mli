@@ -196,6 +196,18 @@ val record_golden :
 
 val golden_replay : golden -> mark_info Replay.t
 
+val crash_state :
+  kind:kind ->
+  config:Config.t ->
+  fault:fault ->
+  point:int ->
+  script ->
+  Replay.state option
+(** The full-replay engine's crash state: {!Replay.capture} of a fresh
+    execution of [script] frozen just before memory event [point], or
+    [None] when the trace ends first. The reference a cursor's state is
+    tested against. *)
+
 val judge_marks :
   ?cursor:mark_info Replay.cursor ->
   ?until_violation:bool ->

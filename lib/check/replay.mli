@@ -12,11 +12,15 @@
     mutates anything, the state a power failure at point [p] preserves
     is exactly the recorded ops strictly preceding mark [p].
 
+    The recording is flat: an int code and a payload offset per op, and
+    one byte arena for every payload.
+
     Copy-on-write waypoints: every [stride] marks the recorder snapshots
     the full state, saving only the backing lines written back since the
-    previous waypoint (plus the small overlay/WC contents whole), so a
-    cursor can land mid-trace — each parallel chunk of crash points
-    starts at the nearest waypoint instead of replaying from zero. *)
+    previous waypoint, plus the overlay whole and the op index where the
+    WC queue's words begin, so a cursor can land mid-trace — each
+    parallel chunk of crash points starts at the nearest waypoint
+    instead of replaying from zero. *)
 
 type 'a t
 (** A finished recording; ['a] is the caller's per-mark annotation
@@ -46,6 +50,9 @@ val info : 'a t -> mark:int -> 'a
 
 (** {1 Crash states} *)
 
+type judge
+(** A machine a state keeps for {!with_nvram} to judge on. *)
+
 type state = {
   backing : Bytes.t;
       (** The persistent bytes: what a power failure at this point
@@ -56,6 +63,9 @@ type state = {
   wc : (int * int64) Queue.t;
       (** Undrained non-temporal words [(addr, value)], oldest first. *)
   line_size : int;
+  mutable judge : judge option;
+      (** The machine {!with_nvram} built over [backing], kept for its
+          next call: [None] until the first. *)
 }
 (** The machine's data state at a crash instant, as three components:
     the volatile view (what running software sees, and what a
@@ -94,11 +104,20 @@ val with_nvram :
   state ->
   (Wsp_nvheap.Nvram.t -> 'a) ->
   'a
-(** [with_nvram st f] runs [f] on a fresh NVRAM ([hierarchy] as in
+(** [with_nvram st f] runs [f] on an NVRAM ([hierarchy] as in
     {!Wsp_nvheap.Nvram.create}) over [st.backing] itself — the crashed
-    machine: the same persistent bytes, empty caches, a zero clock and
-    no subscribers — without copying the region. Copy-on-write: every
-    backing line the NVRAM changes is put back when [f] returns or
-    raises, so [st] is left as it was. [f] must not attach a tap
-    (this function holds the NVRAM's one tap) or load or clear backing
-    directly. *)
+    machine: the same persistent bytes, empty caches, a zero clock, no
+    fault, no step budget and no subscribers — without copying the
+    region. Copy-on-write: every backing line the NVRAM changes is put
+    back when [f] returns or raises, so [st] is left as it was.
+
+    The first call builds the NVRAM and [st] keeps it; each later call
+    with the same [hierarchy] value, in a domain with the same ambient
+    registry, reuses it. After each call the NVRAM is crashed and its
+    fault and step budget cleared, so every call sees the machine a
+    fresh one would be, with the same counts in the same registry. A
+    cursor's state thus judges all its points on one machine.
+
+    [f] must not attach a tap (this function holds the NVRAM's one tap),
+    subscribe to its buses without unsubscribing, load or clear backing
+    directly, or call [with_nvram] on [st] itself. *)

@@ -15,9 +15,11 @@ exception Budget_exhausted
    over a copy of the starting state reproduces backing, dirty-overlay
    and write-combining contents exactly. *)
 type tap = {
-  on_slice : addr:int -> data:Bytes.t -> unit;
-      (* [data] was just written to the dirty overlay at [addr]; spans a
-         single line by construction. The recorder owns [data]. *)
+  on_slice : addr:int -> src:Bytes.t -> off:int -> len:int -> unit;
+      (* [len] bytes were just written to the dirty overlay at [addr];
+         they span a single line by construction and sit in [src] from
+         [off]. [src] is the line's live overlay buffer: the tap copies
+         what it keeps before it returns. *)
   on_nt : addr:int -> v:int64 -> unit;
       (* An 8-byte non-temporal store was queued. *)
   on_wb : line:int -> data:Bytes.t -> unit;
@@ -331,13 +333,14 @@ let write_range t ~addr src ~src_off ~len =
     charge t (Hierarchy.store t.hierarchy ~addr:(line lsl t.line_shift));
     let line_start = max addr (line lsl t.line_shift) in
     let line_end = min (addr + len) ((line + 1) lsl t.line_shift) in
-    let n = line_end - line_start and src_pos = src_off + line_start - addr in
-    Bytes.blit src src_pos (dirty_line t line) (line_start land (t.line_size - 1)) n;
+    let n = line_end - line_start and off = line_start land (t.line_size - 1) in
+    let data = dirty_line t line in
+    Bytes.blit src (src_off + line_start - addr) data off n;
     (* Fired per line, after that line's bytes land: a later line's
        hierarchy charge can evict an earlier line of this same store,
        and the tap must see the slice before its write-back. *)
     match !(t.tap) with
-    | Some tp -> tp.on_slice ~addr:line_start ~data:(Bytes.sub src src_pos n)
+    | Some tp -> tp.on_slice ~addr:line_start ~src:data ~off ~len:n
     | None -> ()
   done
 
@@ -383,9 +386,10 @@ let write_u64 t ~addr v =
     Wsp_obs.Metrics.Counter.incr t.m_stores;
     if Bus.active t.bus then emit t (Store { addr; len = 8 });
     charge t (Hierarchy.store t.hierarchy ~addr);
-    Bytes.set_int64_le (dirty_line t (addr lsr t.line_shift)) off v;
+    let data = dirty_line t (addr lsr t.line_shift) in
+    Bytes.set_int64_le data off v;
     match !(t.tap) with
-    | Some tp -> tp.on_slice ~addr ~data:(word_bytes v)
+    | Some tp -> tp.on_slice ~addr ~src:data ~off ~len:8
     | None -> ()
   end
 
@@ -455,7 +459,7 @@ let crash t =
   t.wc_pending.wc_n <- 0;
   t.clock <- Time.zero
 
-(* [f line data] over every overlay line. *)
+(* [f line data] over every overlay line, in ascending line order. *)
 let iter_overlay t f =
   Array.iteri
     (fun p pg ->

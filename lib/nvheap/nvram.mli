@@ -192,11 +192,13 @@ val peek_u64 : t -> addr:int -> int64
     each mutation pays a single branch. *)
 
 type tap = {
-  on_slice : addr:int -> data:Bytes.t -> unit;
-      (** [data] was just written to the dirty overlay at [addr]. Spans
-          a single cache line by construction (multi-line stores fire
-          once per line, interleaved with any evictions they cause).
-          The callback owns [data]. *)
+  on_slice : addr:int -> src:Bytes.t -> off:int -> len:int -> unit;
+      (** [len] bytes were just written to the dirty overlay at [addr].
+          They span a single cache line by construction (multi-line
+          stores fire once per line, interleaved with any evictions they
+          cause) and sit in [src] from [off]. [src] is the line's live
+          overlay buffer: the callback copies what it keeps, and writes
+          nothing to it. *)
   on_nt : addr:int -> v:int64 -> unit;
       (** An 8-byte non-temporal store was appended to the
           write-combining queue. *)
@@ -222,6 +224,11 @@ val set_tap : t -> tap option -> unit
 val overlay_lines : t -> (int * Bytes.t) list
 (** Copies of the dirty-overlay buffers, as [(line, data)] pairs in
     unspecified order. *)
+
+val iter_overlay : t -> (int -> Bytes.t -> unit) -> unit
+(** [iter_overlay t f] calls [f line data] on every dirty-overlay line,
+    in ascending line order. [data] is the live buffer: [f] copies what
+    it keeps, and writes nothing to it. *)
 
 val pending_nt : t -> (int * int64) list
 (** The write-combining queue, oldest first. *)

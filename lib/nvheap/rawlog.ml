@@ -44,10 +44,10 @@ let emit t (ev : Event.log) = Bus.publish (Nvram.bus t.nvram) (Event.Log ev)
 let sext32 x = (x lsl 31) asr 31
 let encode_word ~gen chunk = (chunk lsl 16) lor (gen land 0xffff)
 
-let decode_word w =
-  let gen = Int64.to_int (Int64.logand w 0xffffL) in
-  let chunk = Int64.to_int32 (Int64.shift_right_logical w 16) in
-  (gen, chunk)
+(* A word read as an [int] keeps bits 0-47 intact, all the decoding
+   reads: the generation is bits 0-15, the chunk bits 16-47. *)
+let[@inline] word_gen w = w land 0xffff
+let[@inline] word_chunk w = sext32 (w asr 16)
 
 let word_addr t i = t.base + (8 * i)
 
@@ -56,9 +56,7 @@ let write_word t ~mode i w =
   | Durable -> Nvram.write_int_nt t.nvram ~addr:(word_addr t i) w
   | Cached -> Nvram.write_u64 t.nvram ~addr:(word_addr t i) (Int64.of_int w)
 
-let read_word t i = Nvram.read_u64 t.nvram ~addr:(word_addr t i)
-
-let gen_of_header w = Int64.to_int (Int64.logand w 0xffffL)
+let read_word t i = Nvram.read_int t.nvram ~addr:(word_addr t i)
 
 let write_gen t ~mode gen =
   write_word t ~mode 0 (gen land 0xffff);
@@ -81,10 +79,8 @@ let header_chunk ~kind ~n =
   assert (kind >= 0 && kind < 256 && n >= 0 && n < 1 lsl 24);
   sext32 ((kind lsl 24) lor n)
 
-let decode_header chunk =
-  let v = Int32.to_int (Int32.logand chunk 0xffffffl) in
-  let kind = Int32.to_int (Int32.shift_right_logical chunk 24) land 0xff in
-  (kind, v)
+let header_kind chunk = (chunk asr 24) land 0xff
+let header_n chunk = chunk land 0xffffff
 
 let record_words n_values = 1 + (2 * n_values)
 
@@ -130,43 +126,47 @@ let truncate t ~mode =
   t.head <- 1;
   write_gen t ~mode t.gen
 
+(* The low chunk fills bits 0-31, the high chunk bits 32-63. *)
 let value_of_chunks lo hi =
   Int64.logor
-    (Int64.logand (Int64.of_int32 lo) 0xffffffffL)
-    (Int64.shift_left (Int64.logand (Int64.of_int32 hi) 0xffffffffL) 32)
+    (Int64.of_int (lo land 0xffffffff))
+    (Int64.shift_left (Int64.of_int hi) 32)
 
+(* Every word is read as an [int] and decoded with int arithmetic, so
+   a scan allocates only the records it returns. *)
 let scan_with t read_word_at =
-  let gen = gen_of_header (read_word_at 0) in
+  let gen = word_gen (read_word_at 0) in
   let rec records i acc =
     if i >= t.words then List.rev acc
     else
-      let g, chunk = decode_word (read_word_at i) in
-      if g <> gen then List.rev acc
+      let w = read_word_at i in
+      if word_gen w <> gen then List.rev acc
       else
-        let kind, n = decode_header chunk in
+        let chunk = word_chunk w in
+        let n = header_n chunk in
         if i + record_words n > t.words then List.rev acc
         else
           let values = Array.make n 0L in
           let torn = ref false in
           for v = 0 to n - 1 do
-            let g_lo, lo = decode_word (read_word_at (i + 1 + (2 * v))) in
-            let g_hi, hi = decode_word (read_word_at (i + 2 + (2 * v))) in
-            if g_lo <> gen || g_hi <> gen then torn := true
-            else values.(v) <- value_of_chunks lo hi
+            let lo = read_word_at (i + 1 + (2 * v)) in
+            let hi = read_word_at (i + 2 + (2 * v)) in
+            if word_gen lo <> gen || word_gen hi <> gen then torn := true
+            else values.(v) <- value_of_chunks (word_chunk lo) (word_chunk hi)
           done;
           if !torn then List.rev acc
-          else records (i + record_words n) ((kind, values) :: acc)
+          else records (i + record_words n) ((header_kind chunk, values) :: acc)
   in
   records 1 []
 
 let scan t = scan_with t (read_word t)
 
 let scan_persistent t =
-  scan_with t (fun i -> Nvram.peek_u64 t.nvram ~addr:(word_addr t i))
+  scan_with t (fun i -> Int64.to_int (Nvram.peek_u64 t.nvram ~addr:(word_addr t i)))
 
 let attach nvram ~base ~len =
   let t = make nvram ~base ~len in
-  t.gen <- gen_of_header (read_word t 0);
+  t.gen <- word_gen (read_word t 0);
   if t.gen = 0 then begin
     (* Never formatted: format now. *)
     t.gen <- 1;

@@ -5,6 +5,8 @@
 #   1. Checker JSON is byte-identical at the default snapshot stride and
 #      with waypoints disabled (--stride 0), and between --jobs 1 and
 #      --jobs 2 on two sabotaged cells whose reports carry violations.
+#      The checker's --metrics export is byte-identical across the same
+#      two strides and the same two job widths.
 #      The incremental engine is compared with the full-replay
 #      reference engine in the test suite (test/suite_check.ml).
 #   2. Lint JSON parses and is byte-identical between --jobs 1 and
@@ -30,6 +32,23 @@ echo "== checker: default stride vs --stride 0 =="
 "$SIM" check --workload hash_table --config undo --points 200 --txns 8 \
   --stride 0 --json check-s0.json > /dev/null
 cmp check-inc.json check-s0.json
+
+echo "== checker: --metrics byte-identical across --stride and --jobs =="
+# A cursor judges its chunk of points on one machine, reset between
+# points, so the simulated counters must not depend on how the points
+# are chunked (--stride) or spread over domains (--jobs).
+for run in default s0 j1 j2; do
+  case $run in
+    default) extra="" ;;
+    s0) extra="--stride 0" ;;
+    j1) extra="--jobs 1" ;;
+    j2) extra="--jobs 2" ;;
+  esac
+  "$SIM" check --points 200 --seed 42 $extra --metrics "check-m-$run.json" \
+    > /dev/null
+done
+cmp check-m-default.json check-m-s0.json
+cmp check-m-j1.json check-m-j2.json
 
 echo "== checker: --jobs 2 byte-identical to --jobs 1, with violations =="
 # Each cell must exit 1 (violations found) at both widths.
@@ -84,7 +103,9 @@ if [ $((j4 * 2)) -gt $((j1 * 3)) ]; then
   exit 1
 fi
 
-rm -f check-inc.json check-s0.json check-j1.json check-j2.json lint-det-j1.json lint-det-j4.json \
+rm -f check-inc.json check-s0.json check-j1.json check-j2.json \
+  check-m-default.json check-m-s0.json check-m-j1.json check-m-j2.json \
+  lint-det-j1.json lint-det-j4.json \
   shard-metrics-j1.json shard-metrics-j2.json shard-sweep-j1.json \
   shard-sweep-j4.json
 echo "ci-determinism: all gates passed"

@@ -238,16 +238,16 @@ let engine_cell_tests =
    oracle, a recovery that exhausts its step budget, and a
    flush-on-fail image diff. After each verdict the judged cursor must
    equal a reference cursor that was only ever seeked. *)
-let in_place_tests =
-  let same_state (a : Replay.state) (b : Replay.state) =
-    let bindings t =
-      Hashtbl.fold (fun line data acc -> (line, Bytes.to_string data) :: acc) t []
-      |> List.sort compare
-    in
-    Bytes.equal a.backing b.backing
-    && bindings a.overlay = bindings b.overlay
-    && List.of_seq (Queue.to_seq a.wc) = List.of_seq (Queue.to_seq b.wc)
+let same_state (a : Replay.state) (b : Replay.state) =
+  let bindings t =
+    Hashtbl.fold (fun line data acc -> (line, Bytes.to_string data) :: acc) t []
+    |> List.sort compare
   in
+  Bytes.equal a.backing b.backing
+  && bindings a.overlay = bindings b.overlay
+  && List.of_seq (Queue.to_seq a.wc) = List.of_seq (Queue.to_seq b.wc)
+
+let in_place_tests =
   let cell ~kind ~config ~fault ~txns ~expect =
     Alcotest.test_case
       (Printf.sprintf "%s/%s/%s: judging leaves the cursor intact"
@@ -321,6 +321,102 @@ let in_place_tests =
       ~txns:1 ~expect:None;
     cell ~kind:Checker.Hash_table ~config:Config.fof
       ~fault:Checker.Broken_wsp_save ~txns:4 ~expect:(Some "image completeness");
+  ]
+
+(* A cursor judges all its points on one machine, crashed and cleared
+   between points. Judging every mark of a cell through one cursor must
+   give what a new cursor (and so a new machine) per point gives: the
+   same verdicts and the same counts in the registry. Each cell would
+   show state a reset leaves behind: a broken-fence fault, a step budget
+   a diverged recovery spent, and a scratch heap block_kv's recovery
+   reformats with cached stores. *)
+let reused_judge_tests =
+  let cell ~kind ~config ~fault ~txns =
+    Alcotest.test_case
+      (Printf.sprintf "%s/%s/%s: one judge machine == one per point"
+         (Checker.kind_name kind) config.Config.name (Checker.fault_name fault))
+      `Slow (fun () ->
+        let rng = Wsp_sim.Rng.create ~seed:42 in
+        let script =
+          Checker.gen_script ~rng ~txns ~ops_per_txn:3 ~keyspace:40
+            ~setup_entries:4
+        in
+        let g = Checker.record_golden ~stride:256 ~kind ~config ~fault script in
+        let marks = List.init (Replay.marks (Checker.golden_replay g)) Fun.id in
+        let counted judge =
+          Wsp_obs.Metrics.reset_all ();
+          let verdicts = judge () in
+          (verdicts, Wsp_obs.Metrics.to_json (Wsp_obs.Metrics.ambient ()))
+        in
+        let one_v, one_m = counted (fun () -> Checker.judge_marks g marks) in
+        let fresh_v, fresh_m =
+          counted (fun () ->
+              List.concat_map (fun m -> Checker.judge_marks g [ m ]) marks)
+        in
+        Alcotest.(check bool) "some point judged" true (one_v <> []);
+        Alcotest.(check (list (pair int (option string)))) "verdicts" fresh_v one_v;
+        Alcotest.(check string) "machine.cache.* and nvheap.* counts" fresh_m one_m)
+  in
+  [
+    cell ~kind:Checker.Hash_table ~config:Config.foc_ul
+      ~fault:Checker.Broken_fences ~txns:4;
+    cell ~kind:Checker.Btree ~config:Config.foc_ul ~fault:Checker.Broken_fences
+      ~txns:4;
+    cell ~kind:Checker.Block_kv ~config:Config.foc_ul ~fault:Checker.No_fault
+      ~txns:1;
+  ]
+
+(* The flat recorder must rebuild every crash state exactly. For each
+   mark, a cursor's state must equal [Replay.capture] of a live run
+   frozen there, whether the cursor reached the mark by seeking forward
+   or by restoring backward from a waypoint (a second cursor visits the
+   marks in descending order). block_kv's journal leaves non-temporal
+   words queued across waypoints; msync keeps dirty lines in the
+   overlay. Stride 0 has no waypoints; 16 has many. *)
+let recorder_tests =
+  let cell ~kind ~config ~txns =
+    Alcotest.test_case
+      (Printf.sprintf "%s/%s: cursor states == frozen live runs"
+         (Checker.kind_name kind) config.Config.name)
+      `Slow (fun () ->
+        let rng = Wsp_sim.Rng.create ~seed:42 in
+        let script =
+          Checker.gen_script ~rng ~txns ~ops_per_txn:3 ~keyspace:40
+            ~setup_entries:2
+        in
+        let fault = Checker.No_fault in
+        let live =
+          let g = Checker.record_golden ~stride:0 ~kind ~config ~fault script in
+          Array.init (Replay.marks (Checker.golden_replay g)) (fun point ->
+              match Checker.crash_state ~kind ~config ~fault ~point script with
+              | Some st -> st
+              | None -> Alcotest.failf "mark %d: the live run ended first" point)
+        in
+        let marks = Array.length live in
+        Alcotest.(check bool) "a trace to cut" true (marks > 32);
+        List.iter
+          (fun stride ->
+            let rp =
+              Checker.golden_replay
+                (Checker.record_golden ~stride ~kind ~config ~fault script)
+            in
+            Alcotest.(check int) "marks" marks (Replay.marks rp);
+            let forward = Replay.cursor rp and backward = Replay.cursor rp in
+            for mark = 0 to marks - 1 do
+              Replay.seek forward ~mark;
+              if not (same_state (Replay.state forward) live.(mark)) then
+                Alcotest.failf "stride %d: forward to mark %d differs" stride mark
+            done;
+            for mark = marks - 1 downto 0 do
+              Replay.seek backward ~mark;
+              if not (same_state (Replay.state backward) live.(mark)) then
+                Alcotest.failf "stride %d: back to mark %d differs" stride mark
+            done)
+          [ 256; 16; 0 ])
+  in
+  [
+    cell ~kind:Checker.Block_kv ~config:Config.foc_ul ~txns:1;
+    cell ~kind:Checker.Hash_table ~config:Config.msync ~txns:2;
   ]
 
 (* --- Refusals --------------------------------------------------------------- *)
@@ -402,6 +498,8 @@ let suite =
     ( "check.determinism",
       determinism_tests @ [ engine_equivalence_test ] @ engine_cell_tests );
     ("check.in_place", in_place_tests);
+    ("check.reused_judge", reused_judge_tests);
+    ("check.recorder", recorder_tests);
     ("check.refusals", refusal_tests);
     ("check.protocol", protocol_tests);
     ("check.trace", trace_tests);

@@ -1161,7 +1161,7 @@ let tap_rebuild ~tapped () =
     Nvram.
       {
         on_slice =
-          (fun ~addr ~data ->
+          (fun ~addr ~src ~off ~len ->
             let line = addr / ls in
             let buf =
               match Hashtbl.find_opt overlay line with
@@ -1171,7 +1171,7 @@ let tap_rebuild ~tapped () =
                   Hashtbl.add overlay line b;
                   b
             in
-            Bytes.blit data 0 buf (addr mod ls) (Bytes.length data));
+            Bytes.blit src off buf (addr mod ls) len);
         on_nt = (fun ~addr ~v -> Queue.add (addr, v) wc);
         on_wb =
           (fun ~line ~data ->
@@ -1251,7 +1251,7 @@ let tap_tests =
         let noop =
           Nvram.
             {
-              on_slice = (fun ~addr:_ ~data:_ -> ());
+              on_slice = (fun ~addr:_ ~src:_ ~off:_ ~len:_ -> ());
               on_nt = (fun ~addr:_ ~v:_ -> ());
               on_wb = (fun ~line:_ ~data:_ -> ());
               on_drain = (fun () -> ());
