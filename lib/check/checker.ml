@@ -404,32 +404,27 @@ let volatile_lines (state : Replay.state) =
   view
 
 (* Bytes where what the WSP save leaves differs from the pre-failure
-   volatile contents. Outside the lines [volatile_lines] covers, both
-   equal backing, so only those lines are compared. *)
+   volatile contents. Under [No_fault] and [Broken_fences] the save's
+   [wbinvd] writes back every dirty line and drains the WC queue (a
+   broken fence never stops it), which composes exactly the view
+   [volatile_lines] composes onto backing: the saved image equals the
+   pre-failure contents by construction. Only a skipped save
+   ([Broken_wsp_save]) leaves backing alone, and outside the lines
+   [volatile_lines] covers the view equals backing, so only those lines
+   are compared. *)
 let image_diff ~fault (state : Replay.state) =
-  let ls = state.line_size in
-  let at_crash = volatile_lines state in
-  let persisted =
-    match fault with
-    | Broken_wsp_save ->
-        (* save skipped: backing only *)
-        fun line -> (state.backing, line * ls)
-    | No_fault | Broken_fences ->
-        (* wbinvd writes back every dirty line and drains the WC queue
-           (even under broken fences): the save composes the same view
-           onto backing. *)
-        let saved = volatile_lines state in
-        fun line -> (Hashtbl.find saved line, 0)
-  in
-  Hashtbl.fold
-    (fun line img acc ->
-      let src, off = persisted line in
-      let diff = ref acc in
-      for i = 0 to ls - 1 do
-        if Bytes.get src (off + i) <> Bytes.get img i then incr diff
-      done;
-      !diff)
-    at_crash 0
+  match fault with
+  | No_fault | Broken_fences -> 0
+  | Broken_wsp_save ->
+      let ls = state.line_size in
+      Hashtbl.fold
+        (fun line img acc ->
+          let diff = ref acc in
+          for i = 0 to ls - 1 do
+            if Bytes.get state.backing ((line * ls) + i) <> Bytes.get img i then incr diff
+          done;
+          !diff)
+        (volatile_lines state) 0
 
 (* The verdict for one crash state, shared verbatim by both engines so
    their reports cannot diverge. The state is judged in place, in

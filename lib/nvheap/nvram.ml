@@ -120,8 +120,33 @@ let wc_filter wc keep =
   done;
   wc.wc_n <- !j
 
+(* First-touch backing. An NVRAM that owns its backing takes it from
+   [Bytes.create], which writes no host page, and keeps one validity
+   byte per 4 KiB page: a page's bytes are defined only once its byte is
+   set, and the first read or write of an undefined page zeroes it. A
+   run therefore pays for the pages it touches, not for its size. A
+   caller-supplied backing is the caller's memory, read by the caller
+   directly, so it starts with every page valid and no byte of it is
+   ever left stale. *)
+let touch_shift = 12
+let touch_size = 1 lsl touch_shift
+
+(* Defines page [p] as zeroes. *)
+let materialise backing valid p =
+  let lo = p lsl touch_shift in
+  Bytes.unsafe_fill backing lo (min touch_size (Bytes.length backing - lo)) '\x00';
+  Bytes.unsafe_set valid p '\001'
+
+(* Makes the page holding [addr] defined: one byte load and compare
+   once it is. [addr] is in range. *)
+let[@inline] touch backing valid addr =
+  let p = addr lsr touch_shift in
+  if Bytes.unsafe_get valid p = '\000' then materialise backing valid p
+
 type t = {
   backing : Bytes.t;  (* Persistent contents: survives crash. *)
+  valid : Bytes.t;  (* one byte per [touch_size] page of [backing] *)
+  owned : bool;  (* [backing] came from [create], not the caller *)
   pages : Bytes.t array array;  (* the dirty overlay; [fresh] until written *)
   overlay_n : int ref;
       (* Lines in the overlay. A ref for the reason [tap] is one. *)
@@ -153,13 +178,20 @@ let create ?hierarchy ?backing ?metrics ~size () =
   let cfg = match hierarchy with Some h -> h | None -> default_hierarchy () in
   let line_shift = Hierarchy.config_line_shift cfg in
   let line_size = 1 lsl line_shift in
+  if line_size > touch_size then invalid_arg "Nvram.create: line larger than a page";
+  let owned = Option.is_none backing in
   let backing =
     match backing with
-    | None -> Bytes.make (Units.Size.to_bytes size) '\x00'
+    | None -> Bytes.create (Units.Size.to_bytes size)
     | Some b ->
         if Bytes.length b < Units.Size.to_bytes size then
           invalid_arg "Nvram.create: backing smaller than size";
         b
+  in
+  let valid =
+    Bytes.make
+      ((Bytes.length backing + touch_size - 1) lsr touch_shift)
+      (if owned then '\000' else '\001')
   in
   let n_lines = (Bytes.length backing + line_size - 1) lsr line_shift in
   let pages = Array.make ((n_lines + page_mask) lsr page_shift) fresh in
@@ -179,6 +211,11 @@ let create ?hierarchy ?backing ?metrics ~size () =
       let data = overlay_find pages line in
       if data != none then begin
         (match !tap with Some tp -> tp.on_wb ~line ~data | None -> ());
+        (* Defined already: [dirty_line] defines a line's page before
+           the line enters the overlay, and [clear_backing] drops the
+           overlay lines of every page it drops. The check keeps that
+           an invariant of two functions, not of this blit. *)
+        touch backing valid (line lsl line_shift);
         Bytes.blit data 0 backing (line lsl line_shift) line_size;
         Array.unsafe_set pages.(line lsr page_shift) (line land page_mask) none;
         decr overlay_n
@@ -188,6 +225,8 @@ let create ?hierarchy ?backing ?metrics ~size () =
   let h = Hierarchy.create ~on_writeback ~metrics cfg in
   {
     backing;
+    valid;
+    owned;
     pages;
     overlay_n;
     wc_pending = wc_create ();
@@ -248,10 +287,22 @@ let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > Bytes.length t.backing then
     invalid_arg (Fmt.str "Nvram: address range [%d,%d) out of bounds" addr (addr + len))
 
+(* Defines every page of [addr, addr + len), [len] positive. *)
+let touch_range t ~addr ~len =
+  for p = addr lsr touch_shift to (addr + len - 1) lsr touch_shift do
+    if Bytes.unsafe_get t.valid p = '\000' then materialise t.backing t.valid p
+  done
+
 (* Moves each pending non-temporal word straight into backing. *)
 let drain_wc t =
-  wc_apply t.wc_pending t.backing;
-  t.wc_pending.wc_n <- 0;
+  let wc = t.wc_pending in
+  for i = 0 to wc.wc_n - 1 do
+    let a = wc_addr wc i in
+    touch t.backing t.valid a;
+    touch t.backing t.valid (a + 7);
+    Bytes.set_int64_le t.backing a (wc_val wc i)
+  done;
+  wc.wc_n <- 0;
   match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
 
 (* A cached load or store is about to read lines [first, last] from
@@ -274,6 +325,7 @@ let dirty_line t line =
   else begin
     drain_lines t ~first:line ~last:line;
     let data = Bytes.create t.line_size in
+    touch t.backing t.valid (line lsl t.line_shift);
     Bytes.blit t.backing (line lsl t.line_shift) data 0 t.line_size;
     let p = line lsr page_shift in
     let pg = Array.unsafe_get t.pages p in
@@ -305,7 +357,10 @@ let blit_volatile t ~addr ~len dst ~dst_off =
     let data = overlay_find t.pages line in
     if data != none then
       Bytes.blit data (line_start land (t.line_size - 1)) dst dst_off n
-    else Bytes.blit t.backing line_start dst dst_off n
+    else begin
+      touch t.backing t.valid line_start;
+      Bytes.blit t.backing line_start dst dst_off n
+    end
   done
 
 (* A cached load of [addr, addr + len) into [dst] at [dst_off]: one
@@ -364,6 +419,7 @@ let[@inline] read_word t ~addr =
     if data != none then Bytes.get_int64_le data off
     else begin
       drain_lines t ~first:line ~last:line;
+      touch t.backing t.valid addr;
       Bytes.get_int64_le t.backing addr
     end
   end
@@ -471,10 +527,22 @@ let iter_overlay t f =
     t.pages
 
 let dirty_bytes t = Hierarchy.dirty_bytes t.hierarchy
-let persistent_image t = Bytes.copy t.backing
+
+(* A copy of backing with each undefined page read as zeroes; leaves
+   the pages undefined. *)
+let persistent_image t =
+  let n = Bytes.length t.backing in
+  let img = Bytes.create n in
+  for p = 0 to Bytes.length t.valid - 1 do
+    let lo = p lsl touch_shift in
+    let len = min touch_size (n - lo) in
+    if Bytes.unsafe_get t.valid p = '\000' then Bytes.fill img lo len '\x00'
+    else Bytes.blit t.backing lo img lo len
+  done;
+  img
 
 let volatile_image t =
-  let img = Bytes.copy t.backing in
+  let img = persistent_image t in
   iter_overlay t (fun line data ->
       Bytes.blit data 0 img (line lsl t.line_shift) t.line_size);
   (* Write-combining data is newer than any cached line of the same
@@ -482,7 +550,10 @@ let volatile_image t =
   wc_apply t.wc_pending img;
   img
 
-let peek_u64 t ~addr = Bytes.get_int64_le t.backing addr
+let peek_u64 t ~addr =
+  check_range t addr 8;
+  touch_range t ~addr ~len:8;
+  Bytes.get_int64_le t.backing addr
 
 (* Raw-state accessors for the waypoint snapshots of the incremental
    checker: they read the three state components the tap's op log
@@ -499,6 +570,7 @@ let pending_nt t =
 
 let blit_backing t ~addr ~len dst ~dst_off =
   check_range t addr len;
+  if len > 0 then touch_range t ~addr ~len;
   Bytes.blit t.backing addr dst dst_off len
 
 let peek_volatile t ~addr ~len dst ~dst_off =
@@ -533,6 +605,13 @@ let load_backing t ~addr src =
   let len = Bytes.length src in
   check_range t addr len;
   if len > 0 then begin
+    (* Only the end pages can be partly overwritten; the pages between
+       them take every byte from [src] and need no zeroing first. *)
+    let last = addr + len - 1 in
+    touch t.backing t.valid addr;
+    touch t.backing t.valid last;
+    let p0 = addr lsr touch_shift in
+    Bytes.fill t.valid p0 ((last lsr touch_shift) - p0 + 1) '\001';
     Bytes.blit src 0 t.backing addr len;
     invalidate_range t ~addr ~len
   end
@@ -540,6 +619,20 @@ let load_backing t ~addr src =
 let clear_backing t ~addr ~len =
   check_range t addr len;
   if len > 0 then begin
-    Bytes.fill t.backing addr len '\x00';
+    if t.owned then begin
+      (* A page the range covers whole is dropped, not filled; an
+         undefined end page already reads as zeroes. *)
+      let hi = addr + len and n = Bytes.length t.backing in
+      for p = addr lsr touch_shift to (hi - 1) lsr touch_shift do
+        let lo_p = p lsl touch_shift in
+        let hi_p = min (lo_p + touch_size) n in
+        if addr <= lo_p && hi_p <= hi then Bytes.unsafe_set t.valid p '\000'
+        else if Bytes.unsafe_get t.valid p <> '\000' then begin
+          let lo = max addr lo_p in
+          Bytes.fill t.backing lo (min hi hi_p - lo) '\x00'
+        end
+      done
+    end
+    else Bytes.fill t.backing addr len '\x00';
     invalidate_range t ~addr ~len
   end

@@ -866,14 +866,12 @@ let percentile_ps sorted =
     if Array.length xs = 0 then Time.zero
     else Time.ps (int_of_float (Float.round (Stats.percentile xs p)))
 
-let sorted_concat cmp parts =
-  let all = Array.concat parts in
-  Array.sort cmp all;
-  all
-
-let sorted_lat shards =
-  sorted_concat Int.compare
-    (List.map (fun sh -> Array.sub sh.lat 0 sh.lat_len) shards)
+(* A shard's latency samples, sorted once: the shard's percentiles
+   read them, and the service's merge them ([Runs.merge]). *)
+let sorted_lat sh =
+  let lat = Array.sub sh.lat 0 sh.lat_len in
+  Runs.sort lat;
+  lat
 
 (* Order-sensitive digest of every shard's final contents in stable-id
    order: equal checksums across runs mean equal final key→value
@@ -1099,11 +1097,11 @@ let finish st ~rounds =
           acc (Avl.to_list sh.tree))
       0 st.roster
   in
-  let global = percentile_ps (sorted_lat st.roster) in
+  let lats = List.map sorted_lat st.roster in
+  let global = percentile_ps (Runs.merge lats) in
   let per_shard =
-    List.map
-      (fun sh ->
-        let lat = sorted_lat [ sh ] in
+    List.map2
+      (fun sh lat ->
         let pct = percentile_ps lat in
         {
           shard = sh.id;
@@ -1143,22 +1141,24 @@ let finish st ~rounds =
           lint_advisories = sh.lint_advisories;
           bus_subscribers = Bus.subscriber_count (Nvram.bus sh.nvram);
         })
-      st.roster
+      st.roster lats
   in
   let served = List.fold_left (fun n sh -> n + sh.served) 0 st.roster in
-  let recorded f cmp =
-    if p.record_lookups then
-      Some (sorted_concat cmp (List.map (fun sh -> Array.of_list (f sh)) st.roster))
-    else None
-  in
+  let recorded f = if p.record_lookups then Some (f ()) else None in
+  (* Issue serials are distinct non-negative ints. *)
   let lookup_results =
-    recorded (fun sh -> sh.lookup_log) (fun (a, _) (b, _) -> Int.compare a b)
+    recorded (fun () ->
+        Runs.sort_by_key fst
+          (Array.of_list (List.concat_map (fun sh -> sh.lookup_log) st.roster)))
   in
-  (* Routing is by key, so keys are disjoint across shards and the
-     merged map sorts into one global key order. *)
+  (* Routing is by key, so keys are disjoint across shards, and each
+     shard's [Avl.to_list] is already in key order: the merged runs are
+     the global key order. *)
   let final_contents =
-    recorded (fun sh -> Avl.to_list sh.tree) (fun (a, _) (b, _) ->
-        Int64.compare a b)
+    recorded (fun () ->
+        Runs.merge_by
+          (fun (a, _) (b, _) -> Int64.compare a b)
+          (List.map (fun sh -> Array.of_list (Avl.to_list sh.tree)) st.roster))
   in
   let makespan = st.makespan in
   {

@@ -11,7 +11,9 @@
 #      service power failure injected before sampled migration memory
 #      events (shipping included) recovers lossless with unique
 #      ownership and golden-equal state.
-#   3. The image run is byte-identical between --jobs 1 and --jobs 4.
+#   3. The image run's JSON report and --metrics are byte-identical
+#      between --jobs 1 and --jobs 4: the staging and restore paths
+#      count the same events at any job width.
 #   4. The checker and the static analyzer agree on the msync backend:
 #      both clear the clean registry and both convict the broken-fences
 #      sabotage (a durable page journal appended without fences).
@@ -44,10 +46,13 @@ echo "== reloc: mid-migration crash sweep in image mode =="
 grep -q '"violations": 0,' reloc-sweep.json
 grep -q '"migrate_mode": "image",' reloc-sweep.json
 
-echo "== reloc: image mode JSON identical across --jobs =="
-"$SIM" shard $ARGS --migrate-mode image --jobs 1 --json reloc-j1.json > /dev/null
-"$SIM" shard $ARGS --migrate-mode image --jobs 4 --json reloc-j4.json > /dev/null
+echo "== reloc: image mode JSON and metrics identical across --jobs =="
+"$SIM" shard $ARGS --migrate-mode image --jobs 1 --json reloc-j1.json \
+  --metrics reloc-j1-metrics.json > /dev/null
+"$SIM" shard $ARGS --migrate-mode image --jobs 4 --json reloc-j4.json \
+  --metrics reloc-j4-metrics.json > /dev/null
 cmp reloc-j1.json reloc-j4.json
+cmp reloc-j1-metrics.json reloc-j4-metrics.json
 
 echo "== reloc: check and lint agree the msync backend is clean =="
 "$SIM" check --config msync --points 200 --seed 42 > /dev/null
@@ -61,5 +66,6 @@ if "$SIM" lint --config msync --broken fences > /dev/null 2>&1; then
   echo "analyzer cleared the broken-fences msync sabotage"; exit 1; fi
 
 rm -f reloc-drain.json reloc-image.json reloc-drain.sum reloc-image.sum \
-  reloc-sweep.json reloc-j1.json reloc-j4.json
+  reloc-sweep.json reloc-j1.json reloc-j4.json reloc-j1-metrics.json \
+  reloc-j4-metrics.json
 echo "reloc-smoke: all gates passed"

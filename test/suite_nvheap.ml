@@ -158,6 +158,101 @@ let nvram_tests =
           && Nvram.dirty_bytes nv < lines * 64));
   ]
 
+(* First-touch backing. The region is filled through stores and
+   [wbinvd], then cleared from mid page 1 to mid page 5: pages 2-4 are
+   dropped whole and keep their old bytes in the NVRAM's own backing,
+   stale until the next touch zeroes them. Each case starts from a
+   fresh region, because the first reader of a page defines it for
+   every later one. *)
+let ft_page = 4096
+let ft_size = 8 * ft_page
+let ft_lo = ft_page + 1000
+let ft_hi = (5 * ft_page) + 300
+let ft_old a = Char.chr (1 + (a mod 251))
+let ft_want a = if a >= ft_lo && a < ft_hi then '\x00' else ft_old a
+let ft_expect ~addr ~len = String.init len (fun i -> ft_want (addr + i))
+let ft_word addr = String.get_int64_le (ft_expect ~addr ~len:8) 0
+
+let ft_cleared () =
+  let nv = Nvram.create ~size:(Units.Size.bytes ft_size) () in
+  Nvram.write_bytes nv ~addr:0 (Bytes.init ft_size ft_old);
+  Nvram.wbinvd nv;
+  Nvram.clear_backing nv ~addr:ft_lo ~len:(ft_hi - ft_lo);
+  nv
+
+(* [got] holds the region from [addr], with [patch] laid over [want]. *)
+let ft_check ?(patch = []) what ~addr got =
+  let want = Bytes.of_string (ft_expect ~addr ~len:(Bytes.length got)) in
+  List.iter (fun (a, v) -> Bytes.set_int64_le want (a - addr) v) patch;
+  Alcotest.(check string) what (Bytes.to_string want) (Bytes.to_string got)
+
+let first_touch_tests =
+  let case name f = Alcotest.test_case name `Quick (fun () -> f (ft_cleared ())) in
+  let whole nv read = read nv ~addr:0 ~len:ft_size in
+  let v = 0x0123_4567_89AB_CDEFL in
+  [
+    case "read_u64 and read_int read a dropped page as zeroes" (fun nv ->
+        let word what addr got = Alcotest.(check int64) what (ft_word addr) got in
+        (* in one line of a dropped page, then straddling pages 2 and 3 *)
+        word "one line" ((4 * ft_page) + 128)
+          (Int64.of_int (Nvram.read_int nv ~addr:((4 * ft_page) + 128)));
+        word "page boundary" ((3 * ft_page) - 4)
+          (Nvram.read_u64 nv ~addr:((3 * ft_page) - 4));
+        List.iter
+          (fun addr -> word "clear boundary or outside" addr (Nvram.read_u64 nv ~addr))
+          [ ft_lo - 4; ft_hi - 4; (6 * ft_page) + 8 ]);
+    case "read_bytes" (fun nv ->
+        ft_check "read_bytes" ~addr:0 (whole nv (fun nv ~addr ~len -> Nvram.read_bytes nv ~addr ~len)));
+    case "peek_u64" (fun nv ->
+        Alcotest.(check int64) "dropped page" 0L
+          (Nvram.peek_u64 nv ~addr:((3 * ft_page) + 8)));
+    case "peek_volatile" (fun nv ->
+        let b = Bytes.create ft_size in
+        Nvram.peek_volatile nv ~addr:0 ~len:ft_size b ~dst_off:0;
+        ft_check "peek_volatile" ~addr:0 b);
+    case "blit_backing" (fun nv ->
+        let b = Bytes.create ft_size in
+        Nvram.blit_backing nv ~addr:0 ~len:ft_size b ~dst_off:0;
+        ft_check "blit_backing" ~addr:0 b);
+    case "persistent_image and volatile_image" (fun nv ->
+        ft_check "persistent_image" ~addr:0 (Nvram.persistent_image nv);
+        ft_check "volatile_image" ~addr:0 (Nvram.volatile_image nv));
+    case "a cached store into a dropped page" (fun nv ->
+        let addr = (3 * ft_page) + 72 in
+        Nvram.write_u64 nv ~addr v;
+        let line = Bytes.create 64 in
+        Nvram.peek_volatile nv ~addr:(addr - 8) ~len:64 line ~dst_off:0;
+        ft_check ~patch:[ (addr, v) ] "the line's cached copy" ~addr:(addr - 8) line;
+        Nvram.wbinvd nv;
+        ft_check ~patch:[ (addr, v) ] "written back" ~addr:0 (Nvram.persistent_image nv));
+    case "an nt word drained into a dropped page" (fun nv ->
+        let addr = (4 * ft_page) + 200 in
+        Nvram.write_u64_nt nv ~addr v;
+        Nvram.fence nv;
+        ft_check ~patch:[ (addr, v) ] "read_bytes" ~addr:(4 * ft_page)
+          (Nvram.read_bytes nv ~addr:(4 * ft_page) ~len:ft_page));
+    case "load_backing into a dropped page" (fun nv ->
+        let addr = (2 * ft_page) + 504 in
+        let w = Bytes.create 8 in
+        Bytes.set_int64_le w 0 v;
+        Nvram.load_backing nv ~addr w;
+        ft_check ~patch:[ (addr, v) ] "read_bytes" ~addr:0
+          (Nvram.read_bytes nv ~addr:0 ~len:ft_size));
+    Alcotest.test_case "a caller's backing keeps its bytes; clear zeroes them"
+      `Quick (fun () ->
+        let b = Bytes.make ft_size '\xCC' in
+        let nv = Nvram.create ~backing:b ~size:(Units.Size.bytes ft_size) () in
+        Alcotest.(check int64) "read" 0xCCCC_CCCC_CCCC_CCCCL
+          (Nvram.read_u64 nv ~addr:(3 * ft_page));
+        Nvram.clear_backing nv ~addr:ft_lo ~len:(ft_hi - ft_lo);
+        let want =
+          String.init ft_size (fun a -> if a >= ft_lo && a < ft_hi then '\x00' else '\xCC')
+        in
+        Alcotest.(check string) "the caller's bytes" want (Bytes.to_string b);
+        Alcotest.(check string) "read_bytes" want
+          (Bytes.to_string (Nvram.read_bytes nv ~addr:0 ~len:ft_size)));
+  ]
+
 let nvram_props =
   [
     QCheck_alcotest.to_alcotest
@@ -1536,6 +1631,7 @@ let suite =
     ( "nvheap.nvram",
       nvram_tests @ nvram_props @ fence_crash_props @ overlay_props @ tap_tests
       @ itbl_tests );
+    ("nvheap.first_touch", first_touch_tests);
     ("nvheap.alloc", alloc_tests @ alloc_props);
     ("nvheap.rawlog", rawlog_tests @ rawlog_props @ rawlog_torn_tests);
     ( "nvheap.txn",

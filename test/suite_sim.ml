@@ -514,8 +514,83 @@ let trace_tests =
           (Trace.value_at t (Time.ms 1.0)));
   ]
 
+(* Splits [xs] into runs of the given lengths (the last takes the
+   rest). *)
+let split_runs xs lens =
+  let rec go xs = function
+    | [] -> [ xs ]
+    | n :: lens ->
+        let n = min n (List.length xs) in
+        List.filteri (fun i _ -> i < n) xs
+        :: go (List.filteri (fun i _ -> i >= n) xs) lens
+  in
+  List.map Array.of_list (go xs lens)
+
+let stdlib_sorted a =
+  let b = Array.copy a in
+  Array.sort compare b;
+  b
+
+let runs_tests =
+  [
+    Alcotest.test_case "empty and single samples" `Quick (fun () ->
+        let e = [||] in
+        Runs.sort e;
+        Alcotest.(check (array int)) "sort empty" [||] e;
+        Alcotest.(check (array int)) "merge nothing" [||] (Runs.merge []);
+        Alcotest.(check (array int)) "merge empties" [||] (Runs.merge [ [||]; [||] ]);
+        let one = [| 7 |] in
+        Runs.sort one;
+        Alcotest.(check (array int)) "sort one" [| 7 |] one;
+        Alcotest.(check (array int)) "merge one" [| 7 |] (Runs.merge [ [||]; one; [||] ]);
+        Alcotest.(check (array (pair int string)))
+          "sort_by_key empty" [||]
+          (Runs.sort_by_key fst [||]));
+    Alcotest.test_case "sort_by_key refuses a key out of range" `Quick
+      (fun () ->
+        Alcotest.check_raises "negative key"
+          (Invalid_argument "Runs.sort_by_key: key out of range") (fun () ->
+            ignore (Runs.sort_by_key Fun.id [| 3; -1 |]));
+        Alcotest.check_raises "key too large"
+          (Invalid_argument "Runs.sort_by_key: key out of range") (fun () ->
+            ignore (Runs.sort_by_key Fun.id [| max_int / 2; 0 |])));
+  ]
+
+let runs_props =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 300) (int_range (-40) 40))
+        (list_size (int_range 0 6) (int_range 0 120)))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"sort and merge equal Array.sort compare"
+         ~count:300 gen (fun (xs, lens) ->
+           let runs = split_runs xs lens in
+           List.iter Runs.sort runs;
+           List.for_all2
+             (fun r x -> r = stdlib_sorted x)
+             runs (split_runs xs lens)
+           && Runs.merge runs = stdlib_sorted (Array.of_list xs)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"keyed sort and merge are stable sorts"
+         ~count:300 gen (fun (xs, lens) ->
+           let tagged = List.mapi (fun i x -> (abs x, i)) xs in
+           let by_key (a, _) (b, _) = compare a b in
+           let want = Array.of_list (List.stable_sort by_key tagged) in
+           let runs =
+             List.map
+               (fun r -> Array.of_list (List.stable_sort by_key (Array.to_list r)))
+               (split_runs tagged lens)
+           in
+           Runs.sort_by_key fst (Array.of_list tagged) = want
+           && Runs.merge_by by_key runs = want));
+  ]
+
 let suite =
   [
+    ("sim.runs", runs_tests @ runs_props);
     ("sim.time", time_tests);
     ("sim.units", units_tests);
     ("sim.rng", rng_tests @ rng_props);
